@@ -19,7 +19,8 @@ from .surgery import (CheckReport, ReductionReport, SurgeryStep,
                       remove_node, verify_weyl_edge, verify_weyl_nodes)
 from .treespec import (GeneratingProfile, RootedTree, Spectrum, SpectrumEntry,
                        eigenbasis, eval_g, forest_eigenbasis, node_zeros,
-                       root_tree, subtree_operator, tree_spectrum)
+                       root_tree, subtree_operator, tree_eigenpairs,
+                       tree_spectrum)
 
 __version__ = "0.1.0"
 
@@ -35,6 +36,6 @@ __all__ = [
     "p2_spectrum", "p_normalized", "phi", "phi_inv", "rayleigh",
     "reduce_to_forest", "reduce_to_nodal_union", "remove_edge", "remove_node",
     "residual", "root_tree", "spectral_bound", "subtree_operator",
-    "technical_R", "tree_spectrum", "variational_index", "verify_weyl_edge",
-    "verify_weyl_nodes",
+    "technical_R", "tree_eigenpairs", "tree_spectrum", "variational_index",
+    "verify_weyl_edge", "verify_weyl_nodes",
 ]

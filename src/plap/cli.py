@@ -159,69 +159,71 @@ def _resolve_p(doc_p, arg_p) -> float:
     raise ValueError("no p: the document has none and --p was not given")
 
 
-def full_spectrum(H: Operator) -> treespec.Spectrum:
-    """Complete spectrum by whichever route covers the operator."""
-    if H.p == 2.0:
+def _read_document(args):
+    """The verb's document as (graph, p or None, function or None).
+
+    A non-empty Dirichlet boundary is a capability limit: no verb applies
+    it, and answering for the boundary-free graph would be wrong.
+    """
+    g, p, boundary, func = parse_document(_load_json(args.file), args.strict)
+    if boundary:
+        raise CapabilityError("Dirichlet boundaries are not supported; "
+                              "give the document an empty 'boundary'")
+    return g, p, func
+
+
+def full_spectrum(H: Operator, bases: bool = False) -> treespec.Spectrum:
+    """Complete spectrum by whichever route covers the operator; with
+    ``bases`` every entry carries its eigenbasis (the dense route always
+    does). p = 2 goes to the dense route up to its size cap, forests above
+    it to the tree route."""
+    if H.p == 2.0 and H.graph.n <= oracle_mod.MAX_DENSE_N:
         return oracle_mod.p2_spectrum(H)
     if is_forest(H.graph):
-        return treespec.tree_spectrum(H)
+        return treespec.tree_eigenpairs(H) if bases else treespec.tree_spectrum(H)
     raise CapabilityError(
-        "exact spectra are available for p = 2 (any graph) or forests (any p)")
+        f"exact spectra are available for p = 2 (any graph up to "
+        f"{oracle_mod.MAX_DENSE_N} vertices) or forests (any p)")
 
 
-def _eigenpairs_of(H: Operator, spec: treespec.Spectrum):
-    """(value, function) for a full eigenbasis, by the spectrum's route."""
+def _eigenpairs_of(spec: treespec.Spectrum):
+    """(value, function) for every function of the entries' eigenbases."""
     pairs = []
     for e in spec.entries:
-        if H.p == 2.0:
-            funcs = list(e.basis)
-        else:
-            funcs = treespec.forest_eigenbasis(H, e.value)
-        if len(funcs) != e.mult:
+        if len(e.basis) != e.mult:
             raise AssertionError(
-                f"{len(funcs)} eigenfunctions for multiplicity {e.mult}")
-        pairs.extend((e.value, f) for f in funcs)
+                f"{len(e.basis)} eigenfunctions for multiplicity {e.mult}")
+        pairs.extend((e.value, f) for f in e.basis)
     return pairs
 
 
 def cmd_spectrum(args) -> int:
-    g, p, _boundary, _func = parse_document(_load_json(args.file), args.strict)
+    g, p, _func = _read_document(args)
     p = _resolve_p(p, args.p)
     H = Operator(g, p)
-    spec = full_spectrum(H)
+    spec = full_spectrum(H, bases=args.eigenbasis)
     out = {"p": p, "n": g.n,
            "spectrum": [{"value": e.value, "mult": e.mult} for e in spec.entries]}
     if args.eigenbasis:
-        basis_out = []
-        for value, funcs in _grouped(_eigenpairs_of(H, spec)):
-            rows = []
-            for f in funcs:
-                r = residual(H, f, value)
-                if r > args.tol:
-                    raise AssertionError(
-                        f"reconstructed eigenfunction at {value} has residual {r}")
-                rows.append(_function_json(g, f))
-            basis_out.append(rows)
-        out["eigenbasis"] = basis_out
+        for value, f in _eigenpairs_of(spec):
+            r = residual(H, f, value)
+            if r > args.tol:
+                raise AssertionError(
+                    f"reconstructed eigenfunction at {value} has residual {r}")
+        out["eigenbasis"] = [[_function_json(g, f) for f in e.basis]
+                             for e in spec.entries]
     _emit(out)
     return EXIT_OK
 
 
-def _grouped(pairs):
-    groups: list = []
-    for value, f in pairs:
-        if groups and groups[-1][0] == value:
-            groups[-1][1].append(f)
-        else:
-            groups.append((value, [f]))
-    return groups
-
-
 def cmd_oracle(args) -> int:
-    g, p, _boundary, _func = parse_document(_load_json(args.file), args.strict)
+    g, p, _func = _read_document(args)
     p = _resolve_p(p, args.p)
     if p != 2.0:
         raise CapabilityError("the dense reference route only covers p = 2")
+    if g.n > oracle_mod.MAX_DENSE_N:
+        raise CapabilityError(
+            f"the dense reference route is capped at {oracle_mod.MAX_DENSE_N} vertices")
     H = Operator(g, 2.0)
     spec = oracle_mod.p2_spectrum(H)
     out = {"p": 2.0, "n": g.n,
@@ -234,7 +236,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_nodal(args) -> int:
-    g, _p, _boundary, func = parse_document(_load_json(args.file), args.strict)
+    g, _p, func = _read_document(args)
     if args.function is not None:
         func = _function_from_json(g, json.loads(args.function))
     if func is None:
@@ -272,15 +274,15 @@ def _bound_row(lam: float, rep: nodal_mod.BoundReport) -> dict:
 
 
 def cmd_check(args) -> int:
-    g, p, _boundary, func = parse_document(_load_json(args.file), args.strict)
+    g, p, func = _read_document(args)
     p = _resolve_p(p, args.p)
     H = Operator(g, p)
     tol = args.tol
     which = args.bounds
-    spec = full_spectrum(H)
+    spec = full_spectrum(H, bases=args.all)
 
     if args.all:
-        pairs = _eigenpairs_of(H, spec)
+        pairs = _eigenpairs_of(spec)
     else:
         if args.lam is None:
             raise ValueError("check needs --lambda (or --all)")
@@ -355,7 +357,7 @@ def _parse_vertex_id(text: str):
 
 
 def cmd_surgery(args) -> int:
-    g, p, _boundary, func = parse_document(_load_json(args.file), args.strict)
+    g, p, func = _read_document(args)
     p = _resolve_p(p, args.p)
     H = Operator(g, p)
     if args.function is not None:
@@ -536,6 +538,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except AssertionError as exc:
         print(f"violated invariant: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except RuntimeError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -342,6 +343,28 @@ class GeneratingProfile:
             self.poles[u] = [c for c, _, _ in cluster_tagged(child_zeros)]
             self.zeros[u] = _zeros_of(T, H, u, self.poles[u])
 
+    @cached_property
+    def candidates(self) -> list:
+        """The tree's eigenvalue candidates: (value, k - h, vanishing
+        vertices) for every self-consistent zero group with k - h > 0,
+        ascending. The multiplicities must sum to the vertex count — a hard
+        structural check."""
+        T = self.tree
+        n = T.graph.n
+        out = []
+        for _center, vals, verts in cluster_tagged(
+                [(z, u) for u in range(n) for z in self.zeros[u]]):
+            for grp in _refined_groups(T, vals, verts):
+                zset = {t for _, t in grp}
+                mult = len(zset) - len({T.parent[v] for v in zset} - {-1})
+                if mult > 0:
+                    out.append((sum(v for v, _ in grp) / len(grp), mult, zset))
+        total = sum(mult for _, mult, _ in out)
+        if total != n:
+            raise AssertionError(
+                f"multiplicity total {total} != {n} on a tree component")
+        return out
+
     def eval(self, u: int, lam: float) -> float:
         """g_u(lam); returns math.inf when lam falls in a pole band."""
         for q in self.poles[u]:
@@ -437,6 +460,57 @@ class Spectrum:
         return best
 
 
+def _forest_parts(H: Operator) -> list:
+    """(component indices, component operator, rooted component) for every
+    connected component of a forest operator, each rooted at its first
+    vertex. The indices are dense indices of ``H.graph`` in the component's
+    own vertex order."""
+    g = H.graph
+    comps = connected_components(g)
+    if len(g.edges) != g.n - len(comps):
+        raise ValueError("the tree route requires a forest")
+    parts = []
+    for comp in comps:
+        sub = induced_subgraph(g, comp)
+        parts.append((comp, Operator(sub, H.p), RootedTree(sub, sub.ids[0])))
+    return parts
+
+
+def _merged(candidates) -> Spectrum:
+    """Spectrum of (value, mult, ...) candidates: values within CLUSTER_REL
+    merge into one entry and their multiplicities add."""
+    return Spectrum(tuple(
+        SpectrumEntry(center, sum(mults))
+        for center, _vals, mults in cluster_tagged([c[:2] for c in candidates])))
+
+
+def _spectrum_of(H: Operator, parts) -> Spectrum:
+    """Merged spectrum of a forest's parts; the counts must sum to n."""
+    spec = _merged([c for _comp, Hs, T in parts
+                    for c in _profile_for(T, Hs).candidates])
+    if spec.total != H.graph.n:
+        raise AssertionError(f"forest multiplicity total {spec.total} != {H.graph.n}")
+    return spec
+
+
+def _basis_on(H: Operator, parts, lam: float) -> list[VertexFunction]:
+    """Eigenfunctions of ``lam`` on a forest: the reconstruction on every
+    component whose spectrum holds lam, embedded by zero elsewhere."""
+    out = []
+    for comp, Hs, T in parts:
+        try:
+            _merged(_profile_for(T, Hs).candidates).find(lam)
+        except ValueError:
+            continue
+        for fsub in eigenbasis(Hs, T, lam):
+            values = np.zeros(H.graph.n)
+            values[comp] = fsub.values
+            out.append(VertexFunction(values))
+    if not out:
+        raise ValueError(f"{lam} is not an eigenvalue of this forest")
+    return out
+
+
 def tree_spectrum(H: Operator) -> Spectrum:
     """Full spectrum of a forest operator, with multiplicities.
 
@@ -446,37 +520,17 @@ def tree_spectrum(H: Operator) -> Spectrum:
     distinct parents). The per-component counts must sum to the component
     sizes — a hard structural check.
     """
-    g = H.graph
-    comps = connected_components(g)
-    if len(g.edges) != g.n - len(comps):
-        raise ValueError("tree_spectrum requires a forest")
-    collected = []
-    for comp in comps:
-        sub = induced_subgraph(g, comp)
-        Hs = Operator(sub, H.p)
-        T = RootedTree(sub, sub.ids[0])
-        prof = GeneratingProfile(T, Hs)
-        tagged = [(z, u) for u in range(sub.n) for z in prof.zeros[u]]
-        total = 0
-        for _center, vals, verts in cluster_tagged(tagged):
-            for grp in _refined_groups(T, vals, verts):
-                zset = {t for _, t in grp}
-                k = len(zset)
-                parents = {T.parent[v] for v in zset} - {-1}
-                h = len(parents)
-                total += k - h
-                if k - h > 0:
-                    center = sum(v for v, _ in grp) / len(grp)
-                    collected.append((center, k - h))
-        if total != sub.n:
-            raise AssertionError(
-                f"multiplicity total {total} != {sub.n} on a tree component")
-    entries = [SpectrumEntry(center, sum(mults))
-               for center, _vals, mults in cluster_tagged(collected)]
-    spec = Spectrum(tuple(entries))
-    if spec.total != g.n:
-        raise AssertionError(f"forest multiplicity total {spec.total} != {g.n}")
-    return spec
+    return _spectrum_of(H, _forest_parts(H))
+
+
+def tree_eigenpairs(H: Operator) -> Spectrum:
+    """``tree_spectrum`` with every entry's ``basis`` filled in, as
+    ``forest_eigenbasis`` would give it. One generating profile per
+    component serves the values and every eigenvalue's basis."""
+    parts = _forest_parts(H)
+    return Spectrum(tuple(
+        SpectrumEntry(e.value, e.mult, tuple(_basis_on(H, parts, e.value)))
+        for e in _spectrum_of(H, parts).entries))
 
 
 def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
@@ -492,27 +546,18 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
     g = T.graph
     if g is not H.graph:
         raise ValueError("tree and operator must share one graph")
-    prof = _profile_for(T, H)
     p = H.p
     n = g.n
     lam = float(lam)
 
-    # vertices whose g vanishes at lam, clustered and refined exactly like
-    # tree_spectrum; lam is matched to the nearest group with k - h > 0
-    # (groups of propagating zeros carry no eigenvalue and never match)
+    # vertices whose g vanishes at lam: lam is matched to the nearest
+    # candidate group (groups of propagating zeros carry no eigenvalue)
     Z: set = set()
     gap = math.inf
-    for _center, vals, tags in cluster_tagged(
-            [(z, u) for u in range(n) for z in prof.zeros[u]]):
-        for grp in _refined_groups(T, vals, tags):
-            zset = {t for _, t in grp}
-            pars = {T.parent[t] for t in zset} - {-1}
-            if len(zset) - len(pars) <= 0:
-                continue
-            center = sum(v for v, _ in grp) / len(grp)
-            if abs(center - lam) < gap:
-                gap = abs(center - lam)
-                Z = zset
+    for center, _mult, zset in _profile_for(T, H).candidates:
+        if abs(center - lam) < gap:
+            gap = abs(center - lam)
+            Z = zset
     if not Z or gap > 1e-8 * max(1.0, abs(lam)):
         raise ValueError(f"{lam} is not an eigenvalue of this tree")
     parents = {T.parent[u] for u in Z} - {-1}
@@ -603,25 +648,7 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
 
 def forest_eigenbasis(H: Operator, lam: float) -> list[VertexFunction]:
     """Eigenfunctions of ``lam`` on a forest: per-component reconstructions
-    embedded by zero on the other components."""
-    g = H.graph
-    comps = connected_components(g)
-    if len(g.edges) != g.n - len(comps):
-        raise ValueError("forest_eigenbasis requires a forest")
-    out = []
-    for comp in comps:
-        sub = induced_subgraph(g, comp)
-        Hs = Operator(sub, H.p)
-        spec = tree_spectrum(Hs)
-        try:
-            spec.find(lam)
-        except ValueError:
-            continue
-        T = RootedTree(sub, sub.ids[0])
-        for fsub in eigenbasis(Hs, T, lam):
-            mapping = dict.fromkeys(g.ids, 0.0)
-            mapping.update(fsub.as_mapping(sub))
-            out.append(VertexFunction.from_mapping(g, mapping))
-    if not out:
-        raise ValueError(f"{lam} is not an eigenvalue of this forest")
-    return out
+    embedded by zero on the other components. Each call builds one
+    generating profile per component; ``tree_eigenpairs`` gives every
+    eigenvalue's basis from a single set of profiles."""
+    return _basis_on(H, _forest_parts(H), lam)

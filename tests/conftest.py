@@ -1,6 +1,7 @@
 """Shared builders: the worked 4-vertex example with its closed-form
 spectrum, and seeded random graph corpora."""
 
+from plap import treespec
 from plap.cli import gen_graph
 from plap.core import EigenpairCertificate, WeightedGraph, residual
 
@@ -48,14 +49,10 @@ def random_connected_graph(rng, n=None, weighted=True):
     return gen_graph("graph", n, rng, weighted=weighted)
 
 
-def random_forest(rng):
-    """One random weighted tree (70%) or a forest of 2-3 smaller trees."""
-    r = rng.random()
-    m = 1 if r < 0.7 else (2 if r < 0.9 else 3)
+def disjoint_union(*graphs):
+    """The graphs side by side, their vertices relabeled 0..N-1 in order."""
     verts, edges, base = [], [], 0
-    for _ in range(m):
-        n = rng.randint(2, 12) if m == 1 else rng.randint(2, 6)
-        t = gen_graph("tree", n, rng, weighted=True)
+    for t in graphs:
         verts += [(base + i, float(t.rho[i]), float(t.kappa[i]))
                   for i in range(t.n)]
         edges += [(base + u, base + v, w) for u, v, w in t.edges]
@@ -63,14 +60,33 @@ def random_forest(rng):
     return WeightedGraph(verts, edges)
 
 
+def random_forest(rng):
+    """One random weighted tree (70%) or a forest of 2-3 smaller trees."""
+    r = rng.random()
+    m = 1 if r < 0.7 else (2 if r < 0.9 else 3)
+    trees = []
+    for _ in range(m):
+        n = rng.randint(2, 12) if m == 1 else rng.randint(2, 6)
+        trees.append(gen_graph("tree", n, rng, weighted=True))
+    return disjoint_union(*trees)
+
+
 def copy_forest(rng, copies):
     """``copies`` disjoint copies of one random weighted tree, so every
     eigenvalue is shared by all components."""
     t = gen_graph("tree", rng.randint(2, 5), rng, weighted=True)
-    verts, edges = [], []
-    for c in range(copies):
-        base = c * t.n
-        verts += [(base + i, float(t.rho[i]), float(t.kappa[i]))
-                  for i in range(t.n)]
-        edges += [(base + u, base + v, w) for u, v, w in t.edges]
-    return WeightedGraph(verts, edges)
+    return disjoint_union(*[t] * copies)
+
+
+def count_profiles(monkeypatch):
+    """List that grows by the tree size at every GeneratingProfile built
+    while ``monkeypatch`` is active."""
+    built = []
+
+    class Counted(treespec.GeneratingProfile):
+        def __init__(self, T, H):
+            built.append(T.graph.n)
+            super().__init__(T, H)
+
+    monkeypatch.setattr(treespec, "GeneratingProfile", Counted)
+    return built

@@ -2,15 +2,18 @@
 
 import json
 import math
+import random
 
 import pytest
 
-from conftest import diamond_graph
+from conftest import count_profiles, diamond_graph
+from plap import treespec
 from plap.cli import (
     EXIT_CAPABILITY,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VIOLATION,
+    gen_graph,
     graph_document,
     main,
     parse_document,
@@ -239,3 +242,66 @@ def test_strict_flag_rejects_unknown_fields(tmp_path, capsys):
 
 def test_exit_code_constants():
     assert (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_VIOLATION) == (0, 2, 3, 4)
+
+
+def test_spectrum_eigenbasis_builds_one_profile_per_component(
+        tmp_path, capsys, monkeypatch):
+    doc = {"p": 3.0, "vertices": [{"id": i} for i in range(7)],
+           "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2}, {"u": 1, "v": 3},
+                     {"u": 4, "v": 5, "omega": 2.0}, {"u": 5, "v": 6}]}
+    path = write_doc(tmp_path, doc)
+    built = count_profiles(monkeypatch)
+    assert main(["spectrum", path, "--eigenbasis"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert [len(rows) for rows in out["eigenbasis"]] == [
+        e["mult"] for e in out["spectrum"]]
+    assert sorted(built) == [3, 4]
+
+
+def test_p2_forest_above_dense_cap_takes_tree_route(tmp_path, capsys):
+    star = graph_document(gen_graph("star", 513, random.Random(0)), p=2.0)
+    path = write_doc(tmp_path, star)
+    assert main(["spectrum", path]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    mults = {round(e["value"], 6): e["mult"] for e in out["spectrum"]}
+    assert mults == {0: 1, 1: 511, 513: 1}
+    # the dense verb itself reports its cap as a capability limit
+    assert main(["oracle", path]) == EXIT_CAPABILITY
+
+    cycle = graph_document(gen_graph("cycle", 513, random.Random(0)), p=2.0)
+    assert main(["spectrum", write_doc(tmp_path, cycle, "c.json")]) == EXIT_CAPABILITY
+    assert "512" in capsys.readouterr().err
+
+
+def test_runtime_error_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    def fail(H):
+        raise RuntimeError("outer bracket not positive at the low end")
+
+    monkeypatch.setattr(treespec, "tree_spectrum", fail)
+    doc = {"p": 3.0, "vertices": [{"id": i} for i in range(3)],
+           "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2}]}
+    assert main(["spectrum", write_doc(tmp_path, doc)]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "outer bracket" in captured.err and "Traceback" not in captured.err
+
+
+def test_boundary_is_a_capability_limit(tmp_path, capsys):
+    """A Dirichlet boundary is never dropped silently: every verb that reads
+    a document refuses a non-empty one."""
+    doc = {"p": 2.0, "vertices": [{"id": i} for i in range(3)],
+           "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2}],
+           "function": {"0": 1.0, "1": 0.0, "2": -1.0}, "boundary": []}
+    free = write_doc(tmp_path, doc, "free.json")
+    assert main(["spectrum", free]) == EXIT_OK
+    doc["boundary"] = [0]
+    fixed = write_doc(tmp_path, doc, "fixed.json")
+    for argv in (["spectrum", fixed], ["oracle", fixed], ["nodal", fixed],
+                 ["check", fixed, "--lambda", "1"],
+                 ["surgery", fixed, "--remove-node", "1"]):
+        assert main(argv) == EXIT_CAPABILITY, argv
+    assert "boundar" in capsys.readouterr().err
+    doc["boundary"] = [7]  # an unknown id stays bad input
+    assert main(["spectrum", write_doc(tmp_path, doc, "bad.json")]) == EXIT_INPUT
+    capsys.readouterr()

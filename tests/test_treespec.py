@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import copy_forest, random_tree
+from conftest import copy_forest, count_profiles, disjoint_union, random_tree
 from plap.core import Operator, VertexFunction, WeightedGraph, residual
 from plap.oracle import p2_spectrum
 from plap.treespec import (
@@ -19,6 +19,7 @@ from plap.treespec import (
     node_zeros,
     root_tree,
     subtree_operator,
+    tree_eigenpairs,
     tree_spectrum,
 )
 
@@ -343,3 +344,42 @@ def test_sub_ulp_tie_keeps_count_and_value():
         for e in tree_spectrum(Hp).entries:
             for f in forest_eigenbasis(Hp, e.value):
                 assert residual(Hp, f, e.value) < 1e-8
+
+
+def test_tree_eigenpairs_equal_spectrum_and_forest_eigenbasis():
+    """Every entry carries exactly tree_spectrum's value and multiplicity,
+    and a basis equal to forest_eigenbasis at that value, bit for bit."""
+    rng = random.Random(44)
+    twin = copy_forest(rng, 2)
+    forests = [disjoint_union(random_tree(rng, n=5), random_tree(rng, n=3),
+                              random_tree(rng, n=4)),
+               disjoint_union(random_tree(rng, n=6), random_tree(rng, n=2)),
+               twin]
+    for g in forests:
+        for p in (1.5, 2.0, 3.0):
+            H = Operator(g, p)
+            pairs = tree_eigenpairs(H)
+            spec = tree_spectrum(H)
+            assert pairs.values() == spec.values()
+            assert [e.mult for e in pairs.entries] == [e.mult for e in spec.entries]
+            for e in pairs.entries:
+                assert len(e.basis) == e.mult
+                want = forest_eigenbasis(H, e.value)
+                assert len(want) == len(e.basis)
+                assert all(np.array_equal(f.values, w.values)
+                           for f, w in zip(e.basis, want))
+    # in the copy-forest every eigenvalue's basis spans both components
+    half = twin.n // 2
+    for e in tree_eigenpairs(Operator(twin, 3.0)).entries:
+        support = np.any([f.values != 0.0 for f in e.basis], axis=0)
+        assert support[:half].any() and support[half:].any()
+
+
+def test_forest_eigenbasis_builds_one_profile_per_component(monkeypatch):
+    g = disjoint_union(random_tree(random.Random(5), n=6),
+                       random_tree(random.Random(6), n=4))
+    H = Operator(g, 3.0)
+    lam = tree_spectrum(H).entries[0].value
+    built = count_profiles(monkeypatch)
+    forest_eigenbasis(H, lam)
+    assert sorted(built) == [4, 6]
