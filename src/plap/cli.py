@@ -58,6 +58,22 @@ def _check_id(raw):
     return raw
 
 
+def _number(raw, what: str) -> float:
+    if isinstance(raw, (list, dict)) or raw is None:
+        raise ValueError(f"{what} must be a number, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range: {raw!r}") from None
+
+
+def _list(doc: dict, key: str) -> list:
+    raw = doc.get(key, [])
+    if not isinstance(raw, list):
+        raise ValueError(f"'{key}' must be a list, got {raw!r}")
+    return raw
+
+
 def _warn_unknown(obj: dict, known: set, what: str, strict: bool):
     unknown = sorted(set(obj) - known)
     if unknown:
@@ -75,26 +91,27 @@ def parse_document(doc, strict: bool = False):
     if "vertices" not in doc or "edges" not in doc:
         raise ValueError("document needs 'vertices' and 'edges'")
     vertices = []
-    for obj in doc["vertices"]:
+    for obj in _list(doc, "vertices"):
         if not isinstance(obj, dict):
             raise ValueError("vertex entries must be objects")
         _warn_unknown(obj, VERTEX_KEYS, "vertex", strict)
         if "id" not in obj:
             raise ValueError("every vertex needs an 'id'")
-        vertices.append((_check_id(obj["id"]), float(obj.get("rho", 1.0)),
-                         float(obj.get("kappa", 0.0))))
+        vertices.append((_check_id(obj["id"]),
+                         _number(obj.get("rho", 1.0), "rho"),
+                         _number(obj.get("kappa", 0.0), "kappa")))
     edges = []
-    for obj in doc["edges"]:
+    for obj in _list(doc, "edges"):
         if not isinstance(obj, dict):
             raise ValueError("edge entries must be objects")
         _warn_unknown(obj, EDGE_KEYS, "edge", strict)
         if "u" not in obj or "v" not in obj:
             raise ValueError("every edge needs 'u' and 'v'")
         edges.append((_check_id(obj["u"]), _check_id(obj["v"]),
-                      float(obj.get("omega", 1.0))))
+                      _number(obj.get("omega", 1.0), "omega")))
     g = WeightedGraph(vertices, edges)
-    p = float(doc["p"]) if "p" in doc and doc["p"] is not None else None
-    boundary = [_check_id(b) for b in doc.get("boundary", [])]
+    p = _number(doc["p"], "p") if doc.get("p") is not None else None
+    boundary = [_check_id(b) for b in _list(doc, "boundary")]
     for b in boundary:
         g.index_of(b)
     func = _function_from_json(g, doc["function"]) if "function" in doc else None
@@ -114,7 +131,7 @@ def _function_from_json(g: WeightedGraph, obj) -> VertexFunction:
     for key, val in obj.items():
         if key not in bykey:
             raise ValueError(f"function key {key!r} matches no vertex")
-        mapping[bykey[key]] = float(val)
+        mapping[bykey[key]] = _number(val, f"function value at {key!r}")
     return VertexFunction.from_mapping(g, mapping)
 
 
@@ -172,18 +189,34 @@ def _read_document(args):
     return g, p, func
 
 
-def full_spectrum(H: Operator, bases: bool = False) -> treespec.Spectrum:
-    """Complete spectrum by whichever route covers the operator; with
-    ``bases`` every entry carries its eigenbasis (the dense route always
-    does). p = 2 goes to the dense route up to its size cap, forests above
-    it to the tree route."""
+def _tree_route(H: Operator) -> bool:
+    """Which route answers the operator: False for the dense route (p = 2 up
+    to its size cap), True for the tree route (forests, any p)."""
     if H.p == 2.0 and H.graph.n <= oracle_mod.MAX_DENSE_N:
-        return oracle_mod.p2_spectrum(H)
+        return False
     if is_forest(H.graph):
-        return treespec.tree_eigenpairs(H) if bases else treespec.tree_spectrum(H)
+        return True
     raise CapabilityError(
         f"exact spectra are available for p = 2 (any graph up to "
         f"{oracle_mod.MAX_DENSE_N} vertices) or forests (any p)")
+
+
+def full_spectrum(H: Operator, bases: bool = False) -> treespec.Spectrum:
+    """Complete spectrum by whichever route covers the operator; with
+    ``bases`` every entry carries its eigenbasis (the dense route always
+    does)."""
+    if not _tree_route(H):
+        return oracle_mod.p2_spectrum(H)
+    return treespec.tree_eigenpairs(H) if bases else treespec.tree_spectrum(H)
+
+
+def eigenvalue_counter(H: Operator):
+    """Something with ``total`` and ``count_below`` for the operator, by the
+    same routes as ``full_spectrum``: the dense spectrum, or a tree-route
+    counter that builds no generating profile."""
+    if not _tree_route(H):
+        return oracle_mod.p2_spectrum(H)
+    return treespec.ForestCount(H)
 
 
 def _eigenpairs_of(spec: treespec.Spectrum):
@@ -321,7 +354,7 @@ def cmd_check(args) -> int:
         for i in range(g.n):
             vid = g.ids[i]
             H2 = surgery_mod.remove_node(H, vid)
-            rep = surgery_mod.verify_weyl_nodes(spec, full_spectrum(H2), 1)
+            rep = surgery_mod.verify_weyl_nodes(spec, eigenvalue_counter(H2), 1)
             rows.append({"name": "weyl-node", "vertex": vid, "pass": rep.ok,
                          "checked": rep.checked, "failures": list(rep.failures)})
             ok_all = ok_all and rep.ok
@@ -332,15 +365,15 @@ def cmd_check(args) -> int:
 def _weyl_edge_rows(H: Operator, cert: EigenpairCertificate,
                     spec: treespec.Spectrum):
     g = H.graph
-    x = cert.function.values
-    band = nodal_mod.ZERO_BAND_REL * float(max(abs(x.max()), abs(x.min())))
+    s, _band = nodal_mod.sign_pattern(g, cert.function)
     rows = []
     for i, j, _w in g.edges:
-        if abs(x[i]) <= band or abs(x[j]) <= band:
+        if s[i] == 0 or s[j] == 0:
             continue
         u, v = g.ids[i], g.ids[j]
         H2, step = surgery_mod.remove_edge(H, cert, (u, v))
-        rep = surgery_mod.verify_weyl_edge(spec, full_spectrum(H2), step.alpha)
+        rep = surgery_mod.verify_weyl_edge(spec, eigenvalue_counter(H2),
+                                           step.alpha)
         rows.append({"name": "weyl-edge", "edge": [u, v],
                      "lambda": cert.eigenvalue, "alpha": step.alpha,
                      "pass": rep.ok, "checked": rep.checked,
@@ -539,7 +572,7 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"violated invariant: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

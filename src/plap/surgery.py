@@ -6,20 +6,21 @@ contribute, keeps that eigenpair intact; removing a vertex where the
 eigenfunction vanishes, while moving its edge weights into the neighbors'
 potentials, does the same. Each removal shifts the rest of the spectrum in
 a controlled way, and the verify_* functions check those interlacing
-patterns on full before/after spectra.
+patterns by counting after-values around each before-value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from random import Random
 
 from ._unionfind import UnionFind
 from .core import (EigenpairCertificate, Operator, VertexFunction,
                    WeightedGraph, connected_components, induced_subgraph,
                    is_forest, phi, residual)
-from .nodal import ZERO_BAND_REL, analyze, sign_pattern
+from .nodal import _slack, analyze, sign_pattern
 from .treespec import Spectrum
 
 
@@ -66,11 +67,10 @@ def remove_edge(H: Operator, cert: EigenpairCertificate, e0) -> tuple[Operator, 
     x = cert.function.values
     if len(x) != g.n:
         raise ValueError("certificate function does not match the graph")
-    band = ZERO_BAND_REL * float(max(abs(x.min()), abs(x.max())))
-    fu, fv = float(x[iu]), float(x[iv])
-    if abs(fu) <= band or abs(fv) <= band:
+    s, _band = sign_pattern(g, cert.function)
+    if s[iu] == 0 or s[iv] == 0:
         raise ValueError("edge removal needs nonzero values at both endpoints")
-    alpha = fv / fu
+    alpha = float(x[iv]) / float(x[iu])
     d_u = w * phi(1.0 - alpha, H.p)
     d_v = w * phi(1.0 - 1.0 / alpha, H.p)
     kappa = g.kappa.copy()
@@ -102,67 +102,78 @@ def remove_node(H: Operator, u0) -> Operator:
     return Operator(induced_subgraph(g, keep, delta), H.p)
 
 
-def _slack(x: float) -> float:
-    return 1e-8 * max(1.0, abs(x))
+def _counts(after):
+    """Memoized c-(t) = #{eta < t - s} and c+(t) = #{eta <= t + s} of an
+    after-operator at before-values t, with s = ``_slack(t)``."""
+    below = cache(lambda t: after.count_below(t - _slack(t)))
+    upto = cache(lambda t: after.count_below(
+        math.nextafter(t + _slack(t), math.inf)))
+    return below, upto
 
 
-def verify_weyl_edge(spec_before: Spectrum, spec_after: Spectrum,
-                     alpha_sign: float) -> CheckReport:
+def verify_weyl_edge(spec_before: Spectrum, after, alpha_sign: float) -> CheckReport:
     """Check the one-sided shift pattern of a compensated edge removal.
 
     With eta the after-values and lambda the before-values, a negative
     ratio alpha forces eta_{k-1} <= lambda_k <= eta_k, a positive one
     eta_k <= lambda_k <= eta_{k+1}, for every k (missing neighbors count as
-    -inf / +inf).
+    -inf / +inf), each side within the slack s of lambda_k.
+
+    ``after`` is anything with ``total`` and ``count_below`` (a
+    ``Spectrum`` or a ``treespec.ForestCount``). Only two counts per
+    distinct lambda_k are read: c- = #{eta < lambda_k - s} and
+    c+ = #{eta <= lambda_k + s}. The pattern is c+ >= k - 1 and c- <= k - 1
+    for alpha < 0, c+ >= k and c- <= k for alpha > 0.
     """
     lam = spec_before.flat()
-    eta = spec_after.flat()
-    if len(lam) != len(eta):
+    if after.total != len(lam):
         raise ValueError("edge removal must preserve the vertex count")
     if alpha_sign == 0 or not math.isfinite(alpha_sign):
         raise ValueError("alpha must have a definite sign")
-    neg = alpha_sign < 0
+    shift = 1 if alpha_sign > 0 else 0
+    below, upto = _counts(after)
     failures = []
-    checked = 0
-    n = len(lam)
-    for k in range(1, n + 1):
-        lk = lam[k - 1]
-        sl = _slack(lk)
-        if neg:
-            lo = eta[k - 2] if k >= 2 else -math.inf
-            hi = eta[k - 1]
-        else:
-            lo = eta[k - 1]
-            hi = eta[k] if k <= n - 1 else math.inf
-        checked += 1
-        if not (lo - sl <= lk <= hi + sl):
+    for k, lk in enumerate(lam, start=1):
+        need = k - 1 + shift
+        c_below, c_upto = below(lk), upto(lk)
+        if c_upto < need or c_below > need:
+            sl = _slack(lk)
             failures.append(
-                f"value {k}: {lk} outside [{lo}, {hi}] after edge removal")
-    return CheckReport(ok=not failures, checked=checked,
+                f"value {k}: {lk} misplaced after edge removal: "
+                f"#{{eta < {lk - sl}}} = {c_below} and "
+                f"#{{eta <= {lk + sl}}} = {c_upto}, but the first must be "
+                f"<= {need} and the second >= {need}")
+    return CheckReport(ok=not failures, checked=len(lam),
                        failures=tuple(failures))
 
 
-def verify_weyl_nodes(spec_before: Spectrum, spec_after: Spectrum,
-                      n: int) -> CheckReport:
+def verify_weyl_nodes(spec_before: Spectrum, after, n: int) -> CheckReport:
     """Check the two-sided squeeze of removing ``n`` vertices:
-    lambda_k <= eta_k <= lambda_{k+n} for every k on the smaller graph."""
+    lambda_k <= eta_k <= lambda_{k+n} for every k on the smaller graph.
+
+    ``after`` is anything with ``total`` and ``count_below``. The two sides
+    are read as counts at before-values: lambda_k <= eta_k as
+    #{eta < lambda_k - s} <= k - 1, and eta_k <= lambda_{k+n} as
+    #{eta <= lambda_{k+n} + s} >= k, with s the slack of that before-value.
+    Taking the slack at the before-value rather than at eta_k changes the
+    verdict only inside a window about 1e-16 wide.
+    """
     lam = spec_before.flat()
-    eta = spec_after.flat()
-    if len(eta) != len(lam) - n:
+    m = after.total
+    if m != len(lam) - n:
         raise ValueError(f"after-spectrum should be {n} values shorter")
+    below, upto = _counts(after)
     failures = []
-    checked = 0
-    for k in range(1, len(eta) + 1):
-        ek = eta[k - 1]
-        sl = _slack(ek)
-        lo = lam[k - 1]
-        hi = lam[k + n - 1]
-        checked += 1
-        if not (lo - sl <= ek <= hi + sl):
+    for k in range(1, m + 1):
+        lo, hi = lam[k - 1], lam[k + n - 1]
+        c_below, c_upto = below(lo), upto(hi)
+        if c_below > k - 1 or c_upto < k:
             failures.append(
-                f"value {k}: {ek} outside [{lo}, {hi}] after removing {n} vertices")
-    return CheckReport(ok=not failures, checked=checked,
-                       failures=tuple(failures))
+                f"value {k} outside [{lo}, {hi}] after removing {n} vertices: "
+                f"#{{eta < {lo - _slack(lo)}}} = {c_below} and "
+                f"#{{eta <= {hi + _slack(hi)}}} = {c_upto}, but the first "
+                f"must be <= {k - 1} and the second >= {k}")
+    return CheckReport(ok=not failures, checked=m, failures=tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ At a candidate eigenvalue, the multiplicity equals k - h, where k counts the
 vertices whose g vanishes there and h counts their distinct parents; the
 total over all candidates comes out to the number of vertices, which
 `tree_spectrum` asserts.
+
+The same recursion counts eigenvalues without locating them: the number of
+vertices with g_u(x) < 0 is the number of eigenvalues below x
+(`ForestCount`).
 """
 
 from __future__ import annotations
@@ -448,6 +452,10 @@ class Spectrum:
         """Eigenvalues with repetition, ascending."""
         return [e.value for e in self.entries for _ in range(e.mult)]
 
+    def count_below(self, x: float) -> int:
+        """Number of eigenvalues strictly below ``x``, with multiplicity."""
+        return sum(e.mult for e in self.entries if e.value < x)
+
     def find(self, lam: float, rel_tol: float = 1e-8) -> SpectrumEntry:
         best = None
         gap = math.inf
@@ -474,6 +482,38 @@ def _forest_parts(H: Operator) -> list:
         sub = induced_subgraph(g, comp)
         parts.append((comp, Operator(sub, H.p), RootedTree(sub, sub.ids[0])))
     return parts
+
+
+class ForestCount:
+    """Eigenvalue counter of a forest operator, with no generating profile.
+
+    Under the virtual-parent rooting, the number of vertices whose g is
+    negative at x equals the number of eigenvalues below x. At p = 2 this
+    is Sylvester inertia (Jacobs & Trevisan, "Locating the eigenvalues of
+    trees", Linear Algebra Appl. 434, 2011); at other p the tests check it
+    against ``tree_spectrum``. One count is one bottom-up pass per component.
+    """
+
+    def __init__(self, H: Operator):
+        self._parts = _forest_parts(H)
+        self.total = H.graph.n
+
+    def count_below(self, x: float) -> int:
+        """#{eigenvalues < x}, with multiplicity.
+
+        An exact hit follows the left limit: a g value of exactly 0.0 counts
+        as not negative, and the pole marker, which only an exact child zero
+        produces, counts as negative. At an eigenvalue this gives the count
+        strictly below it. The recursion itself has a float floor: at p != 2
+        one ulp above an eigenvalue a leaf's value can round to exactly 0.0
+        and the count then still reads the one below.
+        """
+        count = 0
+        for _comp, Hs, T in self._parts:
+            for v in _eval_vertices(T, Hs, x, T.order).values():
+                if v < 0.0 or v == POLE:
+                    count += 1
+        return count
 
 
 def _merged(candidates) -> Spectrum:

@@ -1,10 +1,15 @@
 """Command-line surface: document parsing, the verbs, and exit codes."""
 
+import io
 import json
 import math
 import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_profiles, diamond_graph
 from plap import treespec
@@ -55,6 +60,88 @@ def test_parse_document_defaults_and_errors():
     with pytest.raises(ValueError):
         parse_document({"vertices": [{"id": 0}], "edges": [],
                         "function": {"9": 1.0}})
+
+
+def test_parse_document_rejects_malformed_shapes():
+    """Non-list vertices, edges or boundary and non-scalar numbers are bad
+    input, not a TypeError."""
+    base = {"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 1}]}
+    bad = [
+        {"vertices": [{"id": 0}], "edges": None},
+        {**base, "vertices": {"id": 0}},
+        {**base, "boundary": 5},
+        {**base, "boundary": None},
+        {**base, "p": [3]},
+        {**base, "vertices": [{"id": 0, "rho": [1]}, {"id": 1}]},
+        {**base, "vertices": [{"id": 0, "kappa": {}}, {"id": 1}]},
+        {**base, "edges": [{"u": 0, "v": 1, "omega": None}]},
+        {**base, "vertices": [{"id": 0, "rho": 10 ** 400}, {"id": 1}]},
+        {**base, "function": {"0": [1.0], "1": 0.0}},
+    ]
+    for doc in bad:
+        with pytest.raises(ValueError):
+            parse_document(doc)
+
+
+def test_malformed_documents_exit_2(tmp_path, capsys):
+    for i, doc in enumerate(({"vertices": [{"id": 0}], "edges": None},
+                             {"vertices": [{"id": 0}], "edges": [],
+                              "boundary": 5},
+                             {"p": [3], "vertices": [{"id": 0}], "edges": []})):
+        path = write_doc(tmp_path, doc, f"m{i}.json")
+        assert main(["spectrum", path]) == EXIT_INPUT
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                  st.floats(-3.0, 3.0), st.sampled_from([1e308, -1e-308]),
+                  st.text(max_size=2))
+_JSON = st.recursive(
+    _LEAF, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def _documents(draw):
+    """A well-formed graph document with up to two fields replaced by
+    arbitrary JSON, or now and then arbitrary JSON outright."""
+    if draw(st.integers(0, 5)) == 5:
+        return draw(_JSON)
+    n = draw(st.integers(1, 4))
+    pos = st.floats(0.1, 3.0)
+    doc = {"p": draw(st.sampled_from([1.2, 2.0, 3.0])),
+           "vertices": [{"id": i, "rho": draw(pos),
+                         "kappa": draw(st.floats(-3.0, 3.0))} for i in range(n)],
+           "edges": [{"u": i, "v": j, "omega": draw(pos)}
+                     for i in range(n) for j in range(i + 1, n)
+                     if draw(st.booleans())],
+           "function": {str(i): draw(st.floats(-3.0, 3.0)) for i in range(n)}}
+    holders = [doc, doc["function"], *doc["vertices"], *doc["edges"]]
+    for _ in range(draw(st.integers(0, 2))):
+        obj = draw(st.sampled_from(holders))
+        obj[draw(st.sampled_from(sorted(obj) + ["boundary"]))] = draw(_JSON)
+    return doc
+
+
+_ARGV = [["spectrum", "-"], ["spectrum", "-", "--eigenbasis"], ["oracle", "-"],
+         ["nodal", "-"], ["check", "-", "--all"], ["check", "-", "--lambda", "1"],
+         ["surgery", "-", "--remove-node", "0"],
+         ["surgery", "-", "--remove-edge", "0,1", "--lambda", "1"]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=_documents(), argv=st.sampled_from(_ARGV))
+def test_every_document_gets_an_exit_code(doc, argv):
+    """Small arbitrary documents on every verb that reads one (``gen`` reads
+    none) end in a documented exit code; no exception leaves main."""
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_VIOLATION)
 
 
 def test_parse_document_strict_mode():
@@ -287,6 +374,17 @@ def test_runtime_error_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     assert "outer bracket" in captured.err and "Traceback" not in captured.err
 
 
+def test_overflow_exits_4_without_traceback(tmp_path, capsys):
+    """A finite document whose g recursion leaves the float range is a
+    numerical failure, not a crash."""
+    doc = {"p": 1.2, "vertices": [{"id": 0}, {"id": 1, "kappa": 1e308},
+                                  {"id": 2}],
+           "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2}]}
+    assert main(["spectrum", write_doc(tmp_path, doc)]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "numerical failure" in captured.err
+
+
 def test_boundary_is_a_capability_limit(tmp_path, capsys):
     """A Dirichlet boundary is never dropped silently: every verb that reads
     a document refuses a non-empty one."""
@@ -305,3 +403,15 @@ def test_boundary_is_a_capability_limit(tmp_path, capsys):
     doc["boundary"] = [7]  # an unknown id stays bad input
     assert main(["spectrum", write_doc(tmp_path, doc, "bad.json")]) == EXIT_INPUT
     capsys.readouterr()
+
+
+def test_check_all_builds_one_profile(tmp_path, capsys, monkeypatch):
+    """The Weyl rows count eigenvalues of every after-operator, so the only
+    generating profile is the one behind the before-spectrum."""
+    doc = graph_document(gen_graph("tree", 10, random.Random(4), weighted=True))
+    path = write_doc(tmp_path, doc)
+    built = count_profiles(monkeypatch)
+    assert main(["check", path, "--all", "--p", "3"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert {row["name"] for row in out["checks"]} >= {"weyl-edge", "weyl-node"}
+    assert built == [10]

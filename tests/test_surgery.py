@@ -16,6 +16,8 @@ from plap.core import (
     is_forest,
     residual,
 )
+from plap.cli import gen_graph
+from plap.nodal import sign_pattern
 from plap.oracle import p2_spectrum
 from plap.surgery import (
     reduce_to_forest,
@@ -25,7 +27,13 @@ from plap.surgery import (
     verify_weyl_edge,
     verify_weyl_nodes,
 )
-from plap.treespec import Spectrum, SpectrumEntry, tree_spectrum
+from plap.treespec import (
+    ForestCount,
+    Spectrum,
+    SpectrumEntry,
+    tree_eigenpairs,
+    tree_spectrum,
+)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -129,6 +137,67 @@ def test_verify_weyl_nodes_synthetic():
     assert not rep.ok
     with pytest.raises(ValueError):
         verify_weyl_nodes(before, _plain_spectrum([0.5, 1.5]), 1)
+
+
+def _weyl_verdicts(H):
+    """(name, target, verdict by counter, verdict by full after-spectrum)
+    for every compensated edge removal of every eigenpair and every vertex
+    removal, a verdict being (ok, checked)."""
+    g = H.graph
+    spec = tree_eigenpairs(H)
+    out = []
+    for e in spec.entries:
+        for f in e.basis:
+            cert = certify(H, e.value, f)
+            s, _band = sign_pattern(g, f)
+            for i, j, _w in g.edges:
+                if s[i] == 0 or s[j] == 0:
+                    continue
+                H2, step = remove_edge(H, cert, (g.ids[i], g.ids[j]))
+                by_count = verify_weyl_edge(spec, ForestCount(H2), step.alpha)
+                by_spec = verify_weyl_edge(spec, tree_spectrum(H2), step.alpha)
+                out.append(("edge", (e.value, g.ids[i], g.ids[j]),
+                            (by_count.ok, by_count.checked),
+                            (by_spec.ok, by_spec.checked)))
+    for u in g.ids:
+        H2 = remove_node(H, u)
+        by_count = verify_weyl_nodes(spec, ForestCount(H2), 1)
+        by_spec = verify_weyl_nodes(spec, tree_spectrum(H2), 1)
+        out.append(("node", (u,), (by_count.ok, by_count.checked),
+                    (by_spec.ok, by_spec.checked)))
+    return out
+
+
+@pytest.mark.parametrize("p", [1.2, 3.0])
+def test_weyl_counts_agree_with_after_spectra(p):
+    """Counting after-values gives the same verdict as the full
+    after-spectrum on every removal of a seeded tree corpus."""
+    rng = random.Random(91)
+    rows = 0
+    for n in range(4, 12):
+        H = Operator(random_tree(rng, n=n), p)
+        for name, target, by_count, by_spec in _weyl_verdicts(H):
+            assert by_count == by_spec, (n, name, target)
+            rows += 1
+    assert rows > 400
+
+
+def test_weyl_counts_keep_a_known_failure():
+    """gen tree 12 --seed 3 --weighted at p = 1.2 fails the edge pattern at
+    (4, 5), with alpha within 1e-14 of 1, by both readings."""
+    H = Operator(gen_graph("tree", 12, random.Random(3), weighted=True), 1.2)
+    g = H.graph
+    spec = tree_eigenpairs(H)
+    failed = 0
+    for e in spec.entries:
+        for f in e.basis:
+            H2, step = remove_edge(H, certify(H, e.value, f), (4, 5))
+            by_count = verify_weyl_edge(spec, ForestCount(H2), step.alpha)
+            by_spec = verify_weyl_edge(spec, tree_spectrum(H2), step.alpha)
+            assert (by_count.ok, by_count.checked) == (by_spec.ok, by_spec.checked)
+            assert by_count.checked == g.n
+            failed += not by_count.ok
+    assert failed >= 1
 
 
 def test_weyl_on_diamond_surgery():

@@ -7,10 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import copy_forest, count_profiles, disjoint_union, random_tree
+from conftest import (copy_forest, count_profiles, disjoint_union,
+                      random_forest, random_tree)
+from plap.cli import gen_graph
 from plap.core import Operator, VertexFunction, WeightedGraph, residual
 from plap.oracle import p2_spectrum
 from plap.treespec import (
+    ForestCount,
     RootedTree,
     cluster_tagged,
     eigenbasis,
@@ -383,3 +386,42 @@ def test_forest_eigenbasis_builds_one_profile_per_component(monkeypatch):
     built = count_profiles(monkeypatch)
     forest_eigenbasis(H, lam)
     assert sorted(built) == [4, 6]
+
+
+def test_forest_count_matches_tree_spectrum():
+    """#{eigenvalues < x} read off the signs of the g values equals the
+    count taken from the full spectrum, on trees, forests and copy-forests."""
+    rng = random.Random(808)
+    probes = 0
+    for p in (1.2, 1.5, 2.0, 3.0, 3.7):
+        graphs = ([random_tree(rng) for _ in range(3)]
+                  + [random_forest(rng) for _ in range(3)]
+                  + [copy_forest(rng, rng.randint(2, 3))])
+        for g in graphs:
+            H = Operator(g, p)
+            spec = tree_spectrum(H)
+            counter = ForestCount(H)
+            assert counter.total == spec.total == g.n
+            vals = spec.values()
+            lo, hi = vals[0] - 1.0, vals[-1] + 1.0
+            for x in [lo, hi] + [rng.uniform(lo, hi) for _ in range(12)]:
+                assert counter.count_below(x) == spec.count_below(x), (p, x)
+                probes += 1
+    assert probes == 5 * 7 * 14
+
+
+def test_forest_count_exact_hit_takes_the_left_limit():
+    """At an eigenvalue the count is the number strictly below it: a g value
+    of exactly zero is not negative, the pole it causes at the parent is.
+    (At p = 3 one ulp above 1 the leaf value rounds to exactly 0, so that
+    count still reads 1: a float floor of the recursion, not tested here.)"""
+    H = Operator(gen_graph("star", 7, random.Random(0)), 2.0)
+    counter = ForestCount(H)
+    assert counter.count_below(1.0) == 1
+    assert counter.count_below(math.nextafter(1.0, 2.0)) == 6
+    assert counter.count_below(0.0) == 0
+    assert counter.count_below(7.0) == 6
+    assert counter.count_below(math.nextafter(7.0, 8.0)) == 7
+    spec = tree_spectrum(H)
+    assert [spec.count_below(x) for x in (0.5, 2.0, 8.0)] == [1, 6, 7]
+    assert [spec.count_below(e.value) for e in spec.entries] == [0, 1, 6]
