@@ -19,8 +19,7 @@ from .surgery import (CheckReport, ReductionReport, SurgeryStep,
                       remove_node, verify_weyl_edge, verify_weyl_nodes)
 from .treespec import (GeneratingProfile, RootedTree, Spectrum, SpectrumEntry,
                        eigenbasis, eval_g, forest_eigenbasis, node_zeros,
-                       root_tree, subtree_operator, tree_eigenpairs,
-                       tree_spectrum)
+                       subtree_operator, tree_eigenpairs, tree_spectrum)
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,7 @@ __all__ = [
     "is_bipartite", "is_forest", "node_zeros", "nodal_domains",
     "p2_spectrum", "p_normalized", "phi", "phi_inv", "rayleigh",
     "reduce_to_forest", "reduce_to_nodal_union", "remove_edge", "remove_node",
-    "residual", "root_tree", "spectral_bound", "subtree_operator",
-    "technical_R", "tree_eigenpairs", "tree_spectrum", "variational_index",
+    "residual", "spectral_bound", "subtree_operator", "technical_R",
+    "tree_eigenpairs", "tree_spectrum", "variational_index",
     "verify_weyl_edge", "verify_weyl_nodes",
 ]

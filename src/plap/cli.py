@@ -25,8 +25,8 @@ from . import oracle as oracle_mod
 from . import surgery as surgery_mod
 from . import treespec
 from .core import (EigenpairCertificate, Operator, VertexFunction,
-                   WeightedGraph, _id_key, connected_components, is_forest,
-                   residual)
+                   WeightedGraph, _canonical_edges, _id_key,
+                   connected_components, is_forest, residual)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -148,14 +148,8 @@ def graph_document(g: WeightedGraph, p=None, function=None, boundary=None) -> di
     order = sorted(range(g.n), key=lambda i: _id_key(g.ids[i]))
     doc["vertices"] = [{"id": g.ids[i], "rho": float(g.rho[i]),
                         "kappa": float(g.kappa[i])} for i in order]
-    items = []
-    for i, j, w in g.edges:
-        a, b = g.ids[i], g.ids[j]
-        if _id_key(b) < _id_key(a):
-            a, b = b, a
-        items.append((a, b, float(w)))
-    items.sort(key=lambda t: (_id_key(t[0]), _id_key(t[1])))
-    doc["edges"] = [{"u": a, "v": b, "omega": w} for a, b, w in items]
+    doc["edges"] = [{"u": a, "v": b, "omega": float(w)}
+                    for a, b, w in _canonical_edges(g)]
     if boundary:
         doc["boundary"] = sorted(boundary, key=_id_key)
     if function is not None:
@@ -410,24 +404,24 @@ def cmd_surgery(args) -> int:
     fmap = func.as_mapping(g) if func is not None else None
     lam = args.lam
     for u, v in edges:
-        f_now = VertexFunction.from_mapping(
-            H.graph, {vid: fmap[vid] for vid in H.graph.ids})
-        cert = EigenpairCertificate(lam if lam is not None else 0.0, f_now,
-                                    0.0, args.tol)
+        # remove_edge reads only the certificate's function
+        cert = EigenpairCertificate(lam if lam is not None else 0.0,
+                                    VertexFunction.from_mapping(H.graph, fmap),
+                                    0.0, 0.0)
         H, step = surgery_mod.remove_edge(H, cert, (u, v))
         d_u, d_v = step.kappa_deltas[u], step.kappa_deltas[v]
         print(f"removed edge ({u!r}, {v!r}): alpha={step.alpha:.12g}, "
               f"kappa[{u!r}] += {d_u:.12g}, kappa[{v!r}] += {d_v:.12g}",
               file=sys.stderr)
     for u in nodes:
+        iu = H.graph.index_of(u)
         if fmap is not None:
-            vals = [abs(fmap[vid]) for vid in H.graph.ids]
-            band = nodal_mod.ZERO_BAND_REL * max(vals)
-            if abs(fmap[u]) > band:
+            s, _band = nodal_mod.sign_pattern(
+                H.graph, VertexFunction.from_mapping(H.graph, fmap))
+            if s[iu] != 0:
                 raise ValueError(
                     f"the function does not vanish at {u!r}; removal would "
                     f"break the eigenpair")
-        iu = H.graph.index_of(u)
         deltas = {H.graph.ids[j]: wj for j, wj in H.graph.adj[iu]}
         H = surgery_mod.remove_node(H, u)
         if fmap is not None:
@@ -439,8 +433,7 @@ def cmd_surgery(args) -> int:
 
     f_final = None
     if fmap is not None:
-        f_final = VertexFunction.from_mapping(
-            H.graph, {vid: fmap[vid] for vid in H.graph.ids})
+        f_final = VertexFunction.from_mapping(H.graph, fmap)
         if lam is not None:
             res = residual(H, f_final, lam)
             print(f"residual after surgery: {res:.3e}", file=sys.stderr)
@@ -491,13 +484,14 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, with_p: bool = True):
+def _add_common(sp, with_p: bool = True, with_tol: bool = False):
     sp.add_argument("file", help="graph document: a JSON path, or - for stdin")
     if with_p:
         sp.add_argument("--p", type=float, default=None,
                         help="override the document's p")
+    if with_tol:
         sp.add_argument("--tol", type=float, default=1e-8,
-                        help="residual / matching tolerance")
+                        help="residual tolerance of eigenpairs")
     sp.add_argument("--strict", action="store_true",
                     help="reject unknown document fields")
 
@@ -509,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     sp = sub.add_parser("spectrum", help="exact spectrum of the document")
-    _add_common(sp)
+    _add_common(sp, with_tol=True)
     sp.add_argument("--eigenbasis", action="store_true",
                     help="also emit a full eigenbasis")
     sp.set_defaults(func=cmd_spectrum)
@@ -526,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_nodal)
 
     sp = sub.add_parser("check", help="verify bounds for certified eigenpairs")
-    _add_common(sp)
+    _add_common(sp, with_tol=True)
     sp.add_argument("--lambda", dest="lam", type=float, default=None,
                     help="eigenvalue to certify")
     sp.add_argument("--function", default=None,

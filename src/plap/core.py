@@ -493,6 +493,9 @@ def _newton_polish(H: Operator, x: np.ndarray, lam: float,
     # stationary pair sitting noticeably above the entry value is wrong
     lam_cap = lam + 1e-6 * max(1.0, abs(lam))
     best = (x, lam, _defect(H, x, lam))
+    # edge endpoints interleaved (u0, v0, u1, v1, ...) so that every
+    # diagonal entry of the Jacobian sums its edge terms in edge order
+    ends = np.column_stack((g._eu, g._ev)).ravel()
     for _ in range(50):
         absx = np.abs(x)
         with np.errstate(divide="ignore", over="ignore"):
@@ -501,12 +504,10 @@ def _newton_polish(H: Operator, x: np.ndarray, lam: float,
         a = np.zeros((n, n))
         diag = (g.kappa - lam * g.rho) * wv
         a[np.arange(n), np.arange(n)] = diag
-        for idx in range(len(g._eu)):
-            i, j, w = g._eu[idx], g._ev[idx], g._ew[idx] * we[idx]
-            a[i, i] += w
-            a[j, j] += w
-            a[i, j] -= w
-            a[j, i] -= w
+        w = g._ew * we
+        np.add.at(a, (ends, ends), np.repeat(w, 2))
+        a[g._eu, g._ev] -= w  # no duplicate edges: each pair appears once
+        a[g._ev, g._eu] -= w
         a *= p - 1.0
         jac = np.zeros((n + 1, n + 1))
         jac[:n, :n] = a

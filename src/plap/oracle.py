@@ -4,19 +4,18 @@ At p = 2 the operator is an honest symmetric matrix problem: conjugating
 the weighted Laplacian plus potential by the inverse square root of the
 vertex measure gives a symmetric matrix whose eigenvalues are the operator's
 spectrum and whose eigenvectors pull back to eigenfunctions. The
-eigensolver here is a self-contained cyclic Jacobi iteration so that the
-reference path shares no code with the tree machinery it is used to check.
+eigensolver is LAPACK's symmetric solver through numpy, so the reference
+path shares no code with the tree machinery it is used to check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Operator, VertexFunction, p_normalized
-from .treespec import Spectrum, SpectrumEntry
+from .treespec import Spectrum, SpectrumEntry, cluster_tagged
 
 #: Two eigenvalues within ORACLE_CLUSTER_REL * max(1, |value|) of each other
 #: are reported as one multiple eigenvalue.
@@ -71,61 +70,12 @@ def assemble_p2(H: Operator) -> SymmetricMatrix:
 
 
 def eig_sym(M: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition by cyclic Jacobi sweeps.
+    """Eigendecomposition by LAPACK (``numpy.linalg.eigh``).
 
     Returns (w, V) with w ascending and V's columns the matching
-    orthonormal eigenvectors. Off-diagonal mass is annihilated one rotation
-    at a time until it falls below 1e-13 relative to the matrix scale.
+    orthonormal eigenvectors.
     """
-    a = M.data.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = max(1.0, float(np.max(np.abs(a))))
-    tol = 1e-13 * scale
-    for _sweep in range(60):
-        off = 0.0
-        for i in range(n - 1):
-            row = np.abs(a[i, i + 1:])
-            if row.size:
-                off = max(off, float(row.max()))
-        if off <= tol:
-            break
-        for p_ in range(n - 1):
-            for q_ in range(p_ + 1, n):
-                apq = a[p_, q_]
-                if abs(apq) <= 0.1 * tol:
-                    continue
-                tau = (a[q_, q_] - a[p_, p_]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p_, p_], a[q_, q_]
-                rowp = a[p_, :].copy()
-                rowq = a[q_, :].copy()
-                a[p_, :] = c * rowp - s * rowq
-                a[q_, :] = s * rowp + c * rowq
-                colp = a[:, p_].copy()
-                colq = a[:, q_].copy()
-                a[:, p_] = c * colp - s * colq
-                a[:, q_] = s * colp + c * colq
-                a[p_, p_] = app - t * apq
-                a[q_, q_] = aqq + t * apq
-                a[p_, q_] = 0.0
-                a[q_, p_] = 0.0
-                colp = v[:, p_].copy()
-                colq = v[:, q_].copy()
-                v[:, p_] = c * colp - s * colq
-                v[:, q_] = s * colp + c * colq
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge in 60 sweeps")
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(M.data)
 
 
 def p2_spectrum(H: Operator) -> Spectrum:
@@ -144,7 +94,7 @@ def p2_spectrum(H: Operator) -> Spectrum:
         funcs.append(VertexFunction(f))
     tagged = [(float(w[i]), i) for i in range(len(w))]
     entries = []
-    for center, _vals, idxs in _cluster8(tagged):
+    for center, _vals, idxs in cluster_tagged(tagged, ORACLE_CLUSTER_REL):
         entries.append(SpectrumEntry(center, len(idxs),
                                      tuple(funcs[i] for i in idxs)))
     spec = Spectrum(tuple(entries))
@@ -153,35 +103,9 @@ def p2_spectrum(H: Operator) -> Spectrum:
     return spec
 
 
-def _cluster8(tagged):
-    """Single-linkage clustering at the dense-route tolerance."""
-    if not tagged:
-        return []
-    tagged = sorted(tagged, key=lambda t: t[0])
-    groups = [[tagged[0]]]
-    for val, tag in tagged[1:]:
-        if val - groups[-1][-1][0] <= ORACLE_CLUSTER_REL * max(1.0, abs(val)):
-            groups[-1].append((val, tag))
-        else:
-            groups.append([(val, tag)])
-    out = []
-    for grp in groups:
-        vals = [v for v, _ in grp]
-        out.append((sum(vals) / len(vals), vals, [t for _, t in grp]))
-    return out
-
-
 def variational_index(S: Spectrum, lam: float) -> tuple[int, int]:
     """Position of ``lam`` in the ordered spectrum: (first 1-based index of
     its multiplicity block, multiplicity). Raises ValueError when lam is not
     in the spectrum at the dense-route tolerance."""
-    best = None
-    gap = math.inf
-    for e in S.entries:
-        d = abs(e.value - lam)
-        if d < gap:
-            best, gap = e, d
-    if best is None or gap > ORACLE_CLUSTER_REL * max(1.0, abs(lam)):
-        raise ValueError(f"{lam} is not in the spectrum")
-    k = 1 + sum(e.mult for e in S.entries if e.value < best.value)
-    return k, best.mult
+    e = S.find(lam, ORACLE_CLUSTER_REL)
+    return 1 + S.count_below(e.value), e.mult

@@ -176,6 +176,27 @@ def verify_weyl_nodes(spec_before: Spectrum, after, n: int) -> CheckReport:
     return CheckReport(ok=not failures, checked=m, failures=tuple(failures))
 
 
+def _strip_zeros(H: Operator, cert: EigenpairCertificate,
+                 s) -> tuple[Operator, EigenpairCertificate, list[SurgeryStep]]:
+    """Remove every vertex whose sign in ``s`` is 0, one step each, and
+    certify the restricted function on what is left."""
+    g = H.graph
+    steps = []
+    H1 = H
+    for i in range(g.n):
+        if s[i] == 0:
+            before = H1
+            H1 = remove_node(H1, g.ids[i])
+            steps.append(SurgeryStep(kind="node", target=(g.ids[i],),
+                                     alpha=None, kappa_deltas={},
+                                     removed_weight=None, before=before,
+                                     after=H1))
+    f1 = VertexFunction.from_mapping(H1.graph, cert.function.as_mapping(g))
+    lam = cert.eigenvalue
+    cert1 = EigenpairCertificate(lam, f1, residual(H1, f1, lam), cert.tol)
+    return H1, cert1, steps
+
+
 @dataclass(frozen=True)
 class ReductionReport:
     """Outcome of cutting a graph into the nodal domains of an eigenpair."""
@@ -208,21 +229,7 @@ def reduce_to_nodal_union(H: Operator, cert: EigenpairCertificate,
     if rep.nu == 0:
         raise ValueError("the certified function vanishes identically")
     s, _band = sign_pattern(g, cert.function)
-    fmap = cert.function.as_mapping(g)
-
-    steps = []
-    H1 = H
-    for i in range(g.n):
-        if s[i] == 0:
-            before = H1
-            H1 = remove_node(H1, g.ids[i])
-            steps.append(SurgeryStep(kind="node", target=(g.ids[i],),
-                                     alpha=None, kappa_deltas={},
-                                     removed_weight=None, before=before,
-                                     after=H1))
-    f1 = VertexFunction.from_mapping(
-        H1.graph, {vid: fmap[vid] for vid in H1.graph.ids})
-    cert1 = EigenpairCertificate(lam, f1, residual(H1, f1, lam), cert.tol)
+    H1, cert1, steps = _strip_zeros(H, cert, s)
 
     cut = [(g.ids[i], g.ids[j]) for i, j, _w in g.edges
            if s[i] != 0 and s[j] != 0 and s[i] != s[j]]
@@ -230,7 +237,7 @@ def reduce_to_nodal_union(H: Operator, cert: EigenpairCertificate,
     for e in cut:
         H2, step = remove_edge(H2, cert1, e)
         steps.append(step)
-    res_after = residual(H2, f1, lam)
+    res_after = residual(H2, cert1.function, lam)
 
     comps = connected_components(H2.graph)
     if len(comps) != rep.nu:
@@ -289,23 +296,8 @@ def reduce_to_forest(H: Operator, cert: EigenpairCertificate,
     """
     if not cert.valid:
         raise ValueError("certificate residual exceeds its tolerance")
-    g = H.graph
-    s, _band = sign_pattern(g, cert.function)
-    fmap = cert.function.as_mapping(g)
-    steps = []
-    H1 = H
-    for i in range(g.n):
-        if s[i] == 0:
-            before = H1
-            H1 = remove_node(H1, g.ids[i])
-            steps.append(SurgeryStep(kind="node", target=(g.ids[i],),
-                                     alpha=None, kappa_deltas={},
-                                     removed_weight=None, before=before,
-                                     after=H1))
-    f1 = VertexFunction.from_mapping(
-        H1.graph, {vid: fmap[vid] for vid in H1.graph.ids})
-    cert1 = EigenpairCertificate(cert.eigenvalue, f1,
-                                 residual(H1, f1, cert.eigenvalue), cert.tol)
+    s, _band = sign_pattern(H.graph, cert.function)
+    H1, cert1, steps = _strip_zeros(H, cert, s)
     g1 = H1.graph
     order = list(range(len(g1.edges)))
     Random(seed).shuffle(order)

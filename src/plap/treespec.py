@@ -49,23 +49,19 @@ POLE_BAND_REL = 1e-11
 POLE = math.inf
 
 
-def _ctol(x: float) -> float:
-    return CLUSTER_REL * max(1.0, abs(x))
-
-
-def cluster_tagged(pairs):
+def cluster_tagged(pairs, rel: float = CLUSTER_REL):
     """Single-linkage clustering of (value, tag) pairs.
 
     Returns a list of (center, values, tags) with centers ascending; two
     consecutive sorted values join one cluster when they differ by at most
-    CLUSTER_REL * max(1, |value|).
+    rel * max(1, |value|).
     """
     if not pairs:
         return []
     pairs = sorted(pairs, key=lambda t: t[0])
     groups = [[pairs[0]]]
     for v, tag in pairs[1:]:
-        if v - groups[-1][-1][0] <= _ctol(v):
+        if v - groups[-1][-1][0] <= rel * max(1.0, abs(v)):
             groups[-1].append((v, tag))
         else:
             groups.append([(v, tag)])
@@ -112,6 +108,7 @@ class RootedTree:
 
     Exposes parent/children arrays over the graph's dense indices, a
     children-first topological order, and each vertex's parent edge weight.
+    The spectral output downstream does not depend on the root.
     """
 
     def __init__(self, graph: WeightedGraph, root):
@@ -168,14 +165,6 @@ class RootedTree:
         return order
 
 
-def root_tree(G: WeightedGraph, root) -> RootedTree:
-    """Root a connected acyclic graph at ``root``.
-
-    The spectral output downstream does not depend on this choice.
-    """
-    return RootedTree(G, root)
-
-
 def _eval_vertices(T: RootedTree, H: Operator, lam: float, order) -> dict:
     """g values for ``order`` (children-first); math.inf marks a pole hit.
 
@@ -221,7 +210,9 @@ def _eval_vertices(T: RootedTree, H: Operator, lam: float, order) -> dict:
 
 def _bisect(ev, a, b, va, vb):
     """Root of a function strictly decreasing on [a, b], with va > 0 > vb."""
-    target = 1e-13 * max(1.0, abs(a), abs(b))
+    # relative to the end nearer zero: an outer bracket reaches out to the
+    # spectral bound, which a huge potential can push to 1e12 and more
+    target = 1e-13 * max(1.0, min(abs(a), abs(b)))
     while b - a > target:
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:

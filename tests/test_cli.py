@@ -225,6 +225,9 @@ def test_oracle_verb(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert sum(e["mult"] for e in out["spectrum"]) == 4
     assert main(["oracle", path, "--p", "3"]) == EXIT_CAPABILITY
+    with pytest.raises(SystemExit) as exc:  # no tolerance to set
+        main(["oracle", path, "--tol", "1e-6"])
+    assert exc.value.code == EXIT_INPUT
 
 
 def test_nodal_verb(tmp_path, capsys):
@@ -302,6 +305,14 @@ def test_surgery_verb_guards(tmp_path, capsys):
     assert main(["surgery", path, "--remove-node", "1"]) == EXIT_INPUT
     assert main(["surgery", path]) == EXIT_INPUT  # nothing to do
     assert main(["surgery", path, "--remove-edge", "1-2"]) == EXIT_INPUT
+    with pytest.raises(SystemExit) as exc:  # no tolerance to set
+        main(["surgery", path, "--remove-node", "2", "--tol", "1e-6"])
+    assert exc.value.code == EXIT_INPUT
+    # the zero band is sign_pattern's: 1e-12 * max|f|
+    for value, code in ((1e-13, EXIT_OK), (1e-11, EXIT_INPUT)):
+        f = {"1": 2.0, "2": 2.0 * value, "3": -1.0, "4": 0.0}
+        path = write_doc(tmp_path, diamond_doc(function=f), "band.json")
+        assert main(["surgery", path, "--remove-node", "2"]) == code
     capsys.readouterr()
 
 

@@ -17,7 +17,7 @@ from plap.core import (
     residual,
 )
 from plap.cli import gen_graph
-from plap.nodal import sign_pattern
+from plap.nodal import _slack, sign_pattern
 from plap.oracle import p2_spectrum
 from plap.surgery import (
     reduce_to_forest,
@@ -198,6 +198,26 @@ def test_weyl_counts_keep_a_known_failure():
             assert by_count.checked == g.n
             failed += not by_count.ok
     assert failed >= 1
+
+
+def test_tree_spectrum_after_a_huge_compensation():
+    """gen tree 13 --seed 2 --weighted at p = 3.7 with edge (8, 11) removed
+    under the eigenpair at lambda ~ 1.3434: alpha ~ -3.8e4 lifts kappa(8)
+    by about 4.6e12, and with it the spectral bound of the bisection's
+    outer bracket. Every after-value must still be an eigenvalue of the
+    right multiplicity: the count jumps by exactly its multiplicity."""
+    H = Operator(gen_graph("tree", 13, random.Random(2), weighted=True), 3.7)
+    spec = tree_eigenpairs(H)
+    e = spec.find(1.3434, rel_tol=1e-4)
+    H2, step = remove_edge(H, certify(H, e.value, e.basis[0]), (8, 11))
+    assert step.alpha < -3e4
+    after = tree_spectrum(H2)
+    counter = ForestCount(H2)
+    for x in after.entries:
+        s = _slack(x.value)
+        jump = counter.count_below(x.value + s) - counter.count_below(x.value - s)
+        assert jump == x.mult, x.value
+    assert verify_weyl_edge(spec, after, step.alpha).ok
 
 
 def test_weyl_on_diamond_surgery():

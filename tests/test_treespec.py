@@ -11,7 +11,7 @@ from conftest import (copy_forest, count_profiles, disjoint_union,
                       random_forest, random_tree)
 from plap.cli import gen_graph
 from plap.core import Operator, VertexFunction, WeightedGraph, residual
-from plap.oracle import p2_spectrum
+from plap.oracle import ORACLE_CLUSTER_REL, p2_spectrum
 from plap.treespec import (
     ForestCount,
     RootedTree,
@@ -20,7 +20,6 @@ from plap.treespec import (
     eval_g,
     forest_eigenbasis,
     node_zeros,
-    root_tree,
     subtree_operator,
     tree_eigenpairs,
     tree_spectrum,
@@ -98,16 +97,19 @@ def test_cluster_tagged_groups_nearby_values():
     assert set(verts) == {"a", "b"}
     assert math.isclose(center, 1.0, rel_tol=1e-9)
     assert groups[1][2] == ["c"]
+    # the dense route clusters the same way at its own, wider tolerance
+    pair = [(3.0, "a"), (3.0 + 5e-9, "b")]
+    assert len(cluster_tagged(pair)) == 2
+    assert len(cluster_tagged(pair, ORACLE_CLUSTER_REL)) == 1
 
 
 def test_root_tree_structure():
     g = WeightedGraph.unit(3, [(0, 1), (1, 2)])
-    T = root_tree(g, 0)
-    assert isinstance(T, RootedTree)
+    T = RootedTree(g, 0)
     assert T.parent == [-1, 0, 1]
     assert T.children == ((1,), (2,), ())
     assert T.order[-1] == 0  # children come before their parent
-    T2 = root_tree(g, 1)
+    T2 = RootedTree(g, 1)
     assert T2.parent[1] == -1
     assert set(T2.children[1]) == {0, 2}
 
@@ -117,7 +119,7 @@ def test_node_zeros_equal_subtree_spectrum():
     parent edge absorbed into the potential."""
     g = WeightedGraph.unit(3, [(0, 1), (1, 2)])
     H = Operator(g, 2.0)
-    T = root_tree(g, 0)
+    T = RootedTree(g, 0)
     assert np.allclose(node_zeros(T, H, 0), [0.0, 1.0, 3.0], atol=1e-9)
     assert np.allclose(node_zeros(T, H, 2), [1.0], atol=1e-9)
     sub = subtree_operator(H, T, 1)
@@ -129,7 +131,7 @@ def test_node_zeros_equal_subtree_spectrum():
     for _ in range(5):
         t = random_tree(rng, n=rng.randint(3, 8))
         H = Operator(t, 2.0)
-        T = root_tree(t, 0)
+        T = RootedTree(t, 0)
         u = rng.choice([v for v in range(t.n) if T.parent[v] != -1])
         zs = node_zeros(T, H, u)
         want = tree_spectrum(subtree_operator(H, T, u)).flat()
@@ -139,7 +141,7 @@ def test_node_zeros_equal_subtree_spectrum():
 def test_subtree_operator_drop_root():
     g = WeightedGraph.unit(3, [(0, 1), (1, 2)])
     H = Operator(g, 2.0)
-    T = root_tree(g, 0)
+    T = RootedTree(g, 0)
     sub = subtree_operator(H, T, 1, drop_root=True)
     assert sub.graph.ids == (2,)
     assert float(sub.graph.kappa[0]) == 1.0  # edge to the dropped root
@@ -148,7 +150,7 @@ def test_subtree_operator_drop_root():
 def test_eval_g_values_and_poles():
     g = WeightedGraph.unit(3, [(0, 1), (1, 2)])
     H = Operator(g, 2.0)
-    T = root_tree(g, 0)
+    T = RootedTree(g, 0)
     # a unit leaf at p = 2 has g(lam) = 1 - lam
     assert eval_g(T, H, 2, 0.25) == 0.75
     # the leaf's zero is the parent's pole
@@ -250,7 +252,7 @@ def test_tree_spectrum_count_is_exact():
 def test_eigenbasis_path3_known_functions():
     g = WeightedGraph.unit(3, [(0, 1), (1, 2)])
     H = Operator(g, 2.0)
-    T = root_tree(g, 0)
+    T = RootedTree(g, 0)
     funcs = eigenbasis(H, T, 1.0)
     assert len(funcs) == 1
     v = funcs[0].values
@@ -267,7 +269,7 @@ def test_eigenbasis_path3_known_functions():
 def test_eigenbasis_star_multiplicity():
     star = WeightedGraph.unit(4, [(0, 1), (0, 2), (0, 3)])
     H = Operator(star, 2.0)
-    T = root_tree(star, 0)
+    T = RootedTree(star, 0)
     funcs = eigenbasis(H, T, 1.0)
     assert len(funcs) == 2
     mat = np.stack([f.values for f in funcs])
@@ -280,7 +282,7 @@ def test_eigenbasis_star_multiplicity():
 def test_eigenbasis_rejects_non_eigenvalues():
     g = WeightedGraph.unit(3, [(0, 1), (1, 2)])
     H = Operator(g, 2.0)
-    T = root_tree(g, 0)
+    T = RootedTree(g, 0)
     with pytest.raises(ValueError):
         eigenbasis(H, T, 0.5)
 
