@@ -1,8 +1,8 @@
 """Spectral toolkit for the generalized graph p-Laplacian.
 
-Exact tree/forest spectra through per-vertex generating functions, a dense
-p = 2 reference route, nodal-domain counting with position bounds, and
-eigenpair-preserving graph surgery with interlacing checks.
+Exact tree/forest spectra by eigenvalue counting, a dense p = 2 reference
+route, nodal-domain counting with position bounds, and eigenpair-preserving
+graph surgery with interlacing checks.
 """
 
 from .core import (P_MIN, BoundaryGraph, EigenpairCertificate, Operator,
@@ -17,15 +17,15 @@ from .oracle import (SymmetricMatrix, assemble_p2, eig_sym, p2_spectrum,
 from .surgery import (CheckReport, ReductionReport, SurgeryStep,
                       reduce_to_forest, reduce_to_nodal_union, remove_edge,
                       remove_node, verify_weyl_edge, verify_weyl_nodes)
-from .treespec import (GeneratingProfile, RootedTree, Spectrum, SpectrumEntry,
-                       eigenbasis, eval_g, forest_eigenbasis, node_zeros,
-                       subtree_operator, tree_eigenpairs, tree_spectrum)
+from .treespec import (RootedTree, Spectrum, SpectrumEntry, eigenbasis, eval_g,
+                       forest_eigenbasis, node_zeros, subtree_operator,
+                       tree_eigenpairs, tree_spectrum)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "P_MIN", "BoundaryGraph", "BoundReport", "CheckReport",
-    "EigenpairCertificate", "GeneratingProfile", "NodalReport", "Operator",
+    "EigenpairCertificate", "NodalReport", "Operator",
     "ReductionReport", "RootedTree", "Spectrum", "SpectrumEntry",
     "SurgeryStep", "SymmetricMatrix", "VertexFunction", "WeightedGraph",
     "analyze", "apply", "assemble_p2", "check_lower", "check_upper",

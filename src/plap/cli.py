@@ -9,8 +9,9 @@ Verbs:
   gen        seeded example documents (tree | graph | path | star | cycle)
 
 Exit codes: 0 success, 2 bad input, 3 outside the implemented routes,
-4 violated invariant. stdout carries exactly one JSON document; everything
-else goes to stderr.
+4 violated invariant. stdout carries exactly one JSON document, for an
+error {"error": <message>, "exit_code": <code>}; everything else goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def full_spectrum(H: Operator, bases: bool = False) -> treespec.Spectrum:
 def eigenvalue_counter(H: Operator):
     """Something with ``total`` and ``count_below`` for the operator, by the
     same routes as ``full_spectrum``: the dense spectrum, or a tree-route
-    counter that builds no generating profile."""
+    counter that locates no eigenvalue."""
     if not _tree_route(H):
         return oracle_mod.p2_spectrum(H)
     return treespec.ForestCount(H)
@@ -224,22 +225,30 @@ def _eigenpairs_of(spec: treespec.Spectrum):
     return pairs
 
 
+def _spectrum_report(g: WeightedGraph, p: float, spec: treespec.Spectrum,
+                     bases: bool) -> dict:
+    """The ``spectrum`` and ``oracle`` output: values with multiplicities,
+    and with ``bases`` every entry's eigenfunctions."""
+    out = {"p": p, "n": g.n,
+           "spectrum": [{"value": e.value, "mult": e.mult} for e in spec.entries]}
+    if bases:
+        out["eigenbasis"] = [[_function_json(g, f) for f in e.basis]
+                             for e in spec.entries]
+    return out
+
+
 def cmd_spectrum(args) -> int:
     g, p, _func = _read_document(args)
     p = _resolve_p(p, args.p)
     H = Operator(g, p)
     spec = full_spectrum(H, bases=args.eigenbasis)
-    out = {"p": p, "n": g.n,
-           "spectrum": [{"value": e.value, "mult": e.mult} for e in spec.entries]}
     if args.eigenbasis:
         for value, f in _eigenpairs_of(spec):
             r = residual(H, f, value)
             if r > args.tol:
                 raise AssertionError(
                     f"reconstructed eigenfunction at {value} has residual {r}")
-        out["eigenbasis"] = [[_function_json(g, f) for f in e.basis]
-                             for e in spec.entries]
-    _emit(out)
+    _emit(_spectrum_report(g, p, spec, args.eigenbasis))
     return EXIT_OK
 
 
@@ -252,13 +261,7 @@ def cmd_oracle(args) -> int:
         raise CapabilityError(
             f"the dense reference route is capped at {oracle_mod.MAX_DENSE_N} vertices")
     H = Operator(g, 2.0)
-    spec = oracle_mod.p2_spectrum(H)
-    out = {"p": 2.0, "n": g.n,
-           "spectrum": [{"value": e.value, "mult": e.mult} for e in spec.entries]}
-    if args.eigenbasis:
-        out["eigenbasis"] = [[_function_json(g, f) for f in e.basis]
-                             for e in spec.entries]
-    _emit(out)
+    _emit(_spectrum_report(g, 2.0, oracle_mod.p2_spectrum(H), args.eigenbasis))
     return EXIT_OK
 
 
@@ -484,6 +487,16 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors keep argparse's stderr message and exit code 2, and
+    print the same JSON document on stdout as every other error. The verb
+    parsers inherit this class."""
+
+    def error(self, message):
+        _emit({"error": message, "exit_code": EXIT_INPUT})
+        super().error(message)
+
+
 def _add_common(sp, with_p: bool = True, with_tol: bool = False):
     sp.add_argument("file", help="graph document: a JSON path, or - for stdin")
     if with_p:
@@ -497,7 +510,7 @@ def _add_common(sp, with_p: bool = True, with_tol: bool = False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="plap",
         description="spectral toolkit for the generalized graph p-Laplacian")
     sub = ap.add_subparsers(dest="verb", required=True)
@@ -553,22 +566,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _failed(code: int, what: str, exc: Exception) -> int:
+    """Report an error: one line on stderr, one JSON document on stdout."""
+    print(f"{what}: {exc}", file=sys.stderr)
+    _emit({"error": str(exc), "exit_code": code})
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
+        return _failed(EXIT_CAPABILITY, "error", exc)
     except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _failed(EXIT_INPUT, "error", exc)
     except AssertionError as exc:
-        print(f"violated invariant: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return _failed(EXIT_VIOLATION, "violated invariant", exc)
     except (RuntimeError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return _failed(EXIT_VIOLATION, "numerical failure", exc)
 
 
 if __name__ == "__main__":

@@ -14,24 +14,19 @@ Under that convention the zeros of g_u are exactly the eigenvalues of the
 subtree operator rooted at u (parent edge weight absorbed into the
 potential), the poles of g_u are its children's zeros, and g_u decreases
 strictly from +inf to -inf across every open interval between consecutive
-poles as well as on the two unbounded tails. Each interval therefore
-brackets exactly one zero, found here by bisection.
+poles as well as on the two unbounded tails.
 
-At a candidate eigenvalue, the multiplicity equals k - h, where k counts the
-vertices whose g vanishes there and h counts their distinct parents; the
-total over all candidates comes out to the number of vertices, which
-`tree_spectrum` asserts.
-
-The same recursion counts eigenvalues without locating them: the number of
+One consequence answers every spectral question on a forest: the number of
 vertices with g_u(x) < 0 is the number of eigenvalues below x
-(`ForestCount`).
+(`ForestCount`). Spectra come from bisecting intervals on that count
+(`_slice`); the vanishing vertices behind an eigenvalue come from the sign
+changes of the g values across a narrow window around it (`_window`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +40,10 @@ CLUSTER_REL = 1e-9
 
 #: eval_g reports a pole when lam sits within this relative band of one.
 POLE_BAND_REL = 1e-11
+
+#: Half-width, relative to max(1, |lam|), of the window whose sign changes
+#: give the vertices vanishing at an eigenvalue lam.
+WINDOW_REL = 1e-10
 
 POLE = math.inf
 
@@ -69,37 +68,6 @@ def cluster_tagged(pairs, rel: float = CLUSTER_REL):
     for grp in groups:
         vals = [v for v, _ in grp]
         out.append((sum(vals) / len(vals), vals, [t for _, t in grp]))
-    return out
-
-
-def _refined_groups(T: "RootedTree", vals, verts):
-    """Split one zero cluster into self-consistent candidate groups.
-
-    At an exact candidate value no vertex's g vanishes twice and no
-    vanishing vertex is the parent of another vanishing vertex (a child's
-    zero is the parent's pole). A cluster breaking either rule has merged
-    nearby-but-distinct candidates — typical when a subtree eigenvalue hugs
-    the full tree's, which p < 2 makes common — so it is split at its widest
-    internal value gap until every group is consistent on its own. Returns
-    groups of (value, vertex) pairs, ascending by value.
-    """
-    stack = [sorted(zip(vals, verts))]
-    out = []
-    while stack:
-        grp = stack.pop()
-        tags = [t for _, t in grp]
-        zset = set(tags)
-        if len(zset) == len(tags) and not (zset & {T.parent[t] for t in tags}):
-            out.append(grp)
-            continue
-        gaps = [grp[i + 1][0] - grp[i][0] for i in range(len(grp) - 1)]
-        cut = max(range(len(gaps)), key=gaps.__getitem__)
-        if gaps[cut] <= 0.0:
-            out.append(grp)  # indistinguishable values: leave for the callers' checks
-            continue
-        stack.append(grp[: cut + 1])
-        stack.append(grp[cut + 1:])
-    out.sort(key=lambda grp: grp[0][0])
     return out
 
 
@@ -142,7 +110,6 @@ class RootedTree:
         self._rho = graph.rho.tolist()
         self._kappa = graph.kappa.tolist()
         self._subtrees: dict = {}
-        self._profiles: list = []
 
     @property
     def root_id(self):
@@ -208,185 +175,91 @@ def _eval_vertices(T: RootedTree, H: Operator, lam: float, order) -> dict:
     return out
 
 
-def _bisect(ev, a, b, va, vb):
-    """Root of a function strictly decreasing on [a, b], with va > 0 > vb."""
-    # relative to the end nearer zero: an outer bracket reaches out to the
-    # spectral bound, which a huge potential can push to 1e12 and more
-    target = 1e-13 * max(1.0, min(abs(a), abs(b)))
-    while b - a > target:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        v = ev(mid)
-        if not math.isfinite(v):
-            # interior marker can only come from an exact removable hit; dodge
-            mid = a + 0.75 * (b - a)
-            v = ev(mid)
-            if not math.isfinite(v):
-                break
-        if v > 0.0:
-            a, va = mid, v
-        elif v < 0.0:
-            b, vb = mid, v
-        else:
-            return mid
-    # a few secant steps sharpen the root beyond the bisection width
-    x0, f0, x1, f1 = a, va, b, vb
-    best = 0.5 * (a + b)
-    for _ in range(3):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        if not (a <= x2 <= b):
-            break
-        v = ev(x2)
-        if not math.isfinite(v):
-            break
-        x0, f0, x1, f1 = x1, f1, x2, v
-        best = x2
-        if v == 0.0:
-            break
-    return best
+def _negative(g: float) -> bool:
+    """Whether a g value counts as negative: the pole marker does, since
+    only an exact child zero produces it and the count takes left limits."""
+    return g < 0.0 or g == POLE
 
 
-def _zeros_of(T: RootedTree, H: Operator, u: int, poles) -> list:
-    """All zeros of g_u: one per open interval between consecutive poles,
-    plus one on each unbounded side, clipped by the subtree spectral bound."""
-    sub = subtree_operator(H, T, T.graph.ids[u])
-    bound = spectral_bound(sub) + 1.0
-    order = T.subtree_order(u)
-
-    def ev(lam):
-        return _eval_vertices(T, H, lam, order)[u]
-
-    def left_endpoint(pole, right_lim):
-        # just right of a pole the function is +inf; walk in until we see it.
-        # When no representable point shows a positive value the interval's
-        # zero has coalesced with the pole at float resolution (p < 2 can
-        # push the gap below one ulp), signalled by returning None.
-        eps = min(0.25 * (right_lim - pole), 1e-6 * max(1.0, abs(pole)))
-        for _ in range(90):
-            x = pole + eps
-            v = ev(x)
-            if math.isfinite(v) and v > 0.0:
-                return x, v
-            eps *= 0.5
-        return None
-
-    def right_endpoint(pole, left_lim):
-        eps = min(0.25 * (pole - left_lim), 1e-6 * max(1.0, abs(pole)))
-        for _ in range(90):
-            x = pole - eps
-            v = ev(x)
-            if math.isfinite(v) and v < 0.0:
-                return x, v
-            eps *= 0.5
-        return None
-
-    zeros = []
-    lo, hi = -bound, bound
-    if poles and not (lo < poles[0] and poles[-1] < hi):
-        raise RuntimeError("poles escaped the spectral bound bracket")
-    cuts = [lo] + list(poles) + [hi]
-    for i in range(len(cuts) - 1):
-        a_pole = i > 0
-        b_pole = i < len(cuts) - 2
-        if a_pole:
-            left = left_endpoint(cuts[i], cuts[i + 1])
-            if left is None:
-                zeros.append(math.nextafter(cuts[i], math.inf))
-                continue
-            a, va = left
-        else:
-            a = cuts[i]
-            va = ev(a)
-            if not (math.isfinite(va) and va > 0.0):
-                raise RuntimeError("outer bracket not positive at the low end")
-        if b_pole:
-            right = right_endpoint(cuts[i + 1], cuts[i])
-            if right is None:
-                zeros.append(math.nextafter(cuts[i + 1], -math.inf))
-                continue
-            b, vb = right
-        else:
-            b = cuts[i + 1]
-            vb = ev(b)
-            if not (math.isfinite(vb) and vb < 0.0):
-                raise RuntimeError("outer bracket not negative at the high end")
-        zeros.append(_bisect(ev, a, b, va, vb))
-    return zeros
+def _count_below(T: RootedTree, H: Operator, x: float) -> int:
+    """#{eigenvalues of one tree < x}: one bottom-up pass."""
+    return sum(map(_negative, _eval_vertices(T, H, x, T.order).values()))
 
 
-class GeneratingProfile:
-    """Per-vertex zeros and poles of the g functions of one rooted tree.
+def _slice(T: RootedTree, H: Operator) -> list:
+    """(value, multiplicity) of every distinct eigenvalue of one tree,
+    ascending, by bisection on the eigenvalue count.
 
-    Built bottom-up: the poles at u are the clustered union of the
-    children's zeros, then each inter-pole interval is bisected for its
-    unique zero. The zero count at u always equals pole count + 1.
+    The count must read 0 at -(spectral bound + 1) and n at +(bound + 1), a
+    hard structural check. Every interval across which the count rises is
+    halved until its width is at most 1e-13 * max(1, min(|a|, |b|)),
+    relative to the value it locates rather than to the starting bracket:
+    a huge potential can push the bound to 1e12 and beyond.
     """
-
-    def __init__(self, T: RootedTree, H: Operator):
-        if T.graph is not H.graph:
-            raise ValueError("tree and operator must share one graph")
-        self.tree = T
-        self.operator = H
-        n = T.graph.n
-        self.zeros: list[list[float]] = [[] for _ in range(n)]
-        self.poles: list[list[float]] = [[] for _ in range(n)]
-        for u in T.order:
-            child_zeros = [(z, None) for v in T.children[u] for z in self.zeros[v]]
-            self.poles[u] = [c for c, _, _ in cluster_tagged(child_zeros)]
-            self.zeros[u] = _zeros_of(T, H, u, self.poles[u])
-
-    @cached_property
-    def candidates(self) -> list:
-        """The tree's eigenvalue candidates: (value, k - h, vanishing
-        vertices) for every self-consistent zero group with k - h > 0,
-        ascending. The multiplicities must sum to the vertex count — a hard
-        structural check."""
-        T = self.tree
-        n = T.graph.n
-        out = []
-        for _center, vals, verts in cluster_tagged(
-                [(z, u) for u in range(n) for z in self.zeros[u]]):
-            for grp in _refined_groups(T, vals, verts):
-                zset = {t for _, t in grp}
-                mult = len(zset) - len({T.parent[v] for v in zset} - {-1})
-                if mult > 0:
-                    out.append((sum(v for v, _ in grp) / len(grp), mult, zset))
-        total = sum(mult for _, mult, _ in out)
-        if total != n:
-            raise AssertionError(
-                f"multiplicity total {total} != {n} on a tree component")
-        return out
-
-    def eval(self, u: int, lam: float) -> float:
-        """g_u(lam); returns math.inf when lam falls in a pole band."""
-        for q in self.poles[u]:
-            if abs(lam - q) <= POLE_BAND_REL * max(1.0, abs(q)):
-                return POLE
-        return _eval_vertices(self.tree, self.operator, lam,
-                              self.tree.subtree_order(u))[u]
+    n = T.graph.n
+    hi = spectral_bound(H) + 1.0
+    c_lo, c_hi = _count_below(T, H, -hi), _count_below(T, H, hi)
+    if (c_lo, c_hi) != (0, n):
+        raise AssertionError(
+            f"eigenvalue counts {c_lo} and {c_hi} at -/+{hi:.6g}, not 0 and {n}")
+    out = []
+    stack = [(-hi, hi, 0, n)]
+    while stack:
+        a, b, ca, cb = stack.pop()
+        mid = 0.5 * (a + b)
+        if b - a <= 1e-13 * max(1.0, min(abs(a), abs(b))) or not a < mid < b:
+            out.append((mid, cb - ca))
+            continue
+        cm = _count_below(T, H, mid)
+        if not ca <= cm <= cb:
+            raise AssertionError(f"eigenvalue count not monotone near {mid!r}")
+        if cb > cm:
+            stack.append((mid, b, cm, cb))
+        if cm > ca:
+            stack.append((a, mid, ca, cm))
+    return out
 
 
-def _profile_for(T: RootedTree, H: Operator) -> GeneratingProfile:
-    for Hc, prof in T._profiles:
-        if Hc is H:
-            return prof
-    prof = GeneratingProfile(T, H)
-    T._profiles.append((H, prof))
-    return prof
+def _window(T: RootedTree, H: Operator, lam: float, rel: float, order):
+    """Sign changes of g across W = lam -/+ rel * max(1, |lam|) on
+    ``order`` (children-first): (z, count jump).
+
+    With s_u = [g_u < 0 right of W] - [g_u < 0 left of W], the count jump
+    is the sum of s_u and, children first, z_u = s_u + [some child c has
+    z_c >= 1]. A vertex whose g vanishes in W has z_u >= 1; a child's zero
+    in W is a pole of g_u, whose s_u = -1 the child's z cancels.
+    """
+    d = rel * max(1.0, abs(lam))
+    left = _eval_vertices(T, H, lam - d, order)
+    right = _eval_vertices(T, H, lam + d, order)
+    z = {}
+    jump = 0
+    for u in order:
+        s = _negative(right[u]) - _negative(left[u])
+        jump += s
+        z[u] = s + any(z[c] >= 1 for c in T.children[u])
+    return z, jump
 
 
 def eval_g(T: RootedTree, H: Operator, u, lam: float) -> float:
-    """Value of g at vertex ``u``; math.inf marks a pole."""
-    return _profile_for(T, H).eval(T.graph.index_of(u), lam)
+    """Value of g at vertex ``u``; math.inf when lam lies within
+    POLE_BAND_REL of a pole, that is of a zero of one of u's children."""
+    iu = T.graph.index_of(u)
+    order = T.subtree_order(iu)
+    z, _jump = _window(T, H, lam, POLE_BAND_REL, order)
+    if any(z[c] >= 1 for c in T.children[iu]):
+        return POLE
+    return _eval_vertices(T, H, lam, order)[iu]
 
 
 def node_zeros(T: RootedTree, H: Operator, u) -> list[float]:
-    """All zeros of g at vertex ``u``, ascending; they are exactly the
-    eigenvalues of ``subtree_operator(H, T, u)``."""
-    return list(_profile_for(T, H).zeros[T.graph.index_of(u)])
+    """All zeros of g at vertex ``u``, ascending: the eigenvalues of
+    ``subtree_operator(H, T, u)`` at which g_u vanishes (at the others it
+    has a pole)."""
+    sub = subtree_operator(H, T, u)
+    Ts = RootedTree(sub.graph, u)
+    return [value for value, _mult in _slice(Ts, sub)
+            if _window(Ts, sub, value, WINDOW_REL, Ts.order)[0][Ts.root] >= 1]
 
 
 def subtree_operator(H: Operator, T: RootedTree, u, drop_root: bool = False) -> Operator:
@@ -476,13 +349,14 @@ def _forest_parts(H: Operator) -> list:
 
 
 class ForestCount:
-    """Eigenvalue counter of a forest operator, with no generating profile.
+    """Eigenvalue counter of a forest operator.
 
     Under the virtual-parent rooting, the number of vertices whose g is
     negative at x equals the number of eigenvalues below x. At p = 2 this
     is Sylvester inertia (Jacobs & Trevisan, "Locating the eigenvalues of
-    trees", Linear Algebra Appl. 434, 2011); at other p the tests check it
-    against ``tree_spectrum``. One count is one bottom-up pass per component.
+    trees", Linear Algebra Appl. 434, 2011); at other p the tests check the
+    spectra sliced from it against closed forms and the residuals of their
+    eigenfunctions. One count is one bottom-up pass per component.
     """
 
     def __init__(self, H: Operator):
@@ -499,29 +373,16 @@ class ForestCount:
         one ulp above an eigenvalue a leaf's value can round to exactly 0.0
         and the count then still reads the one below.
         """
-        count = 0
-        for _comp, Hs, T in self._parts:
-            for v in _eval_vertices(T, Hs, x, T.order).values():
-                if v < 0.0 or v == POLE:
-                    count += 1
-        return count
+        return sum(_count_below(T, Hs, x) for _comp, Hs, T in self._parts)
 
 
-def _merged(candidates) -> Spectrum:
-    """Spectrum of (value, mult, ...) candidates: values within CLUSTER_REL
-    merge into one entry and their multiplicities add."""
+def _spectrum_of(parts) -> Spectrum:
+    """Spectrum of a forest: every component sliced once, values within
+    CLUSTER_REL merged into one entry whose multiplicities add."""
     return Spectrum(tuple(
         SpectrumEntry(center, sum(mults))
-        for center, _vals, mults in cluster_tagged([c[:2] for c in candidates])))
-
-
-def _spectrum_of(H: Operator, parts) -> Spectrum:
-    """Merged spectrum of a forest's parts; the counts must sum to n."""
-    spec = _merged([c for _comp, Hs, T in parts
-                    for c in _profile_for(T, Hs).candidates])
-    if spec.total != H.graph.n:
-        raise AssertionError(f"forest multiplicity total {spec.total} != {H.graph.n}")
-    return spec
+        for center, _vals, mults in cluster_tagged(
+            [pair for _comp, Hs, T in parts for pair in _slice(T, Hs)])))
 
 
 def _basis_on(H: Operator, parts, lam: float) -> list[VertexFunction]:
@@ -529,10 +390,8 @@ def _basis_on(H: Operator, parts, lam: float) -> list[VertexFunction]:
     component whose spectrum holds lam, embedded by zero elsewhere."""
     out = []
     for comp, Hs, T in parts:
-        try:
-            _merged(_profile_for(T, Hs).candidates).find(lam)
-        except ValueError:
-            continue
+        if _window(T, Hs, lam, WINDOW_REL, T.order)[1] == 0:
+            continue  # lam is not an eigenvalue of this component
         for fsub in eigenbasis(Hs, T, lam):
             values = np.zeros(H.graph.n)
             values[comp] = fsub.values
@@ -545,32 +404,32 @@ def _basis_on(H: Operator, parts, lam: float) -> list[VertexFunction]:
 def tree_spectrum(H: Operator) -> Spectrum:
     """Full spectrum of a forest operator, with multiplicities.
 
-    Components are processed independently and merged; within a component
-    the candidates are the clustered zeros of all vertex g functions and the
-    multiplicity at a candidate is k - h (vanishing vertices minus their
-    distinct parents). The per-component counts must sum to the component
-    sizes — a hard structural check.
+    Each component is sliced on its eigenvalue count (`_slice`) and the
+    values are merged across components.
     """
-    return _spectrum_of(H, _forest_parts(H))
+    return _spectrum_of(_forest_parts(H))
 
 
 def tree_eigenpairs(H: Operator) -> Spectrum:
     """``tree_spectrum`` with every entry's ``basis`` filled in, as
-    ``forest_eigenbasis`` would give it. One generating profile per
-    component serves the values and every eigenvalue's basis."""
+    ``forest_eigenbasis`` would give it. Each component is sliced once for
+    all the values; a basis then costs only counts and its reconstruction."""
     parts = _forest_parts(H)
     return Spectrum(tuple(
         SpectrumEntry(e.value, e.mult, tuple(_basis_on(H, parts, e.value)))
-        for e in _spectrum_of(H, parts).entries))
+        for e in _spectrum_of(parts).entries))
 
 
 def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
     """Eigenfunctions spanning the eigen-set of ``lam`` on one tree.
 
-    Each vertex whose g vanishes at lam seeds a generator on its component
-    of the tree minus the vanishing vertices' parents; values propagate
-    downward by f(child) = f(parent) / g_child(lam). The removed parents
-    impose one linear constraint each on the transformed weights
+    The vanishing set Z holds every vertex u with z_u >= 1 across the
+    window W = lam -/+ WINDOW_REL * max(1, |lam|) (see `_window`) whose
+    parent has z = 0; its size k minus the number h of distinct parents
+    must equal the count jump over W, a hard check. Each vertex of Z seeds
+    a generator on its component of the tree minus those parents; values
+    propagate downward by f(child) = f(parent) / g_child(lam). The removed
+    parents impose one linear constraint each on the transformed weights
     y_i = phi(alpha_i); the nullspace maps back through phi_inv, producing
     k - h functions that all vanish on the removed parents.
     """
@@ -581,20 +440,17 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
     n = g.n
     lam = float(lam)
 
-    # vertices whose g vanishes at lam: lam is matched to the nearest
-    # candidate group (groups of propagating zeros carry no eigenvalue)
-    Z: set = set()
-    gap = math.inf
-    for center, _mult, zset in _profile_for(T, H).candidates:
-        if abs(center - lam) < gap:
-            gap = abs(center - lam)
-            Z = zset
-    if not Z or gap > 1e-8 * max(1.0, abs(lam)):
+    z, jump = _window(T, H, lam, WINDOW_REL, T.order)
+    if jump == 0:
         raise ValueError(f"{lam} is not an eigenvalue of this tree")
+    Z = {u for u in T.order
+         if z[u] >= 1 and (u == T.root or z[T.parent[u]] == 0)}
     parents = {T.parent[u] for u in Z} - {-1}
     k, h = len(Z), len(parents)
-    if Z & parents:
-        raise AssertionError("a vanishing vertex doubles as a removed parent")
+    if k - h != jump:
+        raise AssertionError(
+            f"{k} vanishing vertices and {h} parents at {lam!r}, but the "
+            f"eigenvalue count rises by {jump} across the window")
 
     gvals = _eval_vertices(T, H, lam, T.order)
     top_down = tuple(reversed(T.order))
@@ -614,14 +470,14 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
 
     zlist = sorted(Z)
     gen_of_comp = {}
-    for gi, z in enumerate(zlist):
-        if comp[z] in gen_of_comp:
+    for gi, zv in enumerate(zlist):
+        if comp[zv] in gen_of_comp:
             raise AssertionError("two vanishing vertices in one component")
-        gen_of_comp[comp[z]] = gi
+        gen_of_comp[comp[zv]] = gi
 
     fgen = np.zeros((k, n))
-    for gi, z in enumerate(zlist):
-        fgen[gi, z] = 1.0
+    for gi, zv in enumerate(zlist):
+        fgen[gi, zv] = 1.0
     for u in top_down:
         if u in parents:
             continue
@@ -679,7 +535,6 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
 
 def forest_eigenbasis(H: Operator, lam: float) -> list[VertexFunction]:
     """Eigenfunctions of ``lam`` on a forest: per-component reconstructions
-    embedded by zero on the other components. Each call builds one
-    generating profile per component; ``tree_eigenpairs`` gives every
-    eigenvalue's basis from a single set of profiles."""
+    embedded by zero on the other components. ``tree_eigenpairs`` gives
+    every eigenvalue's basis from one slicing of each component."""
     return _basis_on(H, _forest_parts(H), lam)

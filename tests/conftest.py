@@ -78,15 +78,15 @@ def copy_forest(rng, copies):
     return disjoint_union(*[t] * copies)
 
 
-def count_profiles(monkeypatch):
-    """List that grows by the tree size at every GeneratingProfile built
-    while ``monkeypatch`` is active."""
-    built = []
+def count_slices(monkeypatch):
+    """List that grows by the tree size at every call of the slicing
+    routine, ``treespec._slice``, while ``monkeypatch`` is active."""
+    sliced = []
+    inner = treespec._slice
 
-    class Counted(treespec.GeneratingProfile):
-        def __init__(self, T, H):
-            built.append(T.graph.n)
-            super().__init__(T, H)
+    def counted(T, H):
+        sliced.append(T.graph.n)
+        return inner(T, H)
 
-    monkeypatch.setattr(treespec, "GeneratingProfile", Counted)
-    return built
+    monkeypatch.setattr(treespec, "_slice", counted)
+    return sliced

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_profiles, diamond_graph
+from conftest import count_slices, diamond_graph
 from plap import treespec
 from plap.cli import (
     EXIT_CAPABILITY,
@@ -133,15 +133,37 @@ _ARGV = [["spectrum", "-"], ["spectrum", "-", "--eigenbasis"], ["oracle", "-"],
 @given(doc=_documents(), argv=st.sampled_from(_ARGV))
 def test_every_document_gets_an_exit_code(doc, argv):
     """Small arbitrary documents on every verb that reads one (``gen`` reads
-    none) end in a documented exit code; no exception leaves main."""
+    none) end in a documented exit code with exactly one JSON document on
+    stdout; no exception leaves main. An error's document names it."""
     saved = sys.stdin
     sys.stdin = io.StringIO(json.dumps(doc))
+    out = io.StringIO()
     try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
             code = main(argv)
     finally:
         sys.stdin = saved
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_VIOLATION)
+    report = json.loads(out.getvalue())
+    if "error" in report:
+        assert report["exit_code"] == code != EXIT_OK
+    else:
+        assert code in (EXIT_OK, EXIT_VIOLATION)
+        assert code == EXIT_OK or report["all_pass"] is False
+
+
+def test_usage_errors_print_one_json_document(capsys):
+    """argparse's usage errors follow the same contract: exit 2, the usage
+    message on stderr, and one JSON document on stdout."""
+    for argv in ([], ["spectrum"], ["frobnicate", "-"],
+                 ["check", "-", "--bounds", "none"], ["gen", "tree", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT, argv
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["exit_code"] == EXIT_INPUT
+        assert report["error"] in captured.err
 
 
 def test_parse_document_strict_mode():
@@ -342,18 +364,18 @@ def test_exit_code_constants():
     assert (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_VIOLATION) == (0, 2, 3, 4)
 
 
-def test_spectrum_eigenbasis_builds_one_profile_per_component(
+def test_spectrum_eigenbasis_slices_each_component_once(
         tmp_path, capsys, monkeypatch):
     doc = {"p": 3.0, "vertices": [{"id": i} for i in range(7)],
            "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2}, {"u": 1, "v": 3},
                      {"u": 4, "v": 5, "omega": 2.0}, {"u": 5, "v": 6}]}
     path = write_doc(tmp_path, doc)
-    built = count_profiles(monkeypatch)
+    sliced = count_slices(monkeypatch)
     assert main(["spectrum", path, "--eigenbasis"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert [len(rows) for rows in out["eigenbasis"]] == [
         e["mult"] for e in out["spectrum"]]
-    assert sorted(built) == [3, 4]
+    assert sorted(sliced) == [3, 4]
 
 
 def test_p2_forest_above_dense_cap_takes_tree_route(tmp_path, capsys):
@@ -380,7 +402,9 @@ def test_runtime_error_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
            "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2}]}
     assert main(["spectrum", write_doc(tmp_path, doc)]) == EXIT_VIOLATION
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert json.loads(captured.out) == {
+        "error": "outer bracket not positive at the low end",
+        "exit_code": EXIT_VIOLATION}
     assert captured.err.count("\n") == 1
     assert "outer bracket" in captured.err and "Traceback" not in captured.err
 
@@ -393,7 +417,8 @@ def test_overflow_exits_4_without_traceback(tmp_path, capsys):
            "edges": [{"u": 0, "v": 1}, {"u": 1, "v": 2}]}
     assert main(["spectrum", write_doc(tmp_path, doc)]) == EXIT_VIOLATION
     captured = capsys.readouterr()
-    assert captured.out == "" and "numerical failure" in captured.err
+    assert json.loads(captured.out)["exit_code"] == EXIT_VIOLATION
+    assert "numerical failure" in captured.err
 
 
 def test_boundary_is_a_capability_limit(tmp_path, capsys):
@@ -416,13 +441,13 @@ def test_boundary_is_a_capability_limit(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_check_all_builds_one_profile(tmp_path, capsys, monkeypatch):
+def test_check_all_slices_once(tmp_path, capsys, monkeypatch):
     """The Weyl rows count eigenvalues of every after-operator, so the only
-    generating profile is the one behind the before-spectrum."""
+    slicing is the one behind the before-spectrum."""
     doc = graph_document(gen_graph("tree", 10, random.Random(4), weighted=True))
     path = write_doc(tmp_path, doc)
-    built = count_profiles(monkeypatch)
+    sliced = count_slices(monkeypatch)
     assert main(["check", path, "--all", "--p", "3"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert {row["name"] for row in out["checks"]} >= {"weyl-edge", "weyl-node"}
-    assert built == [10]
+    assert sliced == [10]

@@ -1,5 +1,5 @@
-"""Forest spectra through generating functions: rooting, zero hunting,
-the count rule, and eigenbasis reconstruction."""
+"""Forest spectra by eigenvalue counting: rooting, the g recursion and its
+zeros, slicing, and eigenbasis reconstruction."""
 
 import math
 import random
@@ -7,11 +7,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import (copy_forest, count_profiles, disjoint_union,
+from conftest import (copy_forest, count_slices, disjoint_union,
                       random_forest, random_tree)
 from plap.cli import gen_graph
-from plap.core import Operator, VertexFunction, WeightedGraph, residual
+from plap.core import Operator, WeightedGraph, first_eigenpair, residual
 from plap.oracle import ORACLE_CLUSTER_REL, p2_spectrum
+from plap.surgery import reduce_to_forest
 from plap.treespec import (
     ForestCount,
     RootedTree,
@@ -37,9 +38,9 @@ NEAR_DEGENERATE_PATH = WeightedGraph(
      (1, 2, 1.2678374875329237),
      (2, 3, 1.901231538700668)])
 
-# A 10-vertex tree where, at p = 1.2, one generating-function zero sits
-# less than one ulp from its pole near 5.055; the hunt must emit the
-# boundary point and the count rule must still close.
+# A 10-vertex tree where, at p = 1.2, one zero of a vertex's g sits less
+# than one ulp from its pole near 5.055; the spectrum must still hold all
+# ten eigenvalues.
 COALESCENT_TREE = WeightedGraph(
     [(0, 0.8958888794557998, 0.1323151636955482),
      (1, 1.2780988190094544, 0.1760027395454007),
@@ -315,9 +316,9 @@ def test_near_degenerate_cluster_is_split():
 
 
 def test_zero_pole_coalescence_keeps_count():
-    """When a generating-function zero collapses onto its pole at float
-    resolution, the boundary point must still be counted and the basis
-    reconstruction must stay accurate."""
+    """When a zero of some g collapses onto its pole at float resolution,
+    the eigenvalue must still be counted and the basis reconstruction must
+    stay accurate."""
     for p in (1.2, 2.0, 3.7):
         H = Operator(COALESCENT_TREE, p)
         assert tree_spectrum(H).total == 10
@@ -351,6 +352,19 @@ def test_sub_ulp_tie_keeps_count_and_value():
                 assert residual(Hp, f, e.value) < 1e-8
 
 
+def test_forest_cut_from_a_weighted_cycle_keeps_every_eigenvalue():
+    """The forest that ``reduce_to_forest`` cuts from ``gen cycle 40 --seed 5
+    --weighted`` at p = 3 under its first eigenpair. Hunting each vertex's
+    zeros between its poles lost one eigenvalue here (a multiplicity total
+    of 39); the count finds all 40, the first eigenvalue among them."""
+    H = Operator(gen_graph("cycle", 40, random.Random(5), weighted=True), 3.0)
+    cert = first_eigenpair(H)
+    forest, _steps = reduce_to_forest(H, cert, seed=0)
+    spec = tree_spectrum(forest)
+    assert spec.total == 40
+    assert spec.find(cert.eigenvalue).mult >= 1
+
+
 def test_tree_eigenpairs_equal_spectrum_and_forest_eigenbasis():
     """Every entry carries exactly tree_spectrum's value and multiplicity,
     and a basis equal to forest_eigenbasis at that value, bit for bit."""
@@ -380,14 +394,15 @@ def test_tree_eigenpairs_equal_spectrum_and_forest_eigenbasis():
         assert support[:half].any() and support[half:].any()
 
 
-def test_forest_eigenbasis_builds_one_profile_per_component(monkeypatch):
+def test_forest_eigenbasis_slices_nothing(monkeypatch):
+    """A basis needs only counts around its eigenvalue, not the spectrum."""
     g = disjoint_union(random_tree(random.Random(5), n=6),
                        random_tree(random.Random(6), n=4))
     H = Operator(g, 3.0)
     lam = tree_spectrum(H).entries[0].value
-    built = count_profiles(monkeypatch)
-    forest_eigenbasis(H, lam)
-    assert sorted(built) == [4, 6]
+    sliced = count_slices(monkeypatch)
+    assert forest_eigenbasis(H, lam)
+    assert sliced == []
 
 
 def test_forest_count_matches_tree_spectrum():
