@@ -586,6 +586,3 @@ def main(argv=None) -> int:
     except (RuntimeError, ArithmeticError) as exc:
         return _failed(EXIT_VIOLATION, "numerical failure", exc)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

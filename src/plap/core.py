@@ -313,15 +313,19 @@ def _values_for(g: WeightedGraph, f: VertexFunction) -> np.ndarray:
     return f.values
 
 
-def apply(H: Operator, f: VertexFunction) -> VertexFunction:
-    """Evaluate (H f)(u) at every vertex."""
+def _apply_values(H: Operator, x: np.ndarray) -> np.ndarray:
+    """(H x)(u) at every vertex, for a float64 array in the graph's order."""
     g = H.graph
-    x = _values_for(g, f)
     d = _phi_arr(x[g._eu] - x[g._ev], H.p)
     out = g.kappa * _phi_arr(x, H.p)
     np.add.at(out, g._eu, g._ew * d)
     np.add.at(out, g._ev, -(g._ew * d))
-    return VertexFunction(out)
+    return out
+
+
+def apply(H: Operator, f: VertexFunction) -> VertexFunction:
+    """Evaluate (H f)(u) at every vertex."""
+    return VertexFunction(_apply_values(H, _values_for(H.graph, f)))
 
 
 def rayleigh(H: Operator, f: VertexFunction) -> float:
@@ -358,14 +362,25 @@ def p_normalized(x: np.ndarray, p: float) -> np.ndarray:
 
 
 def residual(H: Operator, f: VertexFunction, lam: float) -> float:
-    """Max-norm defect of the eigenvalue equation on the p-normalized f."""
-    g = H.graph
-    x = _values_for(g, f)
-    if not np.any(x):
+    """Max-norm defect of the eigenvalue equation on the p-normalized f.
+
+    f is scaled by max|f| first when sum |f|^p leaves the normal float
+    range, and only then: at p < 2 the defect moves with the last bit of
+    every entry. A defect that is not finite raises ArithmeticError.
+    """
+    x = _values_for(H.graph, f)
+    top = float(np.max(np.abs(x)))
+    if top == 0.0:
         raise ValueError("residual undefined for the zero function")
-    y = x / float(np.sum(np.abs(x) ** H.p)) ** (1.0 / H.p)
-    hy = apply(H, VertexFunction(y)).values
-    return float(np.max(np.abs(hy - lam * g.rho * _phi_arr(y, H.p))))
+    with np.errstate(over="ignore"):
+        mass = float(np.sum(np.abs(x) ** H.p))
+    if not np.finfo(float).tiny <= mass < math.inf:
+        x = x / top
+        mass = float(np.sum(np.abs(x) ** H.p))
+    r = _defect(H, x / mass ** (1.0 / H.p), lam)
+    if not math.isfinite(r):
+        raise ArithmeticError(f"eigen-equation defect is not finite: {r}")
+    return r
 
 
 def dirichlet_condense(B: BoundaryGraph, p: float) -> Operator:
@@ -395,11 +410,18 @@ def spectral_bound(H: Operator) -> float:
     the eigenvalue equation at a vertex maximizing rho|f| forces every
     eigenvalue inside this range.
     """
+    return float(np.max(_vertex_bounds(H)))
+
+
+def _vertex_bounds(H: Operator) -> np.ndarray:
+    """The terms of ``spectral_bound``, one per vertex; their maximum over a
+    component, or a subtree with its parent edge absorbed, bounds its
+    spectrum."""
     g = H.graph
     deg = np.zeros(g.n)
     np.add.at(deg, g._eu, g._ew)
     np.add.at(deg, g._ev, g._ew)
-    return float(np.max((2.0 ** (H.p - 1.0)) * deg / g.rho + np.abs(g.kappa) / g.rho))
+    return (2.0 ** (H.p - 1.0)) * deg / g.rho + np.abs(g.kappa) / g.rho
 
 
 def technical_R(alpha1: float, alpha2: float, beta1: float, beta2: float,
@@ -424,8 +446,7 @@ def technical_R(alpha1: float, alpha2: float, beta1: float, beta2: float,
 
 def _defect(H: Operator, x: np.ndarray, lam: float) -> float:
     g = H.graph
-    hx = apply(H, VertexFunction(x)).values
-    return float(np.max(np.abs(hx - lam * g.rho * _phi_arr(x, H.p))))
+    return float(np.max(np.abs(_apply_values(H, x) - lam * g.rho * _phi_arr(x, H.p))))
 
 
 def _descend(H: Operator, x: np.ndarray, lam: float, tol: float,
@@ -443,8 +464,7 @@ def _descend(H: Operator, x: np.ndarray, lam: float, tol: float,
     used = 0
     while used < budget:
         used += 1
-        hx = apply(H, VertexFunction(x)).values
-        grad = hx - lam * g.rho * _phi_arr(x, p)
+        grad = _apply_values(H, x) - lam * g.rho * _phi_arr(x, p)
         res = float(np.max(np.abs(grad)))
         if res <= tol:
             break
@@ -513,13 +533,17 @@ def _newton_polish(H: Operator, x: np.ndarray, lam: float,
         jac[:n, :n] = a
         jac[:n, n] = -g.rho * _phi_arr(x, p)
         jac[n, :n] = _phi_arr(x, p)
-        hx = apply(H, VertexFunction(x)).values
         rhs = np.empty(n + 1)
-        rhs[:n] = hx - lam * g.rho * _phi_arr(x, p)
+        rhs[:n] = _apply_values(H, x) - lam * g.rho * _phi_arr(x, p)
         rhs[n] = (float(np.sum(absx ** p)) - 1.0) / p
         # near-tied neighbor values make the system stiff for p < 2;
         # symmetric equilibration plus iterative refinement keeps the
         # step accurate anyway
+        # at p > 2 a vertex vanishing with all its neighbours (say, on another
+        # component of a forest) has a zero row, column and right-hand side:
+        # its equation holds to first order, so a unit pivot keeps it still
+        idle = np.flatnonzero(~jac.any(axis=1))
+        jac[idle, idle] = 1.0
         dinv = 1.0 / np.sqrt(np.maximum(np.abs(jac).max(axis=1), 1e-30))
         js = jac * dinv[:, None] * dinv[None, :]
         try:

@@ -8,8 +8,9 @@ recursion its meaning. Leaves have the closed form
     g_u(lam) = 1 + phi_inv((kappa_u - rho_u * lam) / omega_{u,parent})
 
 internal vertices add one term omega_{uv} * phi(1 - 1/g_v(lam)) per child v
-inside the phi_inv argument, and the root is treated as hanging from a
-virtual parent by a unit-weight edge with its potential reduced by one.
+inside the phi_inv argument, and the root of every component is treated
+as hanging from a virtual parent by a unit-weight edge with its potential
+reduced by one.
 Under that convention the zeros of g_u are exactly the eigenvalues of the
 subtree operator rooted at u (parent edge weight absorbed into the
 potential), the poles of g_u are its children's zeros, and g_u decreases
@@ -31,18 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Operator, VertexFunction, WeightedGraph, _defect,
-                   _newton_polish, connected_components, induced_subgraph,
-                   p_normalized, phi, phi_inv, spectral_bound)
+                   _newton_polish, _vertex_bounds, induced_subgraph,
+                   p_normalized, phi, phi_inv)
 
 #: Two spectral values are considered equal when they differ by at most
 #: CLUSTER_REL * max(1, |value|).
 CLUSTER_REL = 1e-9
 
-#: eval_g reports a pole when lam sits within this relative band of one.
-POLE_BAND_REL = 1e-11
-
 #: Half-width, relative to max(1, |lam|), of the window whose sign changes
-#: give the vertices vanishing at an eigenvalue lam.
+#: give the vertices vanishing at an eigenvalue lam (and the poles eval_g
+#: reports).
 WINDOW_REL = 1e-10
 
 POLE = math.inf
@@ -72,64 +71,55 @@ def cluster_tagged(pairs, rel: float = CLUSTER_REL):
 
 
 class RootedTree:
-    """Rooted overlay of a connected acyclic graph.
+    """Rooted overlay of a forest.
 
-    Exposes parent/children arrays over the graph's dense indices, a
-    children-first topological order, and each vertex's parent edge weight.
-    The spectral output downstream does not depend on the root.
+    Every component hangs from its own virtual parent: the vertex ``root``
+    for its own component, otherwise the component's smallest dense index;
+    a root has parent -1. Exposes parent/children arrays over the graph's
+    dense indices, each vertex's parent edge weight, one children-first
+    order per component (``components``, ordered by smallest vertex) and
+    their concatenation (``order``). The spectral output downstream does not
+    depend on the roots.
     """
 
-    def __init__(self, graph: WeightedGraph, root):
-        if len(graph.edges) != graph.n - 1 or len(connected_components(graph)) != 1:
-            raise ValueError("rooting requires a connected acyclic graph")
-        r = graph.index_of(root)
+    def __init__(self, graph: WeightedGraph, root=None):
         n = graph.n
         parent = [-2] * n
         parent_w = [math.nan] * n
         children = [[] for _ in range(n)]
-        top_down = []
-        parent[r] = -1
-        queue = [r]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            top_down.append(u)
-            for v, w in graph.adj[u]:
-                if parent[v] == -2:
-                    parent[v] = u
-                    parent_w[v] = w
-                    children[u].append(v)
-                    queue.append(v)
+        components = []
+        starts = range(n) if root is None else (graph.index_of(root), *range(n))
+        for r in starts:
+            if parent[r] != -2:
+                continue
+            parent[r] = -1
+            queue = [r]
+            for u in queue:  # grows while it is read: breadth first
+                for v, w in graph.adj[u]:
+                    if parent[v] == -2:
+                        parent[v] = u
+                        parent_w[v] = w
+                        children[u].append(v)
+                        queue.append(v)
+            components.append(tuple(reversed(queue)))  # children before parents
+        if len(graph.edges) != n - len(components):
+            raise ValueError("rooting requires a forest")
+        components.sort(key=min)
         self.graph = graph
-        self.root = r
         self.parent = parent
         self.parent_w = parent_w
         self.children = tuple(tuple(c) for c in children)
-        self.order = tuple(reversed(top_down))  # children before parents
+        self.components = tuple(components)
+        self.order = tuple(u for comp in components for u in comp)
         self._rho = graph.rho.tolist()
         self._kappa = graph.kappa.tolist()
-        self._subtrees: dict = {}
-
-    @property
-    def root_id(self):
-        return self.graph.ids[self.root]
 
     def subtree_order(self, u: int) -> tuple:
         """Dense indices of the subtree at u, children-first, ending at u."""
-        cached = self._subtrees.get(u)
-        if cached is not None:
-            return cached
-        seen = {u}
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            for c in self.children[w]:
-                seen.add(c)
-                stack.append(c)
-        order = tuple(w for w in self.order if w in seen)
-        self._subtrees[u] = order
-        return order
+        top_down = [u]
+        for w in top_down:
+            top_down.extend(self.children[w])
+        return tuple(reversed(top_down))
 
 
 def _eval_vertices(T: RootedTree, H: Operator, lam: float, order) -> dict:
@@ -145,12 +135,12 @@ def _eval_vertices(T: RootedTree, H: Operator, lam: float, order) -> dict:
     rho = T._rho
     kappa = T._kappa
     children = T.children
+    parent = T.parent
     parent_w = T.parent_w
-    root = T.root
     out = {}
     for u in order:
         acc = kappa[u] - rho[u] * lam
-        if u == root:
+        if parent[u] == -1:
             acc -= 1.0
             w_par = 1.0
         else:
@@ -181,24 +171,28 @@ def _negative(g: float) -> bool:
     return g < 0.0 or g == POLE
 
 
-def _count_below(T: RootedTree, H: Operator, x: float) -> int:
-    """#{eigenvalues of one tree < x}: one bottom-up pass."""
-    return sum(map(_negative, _eval_vertices(T, H, x, T.order).values()))
+def _count_below(T: RootedTree, H: Operator, x: float, order) -> int:
+    """#{eigenvalues < x} of the part of the forest that ``order`` spans
+    (children-first: components, or the subtree at a vertex with its parent
+    edge absorbed into the potential): one bottom-up pass."""
+    return sum(map(_negative, _eval_vertices(T, H, x, order).values()))
 
 
-def _slice(T: RootedTree, H: Operator) -> list:
-    """(value, multiplicity) of every distinct eigenvalue of one tree,
-    ascending, by bisection on the eigenvalue count.
+def _slice(T: RootedTree, H: Operator, order) -> list:
+    """(value, multiplicity) of every distinct eigenvalue of the part that
+    ``order`` spans (see `_count_below`), ascending, by bisection on the
+    eigenvalue count.
 
-    The count must read 0 at -(spectral bound + 1) and n at +(bound + 1), a
+    The count must read 0 at -(bound + 1) and len(order) at +(bound + 1),
+    the bound being the largest `spectral_bound` term over ``order``, a
     hard structural check. Every interval across which the count rises is
     halved until its width is at most 1e-13 * max(1, min(|a|, |b|)),
     relative to the value it locates rather than to the starting bracket:
     a huge potential can push the bound to 1e12 and beyond.
     """
-    n = T.graph.n
-    hi = spectral_bound(H) + 1.0
-    c_lo, c_hi = _count_below(T, H, -hi), _count_below(T, H, hi)
+    n = len(order)
+    hi = float(np.max(_vertex_bounds(H)[list(order)])) + 1.0
+    c_lo, c_hi = _count_below(T, H, -hi, order), _count_below(T, H, hi, order)
     if (c_lo, c_hi) != (0, n):
         raise AssertionError(
             f"eigenvalue counts {c_lo} and {c_hi} at -/+{hi:.6g}, not 0 and {n}")
@@ -210,7 +204,7 @@ def _slice(T: RootedTree, H: Operator) -> list:
         if b - a <= 1e-13 * max(1.0, min(abs(a), abs(b))) or not a < mid < b:
             out.append((mid, cb - ca))
             continue
-        cm = _count_below(T, H, mid)
+        cm = _count_below(T, H, mid, order)
         if not ca <= cm <= cb:
             raise AssertionError(f"eigenvalue count not monotone near {mid!r}")
         if cb > cm:
@@ -242,11 +236,11 @@ def _window(T: RootedTree, H: Operator, lam: float, rel: float, order):
 
 
 def eval_g(T: RootedTree, H: Operator, u, lam: float) -> float:
-    """Value of g at vertex ``u``; math.inf when lam lies within
-    POLE_BAND_REL of a pole, that is of a zero of one of u's children."""
+    """Value of g at vertex ``u``; math.inf when lam lies within the
+    WINDOW_REL window of a pole, that is of a zero of one of u's children."""
     iu = T.graph.index_of(u)
     order = T.subtree_order(iu)
-    z, _jump = _window(T, H, lam, POLE_BAND_REL, order)
+    z, _jump = _window(T, H, lam, WINDOW_REL, order)
     if any(z[c] >= 1 for c in T.children[iu]):
         return POLE
     return _eval_vertices(T, H, lam, order)[iu]
@@ -255,11 +249,19 @@ def eval_g(T: RootedTree, H: Operator, u, lam: float) -> float:
 def node_zeros(T: RootedTree, H: Operator, u) -> list[float]:
     """All zeros of g at vertex ``u``, ascending: the eigenvalues of
     ``subtree_operator(H, T, u)`` at which g_u vanishes (at the others it
-    has a pole)."""
-    sub = subtree_operator(H, T, u)
-    Ts = RootedTree(sub.graph, u)
-    return [value for value, _mult in _slice(Ts, sub)
-            if _window(Ts, sub, value, WINDOW_REL, Ts.order)[0][Ts.root] >= 1]
+    has a pole).
+
+    The subtree is sliced in place. Its count agrees with that of the
+    subtree operator rooted at u: in both, g_u < 0 exactly when
+    kappa_u - rho_u lam plus the children's terms is below -omega_{u,parent}
+    (below 0 when u is a root).
+    """
+    if T.graph is not H.graph:
+        raise ValueError("tree and operator must share one graph")
+    iu = T.graph.index_of(u)
+    order = T.subtree_order(iu)
+    return [value for value, _mult in _slice(T, H, order)
+            if _window(T, H, value, WINDOW_REL, order)[0][iu] >= 1]
 
 
 def subtree_operator(H: Operator, T: RootedTree, u, drop_root: bool = False) -> Operator:
@@ -272,7 +274,7 @@ def subtree_operator(H: Operator, T: RootedTree, u, drop_root: bool = False) -> 
     order = T.subtree_order(iu)
     if not drop_root:
         delta = {}
-        if iu != T.root:
+        if T.parent[iu] != -1:
             delta[iu] = T.parent_w[iu]
         return Operator(induced_subgraph(T.graph, order, delta), H.p)
     keep = [w for w in order if w != iu]
@@ -332,35 +334,20 @@ class Spectrum:
         return best
 
 
-def _forest_parts(H: Operator) -> list:
-    """(component indices, component operator, rooted component) for every
-    connected component of a forest operator, each rooted at its first
-    vertex. The indices are dense indices of ``H.graph`` in the component's
-    own vertex order."""
-    g = H.graph
-    comps = connected_components(g)
-    if len(g.edges) != g.n - len(comps):
-        raise ValueError("the tree route requires a forest")
-    parts = []
-    for comp in comps:
-        sub = induced_subgraph(g, comp)
-        parts.append((comp, Operator(sub, H.p), RootedTree(sub, sub.ids[0])))
-    return parts
-
-
 class ForestCount:
     """Eigenvalue counter of a forest operator.
 
     Under the virtual-parent rooting, the number of vertices whose g is
     negative at x equals the number of eigenvalues below x. At p = 2 this
     is Sylvester inertia (Jacobs & Trevisan, "Locating the eigenvalues of
-    trees", Linear Algebra Appl. 434, 2011); at other p the tests check the
-    spectra sliced from it against closed forms and the residuals of their
-    eigenfunctions. One count is one bottom-up pass per component.
+    trees", Linear Algebra Appl. 434, 2011); at other p the tests check it
+    against closed forms and against first eigenvalues found by descent.
+    One count is one bottom-up pass over the forest.
     """
 
     def __init__(self, H: Operator):
-        self._parts = _forest_parts(H)
+        self._H = H
+        self._T = RootedTree(H.graph)
         self.total = H.graph.n
 
     def count_below(self, x: float) -> int:
@@ -373,32 +360,15 @@ class ForestCount:
         one ulp above an eigenvalue a leaf's value can round to exactly 0.0
         and the count then still reads the one below.
         """
-        return sum(_count_below(T, Hs, x) for _comp, Hs, T in self._parts)
+        return _count_below(self._T, self._H, x, self._T.order)
 
 
-def _spectrum_of(parts) -> Spectrum:
-    """Spectrum of a forest: every component sliced once, values within
-    CLUSTER_REL merged into one entry whose multiplicities add."""
-    return Spectrum(tuple(
-        SpectrumEntry(center, sum(mults))
-        for center, _vals, mults in cluster_tagged(
-            [pair for _comp, Hs, T in parts for pair in _slice(T, Hs)])))
-
-
-def _basis_on(H: Operator, parts, lam: float) -> list[VertexFunction]:
-    """Eigenfunctions of ``lam`` on a forest: the reconstruction on every
-    component whose spectrum holds lam, embedded by zero elsewhere."""
-    out = []
-    for comp, Hs, T in parts:
-        if _window(T, Hs, lam, WINDOW_REL, T.order)[1] == 0:
-            continue  # lam is not an eigenvalue of this component
-        for fsub in eigenbasis(Hs, T, lam):
-            values = np.zeros(H.graph.n)
-            values[comp] = fsub.values
-            out.append(VertexFunction(values))
-    if not out:
-        raise ValueError(f"{lam} is not an eigenvalue of this forest")
-    return out
+def _sliced(T: RootedTree, H: Operator) -> list:
+    """(value, multiplicity) of every distinct eigenvalue of a forest:
+    every component sliced once, values within CLUSTER_REL merged into one
+    entry whose multiplicities add."""
+    return [(center, sum(mults)) for center, _vals, mults in cluster_tagged(
+        [pair for comp in T.components for pair in _slice(T, H, comp)])]
 
 
 def tree_spectrum(H: Operator) -> Spectrum:
@@ -407,44 +377,58 @@ def tree_spectrum(H: Operator) -> Spectrum:
     Each component is sliced on its eigenvalue count (`_slice`) and the
     values are merged across components.
     """
-    return _spectrum_of(_forest_parts(H))
+    T = RootedTree(H.graph)
+    return Spectrum(tuple(SpectrumEntry(value, mult)
+                          for value, mult in _sliced(T, H)))
 
 
 def tree_eigenpairs(H: Operator) -> Spectrum:
     """``tree_spectrum`` with every entry's ``basis`` filled in, as
     ``forest_eigenbasis`` would give it. Each component is sliced once for
     all the values; a basis then costs only counts and its reconstruction."""
-    parts = _forest_parts(H)
+    T = RootedTree(H.graph)
     return Spectrum(tuple(
-        SpectrumEntry(e.value, e.mult, tuple(_basis_on(H, parts, e.value)))
-        for e in _spectrum_of(parts).entries))
+        SpectrumEntry(value, mult, tuple(eigenbasis(H, T, value)))
+        for value, mult in _sliced(T, H)))
 
 
 def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
-    """Eigenfunctions spanning the eigen-set of ``lam`` on one tree.
+    """Eigenfunctions spanning the eigen-set of ``lam`` on a forest, each
+    supported on one component, the components in T's order.
 
-    The vanishing set Z holds every vertex u with z_u >= 1 across the
-    window W = lam -/+ WINDOW_REL * max(1, |lam|) (see `_window`) whose
-    parent has z = 0; its size k minus the number h of distinct parents
-    must equal the count jump over W, a hard check. Each vertex of Z seeds
-    a generator on its component of the tree minus those parents; values
-    propagate downward by f(child) = f(parent) / g_child(lam). The removed
-    parents impose one linear constraint each on the transformed weights
-    y_i = phi(alpha_i); the nullspace maps back through phi_inv, producing
-    k - h functions that all vanish on the removed parents.
+    On each component the vanishing set Z holds every vertex u with
+    z_u >= 1 across the window W = lam -/+ WINDOW_REL * max(1, |lam|) (see
+    `_window`) whose parent has z = 0; its size k minus the number h of
+    distinct parents must equal the component's count jump over W, a hard
+    check. Each vertex of Z seeds a generator on its piece of the tree
+    minus those parents; values propagate downward by
+    f(child) = f(parent) / g_child(lam). The removed parents impose one
+    linear constraint each on the transformed weights y_i = phi(alpha_i);
+    the nullspace maps back through phi_inv, producing k - h functions that
+    all vanish on the removed parents.
     """
-    g = T.graph
-    if g is not H.graph:
+    if T.graph is not H.graph:
         raise ValueError("tree and operator must share one graph")
+    lam = float(lam)
+    out = [f for order in T.components
+           for f in _component_basis(H, T, lam, order)]
+    if not out:
+        raise ValueError(f"{lam} is not an eigenvalue of this forest")
+    return out
+
+
+def _component_basis(H: Operator, T: RootedTree, lam: float,
+                     order) -> list[VertexFunction]:
+    """`eigenbasis` on the component that ``order`` spans; empty when lam
+    is not one of its eigenvalues."""
+    g = T.graph
     p = H.p
     n = g.n
-    lam = float(lam)
-
-    z, jump = _window(T, H, lam, WINDOW_REL, T.order)
+    z, jump = _window(T, H, lam, WINDOW_REL, order)
     if jump == 0:
-        raise ValueError(f"{lam} is not an eigenvalue of this tree")
-    Z = {u for u in T.order
-         if z[u] >= 1 and (u == T.root or z[T.parent[u]] == 0)}
+        return []
+    Z = {u for u in order
+         if z[u] >= 1 and (T.parent[u] == -1 or z[T.parent[u]] == 0)}
     parents = {T.parent[u] for u in Z} - {-1}
     k, h = len(Z), len(parents)
     if k - h != jump:
@@ -452,44 +436,28 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
             f"{k} vanishing vertices and {h} parents at {lam!r}, but the "
             f"eigenvalue count rises by {jump} across the window")
 
-    gvals = _eval_vertices(T, H, lam, T.order)
-    top_down = tuple(reversed(T.order))
+    gvals = _eval_vertices(T, H, lam, order)
 
-    # components of the tree minus the removed parents
-    comp = [-1] * n
-    ncomp = 0
-    for u in top_down:
-        if u in parents:
-            continue
-        pu = T.parent[u]
-        if pu != -1 and pu not in parents:
-            comp[u] = comp[pu]
-        else:
-            comp[u] = ncomp
-            ncomp += 1
-
-    zlist = sorted(Z)
-    gen_of_comp = {}
-    for gi, zv in enumerate(zlist):
-        if comp[zv] in gen_of_comp:
-            raise AssertionError("two vanishing vertices in one component")
-        gen_of_comp[comp[zv]] = gi
-
+    # every vertex of Z tops its own piece of the tree minus the removed
+    # parents; gen maps each kept vertex to its piece's generator, if any
+    seed = {zv: gi for gi, zv in enumerate(sorted(Z))}
+    gen = {}
     fgen = np.zeros((k, n))
-    for gi, zv in enumerate(zlist):
+    for zv, gi in seed.items():
         fgen[gi, zv] = 1.0
-    for u in top_down:
+    for u in reversed(order):
         if u in parents:
             continue
-        gi = gen_of_comp.get(comp[u])
-        if gi is None:
-            continue  # zero-free component: the function stays zero there
         pu = T.parent[u]
         if pu == -1 or pu in parents:
-            continue  # the component's top is the seeded vertex
+            gen[u] = seed.get(u)  # the top of a piece
+            continue
+        gi = gen[u] = gen[pu]
+        if gi is None:
+            continue  # zero-free piece: the function stays zero there
         gv = gvals[u]
         if not (math.isfinite(gv) and gv != 0.0):
-            raise AssertionError("pole or zero inside a propagation component")
+            raise AssertionError("pole or zero inside a propagation piece")
         fgen[gi, u] = fgen[gi, pu] / gv
 
     # one constraint per removed parent: its eigen-equation with f(parent) = 0
@@ -499,7 +467,7 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
         for v, w in g.adj[uj]:
             if v in parents:
                 continue
-            gi = gen_of_comp.get(comp[v])
+            gi = gen[v]
             if gi is not None:
                 C[j, gi] += w * phi(float(fgen[gi, v]), p)
 
@@ -534,7 +502,7 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
 
 
 def forest_eigenbasis(H: Operator, lam: float) -> list[VertexFunction]:
-    """Eigenfunctions of ``lam`` on a forest: per-component reconstructions
-    embedded by zero on the other components. ``tree_eigenpairs`` gives
-    every eigenvalue's basis from one slicing of each component."""
-    return _basis_on(H, _forest_parts(H), lam)
+    """Eigenfunctions of ``lam`` on a forest, each supported on one
+    component. ``tree_eigenpairs`` gives every eigenvalue's basis from one
+    slicing of each component."""
+    return eigenbasis(H, RootedTree(H.graph), lam)

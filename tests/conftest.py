@@ -79,14 +79,15 @@ def copy_forest(rng, copies):
 
 
 def count_slices(monkeypatch):
-    """List that grows by the tree size at every call of the slicing
-    routine, ``treespec._slice``, while ``monkeypatch`` is active."""
+    """List that grows by the number of vertices sliced (a component or a
+    subtree) at every call of the slicing routine, ``treespec._slice``,
+    while ``monkeypatch`` is active."""
     sliced = []
     inner = treespec._slice
 
-    def counted(T, H):
-        sliced.append(T.graph.n)
-        return inner(T, H)
+    def counted(T, H, order):
+        sliced.append(len(order))
+        return inner(T, H, order)
 
     monkeypatch.setattr(treespec, "_slice", counted)
     return sliced

@@ -3,9 +3,13 @@
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -288,6 +292,27 @@ def test_check_rejects_non_eigenpairs(tmp_path, capsys):
     assert "not an eigenpair" in capsys.readouterr().err
 
 
+def test_check_of_a_tiny_function_reads_like_its_multiples(tmp_path, capsys):
+    """A finite function whose p-th powers underflow is still checked: the
+    residual scales it first, so it answers like {1, 1}, warning-free."""
+    doc = {"p": 3.0, "vertices": [{"id": 0}, {"id": 1}],
+           "edges": [{"u": 0, "v": 1}]}
+    path = write_doc(tmp_path, doc)
+    answers = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in ("1e-120", "1"):
+            for lam in ("0", "5"):
+                code = main(["check", path, "--lambda", lam, "--function",
+                             f'{{"0": {value}, "1": {value}}}'])
+                answers[value, lam] = (code, capsys.readouterr())
+    for lam, want in (("0", EXIT_OK), ("5", EXIT_INPUT)):
+        tiny, unit = answers["1e-120", lam], answers["1", lam]
+        assert tiny[0] == unit[0] == want
+        assert tiny[1].out == unit[1].out
+    assert "not an eigenpair: residual 3.150e+00" in answers["1e-120", "5"][1].err
+
+
 def test_check_all_runs_clean(tmp_path, capsys):
     """Untampered inputs never trip the violation exit."""
     assert main(["gen", "tree", "7", "--seed", "5", "--weighted"]) == EXIT_OK
@@ -451,3 +476,14 @@ def test_check_all_slices_once(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert {row["name"] for row in out["checks"]} >= {"weyl-edge", "weyl-node"}
     assert sliced == [10]
+
+
+def test_python_m_plap_runs_the_cli():
+    """``python -m plap`` is the CLI, with only ``src`` on the path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "plap", "gen", "path", "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    doc = json.loads(done.stdout)
+    assert len(doc["vertices"]) == 3 and len(doc["edges"]) == 2

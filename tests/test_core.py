@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import certify, diamond_graph, diamond_pairs, random_connected_graph
 from plap.core import (
     P_MIN,
+    _newton_polish,
     BoundaryGraph,
     EigenpairCertificate,
     Operator,
@@ -210,6 +211,37 @@ def test_residual_certifies_and_rejects():
     assert residual(Operator(g, 2.0), one, 1.0) == 0.5
     with pytest.raises(ValueError):
         residual(Operator(g, 2.0), VertexFunction([1.0, 2.0]), 0.0)
+
+
+def test_residual_is_scale_free_and_finite():
+    """Scaling f changes nothing, also where sum |f|^p under- or overflows;
+    a defect that overflows is a numerical failure, not a value."""
+    g = diamond_graph()
+    t = 2.0 ** 0.5
+    base = np.array([1.0, 0.0, 1.0, -t])
+    lam = 1.0 + (1.0 + t) ** 2
+    H = Operator(g, 3.0)
+    want = residual(H, VertexFunction(base), lam + 0.5)
+    for c in (1e-120, 1e-300, 1e150, 1e300):
+        assert math.isclose(residual(H, VertexFunction(c * base), lam + 0.5),
+                            want, rel_tol=1e-12)
+    heavy = Operator(WeightedGraph([(0, 1.0, 0.0), (1, 1.0, 0.0)],
+                                   [(0, 1, 1e308)]), 3.0)
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError):
+        residual(heavy, VertexFunction([1.0, -1.0]), 0.0)
+
+
+def test_newton_polish_keeps_other_components_at_zero():
+    """At p > 2 a function that vanishes on a whole component has all-zero
+    Newton rows there; the polish still sharpens it on its own component
+    and leaves the other one at exactly zero."""
+    g = WeightedGraph.unit(5, [(0, 1), (1, 2), (3, 4)])
+    H = Operator(g, 3.0)
+    # on the unit 3-path, (1, 0, -1) is an eigenfunction at lambda = 1
+    f = np.array([1.0 + 1e-6, 0.0, -1.0, 0.0, 0.0])
+    x, lam, res = _newton_polish(H, f, 1.0, 1e-14)
+    assert res < 1e-12 and math.isclose(lam, 1.0, rel_tol=1e-9)
+    assert x[3] == 0.0 and x[4] == 0.0
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (copy_forest, count_slices, disjoint_union,
                       random_forest, random_tree)
+from plap import core, treespec
 from plap.cli import gen_graph
 from plap.core import Operator, WeightedGraph, first_eigenpair, residual
 from plap.oracle import ORACLE_CLUSTER_REL, p2_spectrum
@@ -113,6 +114,89 @@ def test_root_tree_structure():
     T2 = RootedTree(g, 1)
     assert T2.parent[1] == -1
     assert set(T2.children[1]) == {0, 2}
+
+
+# Three components on interleaved dense indices: 0-3-5, 1-4-{7, 8}, 2-6.
+THREE_TREES = WeightedGraph(
+    [(i, 1.0 + 0.1 * i, 0.05 * i - 0.2) for i in range(9)],
+    [(3, 0, 1.5), (5, 3, 0.7), (1, 4, 1.1), (4, 7, 0.9), (8, 4, 1.3),
+     (6, 2, 0.6)])
+
+
+def test_rooted_forest_components():
+    """One rooting covers a forest: each component hangs from its smallest
+    vertex, or from the given root in its own component, and the
+    components partition the vertices, every child before its parent."""
+    for root, roots in ((None, [0, 1, 2]), (7, [0, 2, 7])):
+        T = RootedTree(THREE_TREES, root)
+        assert [u for u in range(9) if T.parent[u] == -1] == roots
+        assert [set(c) for c in T.components] == [{0, 3, 5}, {1, 4, 7, 8},
+                                                  {2, 6}]
+        assert T.order == tuple(u for c in T.components for u in c)
+        for comp in T.components:
+            assert T.parent[comp[-1]] == -1
+            for i, u in enumerate(comp):
+                assert set(T.children[u]) <= set(comp[:i])
+    assert RootedTree(THREE_TREES, 7).components[1][-1] == 7
+
+
+def test_rooted_tree_rejects_cycles():
+    with pytest.raises(ValueError):
+        RootedTree(WeightedGraph.unit(3, [(0, 1), (1, 2), (2, 0)]))
+    with pytest.raises(ValueError):  # a cycle beside a tree
+        RootedTree(WeightedGraph.unit(5, [(0, 1), (2, 3), (3, 4), (4, 2)]))
+
+
+def test_forest_questions_build_no_subgraph(monkeypatch):
+    """Spectra, counts and bases of a forest run on its one rooting: no
+    component is cut out as a graph of its own."""
+    def cut(*_args, **_kwargs):
+        raise AssertionError("induced_subgraph called")
+
+    monkeypatch.setattr(core, "induced_subgraph", cut)
+    monkeypatch.setattr(treespec, "induced_subgraph", cut)
+    assert not hasattr(treespec, "connected_components")
+    for p in (1.5, 2.0, 3.0):
+        H = Operator(THREE_TREES, p)
+        spec = tree_spectrum(H)
+        assert spec.total == 9
+        assert tree_eigenpairs(H).values() == spec.values()
+        middle = 0.5 * (spec.values()[0] + spec.values()[1])
+        assert ForestCount(H).count_below(middle) == spec.entries[0].mult
+        assert forest_eigenbasis(H, spec.values()[0])
+
+
+def test_forest_bases_live_on_one_component():
+    """Every eigenfunction of a forest is supported on a single component,
+    and a value shared by k copies of a tree gets one function per copy."""
+    twin = copy_forest(random.Random(3), 3)
+    for g in (THREE_TREES, twin):
+        T = RootedTree(g)
+        label = np.empty(g.n, dtype=int)
+        for c, comp in enumerate(T.components):
+            label[list(comp)] = c
+        for p in (1.5, 3.0):
+            H = Operator(g, p)
+            for e in tree_eigenpairs(H).entries:
+                assert len(e.basis) == e.mult
+                for f in e.basis:
+                    assert len(set(label[f.values != 0.0])) == 1
+                    assert residual(H, f, e.value) < 1e-8
+
+
+def test_node_zeros_at_a_forest_vertex(monkeypatch):
+    """node_zeros slices the subtree in place inside a forest rooting; it
+    agrees with the spectrum of the cut-out subtree operator."""
+    T = RootedTree(THREE_TREES)
+    for p in (2.0, 3.0):
+        H = Operator(THREE_TREES, p)
+        for u in (4, 1, 6, 8):
+            want = tree_spectrum(subtree_operator(H, T, u)).flat()
+            sliced = count_slices(monkeypatch)
+            zs = node_zeros(T, H, u)
+            monkeypatch.undo()
+            assert sliced == [len(T.subtree_order(u))]
+            assert np.allclose(zs, want, atol=1e-9 * max(1.0, max(map(abs, want))))
 
 
 def test_node_zeros_equal_subtree_spectrum():
@@ -425,6 +509,44 @@ def test_forest_count_matches_tree_spectrum():
                 assert counter.count_below(x) == spec.count_below(x), (p, x)
                 probes += 1
     assert probes == 5 * 7 * 14
+
+
+def test_forest_count_on_stars_matches_the_closed_form():
+    """The unit star with m leaves has the spectrum 0, 1 (m - 1 times) and
+    (1 + m^(1/(p-1)))^(p-1) at every p. The count must read it at the
+    midpoints between these values and just around each, on the star and
+    on forests of 2 and 3 copies of it."""
+    for m in (1, 2, 4, 6):
+        star = WeightedGraph.unit(m + 1, [(0, i) for i in range(1, m + 1)])
+        for p in (1.2, 1.5, 3.0, 3.7):
+            top = (1.0 + m ** (1.0 / (p - 1.0))) ** (p - 1.0)
+            spectrum = [0.0] + [1.0] * (m - 1) + [top]
+            distinct = sorted(set(spectrum))
+            probes = [0.5 * (a + b) for a, b in zip(distinct, distinct[1:])]
+            for v in distinct:
+                s = 1e-9 * max(1.0, abs(v))
+                probes += [v - s, v + s]
+            for copies in (1, 2, 3):
+                counter = ForestCount(Operator(disjoint_union(*[star] * copies), p))
+                for x in probes:
+                    want = copies * sum(lam < x for lam in spectrum)
+                    assert counter.count_below(x) == want, (m, p, copies, x)
+
+
+def test_forest_count_brackets_the_descent_first_eigenvalue():
+    """The first eigenvalue found by descent (core.first_eigenpair, which
+    shares no code with the count) has nothing below it and itself just
+    above it."""
+    rng = random.Random(1717)
+    for _ in range(10):
+        t = random_tree(rng, n=rng.randint(3, 12))
+        for p in (1.5, 3.0):
+            H = Operator(t, p)
+            lam = first_eigenpair(H).eigenvalue
+            s = 1e-7 * max(1.0, abs(lam))
+            counter = ForestCount(H)
+            assert counter.count_below(lam - s) == 0, (t, p)
+            assert counter.count_below(lam + s) >= 1, (t, p)
 
 
 def test_forest_count_exact_hit_takes_the_left_limit():
