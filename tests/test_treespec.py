@@ -168,7 +168,8 @@ def test_forest_questions_build_no_subgraph(monkeypatch):
 
 def test_forest_bases_live_on_one_component():
     """Every eigenfunction of a forest is supported on a single component,
-    and a value shared by k copies of a tree gets one function per copy."""
+    also where copies of one tree share every value, and each entry has
+    one function per unit of multiplicity."""
     twin = copy_forest(random.Random(3), 3)
     for g in (THREE_TREES, twin):
         T = RootedTree(g)
