@@ -136,9 +136,19 @@ def _function_from_json(g: WeightedGraph, obj) -> VertexFunction:
     return VertexFunction.from_mapping(g, mapping)
 
 
-def _function_json(g: WeightedGraph, f: VertexFunction) -> dict:
-    pairs = sorted(f.as_mapping(g).items(), key=lambda kv: _id_key(kv[0]))
-    return {str(vid): float(val) for vid, val in pairs}
+def _json_keys(g: WeightedGraph) -> list:
+    """(dense index, JSON key) of every vertex in sorted id order, the order
+    of every vertex map the CLI prints."""
+    order = sorted(range(g.n), key=lambda i: _id_key(g.ids[i]))
+    return [(i, str(g.ids[i])) for i in order]
+
+
+def _function_json(keys: list, f: VertexFunction) -> dict:
+    """A function as a vertex map, with ``keys`` from ``_json_keys``."""
+    x = f.values
+    if len(x) != len(keys):
+        raise ValueError("function/graph size mismatch")
+    return {key: float(x[i]) for i, key in keys}
 
 
 def graph_document(g: WeightedGraph, p=None, function=None, boundary=None) -> dict:
@@ -146,15 +156,15 @@ def graph_document(g: WeightedGraph, p=None, function=None, boundary=None) -> di
     doc = {}
     if p is not None:
         doc["p"] = float(p)
-    order = sorted(range(g.n), key=lambda i: _id_key(g.ids[i]))
+    keys = _json_keys(g)
     doc["vertices"] = [{"id": g.ids[i], "rho": float(g.rho[i]),
-                        "kappa": float(g.kappa[i])} for i in order]
+                        "kappa": float(g.kappa[i])} for i, _key in keys]
     doc["edges"] = [{"u": a, "v": b, "omega": float(w)}
                     for a, b, w in _canonical_edges(g)]
     if boundary:
         doc["boundary"] = sorted(boundary, key=_id_key)
     if function is not None:
-        doc["function"] = _function_json(g, function)
+        doc["function"] = _function_json(keys, function)
     return doc
 
 
@@ -198,19 +208,19 @@ def _tree_route(H: Operator) -> bool:
 
 def full_spectrum(H: Operator, bases: bool = False) -> treespec.Spectrum:
     """Complete spectrum by whichever route covers the operator; with
-    ``bases`` every entry carries its eigenbasis (the dense route always
-    does)."""
+    ``bases`` every entry carries its eigenbasis, without it no route
+    computes an eigenfunction."""
     if not _tree_route(H):
-        return oracle_mod.p2_spectrum(H)
+        return oracle_mod.p2_spectrum(H, bases=bases)
     return treespec.tree_eigenpairs(H) if bases else treespec.tree_spectrum(H)
 
 
 def eigenvalue_counter(H: Operator):
     """Something with ``total`` and ``count_below`` for the operator, by the
-    same routes as ``full_spectrum``: the dense spectrum, or a tree-route
+    same routes as ``full_spectrum``: the dense eigenvalues, or a tree-route
     counter that locates no eigenvalue."""
     if not _tree_route(H):
-        return oracle_mod.p2_spectrum(H)
+        return oracle_mod.p2_spectrum(H, bases=False)
     return treespec.ForestCount(H)
 
 
@@ -232,7 +242,8 @@ def _spectrum_report(g: WeightedGraph, p: float, spec: treespec.Spectrum,
     out = {"p": p, "n": g.n,
            "spectrum": [{"value": e.value, "mult": e.mult} for e in spec.entries]}
     if bases:
-        out["eigenbasis"] = [[_function_json(g, f) for f in e.basis]
+        keys = _json_keys(g)
+        out["eigenbasis"] = [[_function_json(keys, f) for f in e.basis]
                              for e in spec.entries]
     return out
 
@@ -261,7 +272,8 @@ def cmd_oracle(args) -> int:
         raise CapabilityError(
             f"the dense reference route is capped at {oracle_mod.MAX_DENSE_N} vertices")
     H = Operator(g, 2.0)
-    _emit(_spectrum_report(g, 2.0, oracle_mod.p2_spectrum(H), args.eigenbasis))
+    spec = oracle_mod.p2_spectrum(H, bases=args.eigenbasis)
+    _emit(_spectrum_report(g, 2.0, spec, args.eigenbasis))
     return EXIT_OK
 
 

@@ -346,12 +346,21 @@ def _rayleigh_raw(g: WeightedGraph, p: float, x: np.ndarray) -> float:
 
 
 def p_normalized(x: np.ndarray, p: float) -> np.ndarray:
-    """Scale to unit p-norm and make the first non-negligible entry positive."""
+    """Scale to unit p-norm and make the first non-negligible entry positive.
+
+    x is scaled by max|x| first when sum |x|^p leaves the normal float
+    range, and only then, the rule of ``residual``.
+    """
     x = np.asarray(x, dtype=np.float64)
-    nrm = float(np.sum(np.abs(x) ** p)) ** (1.0 / p)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero function")
-    y = x / nrm
+    with np.errstate(over="ignore"):
+        mass = float(np.sum(np.abs(x) ** p))
+    if not np.finfo(float).tiny <= mass < math.inf:
+        top = float(np.max(np.abs(x))) if x.size else 0.0
+        if top == 0.0:
+            raise ValueError("cannot normalize the zero function")
+        x = x / top
+        mass = float(np.sum(np.abs(x) ** p))
+    y = x / mass ** (1.0 / p)
     band = 1e-12 * np.max(np.abs(y))
     for v in y:
         if abs(v) > band:

@@ -78,25 +78,29 @@ def eig_sym(M: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(M.data)
 
 
-def p2_spectrum(H: Operator) -> Spectrum:
-    """Clustered p = 2 spectrum with orthogonal-route eigenfunctions.
+def p2_spectrum(H: Operator, bases: bool = True) -> Spectrum:
+    """Clustered p = 2 spectrum, with orthogonal-route eigenfunctions when
+    ``bases`` is true.
 
     Eigenvectors of the symmetrized matrix are pulled back through
     D_rho^{-1/2} and normalized to unit 2-norm with the usual sign
-    convention; nearby eigenvalues merge per ORACLE_CLUSTER_REL.
+    convention; nearby eigenvalues merge per ORACLE_CLUSTER_REL. Without
+    ``bases`` the eigenvalues come from ``numpy.linalg.eigvalsh`` and no
+    eigenvector is computed.
     """
     m = assemble_p2(H)
-    w, v = eig_sym(m)
-    d = 1.0 / np.sqrt(H.graph.rho)
-    funcs = []
-    for idx in range(len(w)):
-        f = p_normalized(d * v[:, idx], 2.0)
-        funcs.append(VertexFunction(f))
+    if bases:
+        w, v = eig_sym(m)
+        d = 1.0 / np.sqrt(H.graph.rho)
+        funcs = [VertexFunction(p_normalized(d * v[:, idx], 2.0))
+                 for idx in range(len(w))]
+    else:
+        w = np.linalg.eigvalsh(m.data)
     tagged = [(float(w[i]), i) for i in range(len(w))]
     entries = []
     for center, _vals, idxs in cluster_tagged(tagged, ORACLE_CLUSTER_REL):
-        entries.append(SpectrumEntry(center, len(idxs),
-                                     tuple(funcs[i] for i in idxs)))
+        basis = tuple(funcs[i] for i in idxs) if bases else None
+        entries.append(SpectrumEntry(center, len(idxs), basis))
     spec = Spectrum(tuple(entries))
     if spec.total != H.graph.n:
         raise AssertionError("dense spectrum lost multiplicity")

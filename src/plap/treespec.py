@@ -26,6 +26,8 @@ changes of the g values across a narrow window around it (`_window`).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -306,10 +308,14 @@ class Spectrum:
         vals = [e.value for e in entries]
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("spectrum values must be strictly increasing")
+        # _below[i] = multiplicity of the first i entries
+        object.__setattr__(self, "_values", vals)
+        object.__setattr__(self, "_below",
+                           [0, *itertools.accumulate(e.mult for e in entries)])
 
     @property
     def total(self) -> int:
-        return sum(e.mult for e in self.entries)
+        return self._below[-1]
 
     def values(self) -> list[float]:
         return [e.value for e in self.entries]
@@ -320,7 +326,7 @@ class Spectrum:
 
     def count_below(self, x: float) -> int:
         """Number of eigenvalues strictly below ``x``, with multiplicity."""
-        return sum(e.mult for e in self.entries if e.value < x)
+        return self._below[bisect.bisect_left(self._values, x)]
 
     def find(self, lam: float, rel_tol: float = 1e-8) -> SpectrumEntry:
         best = None

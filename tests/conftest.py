@@ -1,7 +1,7 @@
 """Shared builders: the worked 4-vertex example with its closed-form
 spectrum, and seeded random graph corpora."""
 
-from plap import treespec
+from plap import oracle, treespec
 from plap.cli import gen_graph
 from plap.core import EigenpairCertificate, WeightedGraph, residual
 
@@ -91,3 +91,18 @@ def count_slices(monkeypatch):
 
     monkeypatch.setattr(treespec, "_slice", counted)
     return sliced
+
+
+def count_eigh(monkeypatch):
+    """List that grows by the matrix size at every call of the dense
+    eigendecomposition, ``oracle.eig_sym``, while ``monkeypatch`` is
+    active."""
+    solved = []
+    inner = oracle.eig_sym
+
+    def counted(M):
+        solved.append(M.n)
+        return inner(M)
+
+    monkeypatch.setattr(oracle, "eig_sym", counted)
+    return solved

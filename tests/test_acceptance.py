@@ -2,7 +2,8 @@
 
 Each test is one acceptance criterion and prints one summary line (visible
 with -s, or in the captured output on failure). Criteria 6, 7, 9 and 12
-share one seeded corpus, built once per module.
+share one seeded corpus, built once per module; the dense route without
+eigenvectors is checked against it too.
 """
 
 import math
@@ -213,7 +214,8 @@ def test_06_weyl_interlacing_suite(corpus6):
                 continue
             u, v = cands[rng.randrange(len(cands))]
             H2, step = remove_edge(H, cert, (u, v))
-            rep = verify_weyl_edge(spec, p2_spectrum(H2), step.alpha)
+            rep = verify_weyl_edge(spec, p2_spectrum(H2, bases=False),
+                                   step.alpha)
             assert rep.ok, rep.failures
             if step.alpha < 0:
                 neg += 1
@@ -226,7 +228,7 @@ def test_06_weyl_interlacing_suite(corpus6):
         H2 = H
         for u in rng.sample(list(g.ids), k):
             H2 = remove_node(H2, u)
-        rep = verify_weyl_nodes(spec, p2_spectrum(H2), k)
+        rep = verify_weyl_nodes(spec, p2_spectrum(H2, bases=False), k)
         assert rep.ok, rep.failures
         if k == 1:
             single_nodes += 1
@@ -273,6 +275,22 @@ def test_06_weyl_interlacing_suite(corpus6):
     assert neg > 0 and pos > 0
     assert single_nodes > 0 and multi_nodes > 0
     assert tree_edges > 100 and tree_nodes == 200
+
+
+def test_dense_values_alone_match_the_eigenbasis_route(corpus6):
+    """The dense route without eigenvectors gives every corpus graph the
+    multiplicities of the route with them, the values within 1e-13
+    relative."""
+    graphs, _trees = corpus6
+    worst = 0.0
+    for g, spec in graphs:
+        plain = p2_spectrum(Operator(g, 2.0), bases=False)
+        assert [e.mult for e in plain.entries] == [e.mult for e in spec.entries]
+        assert all(e.basis is None for e in plain.entries)
+        for a, b in zip(plain.values(), spec.values()):
+            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    assert worst <= 1e-13, worst
+    print(f"\ndense values alone: {len(graphs)} graphs, worst gap {worst:.2e}")
 
 
 def test_07_position_bound_suite(corpus6):

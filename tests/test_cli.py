@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_slices, diamond_graph
+from conftest import count_eigh, count_slices, diamond_graph
 from plap import treespec
 from plap.cli import (
     EXIT_CAPABILITY,
@@ -476,6 +476,40 @@ def test_check_all_slices_once(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert {row["name"] for row in out["checks"]} >= {"weyl-edge", "weyl-node"}
     assert sliced == [10]
+
+
+def test_check_all_dense_route_decomposes_once(tmp_path, capsys, monkeypatch):
+    """At p = 2 the Weyl rows count eigenvalues of every after-operator, so
+    the only eigendecomposition is the one behind the before-eigenbasis."""
+    doc = graph_document(gen_graph("graph", 10, random.Random(4), weighted=True),
+                         p=2.0)
+    path = write_doc(tmp_path, doc)
+    solved = count_eigh(monkeypatch)
+    assert main(["check", path, "--all"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert {row["name"] for row in out["checks"]} >= {"weyl-edge", "weyl-node"}
+    assert solved == [10]
+
+
+def test_dense_spectrum_without_basis_decomposes_nothing(tmp_path, capsys,
+                                                         monkeypatch):
+    """``spectrum`` and ``oracle`` at p = 2 compute eigenvectors only for
+    ``--eigenbasis``, and print the same spectrum either way."""
+    doc = graph_document(gen_graph("graph", 10, random.Random(4), weighted=True),
+                         p=2.0)
+    path = write_doc(tmp_path, doc)
+    solved = count_eigh(monkeypatch)
+    for verb in ("spectrum", "oracle"):
+        assert main([verb, path]) == EXIT_OK
+        plain = json.loads(capsys.readouterr().out)
+        assert solved == [] and "eigenbasis" not in plain
+        assert main([verb, path, "--eigenbasis"]) == EXIT_OK
+        full = json.loads(capsys.readouterr().out)
+        assert solved == [10]
+        solved.clear()
+        for a, b in zip(plain["spectrum"], full["spectrum"], strict=True):
+            assert a["mult"] == b["mult"]
+            assert abs(a["value"] - b["value"]) <= 1e-13 * max(1.0, abs(b["value"]))
 
 
 def test_python_m_plap_runs_the_cli():

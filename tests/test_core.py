@@ -4,6 +4,7 @@ sign gadget and the smallest eigenpair."""
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,19 @@ def test_p_normalized_contract():
         assert y[1] > 0  # first nonzero entry is made positive
     with pytest.raises(ValueError):
         p_normalized(np.zeros(3), 2.0)
+
+
+def test_p_normalized_outside_the_normal_range():
+    """Entries whose p-th powers overflow, underflow or turn subnormal
+    normalize like their multiples, without a floating-point warning."""
+    cases = [([1e200, -1e200], [1.0, -1.0]), ([1e-120, 1e-120], [1.0, 1.0]),
+             ([1e-105, 3e-105], [1.0, 3.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, unit in cases:
+            want = p_normalized(np.array(unit), 3.0)
+            assert np.allclose(p_normalized(np.array(x), 3.0), want,
+                               rtol=1e-15, atol=0.0)
 
 
 def test_residual_certifies_and_rejects():

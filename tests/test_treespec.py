@@ -17,6 +17,8 @@ from plap.surgery import reduce_to_forest
 from plap.treespec import (
     ForestCount,
     RootedTree,
+    Spectrum,
+    SpectrumEntry,
     cluster_tagged,
     eigenbasis,
     eval_g,
@@ -103,6 +105,29 @@ def test_cluster_tagged_groups_nearby_values():
     pair = [(3.0, "a"), (3.0 + 5e-9, "b")]
     assert len(cluster_tagged(pair)) == 2
     assert len(cluster_tagged(pair, ORACLE_CLUSTER_REL)) == 1
+
+
+def test_spectrum_count_below_is_the_linear_count():
+    """Bisection over the values gives #{eigenvalues < x} with multiplicity
+    at every value, both float neighbours of it and every midpoint."""
+    rng = random.Random(17)
+    spectra = [Spectrum(()), Spectrum((SpectrumEntry(-2.5, 3),))]
+    for _ in range(30):
+        vals = sorted({rng.choice([-1.0, 0.0, 1.0]) * rng.uniform(0.0, 5.0)
+                       for _ in range(rng.randint(2, 9))})
+        spectra.append(Spectrum(tuple(SpectrumEntry(v, rng.randint(1, 4))
+                                      for v in vals)))
+    assert any(e.mult > 1 for S in spectra for e in S.entries)
+    for S in spectra:
+        vals = S.values()
+        probes = [-math.inf, math.inf]
+        probes += [y for v in vals for y in (math.nextafter(v, -math.inf), v,
+                                             math.nextafter(v, math.inf))]
+        probes += [(a + b) / 2.0 for a, b in zip(vals, vals[1:])]
+        for x in probes:
+            assert S.count_below(x) == sum(e.mult for e in S.entries
+                                           if e.value < x)
+        assert S.total == sum(e.mult for e in S.entries)
 
 
 def test_root_tree_structure():
