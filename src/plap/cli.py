@@ -362,7 +362,7 @@ def cmd_check(args) -> int:
     if which in ("weyl", "all") and g.n > 1:
         for i in range(g.n):
             vid = g.ids[i]
-            H2 = surgery_mod.remove_node(H, vid)
+            H2, _step = surgery_mod.remove_node(H, vid)
             rep = surgery_mod.verify_weyl_nodes(spec, eigenvalue_counter(H2), 1)
             rows.append({"name": "weyl-node", "vertex": vid, "pass": rep.ok,
                          "checked": rep.checked, "failures": list(rep.failures)})
@@ -380,7 +380,7 @@ def _weyl_edge_rows(H: Operator, cert: EigenpairCertificate,
         if s[i] == 0 or s[j] == 0:
             continue
         u, v = g.ids[i], g.ids[j]
-        H2, step = surgery_mod.remove_edge(H, cert, (u, v))
+        H2, step = surgery_mod.remove_edge(H, cert.function, (u, v))
         rep = surgery_mod.verify_weyl_edge(spec, eigenvalue_counter(H2),
                                            step.alpha)
         rows.append({"name": "weyl-edge", "edge": [u, v],
@@ -396,6 +396,15 @@ def _parse_vertex_id(text: str):
         return int(text)
     except ValueError:
         return text
+
+
+def _moved(step: surgery_mod.SurgeryStep) -> str:
+    """A step's potential compensations: an edge's in (u, v) order, a
+    vertex's in sorted neighbour id order."""
+    deltas = step.kappa_deltas.items()
+    if step.kind == "node":
+        deltas = sorted(deltas, key=lambda kv: _id_key(kv[0]))
+    return ", ".join(f"kappa[{vid!r}] += {d:.12g}" for vid, d in deltas)
 
 
 def cmd_surgery(args) -> int:
@@ -416,43 +425,27 @@ def cmd_surgery(args) -> int:
     if edges and func is None:
         raise ValueError("edge removal needs a function (--function or document)")
 
-    fmap = func.as_mapping(g) if func is not None else None
-    lam = args.lam
     for u, v in edges:
-        # remove_edge reads only the certificate's function
-        cert = EigenpairCertificate(lam if lam is not None else 0.0,
-                                    VertexFunction.from_mapping(H.graph, fmap),
-                                    0.0, 0.0)
-        H, step = surgery_mod.remove_edge(H, cert, (u, v))
-        d_u, d_v = step.kappa_deltas[u], step.kappa_deltas[v]
+        H, step = surgery_mod.remove_edge(H, func, (u, v))
         print(f"removed edge ({u!r}, {v!r}): alpha={step.alpha:.12g}, "
-              f"kappa[{u!r}] += {d_u:.12g}, kappa[{v!r}] += {d_v:.12g}",
-              file=sys.stderr)
+              f"{_moved(step)}", file=sys.stderr)
     for u in nodes:
-        iu = H.graph.index_of(u)
-        if fmap is not None:
-            s, _band = nodal_mod.sign_pattern(
-                H.graph, VertexFunction.from_mapping(H.graph, fmap))
-            if s[iu] != 0:
+        g = H.graph
+        if func is not None:
+            s, _band = nodal_mod.sign_pattern(g, func)
+            if s[g.index_of(u)] != 0:
                 raise ValueError(
                     f"the function does not vanish at {u!r}; removal would "
                     f"break the eigenpair")
-        deltas = {H.graph.ids[j]: wj for j, wj in H.graph.adj[iu]}
-        H = surgery_mod.remove_node(H, u)
-        if fmap is not None:
-            del fmap[u]
-        moved = ", ".join(f"kappa[{vid!r}] += {w:.12g}"
-                          for vid, w in sorted(deltas.items(),
-                                               key=lambda kv: _id_key(kv[0])))
-        print(f"removed vertex {u!r}: {moved}", file=sys.stderr)
+        H, step = surgery_mod.remove_node(H, u)
+        if func is not None:
+            func = VertexFunction.from_mapping(H.graph, func.as_mapping(g))
+        print(f"removed vertex {u!r}: {_moved(step)}", file=sys.stderr)
 
-    f_final = None
-    if fmap is not None:
-        f_final = VertexFunction.from_mapping(H.graph, fmap)
-        if lam is not None:
-            res = residual(H, f_final, lam)
-            print(f"residual after surgery: {res:.3e}", file=sys.stderr)
-    _emit(graph_document(H.graph, p=p, function=f_final))
+    if func is not None and args.lam is not None:
+        res = residual(H, func, args.lam)
+        print(f"residual after surgery: {res:.3e}", file=sys.stderr)
+    _emit(graph_document(H.graph, p=p, function=func))
     return EXIT_OK
 
 

@@ -26,6 +26,9 @@ from ._unionfind import UnionFind
 #: Smallest accepted exponent; phi and its inverse degenerate as p -> 1.
 P_MIN = 1.0 + 1e-3
 
+#: Gradient steps ``first_eigenpair`` may spend over all its descent rounds.
+MAX_DESCENT_STEPS = 100_000
+
 VertexId = int | str
 
 
@@ -345,22 +348,24 @@ def _rayleigh_raw(g: WeightedGraph, p: float, x: np.ndarray) -> float:
     return num / den
 
 
-def p_normalized(x: np.ndarray, p: float) -> np.ndarray:
-    """Scale to unit p-norm and make the first non-negligible entry positive.
-
-    x is scaled by max|x| first when sum |x|^p leaves the normal float
-    range, and only then, the rule of ``residual``.
-    """
-    x = np.asarray(x, dtype=np.float64)
+def _unit_p_norm(x: np.ndarray, p: float) -> np.ndarray:
+    """x / ||x||_p for a nonzero x, scaled by max|x| first when sum |x|^p
+    leaves the normal float range, and only then."""
     with np.errstate(over="ignore"):
         mass = float(np.sum(np.abs(x) ** p))
     if not np.finfo(float).tiny <= mass < math.inf:
-        top = float(np.max(np.abs(x))) if x.size else 0.0
-        if top == 0.0:
-            raise ValueError("cannot normalize the zero function")
-        x = x / top
+        x = x / float(np.max(np.abs(x)))
         mass = float(np.sum(np.abs(x) ** p))
-    y = x / mass ** (1.0 / p)
+    return x / mass ** (1.0 / p)
+
+
+def p_normalized(x: np.ndarray, p: float) -> np.ndarray:
+    """Scale to unit p-norm by ``_unit_p_norm``, the rule of ``residual``,
+    and make the first non-negligible entry positive."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.any(x):
+        raise ValueError("cannot normalize the zero function")
+    y = _unit_p_norm(x, p)
     band = 1e-12 * np.max(np.abs(y))
     for v in y:
         if abs(v) > band:
@@ -373,20 +378,14 @@ def p_normalized(x: np.ndarray, p: float) -> np.ndarray:
 def residual(H: Operator, f: VertexFunction, lam: float) -> float:
     """Max-norm defect of the eigenvalue equation on the p-normalized f.
 
-    f is scaled by max|f| first when sum |f|^p leaves the normal float
-    range, and only then: at p < 2 the defect moves with the last bit of
+    ``_unit_p_norm`` scales f by max|f| only when sum |f|^p leaves the
+    normal float range: at p < 2 the defect moves with the last bit of
     every entry. A defect that is not finite raises ArithmeticError.
     """
     x = _values_for(H.graph, f)
-    top = float(np.max(np.abs(x)))
-    if top == 0.0:
+    if not np.any(x):
         raise ValueError("residual undefined for the zero function")
-    with np.errstate(over="ignore"):
-        mass = float(np.sum(np.abs(x) ** H.p))
-    if not np.finfo(float).tiny <= mass < math.inf:
-        x = x / top
-        mass = float(np.sum(np.abs(x) ** H.p))
-    r = _defect(H, x / mass ** (1.0 / H.p), lam)
+    r = _defect(H, _unit_p_norm(x, H.p), lam)
     if not math.isfinite(r):
         raise ArithmeticError(f"eigen-equation defect is not finite: {r}")
     return r
@@ -584,8 +583,7 @@ def _newton_polish(H: Operator, x: np.ndarray, lam: float,
     return best
 
 
-def first_eigenpair(H: Operator, tol: float = 1e-9,
-                    max_iter: int = 100_000) -> EigenpairCertificate:
+def first_eigenpair(H: Operator, tol: float = 1e-9) -> EigenpairCertificate:
     """Smallest eigenpair, by minimizing the Rayleigh quotient over the
     unit p-sphere.
 
@@ -605,7 +603,7 @@ def first_eigenpair(H: Operator, tol: float = 1e-9,
 
     x = np.full(n, n ** (-1.0 / p))  # unit p-norm, strictly positive
     lam = _rayleigh_raw(g, p, x)
-    budget = max_iter
+    budget = MAX_DESCENT_STEPS
     res = math.inf
     for _round in range(3):
         x, lam, res, used = _descend(H, x, lam, tol, budget)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -150,6 +151,15 @@ def _slack(lam: float) -> float:
     return 1e-8 * max(1.0, abs(lam))
 
 
+def _counts(spec):
+    """Memoized c-(t) = #{eta < t - s} and c+(t) = #{eta <= t + s} of
+    anything with ``count_below``, with s = ``_slack(t)``."""
+    below = cache(lambda t: spec.count_below(t - _slack(t)))
+    upto = cache(lambda t: spec.count_below(
+        math.nextafter(t + _slack(t), math.inf)))
+    return below, upto
+
+
 def check_upper(H: Operator, cert: EigenpairCertificate,
                 varspec: Spectrum) -> list[BoundReport]:
     """Ceiling checks for the domain count of an eigenfunction.
@@ -165,21 +175,16 @@ def check_upper(H: Operator, cert: EigenpairCertificate,
     rep = analyze(g, cert.function)
     if rep.nu == 0:
         raise ValueError("the certified function vanishes identically")
-    flat = varspec.flat()
-    if len(flat) != g.n:
+    if varspec.total != g.n:
         raise ValueError("spectrum is incomplete")
-    sl = _slack(lam)
-    k = len(flat) + 1
-    for idx, val in enumerate(flat):
-        if val > lam + sl:
-            k = idx + 1
-            break
+    _below, upto = _counts(varspec)
+    k = upto(lam) + 1
     upper = BoundReport(kind="nodal-upper", bound=float(k - 1),
                         observed=float(rep.nu), satisfied=rep.nu <= k - 1,
                         k=k)
-    floor_val = flat[rep.nu - 1]
+    floor_val = varspec.flat()[rep.nu - 1]
     floor = BoundReport(kind="eigenvalue-floor", bound=floor_val,
-                        observed=lam, satisfied=lam >= floor_val - sl,
+                        observed=lam, satisfied=lam >= floor_val - _slack(lam),
                         k=rep.nu)
     return [upper, floor]
 
@@ -201,13 +206,12 @@ def check_lower(H: Operator, cert: EigenpairCertificate,
     rep = analyze(g, cert.function)
     if rep.nu == 0:
         raise ValueError("the certified function vanishes identically")
-    flat = varspec.flat()
-    if len(flat) != g.n:
+    if varspec.total != g.n:
         raise ValueError("spectrum is incomplete")
-    sl = _slack(lam)
+    below, _upto = _counts(varspec)
     out = []
     bounds = []
-    k1 = sum(1 for val in flat if val < lam - sl)
+    k1 = below(lam)
     if k1 >= 1:
         b = k1 - rep.beta_prime + rep.l - rep.z + rep.c
         out.append(BoundReport(kind="nodal-lower-simple", bound=float(b),
@@ -218,7 +222,7 @@ def check_lower(H: Operator, cert: EigenpairCertificate,
         k, m = variational_index(varspec, lam)
     except ValueError:
         k = m = None
-    if k is not None and (k == 1 or flat[k - 2] < lam - sl):
+    if k is not None and k1 >= k - 1:
         b = k + m - 1 - rep.beta_prime + rep.l - rep.z
         out.append(BoundReport(kind="nodal-lower-variational", bound=float(b),
                                observed=float(rep.nu),

@@ -58,12 +58,13 @@ def assemble_p2(H: Operator) -> SymmetricMatrix:
     n = g.n
     if n > MAX_DENSE_N:
         raise ValueError(f"dense route capped at {MAX_DENSE_N} vertices")
-    a = np.diag(g.kappa.astype(float).copy())
-    for i, j, w in g.edges:
-        a[i, i] += w
-        a[j, j] += w
-        a[i, j] -= w
-        a[j, i] -= w
+    a = np.diag(g.kappa.astype(float))
+    # endpoints interleaved (u0, v0, u1, v1, ...) so that every diagonal
+    # entry sums its edge weights in edge order
+    ends = np.column_stack((g._eu, g._ev)).ravel()
+    np.add.at(a, (ends, ends), np.repeat(g._ew, 2))
+    a[g._eu, g._ev] = -g._ew  # a simple graph: each pair appears once
+    a[g._ev, g._eu] = -g._ew
     d = 1.0 / np.sqrt(g.rho)
     a = a * d[:, None] * d[None, :]
     return SymmetricMatrix(a)

@@ -13,15 +13,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from random import Random
 
 from ._unionfind import UnionFind
 from .core import (EigenpairCertificate, Operator, VertexFunction,
                    WeightedGraph, connected_components, induced_subgraph,
                    is_forest, phi, residual)
-from .nodal import _slack, analyze, sign_pattern
+from .nodal import _counts, _slack, analyze, sign_pattern
 from .treespec import Spectrum
+
+
+#: Defect tolerance of the per-domain first eigenvalues that
+#: ``reduce_to_nodal_union`` compares with the eigenvalue.
+FIRST_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -34,8 +38,6 @@ class SurgeryStep:
     alpha: float | None
     kappa_deltas: dict
     removed_weight: float | None
-    before: Operator
-    after: Operator
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,9 @@ class CheckReport:
     failures: tuple
 
 
-def remove_edge(H: Operator, cert: EigenpairCertificate, e0) -> tuple[Operator, SurgeryStep]:
-    """Remove edge ``e0`` = (u0, v0), compensating both potentials so the
-    certified eigenpair survives on the smaller graph.
+def remove_edge(H: Operator, f: VertexFunction, e0) -> tuple[Operator, SurgeryStep]:
+    """Remove edge ``e0`` = (u0, v0), compensating both potentials so an
+    eigenpair with eigenfunction ``f`` survives on the smaller graph.
 
     With alpha = f(v0)/f(u0), u0's potential grows by
     omega * phi(1 - alpha) and v0's by omega * phi(1 - 1/alpha). Both
@@ -64,10 +66,10 @@ def remove_edge(H: Operator, cert: EigenpairCertificate, e0) -> tuple[Operator, 
             break
     if w is None:
         raise ValueError(f"no edge between {u0!r} and {v0!r}")
-    x = cert.function.values
+    x = f.values
     if len(x) != g.n:
-        raise ValueError("certificate function does not match the graph")
-    s, _band = sign_pattern(g, cert.function)
+        raise ValueError("function does not match the graph")
+    s, _band = sign_pattern(g, f)
     if s[iu] == 0 or s[iv] == 0:
         raise ValueError("edge removal needs nonzero values at both endpoints")
     alpha = float(x[iv]) / float(x[iu])
@@ -81,12 +83,11 @@ def remove_edge(H: Operator, cert: EigenpairCertificate, e0) -> tuple[Operator, 
              if {i, j} != {iu, iv}]
     H2 = Operator(WeightedGraph(vertices, edges), H.p)
     step = SurgeryStep(kind="edge", target=(u0, v0), alpha=alpha,
-                       kappa_deltas={u0: d_u, v0: d_v}, removed_weight=w,
-                       before=H, after=H2)
+                       kappa_deltas={u0: d_u, v0: d_v}, removed_weight=w)
     return H2, step
 
 
-def remove_node(H: Operator, u0) -> Operator:
+def remove_node(H: Operator, u0) -> tuple[Operator, SurgeryStep]:
     """Remove vertex ``u0``, folding each incident edge weight into the
     neighbor's potential.
 
@@ -99,16 +100,11 @@ def remove_node(H: Operator, u0) -> Operator:
         raise ValueError("cannot remove the last vertex")
     delta = {j: wj for j, wj in g.adj[iu]}
     keep = [i for i in range(g.n) if i != iu]
-    return Operator(induced_subgraph(g, keep, delta), H.p)
-
-
-def _counts(after):
-    """Memoized c-(t) = #{eta < t - s} and c+(t) = #{eta <= t + s} of an
-    after-operator at before-values t, with s = ``_slack(t)``."""
-    below = cache(lambda t: after.count_below(t - _slack(t)))
-    upto = cache(lambda t: after.count_below(
-        math.nextafter(t + _slack(t), math.inf)))
-    return below, upto
+    H2 = Operator(induced_subgraph(g, keep, delta), H.p)
+    step = SurgeryStep(kind="node", target=(u0,), alpha=None,
+                       kappa_deltas={g.ids[j]: wj for j, wj in delta.items()},
+                       removed_weight=None)
+    return H2, step
 
 
 def verify_weyl_edge(spec_before: Spectrum, after, alpha_sign: float) -> CheckReport:
@@ -185,12 +181,8 @@ def _strip_zeros(H: Operator, cert: EigenpairCertificate,
     H1 = H
     for i in range(g.n):
         if s[i] == 0:
-            before = H1
-            H1 = remove_node(H1, g.ids[i])
-            steps.append(SurgeryStep(kind="node", target=(g.ids[i],),
-                                     alpha=None, kappa_deltas={},
-                                     removed_weight=None, before=before,
-                                     after=H1))
+            H1, step = remove_node(H1, g.ids[i])
+            steps.append(step)
     f1 = VertexFunction.from_mapping(H1.graph, cert.function.as_mapping(g))
     lam = cert.eigenvalue
     cert1 = EigenpairCertificate(lam, f1, residual(H1, f1, lam), cert.tol)
@@ -210,8 +202,8 @@ class ReductionReport:
     steps: tuple
 
 
-def reduce_to_nodal_union(H: Operator, cert: EigenpairCertificate,
-                          first_tol: float = 1e-7) -> tuple[Operator, ReductionReport]:
+def reduce_to_nodal_union(H: Operator,
+                          cert: EigenpairCertificate) -> tuple[Operator, ReductionReport]:
     """Split the graph into the nodal domains of a certified eigenpair.
 
     Zero vertices are removed first (weights folded into neighbors), then
@@ -235,7 +227,7 @@ def reduce_to_nodal_union(H: Operator, cert: EigenpairCertificate,
            if s[i] != 0 and s[j] != 0 and s[i] != s[j]]
     H2 = H1
     for e in cut:
-        H2, step = remove_edge(H2, cert1, e)
+        H2, step = remove_edge(H2, cert1.function, e)
         steps.append(step)
     res_after = residual(H2, cert1.function, lam)
 
@@ -253,7 +245,7 @@ def reduce_to_nodal_union(H: Operator, cert: EigenpairCertificate,
         if len(signs_here) != 1 or 0 in signs_here:
             raise AssertionError("a component mixes signs after the cuts")
         sub = Operator(induced_subgraph(H2.graph, comp), H.p)
-        lam1 = _first_value(sub, first_tol)
+        lam1 = _first_value(sub)
         minima.append(lam1)
         if abs(lam1 - lam) > _slack(lam):
             raise AssertionError(
@@ -275,15 +267,15 @@ def reduce_to_nodal_union(H: Operator, cert: EigenpairCertificate,
     return H2, report
 
 
-def _first_value(H: Operator, tol: float) -> float:
+def _first_value(H: Operator) -> float:
     """Smallest eigenvalue of a connected operator: dense route at p = 2,
-    descent route otherwise — deliberately independent of the tree
-    machinery so the reduction acts as a cross-check."""
+    descent route (to FIRST_TOL) otherwise — deliberately independent of
+    the tree machinery so the reduction acts as a cross-check."""
     if H.p == 2.0:
         from .oracle import p2_spectrum
         return p2_spectrum(H, bases=False).entries[0].value
     from .core import first_eigenpair
-    return first_eigenpair(H, tol=tol).eigenvalue
+    return first_eigenpair(H, tol=FIRST_TOL).eigenvalue
 
 
 def reduce_to_forest(H: Operator, cert: EigenpairCertificate,
@@ -309,7 +301,7 @@ def reduce_to_forest(H: Operator, cert: EigenpairCertificate,
             extra.append((g1.ids[i], g1.ids[j]))
     H2 = H1
     for e in extra:
-        H2, step = remove_edge(H2, cert1, e)
+        H2, step = remove_edge(H2, cert1.function, e)
         steps.append(step)
     if not is_forest(H2.graph):
         raise AssertionError("cutting the extra edges did not yield a forest")

@@ -345,6 +345,41 @@ def test_surgery_verb_node_removal(tmp_path, capsys):
     assert {v["kappa"] for v in out["vertices"]} == {2.0}
 
 
+def test_surgery_verb_stderr_is_pinned(tmp_path, capsys):
+    """Each removal prints its compensations: an edge's in the (u, v) order
+    given, a vertex's sorted by neighbour id, not in adjacency order."""
+    doc = {
+        "p": 3.0,
+        "vertices": [{"id": "a", "rho": 1.0, "kappa": 0.5},
+                     {"id": "b", "rho": 2.0}, {"id": "c"},
+                     {"id": "d", "kappa": -0.25}, {"id": "e"},
+                     {"id": "f", "rho": 0.5}],
+        "edges": [{"u": "a", "v": "b", "omega": 2.0},
+                  {"u": "c", "v": "d", "omega": 1.5},
+                  {"u": "b", "v": "c", "omega": 0.5}, {"u": "d", "v": "e"},
+                  {"u": "e", "v": "f", "omega": 3.0}, {"u": "f", "v": "a"},
+                  {"u": "b", "v": "e", "omega": 0.75}],
+        "function": {"a": 1.0, "b": -2.0, "c": 0.0, "d": 0.5, "e": 4.0,
+                     "f": 0.0},
+    }
+    path = write_doc(tmp_path, doc)
+    assert main(["surgery", path, "--remove-edge", "a,b",
+                 "--remove-edge", "e,d", "--remove-node", "c",
+                 "--remove-node", "f", "--lambda", "2"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "removed edge ('a', 'b'): alpha=-2, kappa['a'] += 18, "
+        "kappa['b'] += 4.5\n"
+        "removed edge ('e', 'd'): alpha=0.125, kappa['e'] += 0.765625, "
+        "kappa['d'] += -49\n"
+        "removed vertex 'c': kappa['b'] += 0.5, kappa['d'] += 1.5\n"
+        "removed vertex 'f': kappa['a'] += 1, kappa['e'] += 3\n"
+        "residual after surgery: 3.160e+00\n")
+    out = json.loads(captured.out)
+    assert [v["id"] for v in out["vertices"]] == ["a", "b", "d", "e"]
+    assert out["function"] == {"a": 1.0, "b": -2.0, "d": 0.5, "e": 4.0}
+
+
 def test_surgery_verb_guards(tmp_path, capsys):
     f = {"1": 1.0, "2": 0.0, "3": -1.0, "4": 0.0}
     path = write_doc(tmp_path, diamond_doc(function=f))

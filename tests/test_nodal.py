@@ -1,6 +1,7 @@
 """Nodal bookkeeping: sign patterns, domain counting, the exact
 sign-change identity, position bounds and bipartiteness."""
 
+import math
 import random
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from conftest import certify, diamond_graph, random_connected_graph
 from plap.core import EigenpairCertificate, Operator, VertexFunction, WeightedGraph
 from plap.nodal import (
+    BoundReport,
+    _slack,
     analyze,
     check_lower,
     check_upper,
@@ -18,7 +21,8 @@ from plap.nodal import (
     nodal_domains,
     sign_pattern,
 )
-from plap.oracle import p2_spectrum
+from plap.oracle import p2_spectrum, variational_index
+from plap.treespec import Spectrum, SpectrumEntry
 
 
 def test_sign_pattern_band():
@@ -127,6 +131,72 @@ def test_bound_checks_on_random_dense_eigenpairs():
                 cert = certify(H, e.value, f)
                 assert all(r.satisfied for r in check_upper(H, cert, spec))
                 assert all(r.satisfied for r in check_lower(H, cert, spec))
+
+
+def _flat_upper(rep, flat, lam, sl):
+    """check_upper's two reports read off the flat value list: k is the
+    first 1-based position whose value exceeds lam + s."""
+    k = next((i + 1 for i, v in enumerate(flat) if v > lam + sl), len(flat) + 1)
+    floor_val = flat[rep.nu - 1]
+    return [BoundReport("nodal-upper", float(k - 1), float(rep.nu),
+                        rep.nu <= k - 1, k=k),
+            BoundReport("eigenvalue-floor", floor_val, lam,
+                        lam >= floor_val - sl, k=rep.nu)]
+
+
+def _flat_lower(rep, spec, flat, lam, sl):
+    """check_lower's reports read off the flat value list."""
+    out, bounds = [], []
+    k1 = sum(1 for v in flat if v < lam - sl)
+    if k1 >= 1:
+        b = k1 - rep.beta_prime + rep.l - rep.z + rep.c
+        out.append(BoundReport("nodal-lower-simple", float(b), float(rep.nu),
+                               rep.nu >= b, k=k1))
+        bounds.append(b)
+    try:
+        k, m = variational_index(spec, lam)
+    except ValueError:
+        k = m = None
+    if k is not None and (k == 1 or flat[k - 2] < lam - sl):
+        b = k + m - 1 - rep.beta_prime + rep.l - rep.z
+        out.append(BoundReport("nodal-lower-variational", float(b),
+                               float(rep.nu), rep.nu >= b, k=k, m=m))
+        bounds.append(b)
+    if bounds:
+        out.append(BoundReport("nodal-lower-combined", float(max(bounds)),
+                               float(rep.nu), rep.nu >= max(bounds)))
+    return out
+
+
+def test_bound_checks_match_the_flat_list_definitions():
+    """Counted positions equal scanned positions when values sit exactly at
+    lambda - s and lambda + s, one ulp either side, or carry multiplicity."""
+    rng = random.Random(5)
+    g = random_connected_graph(rng, n=8)
+    H = Operator(g, 2.0)
+    f = VertexFunction([1.0, -1.0, 0.0, 2.0, -0.5, 1.0, 0.0, -3.0])
+    rep = analyze(g, f)
+    checked = 0
+    for lam in (-2.0, 0.25, 1.0, 3.0, 1e6):
+        sl = _slack(lam)
+        lo, hi = lam - sl, lam + sl
+        cands = [lam - 1.0 - abs(lam), lo, math.nextafter(lo, -math.inf),
+                 math.nextafter(lo, math.inf), lam, hi,
+                 math.nextafter(hi, -math.inf), math.nextafter(hi, math.inf),
+                 lam + 1.0 + abs(lam)]
+        for _ in range(60):
+            vals = sorted(set(rng.sample(cands, rng.randint(1, 6))))
+            cuts = sorted(rng.sample(range(1, g.n), len(vals) - 1))
+            mults = [b - a for a, b in zip([0, *cuts], [*cuts, g.n])]
+            spec = Spectrum(tuple(SpectrumEntry(v, m)
+                                  for v, m in zip(vals, mults)))
+            flat = spec.flat()
+            cert = EigenpairCertificate(lam, f, 0.0, 1e-8)
+            assert check_upper(H, cert, spec) == _flat_upper(rep, flat, lam, sl)
+            assert check_lower(H, cert, spec) == _flat_lower(rep, spec, flat,
+                                                             lam, sl)
+            checked += max(mults) > 1
+    assert checked > 100
 
 
 def test_bound_checks_input_guards():

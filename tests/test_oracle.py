@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import diamond_graph, random_connected_graph
+from plap.cli import gen_graph
 from plap.core import Operator, WeightedGraph, residual
 from plap.oracle import (
     MAX_DENSE_N,
@@ -30,6 +31,28 @@ def test_assemble_matrix_entries():
     m = assemble_p2(Operator(g, 2.0))
     want = np.array([[2.5, -1.0], [-1.0, 0.5]])
     assert np.allclose(m.data, want, atol=1e-15)
+
+
+def _assemble_by_edges(H):
+    """assemble_p2 written as one edge at a time."""
+    g = H.graph
+    a = np.diag(g.kappa.astype(float).copy())
+    for i, j, w in g.edges:
+        a[i, i] += w
+        a[j, j] += w
+        a[i, j] -= w
+        a[j, i] -= w
+    d = 1.0 / np.sqrt(g.rho)
+    return SymmetricMatrix(a * d[:, None] * d[None, :]).data
+
+
+def test_assemble_matches_the_per_edge_sum_bit_for_bit():
+    rng = random.Random(23)
+    for _ in range(60):
+        kind = rng.choice(["graph", "tree", "cycle", "star", "path"])
+        g = gen_graph(kind, rng.randint(3, 40), rng, weighted=True)
+        H = Operator(g, 2.0)
+        assert assemble_p2(H).data.tobytes() == _assemble_by_edges(H).tobytes()
 
 
 def test_symmetric_matrix_rejects_asymmetry():

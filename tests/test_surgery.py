@@ -1,6 +1,7 @@
 """Eigenpair-preserving surgery: compensated edge and vertex removal, the
 interlacing checks, and the two reduction pipelines."""
 
+import dataclasses
 import math
 import random
 
@@ -20,6 +21,7 @@ from plap.cli import gen_graph
 from plap.nodal import _slack, sign_pattern
 from plap.oracle import p2_spectrum
 from plap.surgery import (
+    SurgeryStep,
     reduce_to_forest,
     reduce_to_nodal_union,
     remove_edge,
@@ -43,7 +45,7 @@ def test_remove_edge_alternating_pair(p):
     H = Operator(diamond_graph(), p)
     lam = 2.0 ** p
     f = VertexFunction([1.0, -1.0, 1.0, -1.0])
-    H2, step = remove_edge(H, certify(H, lam, f), (2, 4))
+    H2, step = remove_edge(H, f, (2, 4))
     assert step.kind == "edge"
     assert step.alpha == 1.0
     assert step.removed_weight == 1.0
@@ -61,7 +63,7 @@ def test_remove_edge_sign_change(p):
     H = Operator(g, p)
     lam = 2.0 ** (p - 1.0)
     f = VertexFunction([1.0, -1.0])
-    H2, step = remove_edge(H, certify(H, lam, f), (0, 1))
+    H2, step = remove_edge(H, f, (0, 1))
     assert step.alpha == -1.0
     want = 2.0 ** (p - 1.0)
     assert math.isclose(step.kappa_deltas[0], want, rel_tol=1e-13)
@@ -72,21 +74,21 @@ def test_remove_edge_sign_change(p):
 
 def test_remove_edge_guards():
     H = Operator(diamond_graph(), 2.0)
-    cert = certify(H, 2.0, VertexFunction([1.0, 0.0, -1.0, 0.0]))
+    f = VertexFunction([1.0, 0.0, -1.0, 0.0])
     with pytest.raises(ValueError):
-        remove_edge(H, cert, (1, 2))  # endpoint inside the zero band
-    good = certify(H, 2.0 ** 2, VertexFunction([1.0, -1.0, 1.0, -1.0]))
+        remove_edge(H, f, (1, 2))  # endpoint inside the zero band
+    good = VertexFunction([1.0, -1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         remove_edge(H, good, (1, 3))  # no such edge
 
 
 def test_remove_node_folds_weights():
     H = Operator(diamond_graph(), 2.0)
-    H1 = remove_node(H, 2)
+    H1, _step = remove_node(H, 2)
     assert H1.graph.ids == (1, 3, 4)
     km = dict(zip(H1.graph.ids, H1.graph.kappa))
     assert km == {1: 1.0, 3: 1.0, 4: 1.0}
-    H2 = remove_node(H1, 4)
+    H2, _step = remove_node(H1, 4)
     km = dict(zip(H2.graph.ids, H2.graph.kappa))
     assert km == {1: 2.0, 3: 2.0}
     assert len(H2.graph.edges) == 0
@@ -94,6 +96,29 @@ def test_remove_node_folds_weights():
     for p in (1.5, 2.0, 3.0):
         Hp = Operator(H2.graph, p)
         assert residual(Hp, VertexFunction([1.0, -1.0]), 2.0) < 1e-13
+
+
+def test_remove_node_step_records_the_compensation():
+    """A node step names every neighbour, and each neighbour's potential
+    after the removal is its potential before plus the recorded delta."""
+    rng = random.Random(17)
+    for _ in range(20):
+        g = random_connected_graph(rng, n=rng.randint(3, 9))
+        H = Operator(g, rng.choice([1.5, 2.0, 3.0]))
+        u = rng.choice(g.ids)
+        H2, step = remove_node(H, u)
+        assert (step.kind, step.target, step.alpha, step.removed_weight) == (
+            "node", (u,), None, None)
+        iu = g.index_of(u)
+        assert step.kappa_deltas == {g.ids[j]: w for j, w in g.adj[iu]}
+        before = dict(zip(g.ids, g.kappa))
+        for vid, k in zip(H2.graph.ids, H2.graph.kappa):
+            assert k == before[vid] + step.kappa_deltas.get(vid, 0.0)
+
+
+def test_surgery_step_holds_no_operator():
+    assert {f.name for f in dataclasses.fields(SurgeryStep)} == {
+        "kind", "target", "alpha", "kappa_deltas", "removed_weight"}
 
 
 def test_remove_node_guards():
@@ -148,19 +173,18 @@ def _weyl_verdicts(H):
     out = []
     for e in spec.entries:
         for f in e.basis:
-            cert = certify(H, e.value, f)
             s, _band = sign_pattern(g, f)
             for i, j, _w in g.edges:
                 if s[i] == 0 or s[j] == 0:
                     continue
-                H2, step = remove_edge(H, cert, (g.ids[i], g.ids[j]))
+                H2, step = remove_edge(H, f, (g.ids[i], g.ids[j]))
                 by_count = verify_weyl_edge(spec, ForestCount(H2), step.alpha)
                 by_spec = verify_weyl_edge(spec, tree_spectrum(H2), step.alpha)
                 out.append(("edge", (e.value, g.ids[i], g.ids[j]),
                             (by_count.ok, by_count.checked),
                             (by_spec.ok, by_spec.checked)))
     for u in g.ids:
-        H2 = remove_node(H, u)
+        H2, _step = remove_node(H, u)
         by_count = verify_weyl_nodes(spec, ForestCount(H2), 1)
         by_spec = verify_weyl_nodes(spec, tree_spectrum(H2), 1)
         out.append(("node", (u,), (by_count.ok, by_count.checked),
@@ -191,7 +215,7 @@ def test_weyl_counts_keep_a_known_failure():
     failed = 0
     for e in spec.entries:
         for f in e.basis:
-            H2, step = remove_edge(H, certify(H, e.value, f), (4, 5))
+            H2, step = remove_edge(H, f, (4, 5))
             by_count = verify_weyl_edge(spec, ForestCount(H2), step.alpha)
             by_spec = verify_weyl_edge(spec, tree_spectrum(H2), step.alpha)
             assert (by_count.ok, by_count.checked) == (by_spec.ok, by_spec.checked)
@@ -209,7 +233,7 @@ def test_tree_spectrum_after_a_huge_compensation():
     H = Operator(gen_graph("tree", 13, random.Random(2), weighted=True), 3.7)
     spec = tree_eigenpairs(H)
     e = spec.find(1.3434, rel_tol=1e-4)
-    H2, step = remove_edge(H, certify(H, e.value, e.basis[0]), (8, 11))
+    H2, step = remove_edge(H, e.basis[0], (8, 11))
     assert step.alpha < -3e4
     after = tree_spectrum(H2)
     counter = ForestCount(H2)
@@ -224,10 +248,10 @@ def test_weyl_on_diamond_surgery():
     H = Operator(diamond_graph(), 2.0)
     before = p2_spectrum(H)
     f = VertexFunction([1.0, -1.0, 1.0, -1.0])
-    H2, step = remove_edge(H, certify(H, 4.0, f), (2, 4))
+    H2, step = remove_edge(H, f, (2, 4))
     rep = verify_weyl_edge(before, p2_spectrum(H2), step.alpha)
     assert rep.ok
-    H3 = remove_node(H, 2)
+    H3, _step = remove_node(H, 2)
     rep = verify_weyl_nodes(before, p2_spectrum(H3), 1)
     assert rep.ok
 
@@ -245,6 +269,17 @@ def test_reduce_to_nodal_union_diamond():
     assert km == {1: 2.0, 3: 2.0}
     kinds = [s.kind for s in rep.steps]
     assert kinds.count("node") == 2
+
+
+def test_reduce_to_nodal_union_records_node_compensations():
+    """Removing the zero vertices 2 and then 4 of the diamond moves their
+    edge weights onto the surviving neighbours, and the steps say so."""
+    H = Operator(diamond_graph(), 2.0)
+    cert = certify(H, 2.0, VertexFunction([1.0, 0.0, -1.0, 0.0]))
+    _H2, rep = reduce_to_nodal_union(H, cert)
+    nodes = [(s.target, s.kappa_deltas) for s in rep.steps if s.kind == "node"]
+    assert nodes == [((2,), {1: 1.0, 3: 1.0, 4: 1.0}),
+                     ((4,), {1: 1.0, 3: 1.0})]
 
 
 def test_reduce_to_nodal_union_tree_p3():
