@@ -424,6 +424,8 @@ def cmd_surgery(args) -> int:
         raise ValueError("nothing to do: give --remove-edge and/or --remove-node")
     if edges and func is None:
         raise ValueError("edge removal needs a function (--function or document)")
+    if args.lam is not None and func is None:
+        raise ValueError("--lambda needs a function (--function or document)")
 
     for u, v in edges:
         H, step = surgery_mod.remove_edge(H, func, (u, v))
@@ -442,7 +444,7 @@ def cmd_surgery(args) -> int:
             func = VertexFunction.from_mapping(H.graph, func.as_mapping(g))
         print(f"removed vertex {u!r}: {_moved(step)}", file=sys.stderr)
 
-    if func is not None and args.lam is not None:
+    if args.lam is not None:
         res = residual(H, func, args.lam)
         print(f"residual after surgery: {res:.3e}", file=sys.stderr)
     _emit(graph_document(H.graph, p=p, function=func))

@@ -131,6 +131,9 @@ class WeightedGraph:
             self._eu = np.empty(0, dtype=np.intp)
             self._ev = np.empty(0, dtype=np.intp)
             self._ew = np.empty(0, dtype=np.float64)
+        # the scatter plan of every per-vertex sum over edges: each vertex
+        # once, then the edge heads, then the edge tails, in edge order
+        self._plan = np.concatenate((np.arange(n), self._eu, self._ev))
 
     @classmethod
     def unit(cls, n: int, edges: Iterable) -> "WeightedGraph":
@@ -316,14 +319,32 @@ def _values_for(g: WeightedGraph, f: VertexFunction) -> np.ndarray:
     return f.values
 
 
-def _apply_values(H: Operator, x: np.ndarray) -> np.ndarray:
-    """(H x)(u) at every vertex, for a float64 array in the graph's order."""
+def _apply_values(H: Operator, x: np.ndarray, phix: np.ndarray | None = None,
+                  buf: np.ndarray | None = None) -> np.ndarray:
+    """(H x)(u) at every vertex, for a float64 array in the graph's order.
+
+    One ``bincount`` over the graph's scatter plan sums, at every vertex,
+    kappa phi(x) first and then its edge terms in edge order, heads before
+    tails. ``phix`` is phi(x) when the caller has it already; ``buf``, of
+    length n + 2m, holds the scattered terms when the caller reuses one.
+    """
     g = H.graph
-    d = _phi_arr(x[g._eu] - x[g._ev], H.p)
-    out = g.kappa * _phi_arr(x, H.p)
-    np.add.at(out, g._eu, g._ew * d)
-    np.add.at(out, g._ev, -(g._ew * d))
-    return out
+    n = g.n
+    mid = n + len(g._ew)
+    if phix is None:
+        phix = _phi_arr(x, H.p)
+    if buf is None:
+        buf = np.empty(len(g._plan))
+    np.multiply(g.kappa, phix, out=buf[:n])
+    np.multiply(g._ew, _phi_arr(x[g._eu] - x[g._ev], H.p), out=buf[n:mid])
+    np.negative(buf[n:mid], out=buf[mid:])
+    return np.bincount(g._plan, buf, n)
+
+
+def _edge_sums(g: WeightedGraph, t: np.ndarray) -> np.ndarray:
+    """sum_{v ~ u} t_uv at every vertex u for a per-edge array t, scattered
+    like the edge terms of ``_apply_values``: heads, then tails."""
+    return np.bincount(g._plan[g.n:], np.concatenate((t, t)), g.n)
 
 
 def apply(H: Operator, f: VertexFunction) -> VertexFunction:
@@ -337,14 +358,15 @@ def rayleigh(H: Operator, f: VertexFunction) -> float:
     x = _values_for(g, f)
     if not np.any(x):
         raise ValueError("Rayleigh quotient undefined for the zero function")
-    return _rayleigh_raw(g, H.p, x)
+    return _rayleigh_raw(g, H.p, x, np.abs(x) ** H.p)
 
 
-def _rayleigh_raw(g: WeightedGraph, p: float, x: np.ndarray) -> float:
-    absxp = np.abs(x) ** p
-    num = float(np.sum(g._ew * np.abs(x[g._eu] - x[g._ev]) ** p)
-                + np.sum(g.kappa * absxp))
-    den = float(np.sum(g.rho * absxp))
+def _rayleigh_raw(g: WeightedGraph, p: float, x: np.ndarray,
+                  absxp: np.ndarray) -> float:
+    """The quotient of x, given absxp = |x|^p."""
+    num = float(np.add.reduce(g._ew * np.abs(x[g._eu] - x[g._ev]) ** p)
+                + np.add.reduce(g.kappa * absxp))
+    den = float(np.add.reduce(g.rho * absxp))
     return num / den
 
 
@@ -426,9 +448,7 @@ def _vertex_bounds(H: Operator) -> np.ndarray:
     component, or a subtree with its parent edge absorbed, bounds its
     spectrum."""
     g = H.graph
-    deg = np.zeros(g.n)
-    np.add.at(deg, g._eu, g._ew)
-    np.add.at(deg, g._ev, g._ew)
+    deg = _edge_sums(g, g._ew)
     return (2.0 ** (H.p - 1.0)) * deg / g.rho + np.abs(g.kappa) / g.rho
 
 
@@ -453,8 +473,23 @@ def technical_R(alpha1: float, alpha2: float, beta1: float, beta2: float,
 
 
 def _defect(H: Operator, x: np.ndarray, lam: float) -> float:
+    phix = _phi_arr(x, H.p)
+    return float(np.maximum.reduce(
+        np.abs(_apply_values(H, x, phix) - lam * H.graph.rho * phix)))
+
+
+def _float_floor(H: Operator, x: np.ndarray) -> float:
+    """Predicted float64 floor of the eigen-equation defect at x:
+    max_u sum_{v ~ u} omega (p - 1) max(|x(u) - x(v)|, ulp)^(p - 2) ulp,
+    with ulp the spacing of floats at max|x|. It is what rounding every
+    entry of x by one ulp moves the edge terms by; at p < 2 it grows as
+    neighbouring values draw together."""
     g = H.graph
-    return float(np.max(np.abs(_apply_values(H, x) - lam * g.rho * _phi_arr(x, H.p))))
+    p = H.p
+    ulp = float(np.spacing(np.maximum.reduce(np.abs(x))))
+    gap = np.maximum(np.abs(x[g._eu] - x[g._ev]), ulp)
+    t = g._ew * (p - 1.0) * gap ** (p - 2.0) * ulp
+    return float(np.maximum.reduce(_edge_sums(g, t)))
 
 
 def _descend(H: Operator, x: np.ndarray, lam: float, tol: float,
@@ -465,6 +500,8 @@ def _descend(H: Operator, x: np.ndarray, lam: float, tol: float,
     improving, or the budget runs out."""
     g = H.graph
     p = H.p
+    inv_p = 1.0 / p
+    buf = np.empty(len(g._plan))
     step = 1.0
     res = math.inf
     best_res = math.inf
@@ -472,8 +509,9 @@ def _descend(H: Operator, x: np.ndarray, lam: float, tol: float,
     used = 0
     while used < budget:
         used += 1
-        grad = _apply_values(H, x) - lam * g.rho * _phi_arr(x, p)
-        res = float(np.max(np.abs(grad)))
+        phix = _phi_arr(x, p)
+        grad = _apply_values(H, x, phix, buf) - lam * g.rho * phix
+        res = float(np.maximum.reduce(np.abs(grad)))
         if res <= tol:
             break
         # the quotient flattens to float resolution long before the defect
@@ -491,10 +529,10 @@ def _descend(H: Operator, x: np.ndarray, lam: float, tol: float,
         s = step
         while s >= 1e-18:
             y = np.abs(x - s * grad)
-            ny = float(np.sum(y ** p)) ** (1.0 / p)
+            ny = float(np.add.reduce(y ** p)) ** inv_p
             if ny > 0.0:
                 y = y / ny
-                ly = _rayleigh_raw(g, p, y)
+                ly = _rayleigh_raw(g, p, y, y ** p)  # y >= 0: no abs
                 if ly <= lam + slack:  # non-increase; the quotient is scale-free
                     x, lam = y, ly
                     accepted = True
@@ -537,12 +575,13 @@ def _newton_polish(H: Operator, x: np.ndarray, lam: float,
         a[g._eu, g._ev] -= w  # no duplicate edges: each pair appears once
         a[g._ev, g._eu] -= w
         a *= p - 1.0
+        phix = _phi_arr(x, p)
         jac = np.zeros((n + 1, n + 1))
         jac[:n, :n] = a
-        jac[:n, n] = -g.rho * _phi_arr(x, p)
-        jac[n, :n] = _phi_arr(x, p)
+        jac[:n, n] = -g.rho * phix
+        jac[n, :n] = phix
         rhs = np.empty(n + 1)
-        rhs[:n] = _apply_values(H, x) - lam * g.rho * _phi_arr(x, p)
+        rhs[:n] = _apply_values(H, x, phix) - lam * g.rho * phix
         rhs[n] = (float(np.sum(absx ** p)) - 1.0) / p
         # near-tied neighbor values make the system stiff for p < 2;
         # symmetric equilibration plus iterative refinement keeps the
@@ -602,7 +641,7 @@ def first_eigenpair(H: Operator, tol: float = 1e-9) -> EigenpairCertificate:
     n = g.n
 
     x = np.full(n, n ** (-1.0 / p))  # unit p-norm, strictly positive
-    lam = _rayleigh_raw(g, p, x)
+    lam = _rayleigh_raw(g, p, x, np.abs(x) ** p)
     budget = MAX_DESCENT_STEPS
     res = math.inf
     for _round in range(3):
@@ -614,8 +653,13 @@ def first_eigenpair(H: Operator, tol: float = 1e-9) -> EigenpairCertificate:
         if res <= tol or budget <= 0:
             break
     if res > tol:
+        floor = _float_floor(H, x)
+        ratio = res / floor if floor > 0.0 else math.inf
         raise RuntimeError(
-            f"first_eigenpair stalled at defect {res:.3e} (tol {tol:.3e})")
+            f"first_eigenpair stalled at defect {res:.3e} (tol {tol:.3e}) "
+            f"after {MAX_DESCENT_STEPS - budget} of {MAX_DESCENT_STEPS} "
+            f"descent steps; float64 floor {floor:.3e} at the final iterate, "
+            f"defect/floor {ratio:.3g}")
 
     x = p_normalized(x, p)
     res = residual(H, VertexFunction(x), lam)

@@ -387,6 +387,13 @@ def test_surgery_verb_guards(tmp_path, capsys):
     assert main(["surgery", path, "--remove-node", "1"]) == EXIT_INPUT
     assert main(["surgery", path]) == EXIT_INPUT  # nothing to do
     assert main(["surgery", path, "--remove-edge", "1-2"]) == EXIT_INPUT
+    # --lambda reports a residual, so it needs a function to report on
+    bare = write_doc(tmp_path, diamond_doc(), "bare.json")
+    capsys.readouterr()
+    assert main(["surgery", bare, "--remove-node", "2",
+                 "--lambda", "2"]) == EXIT_INPUT
+    out = json.loads(capsys.readouterr().out)
+    assert out["exit_code"] == EXIT_INPUT and "--lambda" in out["error"]
     with pytest.raises(SystemExit) as exc:  # no tolerance to set
         main(["surgery", path, "--remove-node", "2", "--tol", "1e-6"])
     assert exc.value.code == EXIT_INPUT

@@ -11,10 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import certify, diamond_graph, diamond_pairs, random_connected_graph
+from conftest import (certify, diamond_graph, diamond_pairs, disjoint_union,
+                      random_connected_graph)
+from plap import core
+from plap.cli import gen_graph
 from plap.core import (
+    MAX_DESCENT_STEPS,
     P_MIN,
+    _apply_values,
     _newton_polish,
+    _phi_arr,
+    _vertex_bounds,
     BoundaryGraph,
     EigenpairCertificate,
     Operator,
@@ -158,6 +165,132 @@ def test_apply_edge_terms_cancel_in_total(seed, p):
     pot = sum(g.kappa[i] * phi(float(x[i]), p) for i in range(g.n))
     scale = float(np.sum(np.abs(out))) + 1.0
     assert abs(float(np.sum(out)) - pot) <= 1e-12 * scale
+
+
+# The operator kernel and the descent as first written, with np.add.at and
+# the np.sum / np.max wrappers. The lean kernel in plap.core does the same
+# float operations in the same order, so it must agree bit for bit.
+
+def _ref_phi(x, p):
+    return np.sign(x) * np.abs(x) ** (p - 1.0)
+
+
+def _ref_apply_values(H, x, *_reuse):
+    """(H x): kappa phi(x), then the edge heads, then the edge tails; it
+    recomputes what a caller passes for reuse."""
+    g = H.graph
+    d = _ref_phi(x[g._eu] - x[g._ev], H.p)
+    out = g.kappa * _ref_phi(x, H.p)
+    np.add.at(out, g._eu, g._ew * d)
+    np.add.at(out, g._ev, -(g._ew * d))
+    return out
+
+
+def _ref_rayleigh_raw(g, p, x, *_reuse):
+    absxp = np.abs(x) ** p
+    num = float(np.sum(g._ew * np.abs(x[g._eu] - x[g._ev]) ** p)
+                + np.sum(g.kappa * absxp))
+    den = float(np.sum(g.rho * absxp))
+    return num / den
+
+
+def _ref_descend(H, x, lam, tol, budget):
+    g = H.graph
+    p = H.p
+    step = 1.0
+    res = math.inf
+    best_res = math.inf
+    since_improved = 0
+    used = 0
+    while used < budget:
+        used += 1
+        grad = _ref_apply_values(H, x) - lam * g.rho * _ref_phi(x, p)
+        res = float(np.max(np.abs(grad)))
+        if res <= tol:
+            break
+        if res < 0.9999 * best_res:
+            best_res = res
+            since_improved = 0
+        else:
+            since_improved += 1
+            if since_improved > (3000 if res > 1e-6 else 400):
+                break
+        slack = 1e-14 * max(1.0, abs(lam))
+        accepted = False
+        s = step
+        while s >= 1e-18:
+            y = np.abs(x - s * grad)
+            ny = float(np.sum(y ** p)) ** (1.0 / p)
+            if ny > 0.0:
+                y = y / ny
+                ly = _ref_rayleigh_raw(g, p, y)
+                if ly <= lam + slack:
+                    x, lam = y, ly
+                    accepted = True
+                    break
+            s *= 0.5
+        if not accepted:
+            break
+        step = min(s * 2.0, 1e6)
+    return x, lam, res, used
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0, 3.0])
+def test_apply_values_matches_the_add_at_reference(p):
+    """Entrywise equal on 60 seeded graphs with signed potentials and an
+    isolated vertex, at vectors with zeros and ties; a stale scratch buffer
+    changes nothing. The spectral bound's degrees scatter the same way."""
+    rng = random.Random(1200)
+    lone = WeightedGraph([(0, 0.7, -0.4)], [])
+    for _ in range(60):
+        g = disjoint_union(random_connected_graph(rng, n=rng.randint(2, 12)),
+                           lone)
+        H = Operator(g, p)
+        x = np.array([rng.choice([0.0, 0.5, -1.0, rng.uniform(-2.0, 2.0)])
+                      for _ in range(g.n)])
+        want = _ref_apply_values(H, x)
+        stale = np.full(g.n + 2 * len(g.edges), np.nan)
+        for got in (_apply_values(H, x), apply(H, VertexFunction(x)).values,
+                    _apply_values(H, x, _phi_arr(x, p), stale)):
+            assert np.array_equal(got, want)
+        deg = np.zeros(g.n)
+        np.add.at(deg, g._eu, g._ew)
+        np.add.at(deg, g._ev, g._ew)
+        bounds = (2.0 ** (p - 1.0)) * deg / g.rho + np.abs(g.kappa) / g.rho
+        assert np.array_equal(_vertex_bounds(H), bounds)
+
+
+def _first_eigenpair_outcome(H):
+    try:
+        cert = first_eigenpair(H)
+    except RuntimeError as exc:
+        return str(exc)
+    return cert.eigenvalue, cert.function.values.tobytes(), cert.residual
+
+
+#: (kind, n, seed, p): fast converging graphs and cycles, and one stall
+_IDENTITY_CASES = [("graph", 4, 3, 1.2), ("graph", 5, 2, 1.2),
+                   ("cycle", 4, 1, 1.2), ("cycle", 6, 0, 1.2),
+                   ("graph", 6, 4, 1.2), ("graph", 8, 5, 3.0),
+                   ("graph", 6, 2, 3.0), ("cycle", 8, 5, 3.0),
+                   ("cycle", 6, 1, 3.0)]
+
+
+def test_first_eigenpair_matches_the_add_at_descent(monkeypatch):
+    """Eigenvalue, function bytes and residual, or the error text, are those
+    of the frozen descent and kernel, stall included."""
+    stalls = 0
+    for kind, n, seed, p in _IDENTITY_CASES:
+        H = Operator(gen_graph(kind, n, random.Random(seed), weighted=True), p)
+        got = _first_eigenpair_outcome(H)
+        with monkeypatch.context() as m:
+            m.setattr(core, "_apply_values", _ref_apply_values)
+            m.setattr(core, "_rayleigh_raw", _ref_rayleigh_raw)
+            m.setattr(core, "_descend", _ref_descend)
+            want = _first_eigenpair_outcome(H)
+        assert got == want, (kind, n, seed, p)
+        stalls += isinstance(got, str)
+    assert stalls == 1
 
 
 def test_rayleigh_known_values():
@@ -389,6 +522,19 @@ def test_first_eigenpair_matches_dense_route():
         cert = first_eigenpair(H, tol=1e-10)
         lo = p2_spectrum(H).flat()[0]
         assert abs(cert.eigenvalue - lo) <= 1e-8 * max(1.0, abs(lo))
+
+
+def test_first_eigenpair_stall_names_steps_and_floor():
+    """A stall still raises, and says how many descent steps it used and
+    how its defect compares with the float64 floor at the final iterate."""
+    g = gen_graph("graph", 6, random.Random(4), weighted=True)
+    with pytest.raises(RuntimeError) as exc:
+        first_eigenpair(Operator(g, 1.2))
+    text = str(exc.value)
+    assert text == (
+        "first_eigenpair stalled at defect 2.337e-07 (tol 1.000e-09) after "
+        f"17246 of {MAX_DESCENT_STEPS} descent steps; float64 floor "
+        "4.807e-07 at the final iterate, defect/floor 0.486")
 
 
 def test_first_eigenpair_input_guards():
