@@ -9,15 +9,17 @@ Verbs:
   gen        seeded example documents (tree | graph | path | star | cycle)
 
 Exit codes: 0 success, 2 bad input, 3 outside the implemented routes,
-4 violated invariant. stdout carries exactly one JSON document, for an
-error {"error": <message>, "exit_code": <code>}; everything else goes to
-stderr.
+4 violated invariant. stdout carries exactly one JSON document on one line,
+for an error {"error": <message>, "exit_code": <code>}; everything else
+goes to stderr. Exit code 1 means stdout was closed before the document was
+written (``plap ... | head``); then one line on stderr says so.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -30,6 +32,7 @@ from .core import (EigenpairCertificate, Operator, VertexFunction,
                    connected_components, is_forest, residual)
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_INPUT = 2
 EXIT_CAPABILITY = 3
 EXIT_VIOLATION = 4
@@ -169,8 +172,10 @@ def graph_document(g: WeightedGraph, p=None, function=None, boundary=None) -> di
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """The report as one compact JSON line, flushed so that a closed stdout
+    shows up here and not at interpreter exit."""
+    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    sys.stdout.flush()
 
 
 def _resolve_p(doc_p, arg_p) -> float:
@@ -500,7 +505,7 @@ class _Parser(argparse.ArgumentParser):
     parsers inherit this class."""
 
     def error(self, message):
-        _emit({"error": message, "exit_code": EXIT_INPUT})
+        _emit_error(message, EXIT_INPUT)
         super().error(message)
 
 
@@ -576,14 +581,36 @@ def build_parser() -> argparse.ArgumentParser:
 def _failed(code: int, what: str, exc: Exception) -> int:
     """Report an error: one line on stderr, one JSON document on stdout."""
     print(f"{what}: {exc}", file=sys.stderr)
-    _emit({"error": str(exc), "exit_code": code})
+    _emit_error(str(exc), code)
     return code
+
+
+def _emit_error(message: str, code: int):
+    """The error document; a closed stdout loses it and nothing else, since
+    the caller's stderr line says what went wrong."""
+    try:
+        _emit({"error": message, "exit_code": code})
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout():
+    """Point stdout at the null device after its reader went away, so that
+    no later write, nor the flush at exit, fails again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        _drop_stdout()
+        print("error: stdout was closed before the report was written",
+              file=sys.stderr)
+        return EXIT_STDOUT_CLOSED
     except CapabilityError as exc:
         return _failed(EXIT_CAPABILITY, "error", exc)
     except (ValueError, OSError, KeyError) as exc:

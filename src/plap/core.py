@@ -29,6 +29,10 @@ P_MIN = 1.0 + 1e-3
 #: Gradient steps ``first_eigenpair`` may spend over all its descent rounds.
 MAX_DESCENT_STEPS = 100_000
 
+#: The descent step of a round at which ``_descend`` first tries Newton's
+#: method on its iterate; it tries again at twice that step, and so on.
+_NEWTON_PROBE_STEP = 100
+
 VertexId = int | str
 
 
@@ -320,13 +324,15 @@ def _values_for(g: WeightedGraph, f: VertexFunction) -> np.ndarray:
 
 
 def _apply_values(H: Operator, x: np.ndarray, phix: np.ndarray | None = None,
-                  buf: np.ndarray | None = None) -> np.ndarray:
+                  buf: np.ndarray | None = None,
+                  dx: np.ndarray | None = None) -> np.ndarray:
     """(H x)(u) at every vertex, for a float64 array in the graph's order.
 
     One ``bincount`` over the graph's scatter plan sums, at every vertex,
     kappa phi(x) first and then its edge terms in edge order, heads before
-    tails. ``phix`` is phi(x) when the caller has it already; ``buf``, of
-    length n + 2m, holds the scattered terms when the caller reuses one.
+    tails. ``phix`` is phi(x) and ``dx`` the edge differences x[eu] - x[ev]
+    when the caller has them already; ``buf``, of length n + 2m, holds the
+    scattered terms when the caller reuses one.
     """
     g = H.graph
     n = g.n
@@ -335,8 +341,10 @@ def _apply_values(H: Operator, x: np.ndarray, phix: np.ndarray | None = None,
         phix = _phi_arr(x, H.p)
     if buf is None:
         buf = np.empty(len(g._plan))
+    if dx is None:
+        dx = x[g._eu] - x[g._ev]
     np.multiply(g.kappa, phix, out=buf[:n])
-    np.multiply(g._ew, _phi_arr(x[g._eu] - x[g._ev], H.p), out=buf[n:mid])
+    np.multiply(g._ew, _phi_arr(dx, H.p), out=buf[n:mid])
     np.negative(buf[n:mid], out=buf[mid:])
     return np.bincount(g._plan, buf, n)
 
@@ -362,9 +370,12 @@ def rayleigh(H: Operator, f: VertexFunction) -> float:
 
 
 def _rayleigh_raw(g: WeightedGraph, p: float, x: np.ndarray,
-                  absxp: np.ndarray) -> float:
-    """The quotient of x, given absxp = |x|^p."""
-    num = float(np.add.reduce(g._ew * np.abs(x[g._eu] - x[g._ev]) ** p)
+                  absxp: np.ndarray, dx: np.ndarray | None = None) -> float:
+    """The quotient of x, given absxp = |x|^p and, when the caller has
+    them, the edge differences dx = x[eu] - x[ev]."""
+    if dx is None:
+        dx = x[g._eu] - x[g._ev]
+    num = float(np.add.reduce(g._ew * np.abs(dx) ** p)
                 + np.add.reduce(g.kappa * absxp))
     den = float(np.add.reduce(g.rho * absxp))
     return num / den
@@ -497,7 +508,13 @@ def _descend(H: Operator, x: np.ndarray, lam: float, tol: float,
     """Projected gradient descent on the Rayleigh quotient; entrywise
     absolute values keep the iterate in the positive cone, backtracking
     enforces non-increase. Returns when the defect reaches tol, stops
-    improving, or the budget runs out."""
+    improving, or the budget runs out.
+
+    At steps ``_NEWTON_PROBE_STEP``, twice that, four times that, ... it
+    also probes: ``_newton_polish`` from the current iterate. A probe that
+    reaches tol with a strictly positive function returns that pair, which
+    then belongs to the first eigenvalue; any other probe is discarded and
+    leaves the descent as it was."""
     g = H.graph
     p = H.p
     inv_p = 1.0 / p
@@ -507,13 +524,22 @@ def _descend(H: Operator, x: np.ndarray, lam: float, tol: float,
     best_res = math.inf
     since_improved = 0
     used = 0
+    probe_at = _NEWTON_PROBE_STEP
+    dx = None  # x[eu] - x[ev], kept from the quotient of the accepted trial
     while used < budget:
         used += 1
         phix = _phi_arr(x, p)
-        grad = _apply_values(H, x, phix, buf) - lam * g.rho * phix
+        grad = _apply_values(H, x, phix, buf, dx) - lam * g.rho * phix
         res = float(np.maximum.reduce(np.abs(grad)))
         if res <= tol:
             break
+        if used == probe_at:
+            # Newton converges long before the descent's defect gets to tol:
+            # at p < 2 the descent often never does
+            probe_at *= 2
+            xn, ln, rn = _newton_polish(H, x, lam, tol)
+            if rn <= tol and np.min(xn) > 0.0:
+                return xn, ln, rn, used
         # the quotient flattens to float resolution long before the defect
         # does, so progress is tracked on the defect itself
         if res < 0.9999 * best_res:
@@ -532,9 +558,10 @@ def _descend(H: Operator, x: np.ndarray, lam: float, tol: float,
             ny = float(np.add.reduce(y ** p)) ** inv_p
             if ny > 0.0:
                 y = y / ny
-                ly = _rayleigh_raw(g, p, y, y ** p)  # y >= 0: no abs
+                dy = y[g._eu] - y[g._ev]
+                ly = _rayleigh_raw(g, p, y, y ** p, dy)  # y >= 0: no abs
                 if ly <= lam + slack:  # non-increase; the quotient is scale-free
-                    x, lam = y, ly
+                    x, lam, dx = y, ly, dy
                     accepted = True
                     break
             s *= 0.5
@@ -629,8 +656,13 @@ def first_eigenpair(H: Operator, tol: float = 1e-9) -> EigenpairCertificate:
     Projected gradient descent with entrywise absolute-value symmetrization
     (the quotient never increases under f -> |f|) and backtracking carries
     the iterate into the basin; a Newton polish on the eigen-system then
-    drives the defect below tol. Requires a connected graph; the returned
-    eigenfunction is strictly positive with unit p-norm.
+    drives the defect below tol. The descent tries that polish at steps
+    100, 200, 400, ... of each round and returns as soon as it gives a
+    strictly positive pair within tol, which belongs to the first
+    eigenvalue; a probe that misses changes nothing, so every stall and
+    its error text are those of the descent alone. Requires a connected
+    graph; the returned eigenfunction is strictly positive with unit
+    p-norm.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -21,6 +21,7 @@ from plap.cli import (
     EXIT_CAPABILITY,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_STDOUT_CLOSED,
     EXIT_VIOLATION,
     gen_graph,
     graph_document,
@@ -563,3 +564,29 @@ def test_python_m_plap_runs_the_cli():
     assert done.returncode == EXIT_OK, done.stderr
     doc = json.loads(done.stdout)
     assert len(doc["vertices"]) == 3 and len(doc["edges"]) == 2
+
+
+def test_closed_stdout_ends_without_a_traceback(tmp_path):
+    """A reader that closes stdout early (``plap ... | head``) costs the
+    report and nothing else: one line on stderr and no traceback. An error
+    keeps its own stderr line and exit code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    doc = graph_document(gen_graph("tree", 40, random.Random(1), True), p=3.0)
+    path = write_doc(tmp_path, doc)
+    runs = [(["spectrum", str(path), "--eigenbasis"], EXIT_STDOUT_CLOSED,
+             "error: stdout was closed before the report was written"),
+            (["spectrum", str(tmp_path / "missing.json")], EXIT_INPUT,
+             "error: [Errno 2] No such file or directory")]
+    for argv, code, line in runs:
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the first write
+        try:
+            done = subprocess.run([sys.executable, "-m", "plap", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == code, done.stderr
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+        assert done.stderr.startswith(line), done.stderr

@@ -168,8 +168,9 @@ def test_apply_edge_terms_cancel_in_total(seed, p):
 
 
 # The operator kernel and the descent as first written, with np.add.at and
-# the np.sum / np.max wrappers. The lean kernel in plap.core does the same
-# float operations in the same order, so it must agree bit for bit.
+# the np.sum / np.max wrappers, and the descent's Newton probes. The lean
+# kernel in plap.core does the same float operations in the same order, so
+# it must agree bit for bit.
 
 def _ref_phi(x, p):
     return np.sign(x) * np.abs(x) ** (p - 1.0)
@@ -202,12 +203,18 @@ def _ref_descend(H, x, lam, tol, budget):
     best_res = math.inf
     since_improved = 0
     used = 0
+    probe_at = 100
     while used < budget:
         used += 1
         grad = _ref_apply_values(H, x) - lam * g.rho * _ref_phi(x, p)
         res = float(np.max(np.abs(grad)))
         if res <= tol:
             break
+        if used == probe_at:
+            probe_at *= 2
+            xn, ln, rn = _newton_polish(H, x, lam, tol)
+            if rn <= tol and np.min(xn) > 0.0:
+                return xn, ln, rn, used
         if res < 0.9999 * best_res:
             best_res = res
             since_improved = 0
@@ -291,6 +298,63 @@ def test_first_eigenpair_matches_the_add_at_descent(monkeypatch):
         assert got == want, (kind, n, seed, p)
         stalls += isinstance(got, str)
     assert stalls == 1
+
+
+def _enclosure_width(H, cert):
+    """Half-width of the enclosure of lambda_1 that a positive certified pair
+    (lam, f) gives: lambda_1 lies between the least and the greatest ratio
+    (H f)(u) / (rho_u phi(f(u))) (Collatz-Wielandt, by Picone's identity
+    below and by the Rayleigh quotient of f above), and each ratio lies
+    within residual / (rho_u phi(f(u))) of lam."""
+    f = cert.function.values
+    return cert.residual / float(np.min(H.graph.rho * _phi_arr(f, H.p)))
+
+
+def test_newton_probes_change_no_verdict(monkeypatch):
+    """With and without the descent's Newton probes, a case that raises
+    raises the same text, and a case that converges converges to the same
+    first eigenvalue, within the enclosures both certificates give."""
+    cases = _IDENTITY_CASES + [(kind, 10, 0, p) for kind in ("graph", "cycle")
+                               for p in (1.2, 3.0)]
+    def outcome(H):
+        try:
+            return first_eigenpair(H)
+        except RuntimeError as exc:
+            return str(exc)
+
+    stalls = 0
+    for kind, n, seed, p in cases:
+        H = Operator(gen_graph(kind, n, random.Random(seed), weighted=True), p)
+        got = outcome(H)
+        with monkeypatch.context() as m:
+            m.setattr(core, "_NEWTON_PROBE_STEP", MAX_DESCENT_STEPS + 1)
+            want = outcome(H)
+        if isinstance(want, str):
+            assert got == want, (kind, n, seed, p)
+            stalls += 1
+            continue
+        gap = abs(got.eigenvalue - want.eigenvalue)
+        assert gap <= _enclosure_width(H, got) + _enclosure_width(H, want), (
+            kind, n, seed, p)
+    assert stalls == 2
+
+
+def test_newton_probe_ends_a_slow_descent(monkeypatch):
+    """A small graph at p = 1.2, on which the descent alone spends all
+    MAX_DESCENT_STEPS before its Newton polish converges, converges at a
+    probe within 200 steps."""
+    steps = []
+    descend = core._descend
+
+    def counted(*args):
+        out = descend(*args)
+        steps.append(out[3])
+        return out
+
+    monkeypatch.setattr(core, "_descend", counted)
+    g = gen_graph("graph", 5, random.Random(3), weighted=True)
+    cert = first_eigenpair(Operator(g, 1.2))
+    assert cert.valid and sum(steps) <= 200
 
 
 def test_rayleigh_known_values():
