@@ -5,11 +5,10 @@ route, nodal-domain counting with position bounds, and eigenpair-preserving
 graph surgery with interlacing checks.
 """
 
-from .core import (P_MIN, BoundaryGraph, EigenpairCertificate, Operator,
-                   VertexFunction, WeightedGraph, apply, connected_components,
-                   dirichlet_condense, first_eigenpair, induced_subgraph,
-                   is_forest, p_normalized, phi, phi_inv, rayleigh, residual,
-                   spectral_bound, technical_R)
+from .core import (P_MIN, EigenpairCertificate, Operator, VertexFunction,
+                   WeightedGraph, apply, connected_components, first_eigenpair,
+                   induced_subgraph, is_forest, p_normalized, phi, phi_inv,
+                   rayleigh, residual, spectral_bound, technical_R)
 from .nodal import (BoundReport, NodalReport, analyze, check_lower,
                     check_upper, is_bipartite, nodal_domains)
 from .oracle import (SymmetricMatrix, assemble_p2, eig_sym, p2_spectrum,
@@ -17,24 +16,21 @@ from .oracle import (SymmetricMatrix, assemble_p2, eig_sym, p2_spectrum,
 from .surgery import (CheckReport, ReductionReport, SurgeryStep,
                       reduce_to_forest, reduce_to_nodal_union, remove_edge,
                       remove_node, verify_weyl_edge, verify_weyl_nodes)
-from .treespec import (RootedTree, Spectrum, SpectrumEntry, eigenbasis, eval_g,
-                       forest_eigenbasis, node_zeros, subtree_operator,
-                       tree_eigenpairs, tree_spectrum)
+from .treespec import (RootedTree, Spectrum, SpectrumEntry, eigenbasis,
+                       forest_eigenbasis, tree_eigenpairs, tree_spectrum)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "P_MIN", "BoundaryGraph", "BoundReport", "CheckReport",
-    "EigenpairCertificate", "NodalReport", "Operator",
-    "ReductionReport", "RootedTree", "Spectrum", "SpectrumEntry",
-    "SurgeryStep", "SymmetricMatrix", "VertexFunction", "WeightedGraph",
-    "analyze", "apply", "assemble_p2", "check_lower", "check_upper",
-    "connected_components", "dirichlet_condense", "eig_sym", "eigenbasis",
-    "eval_g", "first_eigenpair", "forest_eigenbasis", "induced_subgraph",
-    "is_bipartite", "is_forest", "node_zeros", "nodal_domains",
-    "p2_spectrum", "p_normalized", "phi", "phi_inv", "rayleigh",
-    "reduce_to_forest", "reduce_to_nodal_union", "remove_edge", "remove_node",
-    "residual", "spectral_bound", "subtree_operator", "technical_R",
-    "tree_eigenpairs", "tree_spectrum", "variational_index",
-    "verify_weyl_edge", "verify_weyl_nodes",
+    "P_MIN", "BoundReport", "CheckReport", "EigenpairCertificate",
+    "NodalReport", "Operator", "ReductionReport", "RootedTree", "Spectrum",
+    "SpectrumEntry", "SurgeryStep", "SymmetricMatrix", "VertexFunction",
+    "WeightedGraph", "analyze", "apply", "assemble_p2", "check_lower",
+    "check_upper", "connected_components", "eig_sym", "eigenbasis",
+    "first_eigenpair", "forest_eigenbasis", "induced_subgraph",
+    "is_bipartite", "is_forest", "nodal_domains", "p2_spectrum",
+    "p_normalized", "phi", "phi_inv", "rayleigh", "reduce_to_forest",
+    "reduce_to_nodal_union", "remove_edge", "remove_node", "residual",
+    "spectral_bound", "technical_R", "tree_eigenpairs", "tree_spectrum",
+    "variational_index", "verify_weyl_edge", "verify_weyl_nodes",
 ]

@@ -154,7 +154,7 @@ def _function_json(keys: list, f: VertexFunction) -> dict:
     return {key: float(x[i]) for i, key in keys}
 
 
-def graph_document(g: WeightedGraph, p=None, function=None, boundary=None) -> dict:
+def graph_document(g: WeightedGraph, p=None, function=None) -> dict:
     """Canonical document for a graph: vertices and edges in sorted id order."""
     doc = {}
     if p is not None:
@@ -164,8 +164,6 @@ def graph_document(g: WeightedGraph, p=None, function=None, boundary=None) -> di
                         "kappa": float(g.kappa[i])} for i, _key in keys]
     doc["edges"] = [{"u": a, "v": b, "omega": float(w)}
                     for a, b, w in _canonical_edges(g)]
-    if boundary:
-        doc["boundary"] = sorted(boundary, key=_id_key)
     if function is not None:
         doc["function"] = _function_json(keys, function)
     return doc

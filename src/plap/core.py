@@ -286,37 +286,6 @@ class EigenpairCertificate:
         return self.residual <= self.tol
 
 
-@dataclass(frozen=True)
-class BoundaryGraph:
-    """A graph split into interior and boundary vertex sets.
-
-    Edges must join interior-interior or interior-boundary pairs; every
-    boundary vertex needs at least one interior neighbor.
-    """
-
-    graph: WeightedGraph
-    interior: frozenset
-    boundary: frozenset
-
-    def __post_init__(self):
-        interior = frozenset(self.interior)
-        boundary = frozenset(self.boundary)
-        object.__setattr__(self, "interior", interior)
-        object.__setattr__(self, "boundary", boundary)
-        g = self.graph
-        if interior & boundary:
-            raise ValueError("interior and boundary overlap")
-        if interior | boundary != set(g.ids):
-            raise ValueError("interior and boundary must cover all vertices")
-        for u, v, _ in g.edge_triples():
-            if u in boundary and v in boundary:
-                raise ValueError(f"edge ({u!r}, {v!r}) joins two boundary vertices")
-        for b in boundary:
-            nbrs = [g.ids[j] for j, _ in g.adj[g.index_of(b)]]
-            if not any(x in interior for x in nbrs):
-                raise ValueError(f"boundary vertex {b!r} has no interior neighbor")
-
-
 def _values_for(g: WeightedGraph, f: VertexFunction) -> np.ndarray:
     if len(f.values) != g.n:
         raise ValueError(f"function has {len(f.values)} entries, graph has {g.n}")
@@ -422,26 +391,6 @@ def residual(H: Operator, f: VertexFunction, lam: float) -> float:
     if not math.isfinite(r):
         raise ArithmeticError(f"eigen-equation defect is not finite: {r}")
     return r
-
-
-def dirichlet_condense(B: BoundaryGraph, p: float) -> Operator:
-    """Fold boundary edges of a zero-boundary problem into interior potentials.
-
-    Each interior vertex u gains sum of omega_uv over boundary neighbors v;
-    the result operates on the interior-induced subgraph. A function solving
-    the zero-boundary problem, restricted to the interior, is an eigenfunction
-    of the result with the same eigenvalue.
-    """
-    g = B.graph
-    if not B.interior:
-        raise ValueError("interior is empty")
-    if not B.boundary:
-        return Operator(g, p)
-    keep = [i for i, vid in enumerate(g.ids) if vid in B.interior]
-    delta = {}
-    for i in keep:
-        delta[i] = sum(w for j, w in g.adj[i] if g.ids[j] in B.boundary)
-    return Operator(induced_subgraph(g, keep, delta), p)
 
 
 def spectral_bound(H: Operator) -> float:

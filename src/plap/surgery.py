@@ -37,7 +37,6 @@ class SurgeryStep:
     target: tuple
     alpha: float | None
     kappa_deltas: dict
-    removed_weight: float | None
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,7 @@ def remove_edge(H: Operator, f: VertexFunction, e0) -> tuple[Operator, SurgerySt
              if {i, j} != {iu, iv}]
     H2 = Operator(WeightedGraph(vertices, edges), H.p)
     step = SurgeryStep(kind="edge", target=(u0, v0), alpha=alpha,
-                       kappa_deltas={u0: d_u, v0: d_v}, removed_weight=w)
+                       kappa_deltas={u0: d_u, v0: d_v})
     return H2, step
 
 
@@ -102,8 +101,7 @@ def remove_node(H: Operator, u0) -> tuple[Operator, SurgeryStep]:
     keep = [i for i in range(g.n) if i != iu]
     H2 = Operator(induced_subgraph(g, keep, delta), H.p)
     step = SurgeryStep(kind="node", target=(u0,), alpha=None,
-                       kappa_deltas={g.ids[j]: wj for j, wj in delta.items()},
-                       removed_weight=None)
+                       kappa_deltas={g.ids[j]: wj for j, wj in delta.items()})
     return H2, step
 
 

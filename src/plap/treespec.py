@@ -34,16 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Operator, VertexFunction, WeightedGraph, _defect,
-                   _newton_polish, _vertex_bounds, induced_subgraph,
-                   p_normalized, phi, phi_inv)
+                   _newton_polish, _vertex_bounds, p_normalized, phi, phi_inv)
 
 #: Two spectral values are considered equal when they differ by at most
 #: CLUSTER_REL * max(1, |value|).
 CLUSTER_REL = 1e-9
 
 #: Half-width, relative to max(1, |lam|), of the window whose sign changes
-#: give the vertices vanishing at an eigenvalue lam (and the poles eval_g
-#: reports).
+#: give the vertices vanishing at an eigenvalue lam.
 WINDOW_REL = 1e-10
 
 POLE = math.inf
@@ -116,13 +114,6 @@ class RootedTree:
         self._rho = graph.rho.tolist()
         self._kappa = graph.kappa.tolist()
 
-    def subtree_order(self, u: int) -> tuple:
-        """Dense indices of the subtree at u, children-first, ending at u."""
-        top_down = [u]
-        for w in top_down:
-            top_down.extend(self.children[w])
-        return tuple(reversed(top_down))
-
 
 def _eval_vertices(T: RootedTree, H: Operator, lam: float, order) -> dict:
     """g values for ``order`` (children-first); math.inf marks a pole hit.
@@ -174,15 +165,14 @@ def _negative(g: float) -> bool:
 
 
 def _count_below(T: RootedTree, H: Operator, x: float, order) -> int:
-    """#{eigenvalues < x} of the part of the forest that ``order`` spans
-    (children-first: components, or the subtree at a vertex with its parent
-    edge absorbed into the potential): one bottom-up pass."""
+    """#{eigenvalues < x} of the components that ``order`` spans
+    (children-first): one bottom-up pass."""
     return sum(map(_negative, _eval_vertices(T, H, x, order).values()))
 
 
 def _slice(T: RootedTree, H: Operator, order) -> list:
-    """(value, multiplicity) of every distinct eigenvalue of the part that
-    ``order`` spans (see `_count_below`), ascending, by bisection on the
+    """(value, multiplicity) of every distinct eigenvalue of the component
+    that ``order`` spans (children-first), ascending, by bisection on the
     eigenvalue count.
 
     The count must read 0 at -(bound + 1) and len(order) at +(bound + 1),
@@ -216,8 +206,8 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     return out
 
 
-def _window(T: RootedTree, H: Operator, lam: float, rel: float, order):
-    """Sign changes of g across W = lam -/+ rel * max(1, |lam|) on
+def _window(T: RootedTree, H: Operator, lam: float, order):
+    """Sign changes of g across W = lam -/+ WINDOW_REL * max(1, |lam|) on
     ``order`` (children-first): (z, count jump).
 
     With s_u = [g_u < 0 right of W] - [g_u < 0 left of W], the count jump
@@ -225,7 +215,7 @@ def _window(T: RootedTree, H: Operator, lam: float, rel: float, order):
     z_c >= 1]. A vertex whose g vanishes in W has z_u >= 1; a child's zero
     in W is a pole of g_u, whose s_u = -1 the child's z cancels.
     """
-    d = rel * max(1.0, abs(lam))
+    d = WINDOW_REL * max(1.0, abs(lam))
     left = _eval_vertices(T, H, lam - d, order)
     right = _eval_vertices(T, H, lam + d, order)
     z = {}
@@ -235,55 +225,6 @@ def _window(T: RootedTree, H: Operator, lam: float, rel: float, order):
         jump += s
         z[u] = s + any(z[c] >= 1 for c in T.children[u])
     return z, jump
-
-
-def eval_g(T: RootedTree, H: Operator, u, lam: float) -> float:
-    """Value of g at vertex ``u``; math.inf when lam lies within the
-    WINDOW_REL window of a pole, that is of a zero of one of u's children."""
-    iu = T.graph.index_of(u)
-    order = T.subtree_order(iu)
-    z, _jump = _window(T, H, lam, WINDOW_REL, order)
-    if any(z[c] >= 1 for c in T.children[iu]):
-        return POLE
-    return _eval_vertices(T, H, lam, order)[iu]
-
-
-def node_zeros(T: RootedTree, H: Operator, u) -> list[float]:
-    """All zeros of g at vertex ``u``, ascending: the eigenvalues of
-    ``subtree_operator(H, T, u)`` at which g_u vanishes (at the others it
-    has a pole).
-
-    The subtree is sliced in place. Its count agrees with that of the
-    subtree operator rooted at u: in both, g_u < 0 exactly when
-    kappa_u - rho_u lam plus the children's terms is below -omega_{u,parent}
-    (below 0 when u is a root).
-    """
-    if T.graph is not H.graph:
-        raise ValueError("tree and operator must share one graph")
-    iu = T.graph.index_of(u)
-    order = T.subtree_order(iu)
-    return [value for value, _mult in _slice(T, H, order)
-            if _window(T, H, value, WINDOW_REL, order)[0][iu] >= 1]
-
-
-def subtree_operator(H: Operator, T: RootedTree, u, drop_root: bool = False) -> Operator:
-    """Operator on the subtree at ``u``: the severed parent edge weight is
-    absorbed into u's potential; with ``drop_root`` the subtree root itself
-    is removed too and its children absorb their edge weights."""
-    if T.graph is not H.graph:
-        raise ValueError("tree and operator must share one graph")
-    iu = T.graph.index_of(u)
-    order = T.subtree_order(iu)
-    if not drop_root:
-        delta = {}
-        if T.parent[iu] != -1:
-            delta[iu] = T.parent_w[iu]
-        return Operator(induced_subgraph(T.graph, order, delta), H.p)
-    keep = [w for w in order if w != iu]
-    if not keep:
-        raise ValueError("dropping the root of a single-vertex subtree leaves nothing")
-    delta = {v: T.parent_w[v] for v in T.children[iu]}
-    return Operator(induced_subgraph(T.graph, keep, delta), H.p)
 
 
 @dataclass(frozen=True)
@@ -430,7 +371,7 @@ def _component_basis(H: Operator, T: RootedTree, lam: float,
     g = T.graph
     p = H.p
     n = g.n
-    z, jump = _window(T, H, lam, WINDOW_REL, order)
+    z, jump = _window(T, H, lam, order)
     if jump == 0:
         return []
     Z = {u for u in order

@@ -79,9 +79,9 @@ def copy_forest(rng, copies):
 
 
 def count_slices(monkeypatch):
-    """List that grows by the number of vertices sliced (a component or a
-    subtree) at every call of the slicing routine, ``treespec._slice``,
-    while ``monkeypatch`` is active."""
+    """List that grows by the number of vertices sliced (one component) at
+    every call of the slicing routine, ``treespec._slice``, while
+    ``monkeypatch`` is active."""
     sliced = []
     inner = treespec._slice
 

@@ -1,6 +1,6 @@
 """Core behavior: the odd power map, graph validation, operator
-application, Rayleigh quotients, residuals, Dirichlet condensation, the
-sign gadget and the smallest eigenpair."""
+application, Rayleigh quotients, residuals, the sign gadget and the
+smallest eigenpair."""
 
 import math
 import random
@@ -22,14 +22,12 @@ from plap.core import (
     _newton_polish,
     _phi_arr,
     _vertex_bounds,
-    BoundaryGraph,
     EigenpairCertificate,
     Operator,
     VertexFunction,
     WeightedGraph,
     apply,
     connected_components,
-    dirichlet_condense,
     first_eigenpair,
     induced_subgraph,
     is_forest,
@@ -471,53 +469,6 @@ def test_certificate_validity():
     assert good.valid
     bad = certify(H, 2.1, f, tol=1e-10)
     assert not bad.valid
-
-
-def test_boundary_graph_validation():
-    g = WeightedGraph.unit(3, [(0, 1), (1, 2)])
-    B = BoundaryGraph(g, interior={1}, boundary={0, 2})
-    assert B.interior == {1}
-    with pytest.raises(ValueError):
-        BoundaryGraph(g, interior={0, 1}, boundary={1, 2})  # overlap
-    with pytest.raises(ValueError):
-        BoundaryGraph(g, interior={1}, boundary={0})  # vertex 2 uncovered
-    with pytest.raises(ValueError):
-        BoundaryGraph(g, interior={2}, boundary={0, 1})  # (0,1) inside boundary
-    lonely = WeightedGraph.unit(2, [])
-    with pytest.raises(ValueError):
-        BoundaryGraph(lonely, interior={0}, boundary={1})  # no interior neighbor
-
-
-def test_dirichlet_condense_absorbs_boundary():
-    g = WeightedGraph([(0, 1.0, 0.0), (1, 2.0, 0.25), (2, 1.0, 0.0)],
-                      [(0, 1, 2.0), (1, 2, 3.0)])
-    B = BoundaryGraph(g, interior={1}, boundary={0, 2})
-    for p in (1.5, 2.0, 3.0):
-        D = dirichlet_condense(B, p)
-        assert D.graph.ids == (1,)
-        assert D.graph.kappa[0] == 0.25 + 2.0 + 3.0
-        assert D.graph.edges == ()
-        assert D.graph.rho[0] == 2.0
-
-
-@pytest.mark.parametrize("p", [1.5, 3.0])
-def test_dirichlet_eigen_extension(p):
-    """A condensed eigenpair, extended by zero to the boundary, satisfies
-    the eigen-equation at every interior vertex of the original graph."""
-    g = WeightedGraph([(0, 1.0, 0.1), (1, 1.5, -0.2), (2, 1.0, 0.0),
-                       (3, 2.0, 0.3), (4, 1.0, 0.0)],
-                      [(0, 1, 1.0), (1, 2, 2.0), (1, 3, 0.5), (3, 4, 1.5)])
-    B = BoundaryGraph(g, interior={1, 3}, boundary={0, 2, 4})
-    D = dirichlet_condense(B, p)
-    cert = first_eigenpair(D, tol=1e-11)
-    fmap = {vid: 0.0 for vid in g.ids}
-    fmap.update(cert.function.as_mapping(D.graph))
-    f = VertexFunction.from_mapping(g, fmap)
-    out = apply(Operator(g, p), f).values
-    for vid in (1, 3):
-        i = g.index_of(vid)
-        want = cert.eigenvalue * g.rho[i] * phi(float(f.values[i]), p)
-        assert math.isclose(out[i], want, rel_tol=1e-7, abs_tol=1e-9)
 
 
 def test_spectral_bound_values():

@@ -48,7 +48,6 @@ def test_remove_edge_alternating_pair(p):
     H2, step = remove_edge(H, f, (2, 4))
     assert step.kind == "edge"
     assert step.alpha == 1.0
-    assert step.removed_weight == 1.0
     assert step.kappa_deltas == {2: 0.0, 4: 0.0}
     assert len(H2.graph.edges) == 4
     assert not H2.graph.has_edge(2, 4)
@@ -107,8 +106,7 @@ def test_remove_node_step_records_the_compensation():
         H = Operator(g, rng.choice([1.5, 2.0, 3.0]))
         u = rng.choice(g.ids)
         H2, step = remove_node(H, u)
-        assert (step.kind, step.target, step.alpha, step.removed_weight) == (
-            "node", (u,), None, None)
+        assert (step.kind, step.target, step.alpha) == ("node", (u,), None)
         iu = g.index_of(u)
         assert step.kappa_deltas == {g.ids[j]: w for j, w in g.adj[iu]}
         before = dict(zip(g.ids, g.kappa))
@@ -118,7 +116,7 @@ def test_remove_node_step_records_the_compensation():
 
 def test_surgery_step_holds_no_operator():
     assert {f.name for f in dataclasses.fields(SurgeryStep)} == {
-        "kind", "target", "alpha", "kappa_deltas", "removed_weight"}
+        "kind", "target", "alpha", "kappa_deltas"}
 
 
 def test_remove_node_guards():

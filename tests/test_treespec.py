@@ -21,10 +21,7 @@ from plap.treespec import (
     SpectrumEntry,
     cluster_tagged,
     eigenbasis,
-    eval_g,
     forest_eigenbasis,
-    node_zeros,
-    subtree_operator,
     tree_eigenpairs,
     tree_spectrum,
 )
@@ -179,7 +176,7 @@ def test_forest_questions_build_no_subgraph(monkeypatch):
         raise AssertionError("induced_subgraph called")
 
     monkeypatch.setattr(core, "induced_subgraph", cut)
-    monkeypatch.setattr(treespec, "induced_subgraph", cut)
+    assert not hasattr(treespec, "induced_subgraph")
     assert not hasattr(treespec, "connected_components")
     for p in (1.5, 2.0, 3.0):
         H = Operator(THREE_TREES, p)
@@ -210,64 +207,24 @@ def test_forest_bases_live_on_one_component():
                     assert residual(H, f, e.value) < 1e-8
 
 
-def test_node_zeros_at_a_forest_vertex(monkeypatch):
-    """node_zeros slices the subtree in place inside a forest rooting; it
-    agrees with the spectrum of the cut-out subtree operator."""
-    T = RootedTree(THREE_TREES)
-    for p in (2.0, 3.0):
-        H = Operator(THREE_TREES, p)
-        for u in (4, 1, 6, 8):
-            want = tree_spectrum(subtree_operator(H, T, u)).flat()
-            sliced = count_slices(monkeypatch)
-            zs = node_zeros(T, H, u)
-            monkeypatch.undo()
-            assert sliced == [len(T.subtree_order(u))]
-            assert np.allclose(zs, want, atol=1e-9 * max(1.0, max(map(abs, want))))
-
-
-def test_node_zeros_equal_subtree_spectrum():
-    """The zeros of g_u are the spectrum of the subtree at u with the
-    parent edge absorbed into the potential."""
+def test_eval_vertices_values_and_poles():
+    """The g recursion on the unit path 0-1-2 rooted at 0, at p = 2."""
     g = WeightedGraph.unit(3, [(0, 1), (1, 2)])
     H = Operator(g, 2.0)
     T = RootedTree(g, 0)
-    assert np.allclose(node_zeros(T, H, 0), [0.0, 1.0, 3.0], atol=1e-9)
-    assert np.allclose(node_zeros(T, H, 2), [1.0], atol=1e-9)
-    sub = subtree_operator(H, T, 1)
-    assert float(sub.graph.kappa[sub.graph.index_of(1)]) == 1.0
-    assert np.allclose(node_zeros(T, H, 1), tree_spectrum(sub).flat(),
-                       atol=1e-9)
 
-    rng = random.Random(4)
-    for _ in range(5):
-        t = random_tree(rng, n=rng.randint(3, 8))
-        H = Operator(t, 2.0)
-        T = RootedTree(t, 0)
-        u = rng.choice([v for v in range(t.n) if T.parent[v] != -1])
-        zs = node_zeros(T, H, u)
-        want = tree_spectrum(subtree_operator(H, T, u)).flat()
-        assert np.allclose(zs, want, atol=1e-8 * max(1.0, max(map(abs, want))))
+    def gvals(lam):
+        return treespec._eval_vertices(T, H, lam, T.order)
 
-
-def test_subtree_operator_drop_root():
-    g = WeightedGraph.unit(3, [(0, 1), (1, 2)])
-    H = Operator(g, 2.0)
-    T = RootedTree(g, 0)
-    sub = subtree_operator(H, T, 1, drop_root=True)
-    assert sub.graph.ids == (2,)
-    assert float(sub.graph.kappa[0]) == 1.0  # edge to the dropped root
-
-
-def test_eval_g_values_and_poles():
-    g = WeightedGraph.unit(3, [(0, 1), (1, 2)])
-    H = Operator(g, 2.0)
-    T = RootedTree(g, 0)
     # a unit leaf at p = 2 has g(lam) = 1 - lam
-    assert eval_g(T, H, 2, 0.25) == 0.75
-    # the leaf's zero is the parent's pole
-    assert eval_g(T, H, 1, 1.0) == math.inf
+    assert gvals(0.25)[2] == 0.75
+    # the leaf's zero is the parent's pole, which washes out at the root
+    at_one = gvals(1.0)
+    assert at_one[2] == 0.0
+    assert at_one[1] == treespec.POLE
+    assert math.isfinite(at_one[0])
     # g decreases between consecutive poles
-    assert eval_g(T, H, 1, 0.5) > eval_g(T, H, 1, 0.9)
+    assert gvals(0.5)[1] > gvals(0.9)[1]
 
 
 def test_tree_spectrum_frozen_cases():
