@@ -22,6 +22,11 @@ vertices with g_u(x) < 0 is the number of eigenvalues below x
 (`ForestCount`). Spectra come from bisecting intervals on that count
 (`_slice`); the vanishing vertices behind an eigenvalue come from the sign
 changes of the g values across a narrow window around it (`_window`).
+
+One count is one pass of `_eval_vertices` over a component's plan, built
+once per rooting: the leaves first, then the inner vertices children-first.
+The pass writes every g value into a list indexed by vertex and counts the
+negative ones as it goes.
 """
 
 from __future__ import annotations
@@ -80,6 +85,12 @@ class RootedTree:
     order per component (``components``, ordered by smallest vertex) and
     their concatenation (``order``). The spectral output downstream does not
     depend on the roots.
+
+    ``plans`` maps each component's order, in the order of ``components``,
+    to what one evaluation of g walks (`_eval_vertices`): the leaves, each
+    as (u, kappa_u, rho_u, is_root, parent weight), then the inner vertices
+    children-first, each as the same five fields plus its (child,
+    omega_child) pairs. A root's parent weight is the virtual edge's 1.0.
     """
 
     def __init__(self, graph: WeightedGraph, root=None):
@@ -111,63 +122,90 @@ class RootedTree:
         self.children = tuple(tuple(c) for c in children)
         self.components = tuple(components)
         self.order = tuple(u for comp in components for u in comp)
-        self._rho = graph.rho.tolist()
-        self._kappa = graph.kappa.tolist()
+        rho = graph.rho.tolist()
+        kappa = graph.kappa.tolist()
+        self.plans = {}
+        for comp in self.components:
+            leaves, inner = [], []
+            for u in comp:
+                root = parent[u] == -1
+                head = (u, kappa[u], rho[u], root, 1.0 if root else parent_w[u])
+                if children[u]:
+                    inner.append((*head, tuple((v, parent_w[v])
+                                               for v in children[u])))
+                else:
+                    leaves.append(head)
+            self.plans[comp] = (tuple(leaves), tuple(inner))
 
 
-def _eval_vertices(T: RootedTree, H: Operator, lam: float, order) -> dict:
-    """g values for ``order`` (children-first); math.inf marks a pole hit.
+def _eval_vertices(H: Operator, lam: float, plan, vals: list) -> int:
+    """One pass of the g recursion over ``plan`` (a `RootedTree.plans`
+    value): writes g_u(lam) into ``vals[u]`` for every vertex u it covers
+    and returns how many of those values `_negative` marks, which is the
+    number of eigenvalues below lam of the component.
 
     An exact zero at a child turns the parent's value into the pole marker;
     at a grandparent the marker washes out through 1 - 1/inf = 1, matching
     the removable singularity of the underlying rational-like function.
+    phi(t) and phi_inv(a) branch on the sign of their argument x and compute
+    x ** e or -((-x) ** e), the floats of copysign(abs(x) ** e, x); a NaN
+    takes the negative branch.
     """
-    p = H.p
-    pm1 = p - 1.0
+    pm1 = H.p - 1.0
     pinv = 1.0 / pm1
-    rho = T._rho
-    kappa = T._kappa
-    children = T.children
-    parent = T.parent
-    parent_w = T.parent_w
-    out = {}
-    for u in order:
-        acc = kappa[u] - rho[u] * lam
-        if parent[u] == -1:
+    leaves, inner = plan
+    neg = 0
+    for u, kappa, rho, root, w_par in leaves:
+        acc = kappa - rho * lam
+        if root:
             acc -= 1.0
-            w_par = 1.0
+        a = acc / w_par
+        if a > 0.0:
+            g = 1.0 + a ** pinv
+            if g == POLE:  # a = +inf: _negative counts it like the marker
+                neg += 1
+        elif a == 0.0:
+            g = 1.0
         else:
-            w_par = parent_w[u]
-        hit_pole = False
-        for v in children[u]:
-            gv = out[v]
+            g = 1.0 - (-a) ** pinv
+            if g < 0.0:
+                neg += 1
+        vals[u] = g
+    for u, kappa, rho, root, w_par, kids in inner:
+        acc = kappa - rho * lam
+        if root:
+            acc -= 1.0
+        for v, w in kids:
+            gv = vals[v]
             if gv == 0.0:
-                hit_pole = True
+                vals[u] = POLE
+                neg += 1
                 break
             t = 1.0 - 1.0 / gv
-            if t != 0.0:
-                acc += parent_w[v] * math.copysign(abs(t) ** pm1, t)
-        if hit_pole:
-            out[u] = POLE
-            continue
-        a = acc / w_par
-        if a == 0.0:
-            out[u] = 1.0
-        else:
-            out[u] = 1.0 + math.copysign(abs(a) ** pinv, a)
-    return out
+            if t > 0.0:
+                acc += w * t ** pm1
+            elif t != 0.0:
+                acc -= w * (-t) ** pm1
+        else:  # no pole: phi_inv as for a leaf, written out to save a call
+            a = acc / w_par
+            if a > 0.0:
+                g = 1.0 + a ** pinv
+                if g == POLE:
+                    neg += 1
+            elif a == 0.0:
+                g = 1.0
+            else:
+                g = 1.0 - (-a) ** pinv
+                if g < 0.0:
+                    neg += 1
+            vals[u] = g
+    return neg
 
 
 def _negative(g: float) -> bool:
     """Whether a g value counts as negative: the pole marker does, since
     only an exact child zero produces it and the count takes left limits."""
     return g < 0.0 or g == POLE
-
-
-def _count_below(T: RootedTree, H: Operator, x: float, order) -> int:
-    """#{eigenvalues < x} of the components that ``order`` spans
-    (children-first): one bottom-up pass."""
-    return sum(map(_negative, _eval_vertices(T, H, x, order).values()))
 
 
 def _slice(T: RootedTree, H: Operator, order) -> list:
@@ -183,8 +221,11 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     a huge potential can push the bound to 1e12 and beyond.
     """
     n = len(order)
+    plan = T.plans[order]
+    vals = [0.0] * T.graph.n
     hi = float(np.max(_vertex_bounds(H)[list(order)])) + 1.0
-    c_lo, c_hi = _count_below(T, H, -hi, order), _count_below(T, H, hi, order)
+    c_lo = _eval_vertices(H, -hi, plan, vals)
+    c_hi = _eval_vertices(H, hi, plan, vals)
     if (c_lo, c_hi) != (0, n):
         raise AssertionError(
             f"eigenvalue counts {c_lo} and {c_hi} at -/+{hi:.6g}, not 0 and {n}")
@@ -196,7 +237,7 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
         if b - a <= 1e-13 * max(1.0, min(abs(a), abs(b))) or not a < mid < b:
             out.append((mid, cb - ca))
             continue
-        cm = _count_below(T, H, mid, order)
+        cm = _eval_vertices(H, mid, plan, vals)
         if not ca <= cm <= cb:
             raise AssertionError(f"eigenvalue count not monotone near {mid!r}")
         if cb > cm:
@@ -206,23 +247,25 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     return out
 
 
-def _window(T: RootedTree, H: Operator, lam: float, order):
+def _window(T: RootedTree, H: Operator, lam: float, order, left: list,
+            right: list):
     """Sign changes of g across W = lam -/+ WINDOW_REL * max(1, |lam|) on
-    ``order`` (children-first): (z, count jump).
+    ``order`` (children-first): (z, count jump). The g values at the two
+    ends of W go into ``left`` and ``right``.
 
     With s_u = [g_u < 0 right of W] - [g_u < 0 left of W], the count jump
-    is the sum of s_u and, children first, z_u = s_u + [some child c has
-    z_c >= 1]. A vertex whose g vanishes in W has z_u >= 1; a child's zero
-    in W is a pole of g_u, whose s_u = -1 the child's z cancels.
+    is the sum of s_u, the right count minus the left one, and, children
+    first, z_u = s_u + [some child c has z_c >= 1]. A vertex whose g
+    vanishes in W has z_u >= 1; a child's zero in W is a pole of g_u, whose
+    s_u = -1 the child's z cancels.
     """
     d = WINDOW_REL * max(1.0, abs(lam))
-    left = _eval_vertices(T, H, lam - d, order)
-    right = _eval_vertices(T, H, lam + d, order)
+    plan = T.plans[order]
+    jump = -_eval_vertices(H, lam - d, plan, left)
+    jump += _eval_vertices(H, lam + d, plan, right)
     z = {}
-    jump = 0
     for u in order:
         s = _negative(right[u]) - _negative(left[u])
-        jump += s
         z[u] = s + any(z[c] >= 1 for c in T.children[u])
     return z, jump
 
@@ -289,7 +332,8 @@ class ForestCount:
     is Sylvester inertia (Jacobs & Trevisan, "Locating the eigenvalues of
     trees", Linear Algebra Appl. 434, 2011); at other p the tests check it
     against closed forms and against first eigenvalues found by descent.
-    One count is one bottom-up pass over the forest.
+    One count is one pass of `_eval_vertices` over each component: leaves
+    first, then inner vertices children-first, counting as it goes.
     """
 
     def __init__(self, H: Operator):
@@ -307,7 +351,9 @@ class ForestCount:
         one ulp above an eigenvalue a leaf's value can round to exactly 0.0
         and the count then still reads the one below.
         """
-        return _count_below(self._T, self._H, x, self._T.order)
+        vals = [0.0] * self.total
+        return sum(_eval_vertices(self._H, x, plan, vals)
+                   for plan in self._T.plans.values())
 
 
 def _sliced(T: RootedTree, H: Operator) -> list:
@@ -357,21 +403,26 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
     if T.graph is not H.graph:
         raise ValueError("tree and operator must share one graph")
     lam = float(lam)
+    # g values at lam and at the window's two ends, reused by every
+    # component: a pass writes all of its own component's entries
+    scratch = tuple([0.0] * T.graph.n for _ in range(3))
     out = [f for order in T.components
-           for f in _component_basis(H, T, lam, order)]
+           for f in _component_basis(H, T, lam, order, scratch)]
     if not out:
         raise ValueError(f"{lam} is not an eigenvalue of this forest")
     return out
 
 
-def _component_basis(H: Operator, T: RootedTree, lam: float,
-                     order) -> list[VertexFunction]:
+def _component_basis(H: Operator, T: RootedTree, lam: float, order,
+                     scratch) -> list[VertexFunction]:
     """`eigenbasis` on the component that ``order`` spans; empty when lam
-    is not one of its eigenvalues."""
+    is not one of its eigenvalues. ``scratch`` holds three lists indexed
+    by vertex, which receive g values."""
     g = T.graph
     p = H.p
     n = g.n
-    z, jump = _window(T, H, lam, order)
+    left, right, gvals = scratch
+    z, jump = _window(T, H, lam, order, left, right)
     if jump == 0:
         return []
     Z = {u for u in order
@@ -383,7 +434,7 @@ def _component_basis(H: Operator, T: RootedTree, lam: float,
             f"{k} vanishing vertices and {h} parents at {lam!r}, but the "
             f"eigenvalue count rises by {jump} across the window")
 
-    gvals = _eval_vertices(T, H, lam, order)
+    _eval_vertices(H, lam, T.plans[order], gvals)
 
     # every vertex of Z tops its own piece of the tree minus the removed
     # parents; gen maps each kept vertex to its piece's generator, if any

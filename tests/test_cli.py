@@ -324,6 +324,19 @@ def test_check_all_runs_clean(tmp_path, capsys):
     assert out["all_pass"] is True
 
 
+def test_check_all_passes_on_a_weighted_path_at_p_1_2(tmp_path, capsys):
+    """gen path 9 --seed 1 --weighted at p = 1.2, which once failed
+    nodal-upper at lambda ~ 3.559. A path is the deepest case of the
+    eigenvalue count, and every check on it passes."""
+    doc = graph_document(gen_graph("path", 9, random.Random(1), weighted=True))
+    path = write_doc(tmp_path, doc)
+    assert main(["check", path, "--all", "--p", "1.2"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert out["all_pass"] is True
+    assert {row["name"] for row in out["checks"]} >= {
+        "nodal-upper", "eigenvalue-floor", "weyl-edge"}
+
+
 def test_surgery_verb_chord_removal(tmp_path, capsys):
     f = {"1": 1.0, "2": -1.0, "3": 1.0, "4": -1.0}
     path = write_doc(tmp_path, diamond_doc(function=f))

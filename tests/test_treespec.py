@@ -214,7 +214,9 @@ def test_eval_vertices_values_and_poles():
     T = RootedTree(g, 0)
 
     def gvals(lam):
-        return treespec._eval_vertices(T, H, lam, T.order)
+        vals = [0.0] * g.n
+        treespec._eval_vertices(H, lam, T.plans[T.order], vals)
+        return vals
 
     # a unit leaf at p = 2 has g(lam) = 1 - lam
     assert gvals(0.25)[2] == 0.75
@@ -225,6 +227,59 @@ def test_eval_vertices_values_and_poles():
     assert math.isfinite(at_one[0])
     # g decreases between consecutive poles
     assert gvals(0.5)[1] > gvals(0.9)[1]
+
+
+def test_eval_vertices_leaves_first_poles_and_roots():
+    """The unit star K1,3 beside an isolated vertex, at p = 2: the plan
+    lists the leaves before the centre, whose children keep their order.
+    At lambda = 1 every leaf reads exactly 0.0 and the centre the pole
+    marker, and the isolated vertex, a leaf that is also a root, takes the
+    root's -1 and unit parent weight."""
+    g = WeightedGraph.unit(5, [(0, 1), (0, 2), (0, 3)])
+    H = Operator(g, 2.0)
+    T = RootedTree(g)
+    star, single = T.components
+    leaves, inner = T.plans[star]
+    assert sorted(u for u, *_ in leaves) == [1, 2, 3]
+    assert [(u, root, w, kids) for u, _k, _r, root, w, kids in inner] == [
+        (0, True, 1.0, tuple((v, 1.0) for v in T.children[0]))]
+    assert T.plans[single] == (((4, 0.0, 1.0, True, 1.0),), ())
+    vals = [0.0] * g.n
+    assert treespec._eval_vertices(H, 1.0, T.plans[star], vals) == 1
+    assert vals[:4] == [treespec.POLE, 0.0, 0.0, 0.0]
+    assert treespec._eval_vertices(H, 1.0, T.plans[single], vals) == 1
+    assert vals[4] == -1.0  # 1 + (0 - 1 - 1) / 1; a non-root would read 0.0
+    spec = tree_spectrum(H)
+    assert np.allclose(spec.flat(), [0.0, 0.0, 1.0, 1.0, 4.0], atol=1e-9)
+    assert ForestCount(H).count_below(1.0) == spec.count_below(1.0) == 2
+
+
+def test_eval_vertices_count_is_the_negative_entries():
+    """The count a pass returns is the number of entries of its list that
+    `_negative` marks, on random forests at random points, at every
+    eigenvalue and at both its float neighbours, and at 1, where every
+    unit leaf reads exactly 0.0 and the unit star's centre the pole marker:
+    one sign rule serves the count and `_window`."""
+    rng = random.Random(2024)
+    unit_star = WeightedGraph.unit(4, [(0, 1), (0, 2), (0, 3)])
+    poles = 0
+    for p in (1.2, 2.0, 3.0):
+        graphs = [unit_star] + [random_forest(rng) for _ in range(6)]
+        for g in graphs:
+            H = Operator(g, p)
+            T = RootedTree(g)
+            vals = tree_spectrum(H).values()
+            probes = [1.0] + [rng.uniform(vals[0] - 1.0, vals[-1] + 1.0)
+                              for _ in range(8)]
+            probes += [y for v in vals for y in (math.nextafter(v, -math.inf),
+                                                 v, math.nextafter(v, math.inf))]
+            for plan in T.plans.values():
+                for x in probes:
+                    out = [0.0] * g.n
+                    neg = treespec._eval_vertices(H, x, plan, out)
+                    assert neg == sum(map(treespec._negative, out)), (p, x)
+                    poles += treespec.POLE in out
+    assert poles > 0
 
 
 def test_tree_spectrum_frozen_cases():
@@ -240,6 +295,158 @@ def test_tree_spectrum_frozen_cases():
     spec = tree_spectrum(Operator(star, 2.0))
     assert np.allclose(spec.flat(), [0.0, 1.0, 1.0, 4.0], atol=1e-9)
     assert [e.mult for e in spec.entries] == [1, 2, 1]
+
+
+# float.hex of every tree_spectrum value of three `plap gen ... --weighted`
+# documents at p = 1.2 and 3, each with its multiplicity and the
+# ForestCount.count_below reading one ulp below it, at it and one ulp above
+# it. Recorded from the dict walk that preceded the flat pass, they guard
+# its floats: most changes to the operands or the order of the recursion's
+# float operations move some of them, though an ulp that flips no sign the
+# bisection reads leaves them as they are.
+EXACT_PINS = {
+    ("tree", 30, 0, 1.2): """
+        -0x1.15fa34446f050p-5 1 0 0 0
+        0x1.2451cc7d49e38p-3 1 2 2 2
+        0x1.85e4e63799428p-3 1 3 3 3
+        0x1.7a1b28e6a2ad1p-2 1 3 3 3
+        0x1.87b186be06223p-2 1 5 5 5
+        0x1.978df2053062ep-2 1 5 5 5
+        0x1.e0ed27301796dp-2 1 7 7 7
+        0x1.04e0f1e4d6f04p-1 1 8 8 8
+        0x1.3233659ef87e6p-1 1 9 9 9
+        0x1.9013836eea584p-1 1 10 10 10
+        0x1.a6f0788a59ca0p-1 1 11 11 11
+        0x1.ce6b7d4b081f2p-1 1 12 12 12
+        0x1.db9421d7b0bf0p-1 1 13 13 13
+        0x1.1fd9a1d0c915cp+0 1 14 14 14
+        0x1.21e2b898c8871p+0 1 14 14 14
+        0x1.452559a7c4fc8p+0 1 15 15 15
+        0x1.6fc16c797d806p+0 1 17 17 17
+        0x1.a1c29255f35fcp+0 1 18 18 18
+        0x1.acf924fd7238ep+0 1 19 19 19
+        0x1.c7f500f8cbf38p+0 1 20 20 20
+        0x1.0d01db3f8df7ap+1 1 21 21 21
+        0x1.172e8940df306p+1 1 22 22 22
+        0x1.21139037823a3p+1 1 22 22 22
+        0x1.48a32e82fbef6p+1 1 24 24 24
+        0x1.57ba9866fe06ap+1 1 25 25 25
+        0x1.8e3ce4b49dd8ap+1 1 26 26 26
+        0x1.ba4c10516f4eap+1 1 27 27 27
+        0x1.2e573a82d936ep+2 1 28 28 28
+        0x1.4752576c76284p+2 1 28 28 28
+        0x1.8643067658ca0p+2 1 30 30 30
+    """,
+    ("tree", 30, 0, 3.0): """
+        -0x1.98e6ec9089332p-2 1 1 1 1
+        -0x1.be38887bbac9ap-3 1 1 1 1
+        -0x1.98c6a55354d08p-3 1 2 2 2
+        0x1.6fcd04e11733ep-3 1 4 4 4
+        0x1.3fe6e60d6e046p-2 1 4 4 4
+        0x1.433d31d5a6352p-2 1 6 6 6
+        0x1.94bb51413c8a0p-2 1 7 7 7
+        0x1.e933251842294p-2 1 8 8 8
+        0x1.f098b1aa02d48p-2 1 9 9 9
+        0x1.4becf6fac6af4p-1 1 10 10 10
+        0x1.4d59faf4f797ep-1 1 10 10 10
+        0x1.c21a3e2249006p-1 1 12 12 12
+        0x1.e6a85503aca38p-1 1 12 12 12
+        0x1.003c0cb2f28f9p+0 1 14 14 14
+        0x1.45b596fb19fe1p+0 1 14 14 14
+        0x1.8f76b96644ba3p+0 1 16 16 16
+        0x1.b4709155b5c13p+0 1 16 16 16
+        0x1.ea12d90742c12p+0 1 18 18 18
+        0x1.00e3235aa8d2cp+1 1 19 19 19
+        0x1.49e051bd1badbp+1 1 19 19 19
+        0x1.7b1b69dabf78bp+1 1 20 20 20
+        0x1.2c174f4f19ae3p+2 1 21 21 21
+        0x1.4a8f65f6505a9p+2 1 22 22 22
+        0x1.5e32e55a0fffep+2 1 24 24 24
+        0x1.913af80534826p+2 1 24 24 24
+        0x1.088219d977c3dp+3 1 25 25 25
+        0x1.181b6129b0481p+3 1 26 26 26
+        0x1.4c80517c293ffp+3 1 28 28 28
+        0x1.5fb1ef91b98dbp+3 1 28 28 28
+        0x1.b194303b9d96bp+3 1 29 29 29
+    """,
+    ("path", 15, 1, 1.2): """
+        -0x1.ec697fa8aae7cp-4 1 0 0 0
+        -0x1.f8fef3322b346p-7 1 2 2 2
+        0x1.3cbfe627003a6p-4 1 3 3 3
+        0x1.04040943a1894p-2 1 3 3 3
+        0x1.6af7f0974dc6ep-2 1 4 4 4
+        0x1.42c05c902a958p-1 1 5 5 5
+        0x1.860fe3badbf22p-1 1 6 6 6
+        0x1.446977158e11cp+0 1 8 8 8
+        0x1.89eb1ace83a8ap+0 1 9 9 9
+        0x1.fad24897e8386p+0 1 10 10 10
+        0x1.19d617fa516d0p+1 1 11 11 11
+        0x1.2222bb6f34414p+1 1 12 12 12
+        0x1.69849d92414b8p+1 1 12 12 12
+        0x1.1867edaae6d72p+2 1 14 14 14
+        0x1.5304d0f4a69fap+2 1 15 15 15
+    """,
+    ("path", 15, 1, 3.0): """
+        -0x1.214d978e00d1cp-1 1 0 0 0
+        -0x1.c43b8032fcaffp-2 1 2 2 2
+        -0x1.86fba583cb9ecp-3 1 2 2 2
+        -0x1.155ae9d64e72cp-4 1 3 3 3
+        0x1.0da79eb514cfap-3 1 4 4 4
+        0x1.0554d8ff9e8f2p-1 1 6 6 6
+        0x1.4ba6d8eba19aap+0 1 7 7 7
+        0x1.6f4e5aac153eap+1 1 7 7 7
+        0x1.ddb352b8feb70p+1 1 9 9 9
+        0x1.1933485ed6a96p+2 1 10 10 10
+        0x1.558581f2cd5d0p+2 1 11 11 11
+        0x1.aab6bafc042f0p+2 1 12 12 12
+        0x1.b8456fc43ee0cp+2 1 12 12 12
+        0x1.31948903bc1d0p+3 1 14 14 14
+        0x1.6f561e3258f9cp+3 1 15 15 15
+    """,
+    ("star", 12, 2, 1.2): """
+        -0x1.7d7807f9e50dep-4 1 1 1 1
+        0x1.004611cf8635ap-3 1 2 2 2
+        0x1.207cb59472cd4p-2 1 2 2 2
+        0x1.a42fe16a219dap-2 1 3 3 3
+        0x1.b3eb8e7f29eabp-2 1 5 5 5
+        0x1.3b66616d1301ap-1 1 6 6 6
+        0x1.aa65bdd69c25ap-1 1 7 7 7
+        0x1.1822e4225c828p+0 1 8 8 8
+        0x1.3f68e029175a4p+0 1 9 9 9
+        0x1.51253736c22cfp+0 1 9 9 9
+        0x1.e68750c2df22ap+0 1 10 10 10
+        0x1.d90713a64e382p+2 1 11 11 11
+    """,
+    ("star", 12, 2, 3.0): """
+        -0x1.83ef38a60aabep-1 1 0 0 0
+        0x1.8ad938260c08ep-3 1 2 2 2
+        0x1.35c09fbe00d4bp-2 1 3 3 3
+        0x1.a5e84a3823cc4p-2 1 3 3 3
+        0x1.128d1608ff8d7p-1 1 5 5 5
+        0x1.489401202d02ap-1 1 6 6 6
+        0x1.a87533ddf0281p-1 1 6 6 6
+        0x1.0bf38caf9df84p+0 1 8 8 8
+        0x1.31772bf0dd070p+0 1 9 9 9
+        0x1.453fd3b1cccd5p+0 1 10 10 10
+        0x1.7f5c76b9ef0cep+0 1 11 11 11
+        0x1.d81789a225136p+3 1 11 11 11
+    """,
+}
+
+
+def test_spectra_and_counts_are_pinned_to_the_bit():
+    for (kind, n, seed, p), rows in EXACT_PINS.items():
+        H = Operator(gen_graph(kind, n, random.Random(seed), weighted=True), p)
+        counter = ForestCount(H)
+        got = []
+        for e in tree_spectrum(H).entries:
+            v = e.value
+            got.append(" ".join([v.hex(), str(e.mult)] + [
+                str(counter.count_below(x))
+                for x in (math.nextafter(v, -math.inf), v,
+                          math.nextafter(v, math.inf))]))
+        assert got == [r.strip() for r in rows.strip().splitlines()], (
+            kind, n, seed, p)
 
 
 def test_tree_spectrum_weighted_k2_closed_form():
