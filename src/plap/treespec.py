@@ -19,9 +19,13 @@ poles as well as on the two unbounded tails.
 
 One consequence answers every spectral question on a forest: the number of
 vertices with g_u(x) < 0 is the number of eigenvalues below x
-(`ForestCount`). Spectra come from bisecting intervals on that count
-(`_slice`); the vanishing vertices behind an eigenvalue come from the sign
-changes of the g values across a narrow window around it (`_window`).
+(`ForestCount`). Spectra come from halving intervals on that count
+(`_slice`). An interval that holds one eigenvalue is narrowed by regula
+falsi on the root's g, whose zeros are the component's eigenvalues, with
+the count deciding each step; the halving is then replayed, so every value
+is the float that halving alone returns (`_isolated`). The vanishing vertices
+behind an eigenvalue come from the sign changes of the g values across a
+narrow window around it (`_window`).
 
 One count is one pass of `_eval_vertices` over a component's plan, built
 once per rooting: the leaves first, then the inner vertices children-first.
@@ -48,6 +52,12 @@ CLUSTER_REL = 1e-9
 #: Half-width, relative to max(1, |lam|), of the window whose sign changes
 #: give the vertices vanishing at an eigenvalue lam.
 WINDOW_REL = 1e-10
+
+#: `_slice` locates an eigenvalue to within SLICE_REL * max(1, |value|).
+SLICE_REL = 1e-13
+
+#: Relative width below which `_isolated` turns from halving to regula falsi.
+SECANT_REL = 1e-4
 
 POLE = math.inf
 
@@ -208,17 +218,40 @@ def _negative(g: float) -> bool:
     return g < 0.0 or g == POLE
 
 
+def _narrow(a: float, b: float, rel: float) -> bool:
+    """Whether b - a is at most rel * max(1, min(|a|, |b|)): a width relative
+    to the value the interval locates rather than to the starting bracket,
+    since a huge potential can push the spectral bound to 1e12 and beyond."""
+    return b - a <= rel * max(1.0, min(abs(a), abs(b)))
+
+
+def _located(a: float, b: float, mid: float) -> bool:
+    """Whether halving stops at (a, b) and returns its midpoint ``mid``."""
+    return _narrow(a, b, SLICE_REL) or not a < mid < b
+
+
+def _count(H: Operator, x: float, plan, vals: list, ca: int, cb: int) -> int:
+    """`_eval_vertices` at x inside an interval whose ends count ca and cb;
+    a count outside [ca, cb] is a hard error."""
+    c = _eval_vertices(H, x, plan, vals)
+    if not ca <= c <= cb:
+        raise AssertionError(f"eigenvalue count not monotone near {x!r}")
+    return c
+
+
 def _slice(T: RootedTree, H: Operator, order) -> list:
     """(value, multiplicity) of every distinct eigenvalue of the component
-    that ``order`` spans (children-first), ascending, by bisection on the
-    eigenvalue count.
+    that ``order`` spans (children-first), ascending. Every interval across
+    which the eigenvalue count rises is halved, and each value is the
+    midpoint of an interval where the halving stops.
 
     The count must read 0 at -(bound + 1) and len(order) at +(bound + 1),
     the bound being the largest `spectral_bound` term over ``order``, a
-    hard structural check. Every interval across which the count rises is
-    halved until its width is at most 1e-13 * max(1, min(|a|, |b|)),
-    relative to the value it locates rather than to the starting bracket:
-    a huge potential can push the bound to 1e12 and beyond.
+    hard structural check. An interval is halved until `_located`: its
+    width is at most SLICE_REL * max(1, min(|a|, |b|)), or no float lies
+    strictly inside it. An interval across which the count rises by
+    exactly one goes to `_isolated`, which returns the same float from
+    fewer counts; one across which it rises by more is halved on the stack.
     """
     n = len(order)
     plan = T.plans[order]
@@ -233,18 +266,73 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     stack = [(-hi, hi, 0, n)]
     while stack:
         a, b, ca, cb = stack.pop()
+        if cb - ca == 1:
+            out.append((_isolated(H, plan, vals, order[-1], a, b, ca), 1))
+            continue
         mid = 0.5 * (a + b)
-        if b - a <= 1e-13 * max(1.0, min(abs(a), abs(b))) or not a < mid < b:
+        if _located(a, b, mid):
             out.append((mid, cb - ca))
             continue
-        cm = _eval_vertices(H, mid, plan, vals)
-        if not ca <= cm <= cb:
-            raise AssertionError(f"eigenvalue count not monotone near {mid!r}")
+        cm = _count(H, mid, plan, vals, ca, cb)
         if cb > cm:
             stack.append((mid, b, cm, cb))
         if cm > ca:
             stack.append((a, mid, ca, cm))
     return out
+
+
+def _isolated(H: Operator, plan, vals: list, root: int, a: float, b: float,
+              ca: int) -> float:
+    """The midpoint that halving (a, b) until `_located` returns, where the
+    count rises from ca to ca + 1 across (a, b): one eigenvalue.
+
+    A bracket [lo, hi], counting ca at lo and ca + 1 at hi, is first halved
+    to SECANT_REL, then narrowed by Illinois regula falsi on the root's g
+    value, which every pass writes into ``vals[root]`` and which falls
+    through zero at the eigenvalue. The count alone decides which end
+    moves. A probe stays a quarter of the final width inside the bracket,
+    and is the midpoint instead when the root values at the two ends do not
+    straddle zero (a pole of g between them) or the bracket did not halve
+    over the last two probes. Once the bracket is narrower than the final
+    width, the halving of (a, b) is replayed: a midpoint outside the
+    bracket takes the count of the end it lies beyond, the count being
+    monotone, and only a midpoint inside it is evaluated.
+    """
+    cb = ca + 1
+    lo, hi = a, b
+    g_lo = g_hi = math.nan  # the root's g at lo and hi, once evaluated there
+    moved = 0  # which end moved last: 1 for lo, -1 for hi
+    w1 = w2 = math.inf  # the bracket's width one and two probes ago
+    while not _narrow(lo, hi, SLICE_REL):
+        w = hi - lo
+        x = 0.5 * (lo + hi)
+        if (w <= 0.5 * w2 and _narrow(lo, hi, SECANT_REL)
+                and 0.0 < g_lo < POLE and -POLE < g_hi < 0.0):
+            q = 0.25 * SLICE_REL * max(1.0, min(abs(lo), abs(hi)))
+            x = min(max(lo + w * (g_lo / (g_lo - g_hi)), lo + q), hi - q)
+        w1, w2 = w, w1
+        if _count(H, x, plan, vals, ca, cb) == ca:
+            lo, g_lo = x, vals[root]
+            if moved == 1:  # hi kept twice: Illinois halves its value
+                g_hi *= 0.5
+            moved = 1
+        else:
+            hi, g_hi = x, vals[root]
+            if moved == -1:
+                g_lo *= 0.5
+            moved = -1
+    while True:
+        mid = 0.5 * (a + b)
+        if _located(a, b, mid):
+            return mid
+        if mid <= lo:
+            a = mid
+        elif mid >= hi:
+            b = mid
+        elif _count(H, mid, plan, vals, ca, cb) == ca:
+            a = lo = mid
+        else:
+            b = hi = mid
 
 
 def _window(T: RootedTree, H: Operator, lam: float, order, left: list,
@@ -340,6 +428,7 @@ class ForestCount:
         self._H = H
         self._T = RootedTree(H.graph)
         self.total = H.graph.n
+        self._vals = [0.0] * self.total  # g values, rewritten by every count
 
     def count_below(self, x: float) -> int:
         """#{eigenvalues < x}, with multiplicity.
@@ -351,17 +440,18 @@ class ForestCount:
         one ulp above an eigenvalue a leaf's value can round to exactly 0.0
         and the count then still reads the one below.
         """
-        vals = [0.0] * self.total
-        return sum(_eval_vertices(self._H, x, plan, vals)
+        return sum(_eval_vertices(self._H, x, plan, self._vals)
                    for plan in self._T.plans.values())
 
 
-def _sliced(T: RootedTree, H: Operator) -> list:
-    """(value, multiplicity) of every distinct eigenvalue of a forest:
-    every component sliced once, values within CLUSTER_REL merged into one
+def _clusters(T: RootedTree, H: Operator) -> list:
+    """`cluster_tagged` over the sliced values of every component, each
+    tagged with (component index in T.components, multiplicity): every
+    component is sliced once, and values within CLUSTER_REL merge into one
     entry whose multiplicities add."""
-    return [(center, sum(mults)) for center, _vals, mults in cluster_tagged(
-        [pair for comp in T.components for pair in _slice(T, H, comp)])]
+    return cluster_tagged([(value, (ci, mult))
+                           for ci, comp in enumerate(T.components)
+                           for value, mult in _slice(T, H, comp)])
 
 
 def tree_spectrum(H: Operator) -> Spectrum:
@@ -371,18 +461,24 @@ def tree_spectrum(H: Operator) -> Spectrum:
     values are merged across components.
     """
     T = RootedTree(H.graph)
-    return Spectrum(tuple(SpectrumEntry(value, mult)
-                          for value, mult in _sliced(T, H)))
+    return Spectrum(tuple(SpectrumEntry(center, sum(m for _ci, m in tags))
+                          for center, _vals, tags in _clusters(T, H)))
 
 
 def tree_eigenpairs(H: Operator) -> Spectrum:
     """``tree_spectrum`` with every entry's ``basis`` filled in, as
     ``forest_eigenbasis`` would give it. Each component is sliced once for
-    all the values; a basis then costs only counts and its reconstruction."""
+    all the values, and a value's basis is built only on the components
+    whose slicing produced it: the others have no eigenfunction there."""
     T = RootedTree(H.graph)
-    return Spectrum(tuple(
-        SpectrumEntry(value, mult, tuple(eigenbasis(H, T, value)))
-        for value, mult in _sliced(T, H)))
+    scratch = tuple([0.0] * T.graph.n for _ in range(3))
+    entries = []
+    for center, _vals, tags in _clusters(T, H):
+        orders = [T.components[ci] for ci in sorted({ci for ci, _m in tags})]
+        entries.append(SpectrumEntry(
+            center, sum(m for _ci, m in tags),
+            tuple(_basis(H, T, center, orders, scratch))))
+    return Spectrum(tuple(entries))
 
 
 def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
@@ -402,11 +498,17 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
     """
     if T.graph is not H.graph:
         raise ValueError("tree and operator must share one graph")
-    lam = float(lam)
-    # g values at lam and at the window's two ends, reused by every
-    # component: a pass writes all of its own component's entries
     scratch = tuple([0.0] * T.graph.n for _ in range(3))
-    out = [f for order in T.components
+    return _basis(H, T, float(lam), T.components, scratch)
+
+
+def _basis(H: Operator, T: RootedTree, lam: float, orders,
+           scratch) -> list[VertexFunction]:
+    """`eigenbasis` on the components that ``orders`` lists, in that order.
+    ``scratch`` holds three lists indexed by vertex that receive the g
+    values at lam and at the window's two ends; every component reuses
+    them, since a pass writes all of its own component's entries."""
+    out = [f for order in orders
            for f in _component_basis(H, T, lam, order, scratch)]
     if not out:
         raise ValueError(f"{lam} is not an eigenvalue of this forest")

@@ -449,6 +449,115 @@ def test_spectra_and_counts_are_pinned_to_the_bit():
             kind, n, seed, p)
 
 
+# float.hex of the root's g value that one `_eval_vertices` pass writes at
+# lambda = -2.45, -0.9 and -0.35 on the EXACT_PINS documents. Regula falsi
+# steers on these values; a change that moves one of them by an ulp, such
+# as taking the root's -1 before rho * lambda, flips no sign the count
+# reads and so leaves EXACT_PINS as they are.
+ROOT_G_LAMBDAS = (-2.45, -0.9, -0.35)
+ROOT_G_PINS = {
+    ("tree", 30, 0, 1.2):
+        "0x1.048520c13044fp+14 0x1.4180ee16b0abbp+10 0x1.7dd45603faa56p+7",
+    ("tree", 30, 0, 3.0):
+        "0x1.a3a33bd670e39p+1 0x1.393cc9d4370dep+1 0x1.eb317d8976dc0p+0",
+    ("path", 15, 1, 1.2):
+        "0x1.e30ce7c8fae11p+5 0x1.9b6945b29c0dfp+1 0x1.2ae8f005512ffp+0",
+    ("path", 15, 1, 3.0):
+        "0x1.2c2a2c4f30be0p+1 0x1.c33d9e23b4c0cp+0 0x1.4b22ad446ec77p+0",
+    ("star", 12, 2, 1.2):
+        "0x1.f4f51525ed123p+19 0x1.9309452904c22p+15 0x1.1b802c81c369cp+7",
+    ("star", 12, 2, 3.0):
+        "0x1.00e18cfef4a88p+2 0x1.0af830fc5fa15p+1 -0x1.7538c97a2b4a9p+1",
+}
+
+
+def test_root_g_values_are_pinned_to_the_bit():
+    assert set(ROOT_G_PINS) == set(EXACT_PINS)
+    for (kind, n, seed, p), row in ROOT_G_PINS.items():
+        H = Operator(gen_graph(kind, n, random.Random(seed), weighted=True), p)
+        T = RootedTree(H.graph)
+        (order,) = T.components
+        got = []
+        for lam in ROOT_G_LAMBDAS:
+            vals = [0.0] * n
+            treespec._eval_vertices(H, lam, T.plans[order], vals)
+            got.append(vals[order[-1]].hex())
+        assert " ".join(got) == row, (kind, n, seed, p)
+
+
+def bisection_spectrum(H):
+    """Reference spectrum: every interval across which a component's count
+    rises is halved until its width is at most 1e-13 * max(1, min(|a|, |b|))
+    or no float lies inside it, and its midpoint is taken; the values are
+    then merged across components. ``tree_spectrum`` must return exactly
+    these floats."""
+    T = RootedTree(H.graph)
+    pairs = []
+    for order in T.components:
+        plan, vals = T.plans[order], [0.0] * H.graph.n
+        hi = float(np.max(core._vertex_bounds(H)[list(order)])) + 1.0
+        stack = [(-hi, hi, 0, len(order))]
+        while stack:
+            a, b, ca, cb = stack.pop()
+            mid = 0.5 * (a + b)
+            if b - a <= 1e-13 * max(1.0, min(abs(a), abs(b))) or not a < mid < b:
+                pairs.append((mid, cb - ca))
+                continue
+            cm = treespec._eval_vertices(H, mid, plan, vals)
+            assert ca <= cm <= cb
+            if cb > cm:
+                stack.append((mid, b, cm, cb))
+            if cm > ca:
+                stack.append((a, mid, ca, cm))
+    return [(center.hex(), sum(mults))
+            for center, _vals, mults in cluster_tagged(pairs)]
+
+
+def _hex_entries(spec):
+    return [(e.value.hex(), e.mult) for e in spec.entries]
+
+
+def test_tree_spectrum_is_the_plain_bisection_to_the_bit():
+    """Regula falsi inside isolated brackets changes no float: on seeded
+    trees, paths and stars, on forests of three and more components and on
+    the unweighted star, whose repeated eigenvalue is halved on the stack,
+    values and multiplicities equal the reference bisection's."""
+    graphs = [gen_graph(kind, n, random.Random(seed), weighted=True)
+              for kind, n in (("tree", 24), ("path", 18), ("star", 14))
+              for seed in (0, 1, 2)]
+    rng = random.Random(73)
+    graphs += [THREE_TREES,
+               disjoint_union(*[random_tree(rng, n=rng.randint(2, 7))
+                                for _ in range(5)])]
+    star = gen_graph("star", 9, random.Random(0))
+    for p in (1.2, 1.5, 2.0, 3.0):
+        for g in graphs + [star]:
+            H = Operator(g, p)
+            assert _hex_entries(tree_spectrum(H)) == bisection_spectrum(H), (
+                g.n, p)
+        mults = [e.mult for e in tree_spectrum(Operator(star, p)).entries]
+        assert max(mults) == 7
+
+
+def test_isolated_eigenvalues_take_fewer_counting_passes(monkeypatch):
+    """On ``gen tree 120 --seed 0 --weighted`` at p = 3 the spectrum takes at
+    most 0.7 times the counting passes of the reference bisection."""
+    H = Operator(gen_graph("tree", 120, random.Random(0), weighted=True), 3.0)
+    passes = []
+    inner = treespec._eval_vertices
+
+    def counted(*args):
+        passes.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(treespec, "_eval_vertices", counted)
+    want = bisection_spectrum(H)
+    plain = len(passes)
+    passes.clear()
+    assert _hex_entries(tree_spectrum(H)) == want
+    assert len(passes) <= 0.7 * plain, (len(passes), plain)
+
+
 def test_tree_spectrum_weighted_k2_closed_form():
     """For a two-vertex graph the top eigenvalue has the closed form
     omega (rho0^s + rho1^s)^(p-1) / (rho0 rho1) with s = 1/(p-1)."""
@@ -666,6 +775,26 @@ def test_tree_eigenpairs_equal_spectrum_and_forest_eigenbasis():
     for e in tree_eigenpairs(Operator(twin, 3.0)).entries:
         support = np.any([f.values != 0.0 for f in e.basis], axis=0)
         assert support[:half].any() and support[half:].any()
+
+
+def test_tree_eigenpairs_windows_each_value_on_its_own_components(monkeypatch):
+    """On a union of 50 weighted 4-vertex trees a basis is built only on the
+    components whose slicing produced its value: one `_window` per (value,
+    component) pair, not one per value and component."""
+    rng = random.Random(50)
+    trees = [gen_graph("tree", 4, rng, weighted=True) for _ in range(50)]
+    pairs = sum(len(tree_spectrum(Operator(t, 3.0)).entries) for t in trees)
+    windows = []
+    inner = treespec._window
+
+    def counted(*args):
+        windows.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(treespec, "_window", counted)
+    spec = tree_eigenpairs(Operator(disjoint_union(*trees), 3.0))
+    assert len(windows) == pairs
+    assert sum(len(e.basis) for e in spec.entries) == spec.total == 200
 
 
 def test_forest_eigenbasis_slices_nothing(monkeypatch):
