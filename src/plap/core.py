@@ -636,8 +636,10 @@ def first_eigenpair(H: Operator, tol: float = 1e-9) -> EigenpairCertificate:
     if res > tol:
         floor = _float_floor(H, x)
         ratio = res / floor if floor > 0.0 else math.inf
+        # at or below the floor no float64 iterate is expected to do better
+        verb = "stalled" if ratio > 1.0 else "reached the float64 floor"
         raise RuntimeError(
-            f"first_eigenpair stalled at defect {res:.3e} (tol {tol:.3e}) "
+            f"first_eigenpair {verb} at defect {res:.3e} (tol {tol:.3e}) "
             f"after {MAX_DESCENT_STEPS - budget} of {MAX_DESCENT_STEPS} "
             f"descent steps; float64 floor {floor:.3e} at the final iterate, "
             f"defect/floor {ratio:.3g}")

@@ -21,9 +21,12 @@ One consequence answers every spectral question on a forest: the number of
 vertices with g_u(x) < 0 is the number of eigenvalues below x
 (`ForestCount`). Spectra come from halving intervals on that count
 (`_slice`). An interval that holds one eigenvalue is narrowed by regula
-falsi on the root's g, whose zeros are the component's eigenvalues, with
-the count deciding each step; the halving is then replayed, so every value
-is the float that halving alone returns (`_isolated`). The vanishing vertices
+falsi on the g value that the eigenfunction's largest entry would have if
+the tree were re-rooted there (`_steering`, `_rerooted_g`), whose zeros are
+the component's eigenvalues and which has no pole near this one. The count
+on the original rooting decides each step, and the halving is then
+replayed, so every value is the float that halving alone returns
+(`_isolated`). The vanishing vertices
 behind an eigenvalue come from the sign changes of the g values across a
 narrow window around it (`_window`).
 
@@ -56,8 +59,13 @@ WINDOW_REL = 1e-10
 #: `_slice` locates an eigenvalue to within SLICE_REL * max(1, |value|).
 SLICE_REL = 1e-13
 
-#: Relative width below which `_isolated` turns from halving to regula falsi.
-SECANT_REL = 1e-4
+#: Relative width below which `_isolated` picks the vertex it steers on and
+#: turns from halving to regula falsi.
+SECANT_REL = 1e-2
+
+#: `_rerooted_g` reads a vertex's accumulator back from its g only where
+#: |g - 1| exceeds this; nearer 1 the read-back loses too many digits.
+RECOVER_REL = 1e-4
 
 POLE = math.inf
 
@@ -267,7 +275,7 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     while stack:
         a, b, ca, cb = stack.pop()
         if cb - ca == 1:
-            out.append((_isolated(H, plan, vals, order[-1], a, b, ca), 1))
+            out.append((_isolated(H, plan, vals, a, b, ca), 1))
             continue
         mid = 0.5 * (a + b)
         if _located(a, b, mid):
@@ -281,46 +289,67 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     return out
 
 
-def _isolated(H: Operator, plan, vals: list, root: int, a: float, b: float,
+def _isolated(H: Operator, plan, vals: list, a: float, b: float,
               ca: int) -> float:
     """The midpoint that halving (a, b) until `_located` returns, where the
     count rises from ca to ca + 1 across (a, b): one eigenvalue.
 
     A bracket [lo, hi], counting ca at lo and ca + 1 at hi, is first halved
-    to SECANT_REL, then narrowed by Illinois regula falsi on the root's g
-    value, which every pass writes into ``vals[root]`` and which falls
-    through zero at the eigenvalue. The count alone decides which end
-    moves. A probe stays a quarter of the final width inside the bracket,
-    and is the midpoint instead when the root values at the two ends do not
-    straddle zero (a pole of g between them) or the bracket did not halve
-    over the last two probes. Once the bracket is narrower than the final
-    width, the halving of (a, b) is replayed: a midpoint outside the
-    bracket takes the count of the end it lies beyond, the count being
-    monotone, and only a midpoint inside it is evaluated.
+    to SECANT_REL. At the first probe inside that width `_steering` picks
+    the vertex u* whose re-rooted g is smallest in magnitude, the vertex
+    that carries the largest entry of the eigenfunction, and from then on
+    every probe's pass also gives the re-rooted g of u* (`_rerooted_g`);
+    the g lists of the passes at the two ends are kept, so the ends probed
+    before the pick get that value too. It falls through zero at the
+    eigenvalue and has no pole near it, and the bracket is narrowed by
+    Illinois regula falsi on it. The count of the pass on the original
+    rooting alone decides which end moves. A probe stays a quarter of the
+    final width inside the bracket, and is the midpoint instead when the
+    values at the two ends do not straddle zero (a pole between them, a
+    count that disagrees with the steering value in the last digits, or
+    no value yet) or the bracket did not halve over the last two probes.
+    Once the bracket is
+    narrower than the final width, the halving of (a, b) is replayed: a
+    midpoint outside the bracket takes the count of the end it lies beyond,
+    the count being monotone, and only a midpoint inside it is evaluated.
     """
     cb = ca + 1
     lo, hi = a, b
-    g_lo = g_hi = math.nan  # the root's g at lo and hi, once evaluated there
+    path = None  # the steering path to u*, once picked; () when there is none
+    g_lo = g_hi = math.nan  # u*'s re-rooted g at lo and hi, once evaluated
     moved = 0  # which end moved last: 1 for lo, -1 for hi
     w1 = w2 = math.inf  # the bracket's width one and two probes ago
+    at_lo = at_hi = None  # the g lists of the passes at lo and hi
     while not _narrow(lo, hi, SLICE_REL):
         w = hi - lo
         x = 0.5 * (lo + hi)
-        if (w <= 0.5 * w2 and _narrow(lo, hi, SECANT_REL)
-                and 0.0 < g_lo < POLE and -POLE < g_hi < 0.0):
+        if (w <= 0.5 * w2 and 0.0 <= g_lo < POLE and -POLE < g_hi <= 0.0
+                and g_lo != g_hi):
             q = 0.25 * SLICE_REL * max(1.0, min(abs(lo), abs(hi)))
             x = min(max(lo + w * (g_lo / (g_lo - g_hi)), lo + q), hi - q)
         w1, w2 = w, w1
-        if _count(H, x, plan, vals, ca, cb) == ca:
-            lo, g_lo = x, vals[root]
+        c = _count(H, x, plan, vals, ca, cb)
+        if path is None and _narrow(lo, hi, SECANT_REL):
+            path = _steering(H, plan, vals, x)
+            if path:  # the ends probed so far get their values as well
+                if at_lo is not None:
+                    g_lo = _rerooted_g(H, path, at_lo, lo)
+                if at_hi is not None:
+                    g_hi = _rerooted_g(H, path, at_hi, hi)
+                moved = 0
+        g = _rerooted_g(H, path, vals, x) if path else math.nan
+        if c == ca:
+            lo, g_lo = x, g
             if moved == 1:  # hi kept twice: Illinois halves its value
                 g_hi *= 0.5
             moved = 1
+            vals, at_lo = at_lo or [0.0] * len(vals), vals
         else:
-            hi, g_hi = x, vals[root]
+            hi, g_hi = x, g
             if moved == -1:
                 g_lo *= 0.5
             moved = -1
+            vals, at_hi = at_hi or [0.0] * len(vals), vals
     while True:
         mid = 0.5 * (a + b)
         if _located(a, b, mid):
@@ -333,6 +362,124 @@ def _isolated(H: Operator, plan, vals: list, root: int, a: float, b: float,
             a = lo = mid
         else:
             b = hi = mid
+
+
+def _steering(H: Operator, plan, vals: list, lam: float) -> tuple:
+    """The path from the component's root down to the vertex u* whose
+    re-rooted g is smallest in magnitude at lam, as `_rerooted_g` walks it,
+    read from the g values that a pass at lam left in ``vals``; empty when
+    the recursion divides by zero, overflows or gives a value that is not
+    finite.
+
+    The re-rooted g of u, gamma_u, is the g value u would have if the tree
+    hung from u: its zeros are the component's eigenvalues, and near an
+    eigenvalue |gamma_u| is smallest where the eigenfunction is largest.
+    One top-down pass gives every gamma_u. With c_v = omega_v phi(1 - 1/g_v)
+    the term child v adds to its parent, S_u the sum of those of u's
+    children and up_u the term u's parent would add to u in the tree
+    rooted at u, the parent u of v has the value
+    1 + phi_inv((kappa_u - rho_u lam + S_u - c_v + up_u) / omega_v) there,
+    up_v is omega_v phi(1 - 1/that value), and
+    gamma_u = 1 + phi_inv(kappa_u - rho_u lam - 1 + S_u + up_u): the virtual
+    parent's -1 moves from the original root to u.
+    """
+    pm1 = H.p - 1.0
+    pinv = 1.0 / pm1
+    leaves, inner = plan
+    up = {(inner or leaves)[-1][0]: 0.0}  # the root's: no parent
+    parent = {}  # vertex -> its parent's plan entry
+    # gamma = 1 + phi_inv(a) beats the best so far exactly when a lies in
+    # (a_lo, a_hi), so a power is taken only on a new best
+    a_lo, a_hi, star = -math.inf, math.inf, None
+    try:
+        for e in reversed(inner):
+            u, kappa, rho, _root, _w, kids = e
+            base = kappa - rho * lam + up[u]
+            terms = []
+            for v, w in kids:
+                t = 1.0 - 1.0 / vals[v]
+                c = w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1
+                terms.append(c)
+                base += c
+            if a_lo < base - 1.0 < a_hi:
+                (a_lo, a_hi), star = _gamma_window(base - 1.0, pm1, pinv), e
+            for (v, w), c in zip(kids, terms):
+                a = (base - c) / w
+                t = 1.0 - 1.0 / (1.0 + (a ** pinv if a > 0.0
+                                        else -((-a) ** pinv)))
+                up[v] = w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1
+                parent[v] = e
+        for e in leaves:
+            u, kappa, rho = e[:3]
+            a = kappa - rho * lam - 1.0 + up[u]
+            if a_lo < a < a_hi:
+                (a_lo, a_hi), star = _gamma_window(a, pm1, pinv), e
+    except (OverflowError, ZeroDivisionError):
+        return ()
+    if star is None or not math.isfinite(sum(up.values())):
+        return ()
+    steps = []
+    v, w_v = -1, 1.0  # u* hangs from the virtual parent's unit edge
+    e = star
+    while True:
+        u, kappa, rho, root, w_par = e[:5]
+        kids = e[5] if len(e) > 5 else ()
+        steps.append((u, kappa, rho, root, w_par,
+                      tuple((k, w) for k, w in kids if k != v), v, w_v))
+        if root:
+            return tuple(reversed(steps))
+        v, w_v, e = u, w_par, parent[u]
+
+
+def _gamma_window(a: float, pm1: float, pinv: float) -> tuple:
+    """(phi(-1 - m), phi(m - 1)) with m = |1 + phi_inv(a)|: the open range
+    of arguments whose gamma is smaller in magnitude than a's."""
+    m = abs(1.0 + (a ** pinv if a > 0.0 else -((-a) ** pinv)))
+    d = m - 1.0
+    return -((1.0 + m) ** pm1), d ** pm1 if d > 0.0 else -((-d) ** pm1)
+
+
+def _rerooted_g(H: Operator, path: tuple, vals: list, lam: float) -> float:
+    """gamma at the end u* of ``path`` (see `_steering`) from the g values
+    that a pass at lam left in ``vals``, walking down from the root; NaN
+    when the recursion divides by zero or overflows.
+
+    Where two or more children off the path would add a term, the pass's
+    own sum is read back from g_u instead, since omega_u phi(g_u - 1) is the
+    accumulator that gave g_u, and only the next path vertex's term is
+    taken off it. Where g_u lies within RECOVER_REL of 1 that read-back
+    loses the digits it needs, and the other children's terms are summed
+    again.
+    """
+    pm1 = H.p - 1.0
+    pinv = 1.0 / pm1
+    up = g = 0.0
+    try:
+        for u, kappa, rho, root, w_par, others, v, w in path:
+            h = vals[u] - 1.0
+            if len(others) > 1 and abs(h) > RECOVER_REL:
+                acc = w_par * (h ** pm1 if h > 0.0 else -((-h) ** pm1))
+                if root:
+                    acc += 1.0
+                if v >= 0:
+                    t = 1.0 - 1.0 / vals[v]
+                    acc -= w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1
+            else:
+                acc = kappa - rho * lam
+                for k, wk in others:
+                    t = 1.0 - 1.0 / vals[k]
+                    acc += wk * t ** pm1 if t > 0.0 else -wk * (-t) ** pm1
+            acc += up
+            if v < 0:
+                acc -= 1.0
+            a = acc / w
+            g = 1.0 + (a ** pinv if a > 0.0 else -((-a) ** pinv))
+            if v >= 0:
+                t = 1.0 - 1.0 / g
+                up = w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+    return g
 
 
 def _window(T: RootedTree, H: Operator, lam: float, order, left: list,

@@ -125,11 +125,13 @@ def test_03_count_rule_and_reconstruction():
     assert dt < 60.0
     for p, r in sorted(worst.items()):
         assert r < 1e-8, (
-            f"worst reconstruction residual {r:.3e} at p={p}: some "
-            f"eigenfunctions need two adjacent values whose true gap is "
-            f"below one double-precision ulp, so no representable function "
-            f"can reach the 1e-8 defect; the eigenvalues and multiplicities "
-            f"above remain exact")
+            f"worst reconstruction residual {r:.3e} at p={p}. At p = 1.2 a "
+            f"60-digit count puts 24 of these 770 eigenvalues outside "
+            f"lambda (1 +/- 1e-10), and 14 of the 15 entries with a "
+            f"residual of 1e-8 or more, the two worst among them, belong to "
+            f"such an eigenvalue: the float count is wrong at p < 2 "
+            f"(ROADMAP.md item 1), and a basis has a float64 floor of its "
+            f"own (item 4)")
 
 
 def test_04_sign_changes_match_position():

@@ -541,13 +541,15 @@ def test_first_eigenpair_matches_dense_route():
 
 def test_first_eigenpair_stall_names_steps_and_floor():
     """A stall still raises, and says how many descent steps it used and
-    how its defect compares with the float64 floor at the final iterate."""
+    how its defect compares with the float64 floor at the final iterate;
+    at a defect/floor of 1 or less it says that it reached the floor."""
     g = gen_graph("graph", 6, random.Random(4), weighted=True)
     with pytest.raises(RuntimeError) as exc:
         first_eigenpair(Operator(g, 1.2))
     text = str(exc.value)
     assert text == (
-        "first_eigenpair stalled at defect 2.337e-07 (tol 1.000e-09) after "
+        "first_eigenpair reached the float64 floor at defect 2.337e-07 "
+        "(tol 1.000e-09) after "
         f"17246 of {MAX_DESCENT_STEPS} descent steps; float64 floor "
         "4.807e-07 at the final iterate, defect/floor 0.486")
 
