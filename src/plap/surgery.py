@@ -20,7 +20,7 @@ from .core import (EigenpairCertificate, Operator, VertexFunction,
                    WeightedGraph, connected_components, induced_subgraph,
                    is_forest, phi, residual)
 from .nodal import _counts, _slack, analyze, sign_pattern
-from .treespec import Spectrum
+from .treespec import ForestCount, PatchedCount, Spectrum
 
 
 #: Defect tolerance of the per-domain first eigenvalues that
@@ -55,6 +55,24 @@ def remove_edge(H: Operator, f: VertexFunction, e0) -> tuple[Operator, SurgerySt
     endpoint values must sit outside the zero band.
     """
     g = H.graph
+    iu, iv, alpha, d_u, d_v = _compensation(H, f, e0)
+    kappa = g.kappa.copy()
+    kappa[iu] += d_u
+    kappa[iv] += d_v
+    H2 = Operator(_without_edge(g, iu, iv, kappa), H.p)
+    u0, v0 = e0
+    step = SurgeryStep(kind="edge", target=(u0, v0), alpha=alpha,
+                       kappa_deltas={u0: d_u, v0: d_v})
+    return H2, step
+
+
+def _compensation(H: Operator, f: VertexFunction, e0) -> tuple:
+    """(iu, iv, alpha, d_u, d_v) of removing edge ``e0`` = (u0, v0) under
+    ``f``: the endpoints' dense indices, alpha = f(v0)/f(u0) and the
+    potential compensations omega * phi(1 - alpha) of u0 and
+    omega * phi(1 - 1/alpha) of v0. Both endpoint values must sit outside
+    the zero band, and both compensated potentials must be finite."""
+    g = H.graph
     u0, v0 = e0
     iu = g.index_of(u0)
     iv = g.index_of(v0)
@@ -74,16 +92,48 @@ def remove_edge(H: Operator, f: VertexFunction, e0) -> tuple[Operator, SurgerySt
     alpha = float(x[iv]) / float(x[iu])
     d_u = w * phi(1.0 - alpha, H.p)
     d_v = w * phi(1.0 - 1.0 / alpha, H.p)
-    kappa = g.kappa.copy()
-    kappa[iu] += d_u
-    kappa[iv] += d_v
+    for i, d in sorted(((iu, d_u), (iv, d_v))):
+        if not math.isfinite(float(g.kappa[i]) + d):
+            raise ValueError(f"kappa must be finite at {g.ids[i]!r}")
+    return iu, iv, alpha, d_u, d_v
+
+
+def _without_edge(g: WeightedGraph, iu: int, iv: int, kappa) -> WeightedGraph:
+    """``g`` minus the edge between dense indices iu and iv, with the
+    potentials ``kappa``, its vertices and remaining edges in g's order."""
     vertices = [(g.ids[i], float(g.rho[i]), float(kappa[i])) for i in range(g.n)]
     edges = [(g.ids[i], g.ids[j], wj) for i, j, wj in g.edges
              if {i, j} != {iu, iv}]
-    H2 = Operator(WeightedGraph(vertices, edges), H.p)
-    step = SurgeryStep(kind="edge", target=(u0, v0), alpha=alpha,
-                       kappa_deltas={u0: d_u, v0: d_v})
-    return H2, step
+    return WeightedGraph(vertices, edges)
+
+
+class EdgeCut:
+    """The compensated removals of one forest edge ``e0`` under any number
+    of eigenfunctions, counted on one after-forest.
+
+    The after-forest is the forest minus ``e0`` with the potentials it has
+    before the removal, in the vertex order and rooting of the operator
+    ``remove_edge`` builds. A removal only adds to the two endpoint
+    potentials, so its counter patches them (`treespec.PatchedCount`) and
+    counts what ``ForestCount(remove_edge(H, f, e0)[0])`` counts, to the
+    bit.
+    """
+
+    def __init__(self, H: Operator, e0):
+        g = H.graph
+        self._H = H
+        self._e0 = e0
+        self._after = ForestCount(Operator(
+            _without_edge(g, g.index_of(e0[0]), g.index_of(e0[1]), g.kappa),
+            H.p))
+
+    def after(self, f: VertexFunction) -> tuple:
+        """(alpha, eigenvalue counter of the operator after the removal)
+        under the eigenfunction ``f``, as `remove_edge` gives them."""
+        iu, iv, alpha, d_u, d_v = _compensation(self._H, f, self._e0)
+        kappa = self._H.graph.kappa
+        return alpha, PatchedCount(self._after, {iu: float(kappa[iu]) + d_u,
+                                                 iv: float(kappa[iv]) + d_v})
 
 
 def remove_node(H: Operator, u0) -> tuple[Operator, SurgeryStep]:

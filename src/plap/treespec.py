@@ -20,13 +20,16 @@ poles as well as on the two unbounded tails.
 One consequence answers every spectral question on a forest: the number of
 vertices with g_u(x) < 0 is the number of eigenvalues below x
 (`ForestCount`). Spectra come from halving intervals on that count
-(`_slice`). An interval that holds one eigenvalue is narrowed by regula
-falsi on the g value that the eigenfunction's largest entry would have if
-the tree were re-rooted there (`_steering`, `_rerooted_g`), whose zeros are
-the component's eigenvalues and which has no pole near this one. The count
-on the original rooting decides each step, and the halving is then
-replayed, so every value is the float that halving alone returns
-(`_isolated`). The vanishing vertices
+(`_slice`). An interval that holds one eigenvalue is narrowed by
+interpolating the g value that the eigenfunction's largest entry would have
+if the tree were re-rooted there (`_steering`, `_rerooted_g`), whose zeros
+are the component's eigenvalues and which has no pole near this one: the
+zero of the Moebius map through its last three values, else regula falsi.
+The count on the original rooting decides each step, and the halving is
+then replayed, so every value is the float that halving alone returns
+(`_isolated`). A forest that differs from a counted one in a few
+potentials is counted by re-evaluating only their root paths
+(`PatchedCount`). The vanishing vertices
 behind an eigenvalue come from the sign changes of the g values across a
 narrow window around it (`_window`).
 
@@ -60,7 +63,7 @@ WINDOW_REL = 1e-10
 SLICE_REL = 1e-13
 
 #: Relative width below which `_isolated` picks the vertex it steers on and
-#: turns from halving to regula falsi.
+#: turns from halving to interpolation.
 SECANT_REL = 1e-2
 
 #: `_rerooted_g` reads a vertex's accumulator back from its g only where
@@ -301,8 +304,12 @@ def _isolated(H: Operator, plan, vals: list, a: float, b: float,
     every probe's pass also gives the re-rooted g of u* (`_rerooted_g`);
     the g lists of the passes at the two ends are kept, so the ends probed
     before the pick get that value too. It falls through zero at the
-    eigenvalue and has no pole near it, and the bracket is narrowed by
-    Illinois regula falsi on it. The count of the pass on the original
+    eigenvalue and has no pole near it. Once three such points exist, the
+    next probe is the zero of the Moebius map through the last three
+    (`_moebius_zero`), which is exact when the value is a ratio of two
+    linear functions: one zero beside one simple pole. Where that zero
+    lies outside the bracket, the probe is the Illinois regula falsi point
+    on the values at the two ends. The count of the pass on the original
     rooting alone decides which end moves. A probe stays a quarter of the
     final width inside the bracket, and is the midpoint instead when the
     values at the two ends do not straddle zero (a pole between them, a
@@ -312,32 +319,42 @@ def _isolated(H: Operator, plan, vals: list, a: float, b: float,
     narrower than the final width, the halving of (a, b) is replayed: a
     midpoint outside the bracket takes the count of the end it lies beyond,
     the count being monotone, and only a midpoint inside it is evaluated.
+    Both loops write out the width tests of `_narrow` and `_located`,
+    which saves a call per probe.
     """
     cb = ca + 1
     lo, hi = a, b
     path = None  # the steering path to u*, once picked; () when there is none
     g_lo = g_hi = math.nan  # u*'s re-rooted g at lo and hi, once evaluated
+    pts = []  # the last three (x, re-rooted g) with a finite value
     moved = 0  # which end moved last: 1 for lo, -1 for hi
     w1 = w2 = math.inf  # the bracket's width one and two probes ago
     at_lo = at_hi = None  # the g lists of the passes at lo and hi
-    while not _narrow(lo, hi, SLICE_REL):
+    while not hi - lo <= SLICE_REL * max(1.0, min(abs(lo), abs(hi))):
         w = hi - lo
         x = 0.5 * (lo + hi)
         if (w <= 0.5 * w2 and 0.0 <= g_lo < POLE and -POLE < g_hi <= 0.0
                 and g_lo != g_hi):
+            z = _moebius_zero(pts) if len(pts) == 3 else math.nan
+            if not lo < z < hi:
+                z = lo + w * (g_lo / (g_lo - g_hi))
             q = 0.25 * SLICE_REL * max(1.0, min(abs(lo), abs(hi)))
-            x = min(max(lo + w * (g_lo / (g_lo - g_hi)), lo + q), hi - q)
+            x = min(max(z, lo + q), hi - q)
         w1, w2 = w, w1
         c = _count(H, x, plan, vals, ca, cb)
-        if path is None and _narrow(lo, hi, SECANT_REL):
+        if path is None and w <= SECANT_REL * max(1.0, min(abs(lo), abs(hi))):
             path = _steering(H, plan, vals, x)
             if path:  # the ends probed so far get their values as well
                 if at_lo is not None:
                     g_lo = _rerooted_g(H, path, at_lo, lo)
                 if at_hi is not None:
                     g_hi = _rerooted_g(H, path, at_hi, hi)
+                pts = [(e, g) for e, g in ((lo, g_lo), (hi, g_hi))
+                       if math.isfinite(g)]
                 moved = 0
         g = _rerooted_g(H, path, vals, x) if path else math.nan
+        if math.isfinite(g):
+            pts = [*pts[-2:], (x, g)]
         if c == ca:
             lo, g_lo = x, g
             if moved == 1:  # hi kept twice: Illinois halves its value
@@ -352,7 +369,8 @@ def _isolated(H: Operator, plan, vals: list, a: float, b: float,
             vals, at_hi = at_hi or [0.0] * len(vals), vals
     while True:
         mid = 0.5 * (a + b)
-        if _located(a, b, mid):
+        if (b - a <= SLICE_REL * max(1.0, min(abs(a), abs(b)))
+                or not a < mid < b):
             return mid
         if mid <= lo:
             a = mid
@@ -362,6 +380,18 @@ def _isolated(H: Operator, plan, vals: list, a: float, b: float,
             a = lo = mid
         else:
             b = hi = mid
+
+
+def _moebius_zero(pts) -> float:
+    """The zero of the Moebius map (alpha x + beta) / (gamma x + delta)
+    through three points (x_i, y_i), det[x, y, xy] / det[1, y, xy], with the
+    x_i taken relative to the last one; NaN when det[1, y, xy] is zero."""
+    (x1, y1), (x2, y2), (x3, y3) = pts
+    d1, d2 = x1 - x3, x2 - x3
+    den = d2 * y2 * (y1 - y3) + d1 * y1 * (y3 - y2)
+    if den == 0.0:
+        return math.nan
+    return x3 - y3 * d1 * d2 * (y2 - y1) / den
 
 
 def _steering(H: Operator, plan, vals: list, lam: float) -> tuple:
@@ -576,6 +606,22 @@ class ForestCount:
         self._T = RootedTree(H.graph)
         self.total = H.graph.n
         self._vals = [0.0] * self.total  # g values, rewritten by every count
+        self._passes = {}  # x -> (g list, count) or None: see `_pass`
+
+    def _pass(self, x: float):
+        """(g list, count) of one pass at x over the whole forest, kept for
+        every later call, which `PatchedCount` patches; None when the pass
+        overflows."""
+        if x not in self._passes:
+            vals = [0.0] * self.total
+            try:
+                c = sum(_eval_vertices(self._H, x, plan, vals)
+                        for plan in self._T.plans.values())
+            except OverflowError:
+                self._passes[x] = None
+            else:
+                self._passes[x] = (vals, c)
+        return self._passes[x]
 
     def count_below(self, x: float) -> int:
         """#{eigenvalues < x}, with multiplicity.
@@ -589,6 +635,66 @@ class ForestCount:
         """
         return sum(_eval_vertices(self._H, x, plan, self._vals)
                    for plan in self._T.plans.values())
+
+
+class PatchedCount:
+    """Eigenvalue counter of a forest that differs from the one ``base``
+    counts only in the potentials of the dense indices in ``kappa``.
+
+    A vertex's g value depends on its own subtree alone, so the patch moves
+    only the g values on the root paths of the patched vertices. A count at
+    x starts from the g list and count of ``base``'s pass at x, which that
+    counter keeps, takes off the negatives on those paths and re-evaluates
+    them with a plan of just those vertices, in the forest's plan order and
+    with the patched potentials. That runs the float operations of a full
+    pass on the patched forest, so the count is that of its
+    ``ForestCount``. Where ``base``'s pass overflows, the whole patched
+    forest is evaluated instead, and raises where that pass raises.
+    """
+
+    def __init__(self, base: ForestCount, kappa: dict):
+        T = base._T
+        near = set()
+        for u in kappa:
+            while u != -1 and u not in near:
+                near.add(u)
+                u = T.parent[u]
+        self._base = base
+        self._kappa = kappa
+        self._near = tuple(near)
+        self._plans = _patched_plans(T, kappa, near)
+        self.total = base.total
+
+    def count_below(self, x: float) -> int:
+        """#{eigenvalues < x} of the patched forest, as
+        `ForestCount.count_below` reads it."""
+        H = self._base._H
+        kept = self._base._pass(x)
+        if kept is None:
+            vals = [0.0] * self.total
+            return sum(_eval_vertices(H, x, plan, vals) for plan in
+                       _patched_plans(self._base._T, self._kappa, None))
+        vals, c = kept
+        for u in self._near:
+            if _negative(vals[u]):
+                c -= 1
+        vals = vals.copy()
+        for plan in self._plans:
+            c += _eval_vertices(H, x, plan, vals)
+        return c
+
+
+def _patched_plans(T: RootedTree, kappa: dict, keep) -> list:
+    """T's plans with kappa[u] as the potential of every u in ``kappa``,
+    restricted to the vertices in ``keep`` (all when None); a plan left
+    empty is dropped."""
+    def entry(e):
+        return (e[0], kappa[e[0]], *e[2:]) if e[0] in kappa else e
+
+    plans = [tuple(tuple(entry(e) for e in part if keep is None or e[0] in keep)
+                   for part in plan)
+             for plan in T.plans.values()]
+    return [plan for plan in plans if any(plan)]
 
 
 def _clusters(T: RootedTree, H: Operator) -> list:

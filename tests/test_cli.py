@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_eigh, count_slices, diamond_graph
-from plap import treespec
+from plap import cli, surgery, treespec
 from plap.cli import (
     EXIT_CAPABILITY,
     EXIT_INPUT,
@@ -169,6 +169,36 @@ def test_usage_errors_print_one_json_document(capsys):
         report = json.loads(captured.out)
         assert report["exit_code"] == EXIT_INPUT
         assert report["error"] in captured.err
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    """Two verbs and a usage error in one process build the parser once and
+    give the exit codes, stdout and stderr of three fresh calls."""
+    path = write_doc(tmp_path, graph_document(
+        gen_graph("tree", 6, random.Random(1), weighted=True)))
+    calls = (["spectrum", path, "--p", "3"], ["gen", "path", "4", "--seed", "2"],
+             ["check", path, "--bounds", "none"])
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    built = []
+    inner = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or inner())
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls] == fresh
+    cli._parser.cache_clear()  # later tests get a parser from the real builder
+    assert [code for code, _out, _err in fresh] == [EXIT_OK, EXIT_OK, EXIT_INPUT]
+    assert built == [1]
 
 
 def test_parse_document_strict_mode():
@@ -532,6 +562,33 @@ def test_check_all_slices_once(tmp_path, capsys, monkeypatch):
     out = json.loads(capsys.readouterr().out)
     assert {row["name"] for row in out["checks"]} >= {"weyl-edge", "weyl-node"}
     assert sliced == [10]
+
+
+def test_check_all_keeps_the_near_tie_verdict(tmp_path, capsys, monkeypatch):
+    """``check --all`` on ``gen tree 12 --seed 3 --weighted`` at p = 1.2
+    exits 4 on one weyl-edge row, edge (4, 5) with alpha = 1 - 8e-15, and
+    prints the bytes it prints when every removal is rebuilt by
+    ``remove_edge`` and counted by a fresh ``ForestCount``."""
+    path = write_doc(tmp_path, graph_document(
+        gen_graph("tree", 12, random.Random(3), weighted=True)))
+    argv = ["check", path, "--all", "--p", "1.2"]
+    assert main(argv) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    failed = [row for row in json.loads(out)["checks"] if not row["pass"]]
+    assert [(row["name"], row["edge"]) for row in failed] == [("weyl-edge", [4, 5])]
+    assert 0.0 < 1.0 - failed[0]["alpha"] < 1e-14
+
+    class Rebuilt:
+        def __init__(self, H, e0):
+            self.H, self.e0 = H, e0
+
+        def after(self, f):
+            H2, step = surgery.remove_edge(self.H, f, self.e0)
+            return step.alpha, treespec.ForestCount(H2)
+
+    monkeypatch.setattr(surgery, "EdgeCut", Rebuilt)
+    assert main(argv) == EXIT_VIOLATION
+    assert capsys.readouterr().out == out
 
 
 def test_check_all_dense_route_decomposes_once(tmp_path, capsys, monkeypatch):

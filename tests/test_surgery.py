@@ -21,6 +21,7 @@ from plap.cli import gen_graph
 from plap.nodal import _slack, sign_pattern
 from plap.oracle import p2_spectrum
 from plap.surgery import (
+    EdgeCut,
     SurgeryStep,
     reduce_to_forest,
     reduce_to_nodal_union,
@@ -31,6 +32,7 @@ from plap.surgery import (
 )
 from plap.treespec import (
     ForestCount,
+    PatchedCount,
     Spectrum,
     SpectrumEntry,
     tree_eigenpairs,
@@ -163,45 +165,128 @@ def test_verify_weyl_nodes_synthetic():
 
 
 def _weyl_verdicts(H):
-    """(name, target, verdict by counter, verdict by full after-spectrum)
-    for every compensated edge removal of every eigenpair and every vertex
-    removal, a verdict being (ok, checked)."""
+    """(name, target, verdicts) for every compensated edge removal of every
+    eigenpair and every vertex removal: a verdict is (ok, checked), read by
+    the counter of the operator after the removal, by its full spectrum
+    and, for an edge, by the after-forest's patched counter."""
     g = H.graph
     spec = tree_eigenpairs(H)
     out = []
-    for e in spec.entries:
-        for f in e.basis:
-            s, _band = sign_pattern(g, f)
-            for i, j, _w in g.edges:
+    for i, j, _w in g.edges:
+        cut = EdgeCut(H, (g.ids[i], g.ids[j]))
+        for e in spec.entries:
+            for f in e.basis:
+                s, _band = sign_pattern(g, f)
                 if s[i] == 0 or s[j] == 0:
                     continue
                 H2, step = remove_edge(H, f, (g.ids[i], g.ids[j]))
-                by_count = verify_weyl_edge(spec, ForestCount(H2), step.alpha)
-                by_spec = verify_weyl_edge(spec, tree_spectrum(H2), step.alpha)
+                alpha, after = cut.after(f)
+                assert alpha == step.alpha
+                verdicts = [verify_weyl_edge(spec, counter, alpha)
+                            for counter in (ForestCount(H2), tree_spectrum(H2),
+                                            after)]
                 out.append(("edge", (e.value, g.ids[i], g.ids[j]),
-                            (by_count.ok, by_count.checked),
-                            (by_spec.ok, by_spec.checked)))
+                            [(rep.ok, rep.checked) for rep in verdicts]))
     for u in g.ids:
         H2, _step = remove_node(H, u)
-        by_count = verify_weyl_nodes(spec, ForestCount(H2), 1)
-        by_spec = verify_weyl_nodes(spec, tree_spectrum(H2), 1)
-        out.append(("node", (u,), (by_count.ok, by_count.checked),
-                    (by_spec.ok, by_spec.checked)))
+        verdicts = [verify_weyl_nodes(spec, counter, 1)
+                    for counter in (ForestCount(H2), tree_spectrum(H2))]
+        out.append(("node", (u,), [(rep.ok, rep.checked) for rep in verdicts]))
     return out
 
 
-@pytest.mark.parametrize("p", [1.2, 3.0])
+class _ReadCounts:
+    """A counter that only reads counts given in advance: a threshold it was
+    not given raises KeyError."""
+
+    def __init__(self, counts: dict, total: int):
+        self.counts, self.total = counts, total
+
+    def count_below(self, x):
+        return self.counts[x]
+
+
+def _cut_counts_agree(H) -> int:
+    """For every eigenpair and edge, the after-forest's patched counter
+    counts what ``ForestCount`` of ``remove_edge``'s operator counts at
+    every threshold a weyl-edge row reads, and its row equals the one read
+    from those counts, which holds no other threshold. Returns the number
+    of removals compared."""
+    g = H.graph
+    spec = tree_eigenpairs(H)
+    ts = {t for lam in spec.values()
+          for t in (lam - _slack(lam), math.nextafter(lam + _slack(lam), math.inf))}
+    compared = 0
+    for i, j, _w in g.edges:
+        e0 = (g.ids[i], g.ids[j])
+        cut = EdgeCut(H, e0)
+        for f in (f for e in spec.entries for f in e.basis):
+            s, _band = sign_pattern(g, f)
+            if s[i] == 0 or s[j] == 0:
+                continue
+            H2, step = remove_edge(H, f, e0)
+            alpha, after = cut.after(f)
+            want = ForestCount(H2)
+            counts = {t: want.count_below(t) for t in ts}
+            assert {t: after.count_below(t) for t in ts} == counts, e0
+            assert alpha == step.alpha
+            assert (verify_weyl_edge(spec, after, alpha)
+                    == verify_weyl_edge(spec, _ReadCounts(counts, g.n), alpha))
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
 def test_weyl_counts_agree_with_after_spectra(p):
     """Counting after-values gives the same verdict as the full
-    after-spectrum on every removal of a seeded tree corpus."""
+    after-spectrum on every removal of a seeded tree corpus, and so does
+    the patched counter of the after-forest that ``check --all`` builds
+    once per edge. On seeded weighted trees that counter's counts are
+    those of the rebuilt operator at every threshold, to the bit."""
     rng = random.Random(91)
     rows = 0
     for n in range(4, 12):
         H = Operator(random_tree(rng, n=n), p)
-        for name, target, by_count, by_spec in _weyl_verdicts(H):
-            assert by_count == by_spec, (n, name, target)
+        for name, target, verdicts in _weyl_verdicts(H):
+            assert verdicts.count(verdicts[0]) == len(verdicts), (n, name, target)
             rows += 1
     assert rows > 400
+    compared = sum(_cut_counts_agree(Operator(
+        gen_graph("tree", n, random.Random(n), weighted=True), p))
+        for n in (6, 10, 16))
+    assert compared > 300
+
+
+def _with_kappa(g, kappa: dict):
+    """``g`` with the potential kappa[i] at every dense index i in ``kappa``."""
+    return WeightedGraph([(g.ids[i], float(g.rho[i]), kappa.get(i, float(g.kappa[i])))
+                          for i in range(g.n)],
+                         [(g.ids[i], g.ids[j], w) for i, j, w in g.edges])
+
+
+def test_patched_counter_counts_poles_and_overflows_as_a_full_pass():
+    """A patched counter counts what ``ForestCount`` of the patched forest
+    counts where the kept pass holds the pole marker on a patched path (the
+    unit path 0 - 1 - 2 at x = 1, where leaf 2's g is exactly 0), and where
+    the kept pass overflows: a potential of 1e80 overflows phi_inv at
+    p = 1.2, and patched back to 0.5 the whole forest is counted."""
+    unit = gen_graph("path", 3, random.Random(0))
+    for p in (1.2, 2.0, 3.0):
+        counter = ForestCount(Operator(unit, p))
+        counter.count_below(1.0)
+        assert counter._vals[1] == math.inf  # the pole marker
+        patched = PatchedCount(counter, {2: 0.5})
+        want = ForestCount(Operator(_with_kappa(unit, {2: 0.5}), p))
+        for x in (0.5, 1.0, 1.5, 2.0, 3.0):
+            assert patched.count_below(x) == want.count_below(x), (p, x)
+    g = gen_graph("path", 5, random.Random(0), weighted=True)
+    base = ForestCount(Operator(_with_kappa(g, {2: 1e80}), 1.2))
+    patched = PatchedCount(base, {2: 0.5})
+    want = ForestCount(Operator(_with_kappa(g, {2: 0.5}), 1.2))
+    for x in (-1.0, 0.3, 1.0, 2.5, 6.0):
+        with pytest.raises(OverflowError):
+            base.count_below(x)
+        assert patched.count_below(x) == want.count_below(x)
 
 
 def test_weyl_counts_keep_a_known_failure():

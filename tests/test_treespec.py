@@ -554,14 +554,15 @@ def _counted_passes(monkeypatch) -> list:
 
 def test_isolated_eigenvalues_take_fewer_counting_passes(monkeypatch):
     """On ``gen tree 120 --seed 0 --weighted`` at p = 3 the spectrum takes at
-    most 0.5 times the counting passes of the reference bisection."""
+    most 0.3 times the counting passes of the reference bisection (1286 of
+    4729)."""
     H = Operator(gen_graph("tree", 120, random.Random(0), weighted=True), 3.0)
     passes = _counted_passes(monkeypatch)
     want = bisection_spectrum(H)
     plain = len(passes)
     passes.clear()
     assert _hex_entries(tree_spectrum(H)) == want
-    assert len(passes) <= 0.5 * plain, (len(passes), plain)
+    assert len(passes) <= 0.3 * plain, (len(passes), plain)
 
 
 @pytest.mark.parametrize("kind, n, p", [("path", 45, 1.2), ("star", 60, 1.2),
@@ -569,8 +570,11 @@ def test_isolated_eigenvalues_take_fewer_counting_passes(monkeypatch):
 def test_isolated_eigenvalues_steer_where_the_root_is_small(monkeypatch, kind,
                                                             n, p):
     """Paths and the star, where many eigenfunctions are small at the root,
-    take at most 22 counting passes per eigenvalue (the root's g steered
-    them to 32-37) and still return the reference bisection's floats."""
+    take at most 18.5 (path) and 12.3 (star) counting passes per eigenvalue,
+    about 10 % above the most a member takes (16.8 and 11.2; the root's g
+    steered them to 32-37), and still return the reference bisection's
+    floats."""
+    limit = {"path": 18.5, "star": 12.3}[kind]
     passes = _counted_passes(monkeypatch)
     for seed in (0, 1, 2):
         H = Operator(gen_graph(kind, n, random.Random(seed), weighted=True), p)
@@ -578,7 +582,7 @@ def test_isolated_eigenvalues_steer_where_the_root_is_small(monkeypatch, kind,
         passes.clear()
         spec = tree_spectrum(H)
         assert _hex_entries(spec) == want, seed
-        assert len(passes) <= 22 * spec.total, (seed, len(passes) / spec.total)
+        assert len(passes) <= limit * spec.total, (seed, len(passes) / spec.total)
 
 
 def test_steering_picks_the_eigenfunctions_largest_entry():
