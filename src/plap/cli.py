@@ -388,10 +388,11 @@ def _weyl_edge_rows(H: Operator, certs: list, spec: treespec.Spectrum) -> list:
     The rows are computed edge by edge. On the tree route one after-forest
     per edge (`surgery.EdgeCut`) then counts the removal under every
     eigenfunction, and only that edge's g lists are kept at a time; on the
-    dense route every removal is built and decomposed. An error that
-    `main` reports takes the place of the row it stopped, and `cmd_check`
-    raises the first one in its pair-major order, so the report or error
-    is the one a pass pair by pair would give.
+    dense route every removal is built and decomposed. Each eigenfunction's
+    sign pattern is computed once and serves all of its tree-route
+    removals. An error that `main` reports takes the place of the row it
+    stopped, and `cmd_check` raises the first one in its pair-major order,
+    so the report or error is the one a pass pair by pair would give.
     """
     g = H.graph
     tree = _tree_route(H)
@@ -408,7 +409,7 @@ def _weyl_edge_rows(H: Operator, certs: list, spec: treespec.Spectrum) -> list:
                     H2, step = surgery_mod.remove_edge(H, cert.function, (u, v))
                     alpha, after = step.alpha, eigenvalue_counter(H2)
                 else:
-                    alpha, after = cut.after(cert.function)
+                    alpha, after = cut.after(cert.function, s)
                 rep = surgery_mod.verify_weyl_edge(spec, after, alpha)
             except (ValueError, AssertionError, RuntimeError,
                     ArithmeticError) as exc:  # what `main` reports

@@ -66,12 +66,13 @@ def remove_edge(H: Operator, f: VertexFunction, e0) -> tuple[Operator, SurgerySt
     return H2, step
 
 
-def _compensation(H: Operator, f: VertexFunction, e0) -> tuple:
+def _compensation(H: Operator, f: VertexFunction, e0, signs=None) -> tuple:
     """(iu, iv, alpha, d_u, d_v) of removing edge ``e0`` = (u0, v0) under
     ``f``: the endpoints' dense indices, alpha = f(v0)/f(u0) and the
     potential compensations omega * phi(1 - alpha) of u0 and
     omega * phi(1 - 1/alpha) of v0. Both endpoint values must sit outside
-    the zero band, and both compensated potentials must be finite."""
+    the zero band, and both compensated potentials must be finite.
+    ``signs`` is f's `sign_pattern`, computed here when not given."""
     g = H.graph
     u0, v0 = e0
     iu = g.index_of(u0)
@@ -86,7 +87,7 @@ def _compensation(H: Operator, f: VertexFunction, e0) -> tuple:
     x = f.values
     if len(x) != g.n:
         raise ValueError("function does not match the graph")
-    s, _band = sign_pattern(g, f)
+    s = sign_pattern(g, f)[0] if signs is None else signs
     if s[iu] == 0 or s[iv] == 0:
         raise ValueError("edge removal needs nonzero values at both endpoints")
     alpha = float(x[iv]) / float(x[iu])
@@ -127,10 +128,11 @@ class EdgeCut:
             _without_edge(g, g.index_of(e0[0]), g.index_of(e0[1]), g.kappa),
             H.p))
 
-    def after(self, f: VertexFunction) -> tuple:
+    def after(self, f: VertexFunction, signs=None) -> tuple:
         """(alpha, eigenvalue counter of the operator after the removal)
-        under the eigenfunction ``f``, as `remove_edge` gives them."""
-        iu, iv, alpha, d_u, d_v = _compensation(self._H, f, self._e0)
+        under the eigenfunction ``f``, as `remove_edge` gives them;
+        ``signs`` is f's `sign_pattern`, computed when not given."""
+        iu, iv, alpha, d_u, d_v = _compensation(self._H, f, self._e0, signs)
         kappa = self._H.graph.kappa
         return alpha, PatchedCount(self._after, {iu: float(kappa[iu]) + d_u,
                                                  iv: float(kappa[iv]) + d_v})

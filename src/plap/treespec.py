@@ -20,18 +20,24 @@ poles as well as on the two unbounded tails.
 One consequence answers every spectral question on a forest: the number of
 vertices with g_u(x) < 0 is the number of eigenvalues below x
 (`ForestCount`). Spectra come from halving intervals on that count
-(`_slice`). An interval that holds one eigenvalue is narrowed by
-interpolating the g value that the eigenfunction's largest entry would have
-if the tree were re-rooted there (`_steering`, `_rerooted_g`), whose zeros
-are the component's eigenvalues and which has no pole near this one: the
-zero of the Moebius map through its last three values, else regula falsi.
-The count on the original rooting decides each step, and the halving is
-then replayed, so every value is the float that halving alone returns
-(`_isolated`). A forest that differs from a counted one in a few
-potentials is counted by re-evaluating only their root paths
-(`PatchedCount`). The vanishing vertices
-behind an eigenvalue come from the sign changes of the g values across a
-narrow window around it (`_window`).
+(`_slice`), and every pass's g list is kept with the intervals it bounds.
+An interval that holds one eigenvalue is narrowed by interpolating the g
+value that the eigenfunction's largest entry would have if the tree were
+re-rooted there (`_rerooted_g`), whose zeros are the component's
+eigenvalues and which has no pole near this one: the zero of the Moebius
+map through its last three values, else regula falsi. That entry is found
+from the vertex v where the count rises, the one vertex whose sign differs
+between the interval's two kept lists: dividing down v's subtree by the g
+values rebuilds the eigenfunction there (`_largest_entry`). Only where no
+such single vertex exists does a top-down pass over every re-rooted g pick
+it (`_steering`); where the re-rooted g does not bracket a zero, g_v is
+interpolated instead. The count on the original rooting decides each
+step, and the halving is then replayed, so every value is the float that
+halving alone returns (`_isolated`). A forest that differs from a counted
+one in a few potentials is counted by re-evaluating only their root paths
+(`PatchedCount`). The vanishing vertices behind an eigenvalue come from
+the sign changes of the g values across a narrow window around it
+(`_window`).
 
 One count is one pass of `_eval_vertices` over a component's plan, built
 once per rooting: the leaves first, then the inner vertices children-first.
@@ -62,8 +68,8 @@ WINDOW_REL = 1e-10
 #: `_slice` locates an eigenvalue to within SLICE_REL * max(1, |value|).
 SLICE_REL = 1e-13
 
-#: Relative width below which `_isolated` picks the vertex it steers on and
-#: turns from halving to interpolation.
+#: Relative width below which `_isolated`, finding no single vertex where
+#: the count rises, picks the vertex it steers on with `_steering`.
 SECANT_REL = 1e-2
 
 #: `_rerooted_g` reads a vertex's accumulator back from its g only where
@@ -104,8 +110,9 @@ class RootedTree:
     a root has parent -1. Exposes parent/children arrays over the graph's
     dense indices, each vertex's parent edge weight, one children-first
     order per component (``components``, ordered by smallest vertex) and
-    their concatenation (``order``). The spectral output downstream does not
-    depend on the roots.
+    their concatenation (``order``), and the potentials and masses as lists
+    (``kappa``, ``rho``). The spectral output downstream does not depend on
+    the roots.
 
     ``plans`` maps each component's order, in the order of ``components``,
     to what one evaluation of g walks (`_eval_vertices`): the leaves, each
@@ -143,8 +150,8 @@ class RootedTree:
         self.children = tuple(tuple(c) for c in children)
         self.components = tuple(components)
         self.order = tuple(u for comp in components for u in comp)
-        rho = graph.rho.tolist()
-        kappa = graph.kappa.tolist()
+        self.rho = rho = graph.rho.tolist()
+        self.kappa = kappa = graph.kappa.tolist()
         self.plans = {}
         for comp in self.components:
             leaves, inner = [], []
@@ -263,110 +270,156 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     strictly inside it. An interval across which the count rises by
     exactly one goes to `_isolated`, which returns the same float from
     fewer counts; one across which it rises by more is halved on the stack.
+
+    Every pass writes a list of its own, which stays with the intervals
+    it bounds, so each interval carries the g lists at both its ends. The
+    two halves of an interval share the list at its midpoint, so no list
+    is written twice. A list is indexed by dense vertex, and only the
+    entries up to the component's largest index exist.
     """
     n = len(order)
     plan = T.plans[order]
-    vals = [0.0] * T.graph.n
+    size = max(order) + 1
     hi = float(np.max(_vertex_bounds(H)[list(order)])) + 1.0
-    c_lo = _eval_vertices(H, -hi, plan, vals)
-    c_hi = _eval_vertices(H, hi, plan, vals)
+    at_lo, at_hi = [0.0] * size, [0.0] * size
+    c_lo = _eval_vertices(H, -hi, plan, at_lo)
+    c_hi = _eval_vertices(H, hi, plan, at_hi)
     if (c_lo, c_hi) != (0, n):
         raise AssertionError(
             f"eigenvalue counts {c_lo} and {c_hi} at -/+{hi:.6g}, not 0 and {n}")
     out = []
-    stack = [(-hi, hi, 0, n)]
+    stack = [(-hi, hi, 0, n, at_lo, at_hi)]
     while stack:
-        a, b, ca, cb = stack.pop()
+        a, b, ca, cb, at_a, at_b = stack.pop()
         if cb - ca == 1:
-            out.append((_isolated(H, plan, vals, a, b, ca), 1))
+            out.append((_isolated(T, H, order, a, b, ca, at_a, at_b), 1))
             continue
         mid = 0.5 * (a + b)
         if _located(a, b, mid):
             out.append((mid, cb - ca))
             continue
-        cm = _count(H, mid, plan, vals, ca, cb)
+        at_mid = [0.0] * size
+        cm = _count(H, mid, plan, at_mid, ca, cb)
         if cb > cm:
-            stack.append((mid, b, cm, cb))
+            stack.append((mid, b, cm, cb, at_mid, at_b))
         if cm > ca:
-            stack.append((a, mid, ca, cm))
+            stack.append((a, mid, ca, cm, at_a, at_mid))
     return out
 
 
-def _isolated(H: Operator, plan, vals: list, a: float, b: float,
-              ca: int) -> float:
+def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
+              at_lo: list, at_hi: list) -> float:
     """The midpoint that halving (a, b) until `_located` returns, where the
-    count rises from ca to ca + 1 across (a, b): one eigenvalue.
+    count over the component that ``order`` spans rises from ca to ca + 1
+    across (a, b): one eigenvalue. ``at_lo`` and ``at_hi`` are the g lists
+    of the passes at a and b, kept by `_slice`; they are read and never
+    written, since neighbouring intervals share them. Every probe writes a
+    new list, which then stays with the end it moves.
 
-    A bracket [lo, hi], counting ca at lo and ca + 1 at hi, is first halved
-    to SECANT_REL. At the first probe inside that width `_steering` picks
-    the vertex u* whose re-rooted g is smallest in magnitude, the vertex
-    that carries the largest entry of the eigenfunction, and from then on
-    every probe's pass also gives the re-rooted g of u* (`_rerooted_g`);
-    the g lists of the passes at the two ends are kept, so the ends probed
-    before the pick get that value too. It falls through zero at the
-    eigenvalue and has no pole near it. Once three such points exist, the
-    next probe is the zero of the Moebius map through the last three
-    (`_moebius_zero`), which is exact when the value is a ratio of two
-    linear functions: one zero beside one simple pole. Where that zero
-    lies outside the bracket, the probe is the Illinois regula falsi point
-    on the values at the two ends. The count of the pass on the original
-    rooting alone decides which end moves. A probe stays a quarter of the
-    final width inside the bracket, and is the midpoint instead when the
-    values at the two ends do not straddle zero (a pole between them, a
-    count that disagrees with the steering value in the last digits, or
-    no value yet) or the bracket did not halve over the last two probes.
-    Once the bracket is
+    The vertex v where the count rises is the one vertex whose `_negative`
+    sign differs between the lists at the bracket's two ends
+    (`_flip_vertex`), when there is exactly one: g_v falls through zero
+    inside the bracket. It is looked for before every probe until u* is
+    picked, and after that whenever neither gamma nor g_v brackets a zero.
+    The first probe at which v exists is v's regula falsi point, kept
+    within the middle 60 % of the bracket, and its pass picks u*: the
+    largest |f| over v's subtree, with f(v) = 1 and f(c) = f(u) / g_c down
+    the tree (`_largest_entry`), which is the eigenfunction's largest entry
+    where the eigenfunction lives below v. Where that walk meets a g of
+    exactly 0.0 or leaves the float range, `_steering` picks u* at the same
+    probe; where no single v exists, it picks at the first probe inside
+    the relative width SECANT_REL. From the pick on every pass also gives
+    u*'s re-rooted g, gamma (`_rerooted_g`), and the kept lists give it at
+    the two ends: it falls through zero at the eigenvalue and has no pole
+    near it.
+
+    Once three values of gamma exist, the next probe is the zero of the
+    Moebius map through the last three (`_moebius_zero`), which is exact
+    when the value is a ratio of two linear functions: one zero beside one
+    simple pole. Where that zero lies outside the bracket, the probe is
+    the Illinois regula falsi point on the values at the two ends. Where
+    gamma at the two ends does not straddle zero (a pole between them, a
+    count that disagrees with gamma in the last digits, or no pick yet),
+    the same two rules run on g_v's values (plain regula falsi on the raw
+    values at the ends), and where g_v does not straddle zero either the
+    probe is the midpoint. The count of the pass on the original rooting
+    alone decides which end moves. After the pick a probe stays a quarter
+    of the final width inside the bracket, and it is the midpoint when the
+    bracket did not halve over the last two probes. Once the bracket is
     narrower than the final width, the halving of (a, b) is replayed: a
-    midpoint outside the bracket takes the count of the end it lies beyond,
-    the count being monotone, and only a midpoint inside it is evaluated.
-    Both loops write out the width tests of `_narrow` and `_located`,
-    which saves a call per probe.
+    midpoint outside the bracket takes the count of the end it lies
+    beyond, the count being monotone, and only a midpoint inside it is
+    evaluated. Both loops write out the width tests of `_narrow` and
+    `_located`, which saves a call per probe.
     """
+    plan = T.plans[order]
+    size = len(at_lo)
     cb = ca + 1
     lo, hi = a, b
+    v = -1  # the vertex where the count rises, while it is the only one
+    v_pts = []  # the last three (x, g_v) with a finite value
     path = None  # the steering path to u*, once picked; () when there is none
     g_lo = g_hi = math.nan  # u*'s re-rooted g at lo and hi, once evaluated
     pts = []  # the last three (x, re-rooted g) with a finite value
     moved = 0  # which end moved last: 1 for lo, -1 for hi
     w1 = w2 = math.inf  # the bracket's width one and two probes ago
-    at_lo = at_hi = None  # the g lists of the passes at lo and hi
     while not hi - lo <= SLICE_REL * max(1.0, min(abs(lo), abs(hi))):
         w = hi - lo
         x = 0.5 * (lo + hi)
-        if (w <= 0.5 * w2 and 0.0 <= g_lo < POLE and -POLE < g_hi <= 0.0
-                and g_lo != g_hi):
-            z = _moebius_zero(pts) if len(pts) == 3 else math.nan
-            if not lo < z < hi:
-                z = lo + w * (g_lo / (g_lo - g_hi))
-            q = 0.25 * SLICE_REL * max(1.0, min(abs(lo), abs(hi)))
-            x = min(max(z, lo + q), hi - q)
+        on_gamma = _straddles(g_lo, g_hi)
+        if not (on_gamma or v >= 0 and _straddles(at_lo[v], at_hi[v])):
+            # before the pick, or where neither value brackets a zero
+            u = _flip_vertex(order, at_lo, at_hi)
+            if u != v:
+                v = u
+                v_pts = [(e, g) for e, g in ((lo, at_lo[v]), (hi, at_hi[v]))
+                         if math.isfinite(g)] if v >= 0 else []
+        if w <= 0.5 * w2:
+            z = math.nan
+            if on_gamma:
+                z = _moebius_zero(pts) if len(pts) == 3 else math.nan
+                if not lo < z < hi:
+                    z = lo + w * (g_lo / (g_lo - g_hi))
+            elif v >= 0 and _straddles(at_lo[v], at_hi[v]):
+                z = _moebius_zero(v_pts) if len(v_pts) == 3 else math.nan
+                if not lo < z < hi:
+                    z = lo + w * (at_lo[v] / (at_lo[v] - at_hi[v]))
+            if z == z:
+                q = (0.2 * w if path is None else  # the pick's probe
+                     0.25 * SLICE_REL * max(1.0, min(abs(lo), abs(hi))))
+                x = min(max(z, lo + q), hi - q)
         w1, w2 = w, w1
+        vals = [0.0] * size  # never a kept list: `_slice` shares those
         c = _count(H, x, plan, vals, ca, cb)
-        if path is None and w <= SECANT_REL * max(1.0, min(abs(lo), abs(hi))):
-            path = _steering(H, plan, vals, x)
-            if path:  # the ends probed so far get their values as well
-                if at_lo is not None:
-                    g_lo = _rerooted_g(H, path, at_lo, lo)
-                if at_hi is not None:
-                    g_hi = _rerooted_g(H, path, at_hi, hi)
+        if path is None:
+            if v >= 0:
+                star = _largest_entry(T, vals, v)
+                path = (_path_to(T, star) if star >= 0
+                        else _steering(H, T, plan, vals, x))
+            elif w <= SECANT_REL * max(1.0, min(abs(lo), abs(hi))):
+                path = _steering(H, T, plan, vals, x)
+            if path:  # the ends get their values as well
+                g_lo = _rerooted_g(H, path, at_lo, lo)
+                g_hi = _rerooted_g(H, path, at_hi, hi)
                 pts = [(e, g) for e, g in ((lo, g_lo), (hi, g_hi))
                        if math.isfinite(g)]
                 moved = 0
         g = _rerooted_g(H, path, vals, x) if path else math.nan
         if math.isfinite(g):
             pts = [*pts[-2:], (x, g)]
+        if v >= 0 and math.isfinite(vals[v]):
+            v_pts = [*v_pts[-2:], (x, vals[v])]
         if c == ca:
-            lo, g_lo = x, g
+            lo, g_lo, at_lo = x, g, vals
             if moved == 1:  # hi kept twice: Illinois halves its value
                 g_hi *= 0.5
             moved = 1
-            vals, at_lo = at_lo or [0.0] * len(vals), vals
         else:
-            hi, g_hi = x, g
+            hi, g_hi, at_hi = x, g, vals
             if moved == -1:
                 g_lo *= 0.5
             moved = -1
-            vals, at_hi = at_hi or [0.0] * len(vals), vals
+    vals = [0.0] * size
     while True:
         mid = 0.5 * (a + b)
         if (b - a <= SLICE_REL * max(1.0, min(abs(a), abs(b)))
@@ -382,6 +435,68 @@ def _isolated(H: Operator, plan, vals: list, a: float, b: float,
             b = hi = mid
 
 
+def _straddles(g_lo: float, g_hi: float) -> bool:
+    """Whether g values at the low and high end of a bracket bound a zero
+    that interpolation can locate: finite, falling, one of them nonzero."""
+    return 0.0 <= g_lo < POLE and -POLE < g_hi <= 0.0 and g_lo != g_hi
+
+
+def _flip_vertex(order, at_lo: list, at_hi: list) -> int:
+    """The one vertex of ``order`` whose g value is `_negative` in exactly
+    one of the two g lists; -1 when there is none or more than one. The
+    test of `_negative` is written out, which saves two calls a vertex."""
+    v = -1
+    for u in order:
+        x = at_lo[u]
+        y = at_hi[u]
+        if (x < 0.0 or x == POLE) is not (y < 0.0 or y == POLE):
+            if v >= 0:
+                return -1
+            v = u
+    return v
+
+
+def _largest_entry(T: RootedTree, vals: list, v: int) -> int:
+    """The vertex of v's subtree where |f| is largest, f(v) = 1 and
+    f(c) = f(u) / g_c for every child c of u, on the g values in
+    ``vals``: one division per vertex. -1 when a g is exactly 0.0 or f
+    leaves the finite range."""
+    children = T.children
+    best, top = v, 1.0
+    todo = [(v, 1.0)]
+    for u, fu in todo:  # grows while it is read
+        for c in children[u]:
+            g = vals[c]
+            if g == 0.0:
+                return -1
+            fc = fu / g
+            m = abs(fc)
+            if not m <= top:
+                if not m < POLE:  # inf or NaN
+                    return -1
+                best, top = c, m
+            todo.append((c, fc))
+    return best
+
+
+def _path_to(T: RootedTree, star: int) -> tuple:
+    """The steps `_rerooted_g` walks from the root of ``star``'s component
+    down to ``star``: per vertex u, (u, kappa_u, rho_u, is_root, parent
+    weight, the (child, omega) pairs off the path, the next vertex on the
+    path, its edge weight), with -1 and the virtual edge's 1.0 at
+    ``star``."""
+    steps = []
+    v, w_v, u = -1, 1.0, star
+    while u != -1:
+        root = T.parent[u] == -1
+        steps.append((u, T.kappa[u], T.rho[u], root,
+                      1.0 if root else T.parent_w[u],
+                      tuple((k, T.parent_w[k]) for k in T.children[u]
+                            if k != v), v, w_v))
+        v, w_v, u = u, T.parent_w[u], T.parent[u]
+    return tuple(reversed(steps))
+
+
 def _moebius_zero(pts) -> float:
     """The zero of the Moebius map (alpha x + beta) / (gamma x + delta)
     through three points (x_i, y_i), det[x, y, xy] / det[1, y, xy], with the
@@ -394,12 +509,13 @@ def _moebius_zero(pts) -> float:
     return x3 - y3 * d1 * d2 * (y2 - y1) / den
 
 
-def _steering(H: Operator, plan, vals: list, lam: float) -> tuple:
-    """The path from the component's root down to the vertex u* whose
-    re-rooted g is smallest in magnitude at lam, as `_rerooted_g` walks it,
-    read from the g values that a pass at lam left in ``vals``; empty when
+def _steering(H: Operator, T: RootedTree, plan, vals: list,
+              lam: float) -> tuple:
+    """The path (`_path_to`) from the component's root down to the vertex
+    u* whose re-rooted g is smallest in magnitude at lam, read from the g
+    values that a pass at lam over ``plan`` left in ``vals``; empty when
     the recursion divides by zero, overflows or gives a value that is not
-    finite.
+    finite. `_isolated` calls it where the division walk cannot pick.
 
     The re-rooted g of u, gamma_u, is the g value u would have if the tree
     hung from u: its zeros are the component's eigenvalues, and near an
@@ -411,54 +527,48 @@ def _steering(H: Operator, plan, vals: list, lam: float) -> tuple:
     1 + phi_inv((kappa_u - rho_u lam + S_u - c_v + up_u) / omega_v) there,
     up_v is omega_v phi(1 - 1/that value), and
     gamma_u = 1 + phi_inv(kappa_u - rho_u lam - 1 + S_u + up_u): the virtual
-    parent's -1 moves from the original root to u.
+    parent's -1 moves from the original root to u. The up terms go into a
+    list indexed by vertex, and a vertex with one child keeps its child's
+    term in a 1-tuple rather than a list.
     """
     pm1 = H.p - 1.0
     pinv = 1.0 / pm1
     leaves, inner = plan
-    up = {(inner or leaves)[-1][0]: 0.0}  # the root's: no parent
-    parent = {}  # vertex -> its parent's plan entry
+    up = [0.0] * len(vals)  # the root's stays 0.0: it has no parent
     # gamma = 1 + phi_inv(a) beats the best so far exactly when a lies in
     # (a_lo, a_hi), so a power is taken only on a new best
-    a_lo, a_hi, star = -math.inf, math.inf, None
+    a_lo, a_hi, star = -math.inf, math.inf, -1
     try:
-        for e in reversed(inner):
-            u, kappa, rho, _root, _w, kids = e
+        for u, kappa, rho, _root, _w, kids in reversed(inner):
             base = kappa - rho * lam + up[u]
-            terms = []
-            for v, w in kids:
+            if len(kids) == 1:  # one child: no list
+                ((v, w),) = kids
                 t = 1.0 - 1.0 / vals[v]
-                c = w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1
-                terms.append(c)
-                base += c
+                terms = (w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1,)
+                base += terms[0]
+            else:
+                terms = []
+                for v, w in kids:
+                    t = 1.0 - 1.0 / vals[v]
+                    c = w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1
+                    terms.append(c)
+                    base += c
             if a_lo < base - 1.0 < a_hi:
-                (a_lo, a_hi), star = _gamma_window(base - 1.0, pm1, pinv), e
+                (a_lo, a_hi), star = _gamma_window(base - 1.0, pm1, pinv), u
             for (v, w), c in zip(kids, terms):
                 a = (base - c) / w
                 t = 1.0 - 1.0 / (1.0 + (a ** pinv if a > 0.0
                                         else -((-a) ** pinv)))
                 up[v] = w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1
-                parent[v] = e
-        for e in leaves:
-            u, kappa, rho = e[:3]
+        for u, kappa, rho, _root, _w in leaves:
             a = kappa - rho * lam - 1.0 + up[u]
             if a_lo < a < a_hi:
-                (a_lo, a_hi), star = _gamma_window(a, pm1, pinv), e
+                (a_lo, a_hi), star = _gamma_window(a, pm1, pinv), u
     except (OverflowError, ZeroDivisionError):
         return ()
-    if star is None or not math.isfinite(sum(up.values())):
+    if star < 0 or not math.isfinite(sum(up)):
         return ()
-    steps = []
-    v, w_v = -1, 1.0  # u* hangs from the virtual parent's unit edge
-    e = star
-    while True:
-        u, kappa, rho, root, w_par = e[:5]
-        kids = e[5] if len(e) > 5 else ()
-        steps.append((u, kappa, rho, root, w_par,
-                      tuple((k, w) for k, w in kids if k != v), v, w_v))
-        if root:
-            return tuple(reversed(steps))
-        v, w_v, e = u, w_par, parent[u]
+    return _path_to(T, star)
 
 
 def _gamma_window(a: float, pm1: float, pinv: float) -> tuple:

@@ -582,13 +582,39 @@ def test_check_all_keeps_the_near_tie_verdict(tmp_path, capsys, monkeypatch):
         def __init__(self, H, e0):
             self.H, self.e0 = H, e0
 
-        def after(self, f):
+        def after(self, f, signs):
             H2, step = surgery.remove_edge(self.H, f, self.e0)
             return step.alpha, treespec.ForestCount(H2)
 
     monkeypatch.setattr(surgery, "EdgeCut", Rebuilt)
     assert main(argv) == EXIT_VIOLATION
     assert capsys.readouterr().out == out
+
+
+def test_check_all_reads_each_sign_pattern_once(tmp_path, capsys,
+                                                monkeypatch):
+    """On the tree route ``check --all`` computes each eigenfunction's sign
+    pattern once and hands it to every edge removal under it: the removals
+    compute none, and the report is the one they give when they compute
+    their own."""
+    path = write_doc(tmp_path, graph_document(
+        gen_graph("tree", 9, random.Random(2), weighted=True)))
+    argv = ["check", path, "--all", "--p", "3"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    own = []
+    inner = surgery.sign_pattern
+    monkeypatch.setattr(surgery, "sign_pattern",
+                        lambda *args: own.append(1) or inner(*args))
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == out
+    assert own == []
+    after = surgery.EdgeCut.after
+    monkeypatch.setattr(surgery.EdgeCut, "after",
+                        lambda self, f, signs: after(self, f))
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == out
+    assert len(own) > 9
 
 
 def test_check_all_dense_route_decomposes_once(tmp_path, capsys, monkeypatch):

@@ -518,10 +518,13 @@ def _hex_entries(spec):
 
 
 def test_tree_spectrum_is_the_plain_bisection_to_the_bit():
-    """Regula falsi inside isolated brackets changes no float: on seeded
-    trees, paths and stars, on forests of three and more components and on
-    the unweighted star, whose repeated eigenvalue is halved on the stack,
-    values and multiplicities equal the reference bisection's."""
+    """Steering inside isolated brackets changes no float: on seeded trees,
+    paths and stars, on forests of three and more components and on the
+    unweighted star, whose repeated eigenvalue is halved on the stack,
+    values and multiplicities equal the reference bisection's. So do the
+    benchmark's path 45 (members 0-2) at p = 1.2, tree 120 (member 0) at
+    p = 1.2 and 3 and star 60 (member 0) at p = 3, where the division walk
+    and the fallback to `_steering` both fire."""
     graphs = [gen_graph(kind, n, random.Random(seed), weighted=True)
               for kind, n in (("tree", 24), ("path", 18), ("star", 14))
               for seed in (0, 1, 2)]
@@ -537,32 +540,125 @@ def test_tree_spectrum_is_the_plain_bisection_to_the_bit():
                 g.n, p)
         mults = [e.mult for e in tree_spectrum(Operator(star, p)).entries]
         assert max(mults) == 7
+    for kind, n, seed, p in [("path", 45, 0, 1.2), ("path", 45, 1, 1.2),
+                             ("path", 45, 2, 1.2), ("tree", 120, 0, 1.2),
+                             ("tree", 120, 0, 3.0), ("star", 60, 0, 3.0)]:
+        H = Operator(gen_graph(kind, n, random.Random(seed), weighted=True), p)
+        assert _hex_entries(tree_spectrum(H)) == bisection_spectrum(H), (
+            kind, n, seed, p)
 
 
-def _counted_passes(monkeypatch) -> list:
-    """A list that gains one entry per `_eval_vertices` call from now on."""
-    passes = []
-    inner = treespec._eval_vertices
+def _hex_list(vals, order) -> list:
+    return [vals[u].hex() for u in order]
+
+
+def test_isolated_brackets_enter_with_the_passes_at_their_ends(monkeypatch):
+    """Every isolated bracket enters `_isolated` with the g lists of a
+    fresh pass at each of its ends, and leaves them as it found them: no
+    list that neighbouring intervals share is written as scratch. On a
+    forest the lists reach no further than the component's largest
+    vertex."""
+    inner = treespec._isolated
+    seen = []
+
+    def checked(T, H, order, a, b, ca, at_lo, at_hi):
+        assert len(at_lo) == len(at_hi) == max(order) + 1
+        for x, kept, count in ((a, at_lo, ca), (b, at_hi, ca + 1)):
+            fresh = [0.0] * len(kept)
+            assert treespec._eval_vertices(H, x, T.plans[order], fresh) == count
+            assert _hex_list(kept, order) == _hex_list(fresh, order)
+        before = (_hex_list(at_lo, order), _hex_list(at_hi, order))
+        out = inner(T, H, order, a, b, ca, at_lo, at_hi)
+        assert (_hex_list(at_lo, order), _hex_list(at_hi, order)) == before
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(treespec, "_isolated", checked)
+    rng = random.Random(5)
+    for g, p in [(gen_graph("path", 45, random.Random(0), weighted=True), 1.2),
+                 (gen_graph("tree", 60, random.Random(1), weighted=True), 3.0),
+                 (gen_graph("star", 30, random.Random(2), weighted=True), 3.0),
+                 (disjoint_union(*[random_tree(rng, n=rng.randint(3, 9))
+                                   for _ in range(4)]), 1.5)]:
+        seen.clear()
+        spec = tree_spectrum(Operator(g, p))
+        assert len(seen) == spec.total  # every value has multiplicity one
+
+
+@pytest.mark.parametrize("fault", ["no single vertex", "zero g", "overflow"])
+def test_isolated_falls_back_to_steering(monkeypatch, fault):
+    """Where the count rises at more than one vertex, a g on the division
+    walk is exactly 0.0 or the walk's product overflows, `_isolated` picks
+    u* with `_steering` at once and still returns the bisection's
+    floats."""
+    H = Operator(gen_graph("tree", 30, random.Random(0), weighted=True), 3.0)
+    T = RootedTree(H.graph)
+    (order,) = T.components
+    root = order[-1]
+    vals = [0.0] * H.graph.n
+    treespec._eval_vertices(H, -0.5, T.plans[order], vals)
+    assert treespec._largest_entry(T, vals, root) >= 0
+    zero = vals.copy()
+    zero[T.children[root][0]] = 0.0
+    assert treespec._largest_entry(T, zero, root) == -1
+    for bad in (1e-200, 1e-310, math.nan):  # f overflows, or is NaN
+        assert treespec._largest_entry(T, [bad] * H.graph.n, root) == -1
+    want = bisection_spectrum(H)
+
+    walk, steer = treespec._largest_entry, treespec._steering
+    events = []
+    bad = {"zero g": 0.0, "overflow": 1e-310}.get(fault)
+
+    def faulty_walk(T, vals, v):
+        star = walk(T, [bad] * len(vals), v)
+        events.append("walk" if star >= 0 else "failed walk")
+        return star
+
+    def counted_steering(*args):
+        events.append("steering")
+        return steer(*args)
+
+    monkeypatch.setattr(treespec, "_steering", counted_steering)
+    monkeypatch.setattr(treespec, "_largest_entry", faulty_walk)
+    if fault == "no single vertex":
+        monkeypatch.setattr(treespec, "_flip_vertex", lambda *args: -1)
+    assert _hex_entries(tree_spectrum(H)) == want
+    if fault == "no single vertex":
+        assert events == ["steering"] * H.graph.n
+    else:
+        failed = [i for i, e in enumerate(events) if e == "failed walk"]
+        assert len(failed) >= H.graph.n // 2
+        assert all(events[i + 1] == "steering" for i in failed)
+
+
+def _counted_calls(monkeypatch, name: str) -> list:
+    """A list that gains one entry per call of ``treespec.<name>`` from
+    now on."""
+    calls = []
+    inner = getattr(treespec, name)
 
     def counted(*args):
-        passes.append(1)
+        calls.append(1)
         return inner(*args)
 
-    monkeypatch.setattr(treespec, "_eval_vertices", counted)
-    return passes
+    monkeypatch.setattr(treespec, name, counted)
+    return calls
 
 
 def test_isolated_eigenvalues_take_fewer_counting_passes(monkeypatch):
     """On ``gen tree 120 --seed 0 --weighted`` at p = 3 the spectrum takes at
-    most 0.3 times the counting passes of the reference bisection (1286 of
-    4729)."""
+    most 0.25 times the counting passes of the reference bisection (1073 of
+    4729), and `_steering` runs for at most 0.33 of the eigenvalues (35 of
+    120)."""
     H = Operator(gen_graph("tree", 120, random.Random(0), weighted=True), 3.0)
-    passes = _counted_passes(monkeypatch)
+    passes = _counted_calls(monkeypatch, "_eval_vertices")
+    steered = _counted_calls(monkeypatch, "_steering")
     want = bisection_spectrum(H)
     plain = len(passes)
     passes.clear()
     assert _hex_entries(tree_spectrum(H)) == want
-    assert len(passes) <= 0.3 * plain, (len(passes), plain)
+    assert len(passes) <= 0.25 * plain, (len(passes), plain)
+    assert len(steered) <= 0.33 * 120, len(steered)
 
 
 @pytest.mark.parametrize("kind, n, p", [("path", 45, 1.2), ("star", 60, 1.2),
@@ -570,19 +666,27 @@ def test_isolated_eigenvalues_take_fewer_counting_passes(monkeypatch):
 def test_isolated_eigenvalues_steer_where_the_root_is_small(monkeypatch, kind,
                                                             n, p):
     """Paths and the star, where many eigenfunctions are small at the root,
-    take at most 18.5 (path) and 12.3 (star) counting passes per eigenvalue,
-    about 10 % above the most a member takes (16.8 and 11.2; the root's g
-    steered them to 32-37), and still return the reference bisection's
-    floats."""
-    limit = {"path": 18.5, "star": 12.3}[kind]
-    passes = _counted_passes(monkeypatch)
+    take at most 15.1 (path, p = 1.2), 8.8 (star, p = 1.2) and 11.0 (star,
+    p = 3) counting passes per eigenvalue, about 10 % above the most a
+    member takes (13.73, 8.03 and 9.97; the root's g steered them to
+    32-37), call `_steering` for at most 0.6, 0.05 and 0.1 of the
+    eigenvalues (members: up to 0.53, 0.017 and 0.083), and still return
+    the reference bisection's floats."""
+    limit, steer_limit = {("path", 1.2): (15.1, 0.6),
+                          ("star", 1.2): (8.8, 0.05),
+                          ("star", 3.0): (11.0, 0.1)}[kind, p]
+    passes = _counted_calls(monkeypatch, "_eval_vertices")
+    steered = _counted_calls(monkeypatch, "_steering")
     for seed in (0, 1, 2):
         H = Operator(gen_graph(kind, n, random.Random(seed), weighted=True), p)
         want = bisection_spectrum(H)
         passes.clear()
+        steered.clear()
         spec = tree_spectrum(H)
         assert _hex_entries(spec) == want, seed
         assert len(passes) <= limit * spec.total, (seed, len(passes) / spec.total)
+        assert len(steered) <= steer_limit * spec.total, (
+            seed, len(steered) / spec.total)
 
 
 def test_steering_picks_the_eigenfunctions_largest_entry():
@@ -601,7 +705,7 @@ def test_steering_picks_the_eigenfunctions_largest_entry():
                 f = np.abs(e.basis[0].values)
                 lam = e.value + 1e-4 * max(1.0, abs(e.value))
                 treespec._eval_vertices(H, lam, T.plans[order], vals)
-                path = treespec._steering(H, T.plans[order], vals, lam)
+                path = treespec._steering(H, T, T.plans[order], vals, lam)
                 assert path[0][0] == order[-1]  # the walk starts at the root
                 star = path[-1][0]
                 assert f[star] >= (1.0 - 1e-9) * f.max(), (kind, p, e.value)
@@ -621,10 +725,10 @@ def test_steering_gives_up_instead_of_raising(monkeypatch):
     lam = 1e-3 + tree_spectrum(H).values()[0]
     vals = [0.0] * 8
     treespec._eval_vertices(H, lam, plan, vals)
-    path = treespec._steering(H, plan, vals, lam)
+    path = treespec._steering(H, T, plan, vals, lam)
     assert len(path) == 2  # from the centre down to a leaf
     for bad in ([1e-300] * 8, [0.0] * 8):
-        assert treespec._steering(H, plan, bad, lam) == ()
+        assert treespec._steering(H, T, plan, bad, lam) == ()
         assert math.isnan(treespec._rerooted_g(H, path, bad, lam))
     monkeypatch.setattr(treespec, "_rerooted_g", lambda *args: math.nan)
     assert _hex_entries(tree_spectrum(H)) == bisection_spectrum(H)
