@@ -26,6 +26,9 @@ from ._unionfind import UnionFind
 #: Smallest accepted exponent; phi and its inverse degenerate as p -> 1.
 P_MIN = 1.0 + 1e-3
 
+#: Values within ZERO_BAND_REL * max|f| of zero count as vanishing.
+ZERO_BAND_REL = 1e-12
+
 #: Gradient steps ``first_eigenpair`` may spend over all its descent rounds.
 MAX_DESCENT_STEPS = 100_000
 
@@ -363,12 +366,12 @@ def _unit_p_norm(x: np.ndarray, p: float) -> np.ndarray:
 
 def p_normalized(x: np.ndarray, p: float) -> np.ndarray:
     """Scale to unit p-norm by ``_unit_p_norm``, the rule of ``residual``,
-    and make the first non-negligible entry positive."""
+    and make the first entry outside the zero band positive."""
     x = np.asarray(x, dtype=np.float64)
     if not np.any(x):
         raise ValueError("cannot normalize the zero function")
     y = _unit_p_norm(x, p)
-    band = 1e-12 * np.max(np.abs(y))
+    band = ZERO_BAND_REL * np.max(np.abs(y))
     for v in y:
         if abs(v) > band:
             if v < 0:

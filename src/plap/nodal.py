@@ -16,13 +16,10 @@ from functools import cache
 import numpy as np
 
 from ._unionfind import UnionFind
-from .core import (EigenpairCertificate, Operator, VertexFunction,
-                   WeightedGraph, _id_key, connected_components)
+from .core import (ZERO_BAND_REL, EigenpairCertificate, Operator,
+                   VertexFunction, WeightedGraph, _id_key, connected_components)
 from .oracle import variational_index
 from .treespec import Spectrum
-
-#: Values within ZERO_BAND_REL * max|f| of zero count as vanishing.
-ZERO_BAND_REL = 1e-12
 
 
 def sign_pattern(g: WeightedGraph, f: VertexFunction) -> tuple[np.ndarray, float]:

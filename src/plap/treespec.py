@@ -30,11 +30,12 @@ from the vertex v where the count rises, the one vertex whose sign differs
 between the interval's two kept lists: dividing down v's subtree by the g
 values rebuilds the eigenfunction there (`_largest_entry`). Only where no
 such single vertex exists does a top-down pass over every re-rooted g pick
-it (`_steering`); where the re-rooted g does not bracket a zero, g_v is
-interpolated instead. The count on the original rooting decides each
-step, and the halving is then replayed, so every value is the float that
-halving alone returns (`_isolated`). A forest that differs from a counted
-one in a few potentials is counted by re-evaluating only their root paths
+it (`_steering`); where the re-rooted g does not bracket a zero, the probe
+is regula falsi on g_v, and where g_v does not either, the midpoint. The
+count on the original rooting decides each step, and the halving is then
+replayed, so every value is the float that halving alone returns
+(`_isolated`). A forest that differs from a counted one in a few
+potentials is counted by re-evaluating only their root paths
 (`PatchedCount`). The vanishing vertices behind an eigenvalue come from
 the sign changes of the g values across a narrow window around it
 (`_window`).
@@ -236,16 +237,17 @@ def _negative(g: float) -> bool:
     return g < 0.0 or g == POLE
 
 
-def _narrow(a: float, b: float, rel: float) -> bool:
-    """Whether b - a is at most rel * max(1, min(|a|, |b|)): a width relative
-    to the value the interval locates rather than to the starting bracket,
-    since a huge potential can push the spectral bound to 1e12 and beyond."""
-    return b - a <= rel * max(1.0, min(abs(a), abs(b)))
+def _narrow(a: float, b: float, rel: float) -> float:
+    """rel * max(1, min(|a|, |b|)), the width at or below which the interval
+    (a, b) counts as narrow: relative to the value the interval locates
+    rather than to the starting bracket, since a huge potential can push
+    the spectral bound to 1e12 and beyond."""
+    return rel * max(1.0, min(abs(a), abs(b)))
 
 
 def _located(a: float, b: float, mid: float) -> bool:
     """Whether halving stops at (a, b) and returns its midpoint ``mid``."""
-    return _narrow(a, b, SLICE_REL) or not a < mid < b
+    return b - a <= _narrow(a, b, SLICE_REL) or not a < mid < b
 
 
 def _count(H: Operator, x: float, plan, vals: list, ca: int, cb: int) -> int:
@@ -337,43 +339,35 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
     Moebius map through the last three (`_moebius_zero`), which is exact
     when the value is a ratio of two linear functions: one zero beside one
     simple pole. Where that zero lies outside the bracket, the probe is
-    the Illinois regula falsi point on the values at the two ends. Where
-    gamma at the two ends does not straddle zero (a pole between them, a
-    count that disagrees with gamma in the last digits, or no pick yet),
-    the same two rules run on g_v's values (plain regula falsi on the raw
-    values at the ends), and where g_v does not straddle zero either the
-    probe is the midpoint. The count of the pass on the original rooting
-    alone decides which end moves. After the pick a probe stays a quarter
-    of the final width inside the bracket, and it is the midpoint when the
-    bracket did not halve over the last two probes. Once the bracket is
-    narrower than the final width, the halving of (a, b) is replayed: a
-    midpoint outside the bracket takes the count of the end it lies
-    beyond, the count being monotone, and only a midpoint inside it is
-    evaluated. Both loops write out the width tests of `_narrow` and
-    `_located`, which saves a call per probe.
+    the regula falsi point on gamma's values at the two ends. Where gamma
+    at the two ends does not straddle zero (a pole between them, a count
+    that disagrees with gamma in the last digits, or no pick yet), the
+    probe is the regula falsi point on g_v's values at the ends, and where
+    g_v does not straddle zero either it is the midpoint. The count of the
+    pass on the original rooting alone decides which end moves. After the
+    pick a probe stays a quarter of the final width inside the bracket,
+    and it is the midpoint when the bracket did not halve over the last
+    two probes. Once the bracket is narrower than the final width, the
+    halving of (a, b) is replayed: a midpoint outside the bracket takes the
+    count of the end it lies beyond, the count being monotone, and only a
+    midpoint inside it is evaluated.
     """
     plan = T.plans[order]
     size = len(at_lo)
     cb = ca + 1
     lo, hi = a, b
     v = -1  # the vertex where the count rises, while it is the only one
-    v_pts = []  # the last three (x, g_v) with a finite value
     path = None  # the steering path to u*, once picked; () when there is none
     g_lo = g_hi = math.nan  # u*'s re-rooted g at lo and hi, once evaluated
     pts = []  # the last three (x, re-rooted g) with a finite value
-    moved = 0  # which end moved last: 1 for lo, -1 for hi
     w1 = w2 = math.inf  # the bracket's width one and two probes ago
-    while not hi - lo <= SLICE_REL * max(1.0, min(abs(lo), abs(hi))):
+    while not hi - lo <= _narrow(lo, hi, SLICE_REL):
         w = hi - lo
         x = 0.5 * (lo + hi)
         on_gamma = _straddles(g_lo, g_hi)
         if not (on_gamma or v >= 0 and _straddles(at_lo[v], at_hi[v])):
             # before the pick, or where neither value brackets a zero
-            u = _flip_vertex(order, at_lo, at_hi)
-            if u != v:
-                v = u
-                v_pts = [(e, g) for e, g in ((lo, at_lo[v]), (hi, at_hi[v]))
-                         if math.isfinite(g)] if v >= 0 else []
+            v = _flip_vertex(order, at_lo, at_hi)
         if w <= 0.5 * w2:
             z = math.nan
             if on_gamma:
@@ -381,12 +375,10 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
                 if not lo < z < hi:
                     z = lo + w * (g_lo / (g_lo - g_hi))
             elif v >= 0 and _straddles(at_lo[v], at_hi[v]):
-                z = _moebius_zero(v_pts) if len(v_pts) == 3 else math.nan
-                if not lo < z < hi:
-                    z = lo + w * (at_lo[v] / (at_lo[v] - at_hi[v]))
+                z = lo + w * (at_lo[v] / (at_lo[v] - at_hi[v]))
             if z == z:
                 q = (0.2 * w if path is None else  # the pick's probe
-                     0.25 * SLICE_REL * max(1.0, min(abs(lo), abs(hi))))
+                     0.25 * _narrow(lo, hi, SLICE_REL))
                 x = min(max(z, lo + q), hi - q)
         w1, w2 = w, w1
         vals = [0.0] * size  # never a kept list: `_slice` shares those
@@ -396,34 +388,24 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
                 star = _largest_entry(T, vals, v)
                 path = (_path_to(T, star) if star >= 0
                         else _steering(H, T, plan, vals, x))
-            elif w <= SECANT_REL * max(1.0, min(abs(lo), abs(hi))):
+            elif w <= _narrow(lo, hi, SECANT_REL):
                 path = _steering(H, T, plan, vals, x)
             if path:  # the ends get their values as well
                 g_lo = _rerooted_g(H, path, at_lo, lo)
                 g_hi = _rerooted_g(H, path, at_hi, hi)
                 pts = [(e, g) for e, g in ((lo, g_lo), (hi, g_hi))
                        if math.isfinite(g)]
-                moved = 0
         g = _rerooted_g(H, path, vals, x) if path else math.nan
         if math.isfinite(g):
             pts = [*pts[-2:], (x, g)]
-        if v >= 0 and math.isfinite(vals[v]):
-            v_pts = [*v_pts[-2:], (x, vals[v])]
         if c == ca:
             lo, g_lo, at_lo = x, g, vals
-            if moved == 1:  # hi kept twice: Illinois halves its value
-                g_hi *= 0.5
-            moved = 1
         else:
             hi, g_hi, at_hi = x, g, vals
-            if moved == -1:
-                g_lo *= 0.5
-            moved = -1
     vals = [0.0] * size
     while True:
         mid = 0.5 * (a + b)
-        if (b - a <= SLICE_REL * max(1.0, min(abs(a), abs(b)))
-                or not a < mid < b):
+        if _located(a, b, mid):
             return mid
         if mid <= lo:
             a = mid
@@ -528,33 +510,27 @@ def _steering(H: Operator, T: RootedTree, plan, vals: list,
     up_v is omega_v phi(1 - 1/that value), and
     gamma_u = 1 + phi_inv(kappa_u - rho_u lam - 1 + S_u + up_u): the virtual
     parent's -1 moves from the original root to u. The up terms go into a
-    list indexed by vertex, and a vertex with one child keeps its child's
-    term in a 1-tuple rather than a list.
+    list indexed by vertex, and the first vertex with the strictly smallest
+    |gamma_u| is u*.
     """
     pm1 = H.p - 1.0
     pinv = 1.0 / pm1
     leaves, inner = plan
     up = [0.0] * len(vals)  # the root's stays 0.0: it has no parent
-    # gamma = 1 + phi_inv(a) beats the best so far exactly when a lies in
-    # (a_lo, a_hi), so a power is taken only on a new best
-    a_lo, a_hi, star = -math.inf, math.inf, -1
+    best, star = math.inf, -1
     try:
         for u, kappa, rho, _root, _w, kids in reversed(inner):
             base = kappa - rho * lam + up[u]
-            if len(kids) == 1:  # one child: no list
-                ((v, w),) = kids
+            terms = []
+            for v, w in kids:
                 t = 1.0 - 1.0 / vals[v]
-                terms = (w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1,)
-                base += terms[0]
-            else:
-                terms = []
-                for v, w in kids:
-                    t = 1.0 - 1.0 / vals[v]
-                    c = w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1
-                    terms.append(c)
-                    base += c
-            if a_lo < base - 1.0 < a_hi:
-                (a_lo, a_hi), star = _gamma_window(base - 1.0, pm1, pinv), u
+                c = w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1
+                terms.append(c)
+                base += c
+            a = base - 1.0
+            m = abs(1.0 + (a ** pinv if a > 0.0 else -((-a) ** pinv)))
+            if m < best:
+                best, star = m, u
             for (v, w), c in zip(kids, terms):
                 a = (base - c) / w
                 t = 1.0 - 1.0 / (1.0 + (a ** pinv if a > 0.0
@@ -562,21 +538,14 @@ def _steering(H: Operator, T: RootedTree, plan, vals: list,
                 up[v] = w * t ** pm1 if t > 0.0 else -w * (-t) ** pm1
         for u, kappa, rho, _root, _w in leaves:
             a = kappa - rho * lam - 1.0 + up[u]
-            if a_lo < a < a_hi:
-                (a_lo, a_hi), star = _gamma_window(a, pm1, pinv), u
+            m = abs(1.0 + (a ** pinv if a > 0.0 else -((-a) ** pinv)))
+            if m < best:
+                best, star = m, u
     except (OverflowError, ZeroDivisionError):
         return ()
     if star < 0 or not math.isfinite(sum(up)):
         return ()
     return _path_to(T, star)
-
-
-def _gamma_window(a: float, pm1: float, pinv: float) -> tuple:
-    """(phi(-1 - m), phi(m - 1)) with m = |1 + phi_inv(a)|: the open range
-    of arguments whose gamma is smaller in magnitude than a's."""
-    m = abs(1.0 + (a ** pinv if a > 0.0 else -((-a) ** pinv)))
-    d = m - 1.0
-    return -((1.0 + m) ** pm1), d ** pm1 if d > 0.0 else -((-d) ** pm1)
 
 
 def _rerooted_g(H: Operator, path: tuple, vals: list, lam: float) -> float:
@@ -622,11 +591,9 @@ def _rerooted_g(H: Operator, path: tuple, vals: list, lam: float) -> float:
     return g
 
 
-def _window(T: RootedTree, H: Operator, lam: float, order, left: list,
-            right: list):
+def _window(T: RootedTree, H: Operator, lam: float, order):
     """Sign changes of g across W = lam -/+ WINDOW_REL * max(1, |lam|) on
-    ``order`` (children-first): (z, count jump). The g values at the two
-    ends of W go into ``left`` and ``right``.
+    ``order`` (children-first): (z, count jump).
 
     With s_u = [g_u < 0 right of W] - [g_u < 0 left of W], the count jump
     is the sum of s_u, the right count minus the left one, and, children
@@ -636,6 +603,7 @@ def _window(T: RootedTree, H: Operator, lam: float, order, left: list,
     """
     d = WINDOW_REL * max(1.0, abs(lam))
     plan = T.plans[order]
+    left, right = [0.0] * T.graph.n, [0.0] * T.graph.n
     jump = -_eval_vertices(H, lam - d, plan, left)
     jump += _eval_vertices(H, lam + d, plan, right)
     z = {}
@@ -834,13 +802,12 @@ def tree_eigenpairs(H: Operator) -> Spectrum:
     all the values, and a value's basis is built only on the components
     whose slicing produced it: the others have no eigenfunction there."""
     T = RootedTree(H.graph)
-    scratch = tuple([0.0] * T.graph.n for _ in range(3))
     entries = []
     for center, _vals, tags in _clusters(T, H):
         orders = [T.components[ci] for ci in sorted({ci for ci, _m in tags})]
         entries.append(SpectrumEntry(
             center, sum(m for _ci, m in tags),
-            tuple(_basis(H, T, center, orders, scratch))))
+            tuple(_basis(H, T, center, orders))))
     return Spectrum(tuple(entries))
 
 
@@ -861,33 +828,27 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
     """
     if T.graph is not H.graph:
         raise ValueError("tree and operator must share one graph")
-    scratch = tuple([0.0] * T.graph.n for _ in range(3))
-    return _basis(H, T, float(lam), T.components, scratch)
+    return _basis(H, T, float(lam), T.components)
 
 
-def _basis(H: Operator, T: RootedTree, lam: float, orders,
-           scratch) -> list[VertexFunction]:
-    """`eigenbasis` on the components that ``orders`` lists, in that order.
-    ``scratch`` holds three lists indexed by vertex that receive the g
-    values at lam and at the window's two ends; every component reuses
-    them, since a pass writes all of its own component's entries."""
-    out = [f for order in orders
-           for f in _component_basis(H, T, lam, order, scratch)]
+def _basis(H: Operator, T: RootedTree, lam: float,
+           orders) -> list[VertexFunction]:
+    """`eigenbasis` on the components that ``orders`` lists, in that
+    order."""
+    out = [f for order in orders for f in _component_basis(H, T, lam, order)]
     if not out:
         raise ValueError(f"{lam} is not an eigenvalue of this forest")
     return out
 
 
-def _component_basis(H: Operator, T: RootedTree, lam: float, order,
-                     scratch) -> list[VertexFunction]:
+def _component_basis(H: Operator, T: RootedTree, lam: float,
+                     order) -> list[VertexFunction]:
     """`eigenbasis` on the component that ``order`` spans; empty when lam
-    is not one of its eigenvalues. ``scratch`` holds three lists indexed
-    by vertex, which receive g values."""
+    is not one of its eigenvalues."""
     g = T.graph
     p = H.p
     n = g.n
-    left, right, gvals = scratch
-    z, jump = _window(T, H, lam, order, left, right)
+    z, jump = _window(T, H, lam, order)
     if jump == 0:
         return []
     Z = {u for u in order
@@ -899,6 +860,7 @@ def _component_basis(H: Operator, T: RootedTree, lam: float, order,
             f"{k} vanishing vertices and {h} parents at {lam!r}, but the "
             f"eigenvalue count rises by {jump} across the window")
 
+    gvals = [0.0] * n
     _eval_vertices(H, lam, T.plans[order], gvals)
 
     # every vertex of Z tops its own piece of the tree minus the removed
