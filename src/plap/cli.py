@@ -219,13 +219,28 @@ def full_spectrum(H: Operator, bases: bool = False) -> treespec.Spectrum:
     return treespec.tree_eigenpairs(H) if bases else treespec.tree_spectrum(H)
 
 
-def eigenvalue_counter(H: Operator):
-    """Something with ``total`` and ``count_below`` for the operator, by the
-    same routes as ``full_spectrum``: the dense eigenvalues, or a tree-route
-    counter that locates no eigenvalue."""
-    if not _tree_route(H):
-        return oracle_mod.p2_spectrum(H, bases=False)
-    return treespec.ForestCount(H)
+def _check_route(H: Operator, bases: bool) -> tuple:
+    """What ``check`` reads of the operator, by the routes of
+    ``full_spectrum``: (its spectrum, with every eigenbasis when ``bases``;
+    the cut of an edge e0, whose ``after(f, signs)`` gives alpha and the
+    eigenvalue counter after the compensated removal of e0 under f; the
+    eigenvalue counter after removing a vertex u).
+
+    The tree route cuts with `surgery.EdgeCut` and counts a vertex removal
+    with a `treespec.ForestCount` of the smaller forest. The dense route
+    assembles one matrix, reads the spectrum from it, and reads every
+    removal from a patched copy of it (`surgery.DenseEdgeCut`,
+    `surgery.dense_without_vertex`).
+    """
+    if _tree_route(H):
+        spec = treespec.tree_eigenpairs(H) if bases else treespec.tree_spectrum(H)
+        return (spec, lambda e0: surgery_mod.EdgeCut(H, e0),
+                lambda u: treespec.ForestCount(surgery_mod.remove_node(H, u)[0]))
+    m = oracle_mod.assemble_p2(H)
+    return (oracle_mod.matrix_spectrum(m, H.graph.rho, bases),
+            lambda e0: surgery_mod.DenseEdgeCut(H, m, e0),
+            lambda u: oracle_mod.eigenvalues(
+                surgery_mod.dense_without_vertex(H, m, u)))
 
 
 def _eigenpairs_of(spec: treespec.Spectrum):
@@ -320,12 +335,15 @@ def _bound_row(lam: float, rep: nodal_mod.BoundReport) -> dict:
 
 
 def cmd_check(args) -> int:
+    if args.all and (args.lam is not None or args.function is not None):
+        raise ValueError("check --all certifies every computed eigenpair; "
+                         "it takes no --lambda or --function")
     g, p, func = _read_document(args)
     p = _resolve_p(p, args.p)
     H = Operator(g, p)
     tol = args.tol
     which = args.bounds
-    spec = full_spectrum(H, bases=args.all)
+    spec, edge_cut, without_vertex = _check_route(H, args.all)
 
     if args.all:
         pairs = _eigenpairs_of(spec)
@@ -350,7 +368,7 @@ def cmd_check(args) -> int:
     certs = [EigenpairCertificate(lam, f, residual(H, f, lam), tol)
              for lam, f in pairs]
     weyl = which in ("weyl", "all")
-    edge_rows = (_weyl_edge_rows(H, certs, spec) if weyl
+    edge_rows = (_weyl_edge_rows(g, certs, spec, edge_cut) if weyl
                  else [[] for _ in certs])
     rows = []
     ok_all = True
@@ -370,10 +388,8 @@ def cmd_check(args) -> int:
             rows.append(row)
             ok_all = ok_all and row["pass"]
     if weyl and g.n > 1:
-        for i in range(g.n):
-            vid = g.ids[i]
-            H2, _step = surgery_mod.remove_node(H, vid)
-            rep = surgery_mod.verify_weyl_nodes(spec, eigenvalue_counter(H2), 1)
+        for vid in g.ids:
+            rep = surgery_mod.verify_weyl_nodes(spec, without_vertex(vid), 1)
             rows.append({"name": "weyl-node", "vertex": vid, "pass": rep.ok,
                          "checked": rep.checked, "failures": list(rep.failures)})
             ok_all = ok_all and rep.ok
@@ -381,35 +397,31 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok_all else EXIT_VIOLATION
 
 
-def _weyl_edge_rows(H: Operator, certs: list, spec: treespec.Spectrum) -> list:
+def _weyl_edge_rows(g: WeightedGraph, certs: list, spec: treespec.Spectrum,
+                    edge_cut) -> list:
     """Per certificate, its weyl-edge rows in edge order: one per edge whose
     endpoints both lie outside the function's zero band.
 
-    The rows are computed edge by edge. On the tree route one after-forest
-    per edge (`surgery.EdgeCut`) then counts the removal under every
-    eigenfunction, and only that edge's g lists are kept at a time; on the
-    dense route every removal is built and decomposed. Each eigenfunction's
-    sign pattern is computed once and serves all of its tree-route
-    removals. An error that `main` reports takes the place of the row it
-    stopped, and `cmd_check` raises the first one in its pair-major order,
-    so the report or error is the one a pass pair by pair would give.
+    The rows are computed edge by edge: one cut per edge (``edge_cut`` of
+    `_check_route`) counts the removal under every eigenfunction. On the
+    tree route that cut keeps one after-forest and only that edge's g
+    lists are kept at a time; on the dense route each removal patches a
+    copy of the request's one matrix. Each eigenfunction's sign pattern is
+    computed once and serves all of its removals. An error that `main`
+    reports takes the place of the row it stopped, and `cmd_check` raises
+    the first one in its pair-major order, so the report or error is the
+    one a pass pair by pair would give.
     """
-    g = H.graph
-    tree = _tree_route(H)
     signs = [nodal_mod.sign_pattern(g, cert.function)[0] for cert in certs]
     table = [[] for _ in certs]
     for i, j, _w in g.edges:
         u, v = g.ids[i], g.ids[j]
-        cut = surgery_mod.EdgeCut(H, (u, v)) if tree else None
+        cut = edge_cut((u, v))
         for rows, cert, s in zip(table, certs, signs):
             if s[i] == 0 or s[j] == 0:
                 continue
             try:
-                if cut is None:
-                    H2, step = surgery_mod.remove_edge(H, cert.function, (u, v))
-                    alpha, after = step.alpha, eigenvalue_counter(H2)
-                else:
-                    alpha, after = cut.after(cert.function, s)
+                alpha, after = cut.after(cert.function, s)
                 rep = surgery_mod.verify_weyl_edge(spec, after, alpha)
             except (ValueError, AssertionError, RuntimeError,
                     ArithmeticError) as exc:  # what `main` reports

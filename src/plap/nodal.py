@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -150,10 +149,20 @@ def _slack(lam: float) -> float:
 
 def _counts(spec):
     """Memoized c-(t) = #{eta < t - s} and c+(t) = #{eta <= t + s} of
-    anything with ``count_below``, with s = ``_slack(t)``."""
-    below = cache(lambda t: spec.count_below(t - _slack(t)))
-    upto = cache(lambda t: spec.count_below(
-        math.nextafter(t + _slack(t), math.inf)))
+    anything with ``count_below``, with s = ``_slack(t)``; each keeps its
+    counts in a dict of its own."""
+    below_at, upto_at = {}, {}
+
+    def below(t):
+        if t not in below_at:
+            below_at[t] = spec.count_below(t - _slack(t))
+        return below_at[t]
+
+    def upto(t):
+        if t not in upto_at:
+            upto_at[t] = spec.count_below(math.nextafter(t + _slack(t), math.inf))
+        return upto_at[t]
+
     return below, upto
 
 

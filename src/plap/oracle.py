@@ -10,11 +10,12 @@ path shares no code with the tree machinery it is used to check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Operator, VertexFunction, p_normalized
+from .core import Operator, VertexFunction, WeightedGraph, p_normalized
 from .treespec import Spectrum, SpectrumEntry, cluster_tagged
 
 #: Two eigenvalues within ORACLE_CLUSTER_REL * max(1, |value|) of each other
@@ -81,31 +82,70 @@ def eig_sym(M: SymmetricMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def p2_spectrum(H: Operator, bases: bool = True) -> Spectrum:
     """Clustered p = 2 spectrum, with orthogonal-route eigenfunctions when
-    ``bases`` is true.
+    ``bases`` is true: `matrix_spectrum` of the operator's `assemble_p2`
+    matrix."""
+    return matrix_spectrum(assemble_p2(H), H.graph.rho, bases)
 
-    Eigenvectors of the symmetrized matrix are pulled back through
+
+def matrix_spectrum(m: SymmetricMatrix, rho, bases: bool) -> Spectrum:
+    """Clustered spectrum of a p = 2 operator from its `assemble_p2` matrix
+    ``m`` and its vertex measures ``rho``.
+
+    With ``bases``, eigenvectors of ``m`` are pulled back through
     D_rho^{-1/2} and normalized to unit 2-norm with the usual sign
-    convention; nearby eigenvalues merge per ORACLE_CLUSTER_REL. Without
-    ``bases`` the eigenvalues come from ``numpy.linalg.eigvalsh`` and no
-    eigenvector is computed.
+    convention; without it the eigenvalues come from `eigenvalues` and no
+    eigenvector is computed. Nearby eigenvalues merge per
+    ORACLE_CLUSTER_REL.
     """
-    m = assemble_p2(H)
-    if bases:
-        w, v = eig_sym(m)
-        d = 1.0 / np.sqrt(H.graph.rho)
-        funcs = [VertexFunction(p_normalized(d * v[:, idx], 2.0))
-                 for idx in range(len(w))]
-    else:
-        w = np.linalg.eigvalsh(m.data)
+    if not bases:
+        return eigenvalues(m.data)
+    w, v = eig_sym(m)
+    d = 1.0 / np.sqrt(rho)
+    return _clustered(w, [VertexFunction(p_normalized(d * v[:, idx], 2.0))
+                          for idx in range(len(w))])
+
+
+def eigenvalues(a: np.ndarray) -> Spectrum:
+    """Clustered eigenvalues of the symmetric array ``a``, by
+    ``numpy.linalg.eigvalsh``: no eigenvector is computed."""
+    return _clustered(np.linalg.eigvalsh(a))
+
+
+def _clustered(w, funcs=None) -> Spectrum:
+    """The ascending eigenvalues ``w`` as a Spectrum, values within
+    ORACLE_CLUSTER_REL merged into one entry; with ``funcs`` every entry
+    carries the functions of its values as its basis."""
     tagged = [(float(w[i]), i) for i in range(len(w))]
     entries = []
     for center, _vals, idxs in cluster_tagged(tagged, ORACLE_CLUSTER_REL):
-        basis = tuple(funcs[i] for i in idxs) if bases else None
+        basis = tuple(funcs[i] for i in idxs) if funcs is not None else None
         entries.append(SpectrumEntry(center, len(idxs), basis))
     spec = Spectrum(tuple(entries))
-    if spec.total != H.graph.n:
+    if spec.total != len(w):
         raise AssertionError("dense spectrum lost multiplicity")
     return spec
+
+
+def p2_diagonal(g: WeightedGraph, i: int, kappa_i: float, skip: int) -> float:
+    """Diagonal entry of dense index ``i`` in the `assemble_p2` matrix of
+    ``g`` with the potential ``kappa_i`` at i and without i's edge to dense
+    index ``skip``, to the bit.
+
+    The sum runs in `assemble_p2`'s order: the potential, then the other
+    incident weights in edge order, then times d_i and d_i; the entry is
+    then checked and symmetrized as `SymmetricMatrix` does, so an entry
+    outside the float range raises its ValueError, and one above half the
+    range turns to inf as it does there.
+    """
+    x = kappa_i
+    for j, w in g.adj[i]:
+        if j != skip:
+            x += w
+    d = 1.0 / math.sqrt(g.rho[i])
+    x = x * d * d
+    if not math.isfinite(x):
+        raise ValueError("matrix entries must be finite")
+    return 0.5 * (x + x)
 
 
 def variational_index(S: Spectrum, lam: float) -> tuple[int, int]:

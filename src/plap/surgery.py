@@ -15,11 +15,14 @@ import math
 from dataclasses import dataclass
 from random import Random
 
+import numpy as np
+
 from ._unionfind import UnionFind
 from .core import (EigenpairCertificate, Operator, VertexFunction,
                    WeightedGraph, connected_components, induced_subgraph,
                    is_forest, phi, residual)
 from .nodal import _counts, _slack, analyze, sign_pattern
+from .oracle import SymmetricMatrix, eigenvalues, p2_diagonal, p2_spectrum
 from .treespec import ForestCount, PatchedCount, Spectrum
 
 
@@ -110,7 +113,8 @@ def _without_edge(g: WeightedGraph, iu: int, iv: int, kappa) -> WeightedGraph:
 
 class EdgeCut:
     """The compensated removals of one forest edge ``e0`` under any number
-    of eigenfunctions, counted on one after-forest.
+    of eigenfunctions, counted on one after-forest; `DenseEdgeCut` is its
+    counterpart on the dense p = 2 route.
 
     The after-forest is the forest minus ``e0`` with the potentials it has
     before the removal, in the vertex order and rooting of the operator
@@ -136,6 +140,62 @@ class EdgeCut:
         kappa = self._H.graph.kappa
         return alpha, PatchedCount(self._after, {iu: float(kappa[iu]) + d_u,
                                                  iv: float(kappa[iv]) + d_v})
+
+
+class DenseEdgeCut:
+    """The compensated removals of one edge ``e0`` under any number of
+    eigenfunctions, on patched copies of the operator's `assemble_p2`
+    matrix ``m``: `EdgeCut`'s counterpart on the dense p = 2 route.
+
+    A removal changes ``m`` only in the two endpoint diagonal entries and
+    the pair between the endpoints, so each removal copies ``m``, zeroes
+    the pair and rewrites those two entries (`oracle.p2_diagonal`). The
+    copy is ``assemble_p2(remove_edge(H, f, e0)[0])``, to the bit, and its
+    counter is the spectrum ``p2_spectrum`` gives that operator without
+    bases.
+    """
+
+    def __init__(self, H: Operator, m: SymmetricMatrix, e0):
+        self._H = H
+        self._m = m
+        self._e0 = e0
+
+    def matrix(self, f: VertexFunction, signs=None) -> tuple:
+        """(alpha, the matrix of the operator after the removal) under the
+        eigenfunction ``f``; ``signs`` is f's `sign_pattern`, computed when
+        not given."""
+        iu, iv, alpha, d_u, d_v = _compensation(self._H, f, self._e0, signs)
+        g = self._H.graph
+        a = self._m.data.copy()
+        a[iu, iv] = a[iv, iu] = 0.0
+        a[iu, iu] = p2_diagonal(g, iu, float(g.kappa[iu]) + d_u, iv)
+        a[iv, iv] = p2_diagonal(g, iv, float(g.kappa[iv]) + d_v, iu)
+        return alpha, a
+
+    def after(self, f: VertexFunction, signs=None) -> tuple:
+        """(alpha, eigenvalue counter of the operator after the removal)
+        under the eigenfunction ``f``, as `remove_edge` gives them;
+        ``signs`` is f's `sign_pattern`, computed when not given."""
+        alpha, a = self.matrix(f, signs)
+        return alpha, eigenvalues(a)
+
+
+def dense_without_vertex(H: Operator, m: SymmetricMatrix, u0) -> np.ndarray:
+    """``assemble_p2(remove_node(H, u0)[0])`` from the operator's
+    `assemble_p2` matrix ``m``: a copy of ``m`` without u0's row and
+    column, with each neighbour's diagonal entry rewritten
+    (`oracle.p2_diagonal`), and the rebuild's ValueError where one leaves
+    the float range. The bits differ only where a vertex without edges has
+    the potential -0.0: the rebuild adds 0.0 to it."""
+    g = H.graph
+    iu = g.index_of(u0)
+    if g.n == 1:
+        raise ValueError("cannot remove the last vertex")
+    a = np.delete(np.delete(m.data, iu, 0), iu, 1)
+    for j, w in g.adj[iu]:
+        jj = j - (j > iu)
+        a[jj, jj] = p2_diagonal(g, j, float(g.kappa[j]) + w, iu)
+    return a
 
 
 def remove_node(H: Operator, u0) -> tuple[Operator, SurgeryStep]:
@@ -302,7 +362,6 @@ def reduce_to_nodal_union(H: Operator,
                 f"component minimum {lam1} != eigenvalue {lam}")
     mult_after = None
     if H.p == 2.0:
-        from .oracle import p2_spectrum
         entry = p2_spectrum(H2, bases=False).find(lam)
         mult_after = entry.mult
         if mult_after != rep.nu:
@@ -322,7 +381,6 @@ def _first_value(H: Operator) -> float:
     descent route (to FIRST_TOL) otherwise — deliberately independent of
     the tree machinery so the reduction acts as a cross-check."""
     if H.p == 2.0:
-        from .oracle import p2_spectrum
         return p2_spectrum(H, bases=False).entries[0].value
     from .core import first_eigenpair
     return first_eigenpair(H, tol=FIRST_TOL).eigenvalue

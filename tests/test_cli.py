@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_eigh, count_slices, diamond_graph
-from plap import cli, surgery, treespec
+from plap import cli, oracle, surgery, treespec
 from plap.cli import (
     EXIT_CAPABILITY,
     EXIT_INPUT,
@@ -28,7 +28,7 @@ from plap.cli import (
     main,
     parse_document,
 )
-from plap.core import WeightedGraph
+from plap.core import Operator, WeightedGraph
 
 
 def diamond_doc(p=2.0, function=None):
@@ -344,6 +344,27 @@ def test_check_of_a_tiny_function_reads_like_its_multiples(tmp_path, capsys):
     assert "not an eigenpair: residual 3.150e+00" in answers["1e-120", "5"][1].err
 
 
+def test_check_all_rejects_lambda_and_function(tmp_path, capsys,
+                                              monkeypatch):
+    """``check --all`` checks the eigenpairs it computes, so an eigenpair
+    given by --lambda or --function is rejected as bad input, with one
+    error document, before any spectrum is computed."""
+    path = write_doc(tmp_path, graph_document(
+        gen_graph("graph", 6, random.Random(0), weighted=True), p=2.0))
+    solved = count_eigh(monkeypatch)
+    sliced = count_slices(monkeypatch)
+    for extra in (["--lambda", "123"], ["--function", '{"0": 1}'],
+                  ["--lambda", "123", "--function", '{"0": 1}']):
+        for p in ("2", "3"):
+            assert main(["check", path, "--all", "--p", p, *extra]) == EXIT_INPUT
+            out = capsys.readouterr().out
+            assert out.count("\n") == 1
+            report = json.loads(out)
+            assert report["exit_code"] == EXIT_INPUT
+            assert "--lambda" in report["error"]
+    assert solved == [] and sliced == []
+
+
 def test_check_all_runs_clean(tmp_path, capsys):
     """Untampered inputs never trip the violation exit."""
     assert main(["gen", "tree", "7", "--seed", "5", "--weighted"]) == EXIT_OK
@@ -619,15 +640,62 @@ def test_check_all_reads_each_sign_pattern_once(tmp_path, capsys,
 
 def test_check_all_dense_route_decomposes_once(tmp_path, capsys, monkeypatch):
     """At p = 2 the Weyl rows count eigenvalues of every after-operator, so
-    the only eigendecomposition is the one behind the before-eigenbasis."""
+    the only eigendecomposition is the one behind the before-eigenbasis.
+    One matrix is assembled per request and every removal patches a copy
+    of it: no graph is built but the document's."""
     doc = graph_document(gen_graph("graph", 10, random.Random(4), weighted=True),
                          p=2.0)
     path = write_doc(tmp_path, doc)
     solved = count_eigh(monkeypatch)
+    graphs, assembled = [], []
+    init, assemble = WeightedGraph.__init__, oracle.assemble_p2
+    monkeypatch.setattr(WeightedGraph, "__init__",
+                        lambda self, *args: graphs.append(1) or init(self, *args))
+    monkeypatch.setattr(oracle, "assemble_p2",
+                        lambda H: assembled.append(H.graph.n) or assemble(H))
     assert main(["check", path, "--all"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
-    assert {row["name"] for row in out["checks"]} >= {"weyl-edge", "weyl-node"}
+    names = [row["name"] for row in out["checks"]]
+    assert names.count("weyl-edge") > 50 and names.count("weyl-node") == 10
     assert solved == [10]
+    assert graphs == [1]
+    assert assembled == [10]
+
+
+def test_check_all_dense_guard_matches_the_rebuild(tmp_path, capsys,
+                                                   monkeypatch):
+    """A removal whose patched diagonal entry leaves the float range (the
+    compensated potential of vertex 1 is finite, times 1/rho_1 it is not)
+    gives the error, exit code and stdout of rebuilding that operator with
+    ``remove_edge`` and assembling it with ``p2_spectrum``."""
+    doc = {"p": 2.0,
+           "vertices": [{"id": 0, "kappa": 1e292}, {"id": 1, "rho": 1e-3},
+                        {"id": 2}],
+           "edges": [{"u": 0, "v": 1, "omega": 1e299},
+                     {"u": 1, "v": 2, "omega": 1e299}]}
+    path = write_doc(tmp_path, doc)
+    oracle.assemble_p2(Operator(parse_document(doc)[0], 2.0))  # finite
+    argv = ["check", path, "--all"]
+    rebuilt = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv) == EXIT_INPUT
+        out = capsys.readouterr().out
+        assert json.loads(out)["error"] == "matrix entries must be finite"
+
+        class Rebuilt:
+            def __init__(self, H, m, e0):
+                self.H, self.e0 = H, e0
+
+            def after(self, f, signs):
+                rebuilt.append(self.e0)
+                H2, step = surgery.remove_edge(self.H, f, self.e0)
+                return step.alpha, oracle.p2_spectrum(H2, bases=False)
+
+        monkeypatch.setattr(surgery, "DenseEdgeCut", Rebuilt)
+        assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().out == out
+    assert rebuilt
 
 
 def test_dense_spectrum_without_basis_decomposes_nothing(tmp_path, capsys,
