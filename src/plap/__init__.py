@@ -8,7 +8,8 @@ graph surgery with interlacing checks.
 from .core import (P_MIN, EigenpairCertificate, Operator, VertexFunction,
                    WeightedGraph, apply, connected_components, first_eigenpair,
                    induced_subgraph, is_forest, p_normalized, phi, phi_inv,
-                   rayleigh, residual, spectral_bound, technical_R)
+                   rayleigh, residual, residuals, spectral_bound,
+                   technical_R)
 from .nodal import (BoundReport, NodalReport, analyze, check_lower,
                     check_upper, is_bipartite, nodal_domains)
 from .oracle import (SymmetricMatrix, assemble_p2, eig_sym, p2_spectrum,
@@ -31,6 +32,6 @@ __all__ = [
     "is_bipartite", "is_forest", "nodal_domains", "p2_spectrum",
     "p_normalized", "phi", "phi_inv", "rayleigh", "reduce_to_forest",
     "reduce_to_nodal_union", "remove_edge", "remove_node", "residual",
-    "spectral_bound", "technical_R", "tree_eigenpairs", "tree_spectrum",
+    "residuals", "spectral_bound", "technical_R", "tree_eigenpairs", "tree_spectrum",
     "variational_index", "verify_weyl_edge", "verify_weyl_nodes",
 ]

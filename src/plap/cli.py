@@ -24,13 +24,15 @@ import os
 import random
 import sys
 
+import numpy as np
+
 from . import nodal as nodal_mod
 from . import oracle as oracle_mod
 from . import surgery as surgery_mod
 from . import treespec
 from .core import (EigenpairCertificate, Operator, VertexFunction,
                    WeightedGraph, _canonical_edges, _id_key,
-                   connected_components, is_forest, residual)
+                   connected_components, is_forest, residual, residuals)
 
 EXIT_OK = 0
 EXIT_STDOUT_CLOSED = 1
@@ -149,10 +151,10 @@ def _json_keys(g: WeightedGraph) -> list:
 
 def _function_json(keys: list, f: VertexFunction) -> dict:
     """A function as a vertex map, with ``keys`` from ``_json_keys``."""
-    x = f.values
+    x = f.values.tolist()
     if len(x) != len(keys):
         raise ValueError("function/graph size mismatch")
-    return {key: float(x[i]) for i, key in keys}
+    return {key: x[i] for i, key in keys}
 
 
 def graph_document(g: WeightedGraph, p=None, function=None) -> dict:
@@ -228,9 +230,10 @@ def _check_route(H: Operator, bases: bool) -> tuple:
 
     The tree route cuts with `surgery.EdgeCut` and counts a vertex removal
     with a `treespec.ForestCount` of the smaller forest. The dense route
-    assembles one matrix, reads the spectrum from it, and reads every
-    removal from a patched copy of it (`surgery.DenseEdgeCut`,
-    `surgery.dense_without_vertex`).
+    assembles one matrix, reads the spectrum from it, and counts every
+    removal by the sorted ``eigvalsh`` values of a patched copy of it
+    (`surgery.DenseEdgeCut`, `surgery.dense_without_vertex`,
+    `oracle.ValueCount`). Neither route clusters an after-spectrum.
     """
     if _tree_route(H):
         spec = treespec.tree_eigenpairs(H) if bases else treespec.tree_spectrum(H)
@@ -239,7 +242,7 @@ def _check_route(H: Operator, bases: bool) -> tuple:
     m = oracle_mod.assemble_p2(H)
     return (oracle_mod.matrix_spectrum(m, H.graph.rho, bases),
             lambda e0: surgery_mod.DenseEdgeCut(H, m, e0),
-            lambda u: oracle_mod.eigenvalues(
+            lambda u: oracle_mod.ValueCount(
                 surgery_mod.dense_without_vertex(H, m, u)))
 
 
@@ -252,6 +255,12 @@ def _eigenpairs_of(spec: treespec.Spectrum):
                 f"{len(e.basis)} eigenfunctions for multiplicity {e.mult}")
         pairs.extend((e.value, f) for f in e.basis)
     return pairs
+
+
+def _residuals(H: Operator, pairs: list) -> list:
+    """`core.residuals` of (value, function) pairs, in one block."""
+    return residuals(H, np.array([f.values for _value, f in pairs]),
+                     [value for value, _f in pairs]).tolist()
 
 
 def _spectrum_report(g: WeightedGraph, p: float, spec: treespec.Spectrum,
@@ -273,8 +282,8 @@ def cmd_spectrum(args) -> int:
     H = Operator(g, p)
     spec = full_spectrum(H, bases=args.eigenbasis)
     if args.eigenbasis:
-        for value, f in _eigenpairs_of(spec):
-            r = residual(H, f, value)
+        pairs = _eigenpairs_of(spec)
+        for (value, _f), r in zip(pairs, _residuals(H, pairs)):
             if r > args.tol:
                 raise AssertionError(
                     f"reconstructed eigenfunction at {value} has residual {r}")
@@ -339,6 +348,9 @@ def cmd_check(args) -> int:
         raise ValueError("check --all certifies every computed eigenpair; "
                          "it takes no --lambda or --function")
     g, p, func = _read_document(args)
+    if args.all and func is not None:
+        raise ValueError("check --all certifies every computed eigenpair; "
+                         "the document's 'function' would go unused")
     p = _resolve_p(p, args.p)
     H = Operator(g, p)
     tol = args.tol
@@ -360,26 +372,30 @@ def cmd_check(args) -> int:
                 f"not an eigenpair: residual {r:.3e} exceeds tol {tol:.3e}")
         pairs = [(args.lam, func)]
 
+    components = len(connected_components(g))
     position_bounds = which in ("upper", "lower", "all")
-    if position_bounds and len(connected_components(g)) != 1:
+    if position_bounds and components != 1:
         raise ValueError(
             "position bounds need a connected graph; use --bounds weyl")
 
-    certs = [EigenpairCertificate(lam, f, residual(H, f, lam), tol)
-             for lam, f in pairs]
+    certs = [EigenpairCertificate(lam, f, r, tol)
+             for (lam, f), r in zip(pairs, _residuals(H, pairs))]
     weyl = which in ("weyl", "all")
-    edge_rows = (_weyl_edge_rows(g, certs, spec, edge_cut) if weyl
+    thresholds = nodal_mod.Thresholds(spec) if weyl else None
+    edge_rows = (_weyl_edge_rows(g, certs, spec, edge_cut, thresholds) if weyl
                  else [[] for _ in certs])
     rows = []
     ok_all = True
     for cert, weyl_rows in zip(certs, edge_rows):
         lam = cert.eigenvalue
+        domains = (nodal_mod.analyze(g, cert.function, components)
+                   if position_bounds else None)
         if which in ("upper", "all"):
-            for rep in nodal_mod.check_upper(H, cert, spec):
+            for rep in nodal_mod.check_upper(H, cert, spec, domains):
                 rows.append(_bound_row(lam, rep))
                 ok_all = ok_all and rep.satisfied
         if which in ("lower", "all"):
-            for rep in nodal_mod.check_lower(H, cert, spec):
+            for rep in nodal_mod.check_lower(H, cert, spec, domains):
                 rows.append(_bound_row(lam, rep))
                 ok_all = ok_all and rep.satisfied
         for row in weyl_rows:
@@ -389,7 +405,8 @@ def cmd_check(args) -> int:
             ok_all = ok_all and row["pass"]
     if weyl and g.n > 1:
         for vid in g.ids:
-            rep = surgery_mod.verify_weyl_nodes(spec, without_vertex(vid), 1)
+            rep = surgery_mod.verify_weyl_nodes(spec, without_vertex(vid), 1,
+                                                thresholds)
             rows.append({"name": "weyl-node", "vertex": vid, "pass": rep.ok,
                          "checked": rep.checked, "failures": list(rep.failures)})
             ok_all = ok_all and rep.ok
@@ -398,7 +415,7 @@ def cmd_check(args) -> int:
 
 
 def _weyl_edge_rows(g: WeightedGraph, certs: list, spec: treespec.Spectrum,
-                    edge_cut) -> list:
+                    edge_cut, thresholds: nodal_mod.Thresholds) -> list:
     """Per certificate, its weyl-edge rows in edge order: one per edge whose
     endpoints both lie outside the function's zero band.
 
@@ -407,10 +424,11 @@ def _weyl_edge_rows(g: WeightedGraph, certs: list, spec: treespec.Spectrum,
     tree route that cut keeps one after-forest and only that edge's g
     lists are kept at a time; on the dense route each removal patches a
     copy of the request's one matrix. Each eigenfunction's sign pattern is
-    computed once and serves all of its removals. An error that `main`
-    reports takes the place of the row it stopped, and `cmd_check` raises
-    the first one in its pair-major order, so the report or error is the
-    one a pass pair by pair would give.
+    computed once and serves all of its removals, and every removal is
+    counted at the ``thresholds`` of ``spec``, built once per request. An
+    error that `main` reports takes the place of the row it stopped, and
+    `cmd_check` raises the first one in its pair-major order, so the
+    report or error is the one a pass pair by pair would give.
     """
     signs = [nodal_mod.sign_pattern(g, cert.function)[0] for cert in certs]
     table = [[] for _ in certs]
@@ -422,7 +440,7 @@ def _weyl_edge_rows(g: WeightedGraph, certs: list, spec: treespec.Spectrum,
                 continue
             try:
                 alpha, after = cut.after(cert.function, s)
-                rep = surgery_mod.verify_weyl_edge(spec, after, alpha)
+                rep = surgery_mod.verify_weyl_edge(spec, after, alpha, thresholds)
             except (ValueError, AssertionError, RuntimeError,
                     ArithmeticError) as exc:  # what `main` reports
                 rows.append(exc)

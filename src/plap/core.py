@@ -29,6 +29,9 @@ P_MIN = 1.0 + 1e-3
 #: Values within ZERO_BAND_REL * max|f| of zero count as vanishing.
 ZERO_BAND_REL = 1e-12
 
+#: The smallest normal float64.
+_TINY = np.finfo(float).tiny
+
 #: Gradient steps ``first_eigenpair`` may spend over all its descent rounds.
 MAX_DESCENT_STEPS = 100_000
 
@@ -298,19 +301,31 @@ def _values_for(g: WeightedGraph, f: VertexFunction) -> np.ndarray:
 def _apply_values(H: Operator, x: np.ndarray, phix: np.ndarray | None = None,
                   buf: np.ndarray | None = None,
                   dx: np.ndarray | None = None) -> np.ndarray:
-    """(H x)(u) at every vertex, for a float64 array in the graph's order.
+    """(H x)(u) at every vertex, for a float64 array in the graph's order,
+    or for every row of a C-contiguous (K, n) block of such arrays.
 
     One ``bincount`` over the graph's scatter plan sums, at every vertex,
     kappa phi(x) first and then its edge terms in edge order, heads before
-    tails. ``phix`` is phi(x) and ``dx`` the edge differences x[eu] - x[ev]
-    when the caller has them already; ``buf``, of length n + 2m, holds the
-    scattered terms when the caller reuses one.
+    tails; for a block the plan is shifted by n per row, so every row is
+    summed as it is alone. ``phix`` is phi(x) and ``dx`` the edge
+    differences x[eu] - x[ev] when the caller has them already; ``buf``, of
+    length n + 2m, holds the scattered terms of one array when the caller
+    reuses one; a block is always scattered afresh.
     """
     g = H.graph
     n = g.n
     mid = n + len(g._ew)
     if phix is None:
         phix = _phi_arr(x, H.p)
+    if x.ndim == 2:
+        k = len(x)
+        buf = np.empty((k, len(g._plan)))
+        dx = x[:, g._eu] - x[:, g._ev]
+        np.multiply(g.kappa, phix, out=buf[:, :n])
+        np.multiply(g._ew, _phi_arr(dx, H.p), out=buf[:, n:mid])
+        np.negative(buf[:, n:mid], out=buf[:, mid:])
+        plan = (g._plan + n * np.arange(k)[:, None]).ravel()
+        return np.bincount(plan, buf.ravel(), k * n).reshape(k, n)
     if buf is None:
         buf = np.empty(len(g._plan))
     if dx is None:
@@ -353,46 +368,77 @@ def _rayleigh_raw(g: WeightedGraph, p: float, x: np.ndarray,
     return num / den
 
 
-def _unit_p_norm(x: np.ndarray, p: float) -> np.ndarray:
-    """x / ||x||_p for a nonzero x, scaled by max|x| first when sum |x|^p
-    leaves the normal float range, and only then."""
+def _unit_p_rows(X: np.ndarray, p: float) -> np.ndarray:
+    """Every row of the C-contiguous (K, n) block X, all rows nonzero,
+    divided by its p-norm, sum |x|^p to the power 1/p (``np.float_power``,
+    which rounds as Python's float power does); a row whose sum leaves the
+    normal float range is scaled by its max|x| first, and only such a
+    row. Reducing each contiguous row sums it as a single row is summed."""
     with np.errstate(over="ignore"):
-        mass = float(np.sum(np.abs(x) ** p))
-    if not np.finfo(float).tiny <= mass < math.inf:
-        x = x / float(np.max(np.abs(x)))
-        mass = float(np.sum(np.abs(x) ** p))
-    return x / mass ** (1.0 / p)
+        mass = np.sum(np.abs(X) ** p, axis=1)
+    far = ~((mass >= _TINY) & (mass < math.inf))
+    if far.any():
+        X = X.copy()
+        X[far] = X[far] / np.max(np.abs(X[far]), axis=1)[:, None]
+        mass[far] = np.sum(np.abs(X[far]) ** p, axis=1)
+    return X / np.float_power(mass, 1.0 / p)[:, None]
 
 
 def p_normalized(x: np.ndarray, p: float) -> np.ndarray:
-    """Scale to unit p-norm by ``_unit_p_norm``, the rule of ``residual``,
-    and make the first entry outside the zero band positive."""
+    """Scale to unit p-norm by the rule of ``residual`` and make the first
+    entry outside the zero band positive: the one-row case of
+    `p_normalized_rows`."""
     x = np.asarray(x, dtype=np.float64)
     if not np.any(x):
         raise ValueError("cannot normalize the zero function")
-    y = _unit_p_norm(x, p)
-    band = ZERO_BAND_REL * np.max(np.abs(y))
-    for v in y:
-        if abs(v) > band:
-            if v < 0:
-                y = -y
-            break
-    return y
+    return p_normalized_rows(x[None, :], p)[0]
+
+
+def p_normalized_rows(X: np.ndarray, p: float) -> np.ndarray:
+    """`p_normalized` of every row of the (K, n) block X, all rows
+    nonzero, each to the bit of a single call."""
+    Y = _unit_p_rows(np.ascontiguousarray(X, dtype=np.float64), p)
+    a = np.abs(Y)
+    first = (a > ZERO_BAND_REL * a.max(axis=1)[:, None]).argmax(axis=1)
+    Y *= np.copysign(1.0, Y[np.arange(len(Y)), first])[:, None]  # exact
+    return Y
 
 
 def residual(H: Operator, f: VertexFunction, lam: float) -> float:
-    """Max-norm defect of the eigenvalue equation on the p-normalized f.
-
-    ``_unit_p_norm`` scales f by max|f| only when sum |f|^p leaves the
-    normal float range: at p < 2 the defect moves with the last bit of
-    every entry. A defect that is not finite raises ArithmeticError.
-    """
+    """Max-norm defect of the eigenvalue equation on the p-normalized f:
+    the one-row case of `residuals`."""
     x = _values_for(H.graph, f)
-    if not np.any(x):
+    return float(residuals(H, x[None, :], [lam])[0])
+
+
+def residuals(H: Operator, X: np.ndarray, lams) -> np.ndarray:
+    """`residual` of every row of the (K, n) block X at its eigenvalue in
+    ``lams``, each to the bit of a single call.
+
+    Every row is p-normalized by ``_unit_p_rows``, which scales a row by
+    its max|x| only when its sum |x|^p leaves the normal float range: at
+    p < 2 the defect moves with the last bit of every entry. One
+    ``bincount`` applies H to all rows (`_apply_values`), each summed in
+    the order of a single row. A zero row raises ValueError, and a defect
+    that is not finite raises ArithmeticError, naming the first such
+    row's.
+    """
+    g = H.graph
+    n = g.n
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise ValueError(f"functions of shape {X.shape}, graph has {n} vertices")
+    if not np.all(np.any(X, axis=1)):
         raise ValueError("residual undefined for the zero function")
-    r = _defect(H, _unit_p_norm(x, H.p), lam)
-    if not math.isfinite(r):
-        raise ArithmeticError(f"eigen-equation defect is not finite: {r}")
+    Y = _unit_p_rows(X, H.p)
+    phiy = _phi_arr(Y, H.p)
+    hy = _apply_values(H, Y, phiy)
+    lams = np.asarray(lams, dtype=np.float64)
+    r = np.max(np.abs(hy - lams[:, None] * g.rho * phiy), axis=1)
+    bad = np.flatnonzero(~np.isfinite(r))
+    if len(bad):
+        raise ArithmeticError(
+            f"eigen-equation defect is not finite: {float(r[bad[0]])}")
     return r
 
 

@@ -83,8 +83,10 @@ class NodalReport:
     zero_band: float
 
 
-def analyze(g: WeightedGraph, f: VertexFunction) -> NodalReport:
-    """Full nodal bookkeeping for ``f`` on ``g``.
+def analyze(g: WeightedGraph, f: VertexFunction,
+            components: int | None = None) -> NodalReport:
+    """Full nodal bookkeeping for ``f`` on ``g``; ``components`` is the
+    number of connected components of ``g``, counted here when not given.
 
     Asserts the exact identity
 
@@ -112,7 +114,9 @@ def analyze(g: WeightedGraph, f: VertexFunction) -> NodalReport:
         dom = {index_of[v] for v in vids}
         e_in = sum(1 for i, j, _w in g.edges if i in dom and j in dom)
         l += e_in - len(dom) + 1
-    beta = len(g.edges) - g.n + len(connected_components(g))
+    if components is None:
+        components = len(connected_components(g))
+    beta = len(g.edges) - g.n + components
     # support subgraph: strict-sign vertices and the edges among them
     uf = UnionFind(g.n)
     for i, j, _w in g.edges:
@@ -166,23 +170,60 @@ def _counts(spec):
     return below, upto
 
 
-def check_upper(H: Operator, cert: EigenpairCertificate,
-                varspec: Spectrum) -> list[BoundReport]:
-    """Ceiling checks for the domain count of an eigenfunction.
+class Thresholds:
+    """Where the removal checks count the after-values of a removal from an
+    operator with spectrum ``spec``, built once for all its removals: at
+    its i-th distinct value t, below[i] = t - s and
+    upto[i] = nextafter(t + s, inf), with s = ``_slack(t)``, the thresholds
+    of `_counts`; ``flat`` is the spectrum with repetition and pos[k] the
+    distinct index of flat[k]."""
 
-    Returns two reports: the domain count against the position k of the
-    first spectrum value strictly above the eigenvalue (nu <= k - 1), and
-    the equivalent floor reading lambda >= lambda_nu.
-    """
+    def __init__(self, spec: Spectrum):
+        values = spec.values()
+        self.flat = spec.flat()
+        self.pos = [i for i, e in enumerate(spec.entries) for _ in range(e.mult)]
+        self.below = [t - _slack(t) for t in values]
+        self.upto = [math.nextafter(t + _slack(t), math.inf) for t in values]
+
+
+def counts_below(counter, xs) -> list:
+    """``counter.count_below`` at every threshold of the list ``xs``: in one
+    call where the counter has ``counts_below`` (the sorted values of
+    `oracle.ValueCount`), else one count per threshold."""
+    many = getattr(counter, "counts_below", None)
+    if many is not None:
+        return many(xs)
+    return [counter.count_below(x) for x in xs]
+
+
+def _position_report(H: Operator, cert: EigenpairCertificate,
+                     varspec: Spectrum, rep: NodalReport | None) -> NodalReport:
+    """The nodal report the position checks read, ``rep`` when given, after
+    their input guards: a connected graph, a function that does not vanish
+    identically and a complete spectrum."""
     g = H.graph
-    if len(connected_components(g)) != 1:
+    if rep is None:
+        rep = analyze(g, cert.function)
+    if rep.beta != len(g.edges) - g.n + 1:  # beta = |E| - |V| + components
         raise ValueError("bound checks require a connected graph")
-    lam = cert.eigenvalue
-    rep = analyze(g, cert.function)
     if rep.nu == 0:
         raise ValueError("the certified function vanishes identically")
     if varspec.total != g.n:
         raise ValueError("spectrum is incomplete")
+    return rep
+
+
+def check_upper(H: Operator, cert: EigenpairCertificate,
+                varspec: Spectrum, rep: NodalReport | None = None) -> list[BoundReport]:
+    """Ceiling checks for the domain count of an eigenfunction.
+
+    Returns two reports: the domain count against the position k of the
+    first spectrum value strictly above the eigenvalue (nu <= k - 1), and
+    the equivalent floor reading lambda >= lambda_nu. ``rep`` is
+    ``analyze(H.graph, cert.function)`` when the caller has it.
+    """
+    lam = cert.eigenvalue
+    rep = _position_report(H, cert, varspec, rep)
     _below, upto = _counts(varspec)
     k = upto(lam) + 1
     upper = BoundReport(kind="nodal-upper", bound=float(k - 1),
@@ -196,24 +237,18 @@ def check_upper(H: Operator, cert: EigenpairCertificate,
 
 
 def check_lower(H: Operator, cert: EigenpairCertificate,
-                varspec: Spectrum) -> list[BoundReport]:
+                varspec: Spectrum, rep: NodalReport | None = None) -> list[BoundReport]:
     """Floor checks for the domain count of an eigenfunction.
 
     The generic floor k1 - beta' + l - z + c uses the number k1 of spectrum
     values strictly below the eigenvalue; when the eigenvalue is itself in
     the spectrum a sharper floor k + m - 1 - beta' + l - z applies, with
     (k, m) its position and multiplicity. Reports carry whichever forms
-    apply, plus their combined maximum.
+    apply, plus their combined maximum. ``rep`` is
+    ``analyze(H.graph, cert.function)`` when the caller has it.
     """
-    g = H.graph
-    if len(connected_components(g)) != 1:
-        raise ValueError("bound checks require a connected graph")
     lam = cert.eigenvalue
-    rep = analyze(g, cert.function)
-    if rep.nu == 0:
-        raise ValueError("the certified function vanishes identically")
-    if varspec.total != g.n:
-        raise ValueError("spectrum is incomplete")
+    rep = _position_report(H, cert, varspec, rep)
     below, _upto = _counts(varspec)
     out = []
     bounds = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Operator, VertexFunction, WeightedGraph, p_normalized
+from .core import Operator, VertexFunction, WeightedGraph, p_normalized_rows
 from .treespec import Spectrum, SpectrumEntry, cluster_tagged
 
 #: Two eigenvalues within ORACLE_CLUSTER_REL * max(1, |value|) of each other
@@ -41,7 +41,7 @@ class SymmetricMatrix:
         scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
         if a.size and float(np.max(np.abs(a - a.T))) > 1e-14 * scale:
             raise ValueError("matrix must be symmetric")
-        a = 0.5 * (a + a.T)
+        a = 0.5 * a + 0.5 * a.T  # exact halves: no overflow above half the range
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -93,22 +93,41 @@ def matrix_spectrum(m: SymmetricMatrix, rho, bases: bool) -> Spectrum:
 
     With ``bases``, eigenvectors of ``m`` are pulled back through
     D_rho^{-1/2} and normalized to unit 2-norm with the usual sign
-    convention; without it the eigenvalues come from `eigenvalues` and no
-    eigenvector is computed. Nearby eigenvalues merge per
-    ORACLE_CLUSTER_REL.
+    convention, all as one block (`core.p_normalized_rows`); without it
+    the eigenvalues come from `eigenvalues` and no eigenvector is computed.
+    Nearby eigenvalues merge per ORACLE_CLUSTER_REL.
     """
     if not bases:
         return eigenvalues(m.data)
     w, v = eig_sym(m)
     d = 1.0 / np.sqrt(rho)
-    return _clustered(w, [VertexFunction(p_normalized(d * v[:, idx], 2.0))
-                          for idx in range(len(w))])
+    rows = p_normalized_rows(v.T * d, 2.0)
+    return _clustered(w, [VertexFunction(x) for x in rows])
 
 
 def eigenvalues(a: np.ndarray) -> Spectrum:
     """Clustered eigenvalues of the symmetric array ``a``, by
     ``numpy.linalg.eigvalsh``: no eigenvector is computed."""
     return _clustered(np.linalg.eigvalsh(a))
+
+
+class ValueCount:
+    """Eigenvalue counter of the symmetric array ``a`` from the ascending
+    values of ``numpy.linalg.eigvalsh``, unclustered: no eigenvector, no
+    `Spectrum`. It counts as `treespec.ForestCount` does, and answers a
+    whole list of thresholds with one ``searchsorted``."""
+
+    def __init__(self, a: np.ndarray):
+        self.values = np.linalg.eigvalsh(a)
+        self.total = len(self.values)
+
+    def count_below(self, x: float) -> int:
+        """#{values < x}."""
+        return int(np.searchsorted(self.values, x))
+
+    def counts_below(self, xs) -> list:
+        """`count_below` at every threshold of ``xs``."""
+        return np.searchsorted(self.values, xs).tolist()
 
 
 def _clustered(w, funcs=None) -> Spectrum:
@@ -134,8 +153,7 @@ def p2_diagonal(g: WeightedGraph, i: int, kappa_i: float, skip: int) -> float:
     The sum runs in `assemble_p2`'s order: the potential, then the other
     incident weights in edge order, then times d_i and d_i; the entry is
     then checked and symmetrized as `SymmetricMatrix` does, so an entry
-    outside the float range raises its ValueError, and one above half the
-    range turns to inf as it does there.
+    outside the float range raises its ValueError.
     """
     x = kappa_i
     for j, w in g.adj[i]:
@@ -145,7 +163,7 @@ def p2_diagonal(g: WeightedGraph, i: int, kappa_i: float, skip: int) -> float:
     x = x * d * d
     if not math.isfinite(x):
         raise ValueError("matrix entries must be finite")
-    return 0.5 * (x + x)
+    return 0.5 * x + 0.5 * x
 
 
 def variational_index(S: Spectrum, lam: float) -> tuple[int, int]:

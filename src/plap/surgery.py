@@ -21,8 +21,8 @@ from ._unionfind import UnionFind
 from .core import (EigenpairCertificate, Operator, VertexFunction,
                    WeightedGraph, connected_components, induced_subgraph,
                    is_forest, phi, residual)
-from .nodal import _counts, _slack, analyze, sign_pattern
-from .oracle import SymmetricMatrix, eigenvalues, p2_diagonal, p2_spectrum
+from .nodal import Thresholds, _slack, analyze, counts_below, sign_pattern
+from .oracle import SymmetricMatrix, ValueCount, p2_diagonal, p2_spectrum
 from .treespec import ForestCount, PatchedCount, Spectrum
 
 
@@ -151,8 +151,8 @@ class DenseEdgeCut:
     the pair between the endpoints, so each removal copies ``m``, zeroes
     the pair and rewrites those two entries (`oracle.p2_diagonal`). The
     copy is ``assemble_p2(remove_edge(H, f, e0)[0])``, to the bit, and its
-    counter is the spectrum ``p2_spectrum`` gives that operator without
-    bases.
+    counter (`oracle.ValueCount`) counts that matrix's ``eigvalsh``
+    values.
     """
 
     def __init__(self, H: Operator, m: SymmetricMatrix, e0):
@@ -177,7 +177,7 @@ class DenseEdgeCut:
         under the eigenfunction ``f``, as `remove_edge` gives them;
         ``signs`` is f's `sign_pattern`, computed when not given."""
         alpha, a = self.matrix(f, signs)
-        return alpha, eigenvalues(a)
+        return alpha, ValueCount(a)
 
 
 def dense_without_vertex(H: Operator, m: SymmetricMatrix, u0) -> np.ndarray:
@@ -217,7 +217,8 @@ def remove_node(H: Operator, u0) -> tuple[Operator, SurgeryStep]:
     return H2, step
 
 
-def verify_weyl_edge(spec_before: Spectrum, after, alpha_sign: float) -> CheckReport:
+def verify_weyl_edge(spec_before: Spectrum, after, alpha_sign: float,
+                     thresholds: Thresholds | None = None) -> CheckReport:
     """Check the one-sided shift pattern of a compensated edge removal.
 
     With eta the after-values and lambda the before-values, a negative
@@ -226,53 +227,64 @@ def verify_weyl_edge(spec_before: Spectrum, after, alpha_sign: float) -> CheckRe
     -inf / +inf), each side within the slack s of lambda_k.
 
     ``after`` is anything with ``total`` and ``count_below`` (a
-    ``Spectrum`` or a ``treespec.ForestCount``). Only two counts per
-    distinct lambda_k are read: c- = #{eta < lambda_k - s} and
-    c+ = #{eta <= lambda_k + s}. The pattern is c+ >= k - 1 and c- <= k - 1
-    for alpha < 0, c+ >= k and c- <= k for alpha > 0.
+    ``Spectrum``, a ``treespec.ForestCount`` or an ``oracle.ValueCount``).
+    Only two counts per distinct lambda_k are read, all in one
+    `nodal.counts_below` call: c- = #{eta < lambda_k - s} and
+    c+ = #{eta <= lambda_k + s}. The pattern is c+ >= k - 1 and
+    c- <= k - 1 for alpha < 0, c+ >= k and c- <= k for alpha > 0.
+    ``thresholds`` are those of ``spec_before``, built here when not given.
     """
-    lam = spec_before.flat()
+    th = Thresholds(spec_before) if thresholds is None else thresholds
+    lam = th.flat
     if after.total != len(lam):
         raise ValueError("edge removal must preserve the vertex count")
     if alpha_sign == 0 or not math.isfinite(alpha_sign):
         raise ValueError("alpha must have a definite sign")
     shift = 1 if alpha_sign > 0 else 0
-    below, upto = _counts(after)
+    d = len(th.below)
+    c = counts_below(after, th.below + th.upto)
     failures = []
-    for k, lk in enumerate(lam, start=1):
+    for k, (lk, i) in enumerate(zip(lam, th.pos), start=1):
         need = k - 1 + shift
-        c_below, c_upto = below(lk), upto(lk)
+        c_below, c_upto = c[i], c[d + i]
         if c_upto < need or c_below > need:
-            sl = _slack(lk)
             failures.append(
                 f"value {k}: {lk} misplaced after edge removal: "
-                f"#{{eta < {lk - sl}}} = {c_below} and "
-                f"#{{eta <= {lk + sl}}} = {c_upto}, but the first must be "
+                f"#{{eta < {th.below[i]}}} = {c_below} and "
+                f"#{{eta <= {lk + _slack(lk)}}} = {c_upto}, but the first must be "
                 f"<= {need} and the second >= {need}")
     return CheckReport(ok=not failures, checked=len(lam),
                        failures=tuple(failures))
 
 
-def verify_weyl_nodes(spec_before: Spectrum, after, n: int) -> CheckReport:
+def verify_weyl_nodes(spec_before: Spectrum, after, n: int,
+                      thresholds: Thresholds | None = None) -> CheckReport:
     """Check the two-sided squeeze of removing ``n`` vertices:
     lambda_k <= eta_k <= lambda_{k+n} for every k on the smaller graph.
 
     ``after`` is anything with ``total`` and ``count_below``. The two sides
-    are read as counts at before-values: lambda_k <= eta_k as
-    #{eta < lambda_k - s} <= k - 1, and eta_k <= lambda_{k+n} as
-    #{eta <= lambda_{k+n} + s} >= k, with s the slack of that before-value.
-    Taking the slack at the before-value rather than at eta_k changes the
-    verdict only inside a window about 1e-16 wide.
+    are read as counts at before-values, all in one `nodal.counts_below`
+    call: lambda_k <= eta_k as #{eta < lambda_k - s} <= k - 1, and
+    eta_k <= lambda_{k+n} as #{eta <= lambda_{k+n} + s} >= k, with s the
+    slack of that before-value. Taking the slack at the before-value
+    rather than at eta_k changes the verdict only inside a window about
+    1e-16 wide. ``thresholds`` are those of ``spec_before``, built here
+    when not given.
     """
-    lam = spec_before.flat()
+    th = Thresholds(spec_before) if thresholds is None else thresholds
+    lam = th.flat
     m = after.total
     if m != len(lam) - n:
         raise ValueError(f"after-spectrum should be {n} values shorter")
-    below, upto = _counts(after)
     failures = []
+    if m:
+        # the distinct values read: below at lambda_1..lambda_m, upto at
+        # lambda_{1+n}..lambda_{m+n}
+        top, bottom = th.pos[m - 1] + 1, th.pos[n]
+        c = counts_below(after, th.below[:top] + th.upto[bottom:])
     for k in range(1, m + 1):
         lo, hi = lam[k - 1], lam[k + n - 1]
-        c_below, c_upto = below(lo), upto(hi)
+        c_below, c_upto = c[th.pos[k - 1]], c[top + th.pos[k + n - 1] - bottom]
         if c_below > k - 1 or c_upto < k:
             failures.append(
                 f"value {k} outside [{lo}, {hi}] after removing {n} vertices: "

@@ -265,11 +265,12 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     which the eigenvalue count rises is halved, and each value is the
     midpoint of an interval where the halving stops.
 
-    The count must read 0 at -(bound + 1) and len(order) at +(bound + 1),
-    the bound being the largest `spectral_bound` term over ``order``, a
-    hard structural check. An interval is halved until `_located`: its
-    width is at most SLICE_REL * max(1, min(|a|, |b|)), or no float lies
-    strictly inside it. An interval across which the count rises by
+    The count must read 0 at -hi and len(order) at +hi, a hard structural
+    check, with hi = bound + max(1, 8 ulps of the bound), the bound being
+    the largest `spectral_bound` term over ``order``. An interval is
+    halved until `_located`: its width is at most
+    SLICE_REL * max(1, min(|a|, |b|)), or no float lies strictly inside
+    it. An interval across which the count rises by
     exactly one goes to `_isolated`, which returns the same float from
     fewer counts; one across which it rises by more is halved on the stack.
 
@@ -282,7 +283,10 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     n = len(order)
     plan = T.plans[order]
     size = max(order) + 1
-    hi = float(np.max(_vertex_bounds(H)[list(order)])) + 1.0
+    bound = float(np.max(_vertex_bounds(H)[list(order)]))
+    # past 2^50 the + 1.0 falls below 8 ulps, and with the rounding of the
+    # bound the top eigenvalue may lie above it
+    hi = bound + max(1.0, 8.0 * math.ulp(bound))
     at_lo, at_hi = [0.0] * size, [0.0] * size
     c_lo = _eval_vertices(H, -hi, plan, at_lo)
     c_hi = _eval_vertices(H, hi, plan, at_hi)

@@ -662,6 +662,83 @@ def test_check_all_dense_route_decomposes_once(tmp_path, capsys, monkeypatch):
     assert assembled == [10]
 
 
+def test_check_all_dense_route_clusters_only_the_before_spectrum(
+        tmp_path, capsys, monkeypatch):
+    """At p = 2 every after-operator is counted from its sorted
+    ``eigvalsh`` values: ``check --all`` builds one `Spectrum`, the
+    before-spectrum, and clusters once, however many removals it counts."""
+    doc = graph_document(gen_graph("graph", 10, random.Random(4), weighted=True),
+                         p=2.0)
+    path = write_doc(tmp_path, doc)
+    spectra, clustered = [], []
+    post_init, cluster = treespec.Spectrum.__post_init__, oracle.cluster_tagged
+    monkeypatch.setattr(treespec.Spectrum, "__post_init__",
+                        lambda self: spectra.append(1) or post_init(self))
+    monkeypatch.setattr(oracle, "cluster_tagged",
+                        lambda *args: clustered.append(1) or cluster(*args))
+    assert main(["check", path, "--all"]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    names = [row["name"] for row in out["checks"]]
+    assert names.count("weyl-edge") > 50 and names.count("weyl-node") == 10
+    assert spectra == [1]
+    assert clustered == [1]
+
+
+def test_check_all_rejects_a_document_function(tmp_path, capsys, monkeypatch):
+    """``check --all`` checks the eigenpairs it computes, so a document
+    that carries a function is bad input too, rejected with one error
+    document before any spectrum is computed; without it the same graph
+    passes."""
+    doc = {"p": 2.0, "vertices": [{"id": 0}, {"id": 1}],
+           "edges": [{"u": 0, "v": 1}], "function": {"0": 5, "1": 7}}
+    path = write_doc(tmp_path, doc)
+    solved = count_eigh(monkeypatch)
+    sliced = count_slices(monkeypatch)
+    for p in ("2", "3"):
+        assert main(["check", path, "--all", "--p", p]) == EXIT_INPUT
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        report = json.loads(out)
+        assert report["exit_code"] == EXIT_INPUT
+        assert "'function'" in report["error"]
+    assert solved == [] and sliced == []
+    del doc["function"]
+    assert main(["check", write_doc(tmp_path, doc, "plain.json"), "--all"]) == EXIT_OK
+    capsys.readouterr()
+
+
+def _strict_json(text: str):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_every_verb_prints_strict_json_at_a_huge_potential(tmp_path, capsys):
+    """A potential of 1e308 at p = 2 stays finite through the dense
+    route's symmetrization, so every verb prints one document without NaN
+    or Infinity, and the spectrum holds 1e308."""
+    path = write_doc(tmp_path, {
+        "vertices": [{"id": 0, "kappa": 1e308}, {"id": 1}],
+        "edges": [{"u": 0, "v": 1}]})
+    pair = '{"0": 0, "1": 1}'
+    for argv in (["spectrum", path, "--p", "2"],
+                 ["spectrum", path, "--p", "2", "--eigenbasis"],
+                 ["oracle", path, "--p", "2"],
+                 ["oracle", path, "--p", "2", "--eigenbasis"],
+                 ["check", path, "--p", "2", "--all"],
+                 ["check", path, "--p", "2", "--lambda", "1", "--function", pair],
+                 ["nodal", path, "--function", pair],
+                 ["surgery", path, "--p", "2", "--remove-node", "1"]):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1, argv
+        report = _strict_json(out)
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_VIOLATION), argv
+        if argv[0] in ("spectrum", "oracle") and code == EXIT_OK:
+            assert [e["value"] for e in report["spectrum"]] == [1.0, 1e308]
+
+
 def test_check_all_dense_guard_matches_the_rebuild(tmp_path, capsys,
                                                    monkeypatch):
     """A removal whose patched diagonal entry leaves the float range (the

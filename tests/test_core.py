@@ -19,6 +19,7 @@ from plap.core import (
     MAX_DESCENT_STEPS,
     P_MIN,
     _apply_values,
+    _defect,
     _newton_polish,
     _phi_arr,
     _vertex_bounds,
@@ -32,14 +33,17 @@ from plap.core import (
     induced_subgraph,
     is_forest,
     p_normalized,
+    p_normalized_rows,
     phi,
     phi_inv,
     rayleigh,
     residual,
+    residuals,
     spectral_bound,
     technical_R,
 )
 from plap.oracle import p2_spectrum
+from plap.treespec import tree_eigenpairs
 
 
 def test_phi_known_values():
@@ -176,7 +180,10 @@ def _ref_phi(x, p):
 
 def _ref_apply_values(H, x, *_reuse):
     """(H x): kappa phi(x), then the edge heads, then the edge tails; it
-    recomputes what a caller passes for reuse."""
+    recomputes what a caller passes for reuse, and takes a block of
+    functions row by row."""
+    if x.ndim == 2:
+        return np.array([_ref_apply_values(H, row) for row in x])
     g = H.graph
     d = _ref_phi(x[g._eu] - x[g._ev], H.p)
     out = g.kappa * _ref_phi(x, H.p)
@@ -438,6 +445,71 @@ def test_residual_is_scale_free_and_finite():
                                    [(0, 1, 1e308)]), 3.0)
     with np.errstate(over="ignore"), pytest.raises(ArithmeticError):
         residual(heavy, VertexFunction([1.0, -1.0]), 0.0)
+
+
+def _unit_by_rule(x: np.ndarray, p: float) -> np.ndarray:
+    """The single-function p-normalization written out: scale by max|x|
+    only where sum |x|^p leaves the normal float range, then divide by
+    that sum to the power 1/p, taken in Python floats."""
+    with np.errstate(over="ignore"):
+        mass = float(np.sum(np.abs(x) ** p))
+    if not np.finfo(float).tiny <= mass < math.inf:
+        x = x / float(np.max(np.abs(x)))
+        mass = float(np.sum(np.abs(x) ** p))
+    return x / mass ** (1.0 / p)
+
+
+def _basis_blocks():
+    """(H, X, lams, far): every eigenfunction of tree-route eigenbases at
+    p in {1.2, 1.5, 3} and of dense p = 2 bases as the rows of X, plus the
+    first times 1e-300 and the last times 1e300, whose sums |x|^p leave
+    the normal float range; ``far`` counts the rows that do."""
+    ops = [Operator(gen_graph(kind, n, random.Random(n), weighted=True), p)
+           for kind in ("tree", "path") for n in (6, 11) for p in (1.2, 1.5, 3.0)]
+    ops += [Operator(gen_graph(kind, n, random.Random(n), weighted=True), 2.0)
+            for kind in ("graph", "cycle") for n in (7, 12)]
+    for H in ops:
+        spec = p2_spectrum(H) if H.p == 2.0 else tree_eigenpairs(H)
+        pairs = [(e.value, f.values) for e in spec.entries for f in e.basis]
+        pairs += [(pairs[0][0], 1e-300 * pairs[0][1]),
+                  (pairs[-1][0], 1e300 * pairs[-1][1])]
+        X = np.array([x for _lam, x in pairs])
+        with np.errstate(over="ignore"):
+            mass = np.sum(np.abs(X) ** H.p, axis=1)
+        far = int(np.sum(~((mass >= np.finfo(float).tiny) & (mass < math.inf))))
+        yield H, X, [lam for lam, _x in pairs], far
+
+
+def test_residuals_rows_equal_the_single_function_rule():
+    """Every row of ``residuals`` is, to the bit, the ``residual`` of that
+    function and the defect of its p-normalization by the written-out rule,
+    also on rows scaled by max|x| first."""
+    rows = far_rows = 0
+    for H, X, lams, far in _basis_blocks():
+        got = residuals(H, X, lams)
+        for x, lam, r in zip(X, lams, got):
+            assert r == residual(H, VertexFunction(x), lam)
+            assert r == _defect(H, _unit_by_rule(x, H.p), lam)
+        rows += len(X)
+        far_rows += far
+    assert rows > 150 and far_rows >= 30
+    H = Operator(diamond_graph(), 2.0)
+    with pytest.raises(ValueError):
+        residuals(H, np.array([[1.0, 1.0, 1.0, 1.0], [0.0] * 4]), [0.0, 0.0])
+
+
+def test_p_normalized_rows_equal_the_single_function_rule():
+    """Every row of ``p_normalized_rows`` is, to the bit, ``p_normalized``
+    of that row and the written-out rule with its first entry outside the
+    zero band made positive."""
+    for H, X, _lams, _far in _basis_blocks():
+        for x, y in zip(-X, p_normalized_rows(-X, H.p)):
+            want = _unit_by_rule(x, H.p)
+            band = core.ZERO_BAND_REL * np.max(np.abs(want))
+            if want[np.flatnonzero(np.abs(want) > band)[0]] < 0:
+                want = -want
+            assert y.tobytes() == want.tobytes()
+            assert y.tobytes() == p_normalized(x, H.p).tobytes()
 
 
 def test_newton_polish_keeps_other_components_at_zero():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import diamond_graph, random_connected_graph
 from plap.cli import gen_graph
-from plap.core import Operator, WeightedGraph, residual
+from plap.core import Operator, WeightedGraph, p_normalized, residual
 from plap.oracle import (
     MAX_DENSE_N,
     SymmetricMatrix,
@@ -96,6 +96,29 @@ def test_pullback_functions_are_eigenfunctions():
             assert len(e.basis) == e.mult
             for f in e.basis:
                 assert residual(H, f, e.value) < 1e-9
+
+
+def test_block_normalization_equals_p_normalized_per_column():
+    """The eigenbasis of ``p2_spectrum``, normalized as one block, holds
+    ``p_normalized`` of every pulled-back eigenvector column, to the bit."""
+    for kind, n in (("graph", 12), ("cycle", 9), ("tree", 15), ("graph", 40)):
+        H = Operator(gen_graph(kind, n, random.Random(n), weighted=True), 2.0)
+        _w, v = eig_sym(assemble_p2(H))
+        d = 1.0 / np.sqrt(H.graph.rho)
+        funcs = [f for e in p2_spectrum(H).entries for f in e.basis]
+        assert len(funcs) == n
+        for idx, f in enumerate(funcs):
+            assert f.values.tobytes() == p_normalized(d * v[:, idx], 2.0).tobytes()
+
+
+def test_symmetrization_keeps_entries_above_half_the_range():
+    """Halving before adding keeps a potential of 1e308 finite, and below
+    half the range the halves give the bits of 0.5 * (a + a^T)."""
+    m = SymmetricMatrix(np.array([[1e308, -1.0], [-1.0, 1.0]]))
+    assert m.data[0, 0] == 1e308
+    a = assemble_p2(Operator(gen_graph("graph", 9, random.Random(2),
+                                       weighted=True), 2.0)).data
+    assert SymmetricMatrix(a).data.tobytes() == (0.5 * (a + a.T)).tobytes()
 
 
 def test_variational_index_on_star():

@@ -19,7 +19,7 @@ from plap.core import (
 )
 from plap.cli import gen_graph
 from plap.nodal import _slack, sign_pattern
-from plap.oracle import assemble_p2, eigenvalues, p2_spectrum
+from plap.oracle import ValueCount, assemble_p2, p2_spectrum
 from plap.surgery import (
     DenseEdgeCut,
     EdgeCut,
@@ -262,14 +262,25 @@ def test_weyl_counts_agree_with_after_spectra(p):
 def _dense_cuts_agree(H) -> int:
     """For every eigenpair and edge, and for every vertex, the patched copy
     of the p = 2 matrix is the rebuilt operator's `assemble_p2` matrix to
-    the bit, its counts are those of the rebuilt ``p2_spectrum`` at every
-    threshold a weyl row reads, and so are its weyl-edge and weyl-node
-    rows. Returns the number of removals compared."""
+    the bit, its counter counts the rebuilt matrix's ``eigvalsh`` values at
+    every threshold a weyl row reads, one by one and in one call, and its
+    weyl-edge and weyl-node rows are those read from the rebuilt
+    ``p2_spectrum``. Returns the number of removals compared."""
     g = H.graph
     m = assemble_p2(H)
     spec = p2_spectrum(H)
-    ts = {t for lam in spec.values()
-          for t in (lam - _slack(lam), math.nextafter(lam + _slack(lam), math.inf))}
+    ts = sorted({t for lam in spec.values()
+                 for t in (lam - _slack(lam),
+                           math.nextafter(lam + _slack(lam), math.inf))})
+
+    def agree(after, H2):
+        a = assemble_p2(H2).data
+        values = np.linalg.eigvalsh(a)
+        want = [int(np.sum(values < t)) for t in ts]
+        assert [after.count_below(t) for t in ts] == want
+        assert after.counts_below(ts) == want
+        return a, p2_spectrum(H2, bases=False)
+
     compared = 0
     for i, j, _w in g.edges:
         e0 = (g.ids[i], g.ids[j])
@@ -280,22 +291,19 @@ def _dense_cuts_agree(H) -> int:
                 continue
             H2, step = remove_edge(H, f, e0)
             alpha, a = cut.matrix(f, s)
-            assert a.tobytes() == assemble_p2(H2).data.tobytes(), e0
             alpha, after = cut.after(f)
-            want = p2_spectrum(H2, bases=False)
+            rebuilt, want = agree(after, H2)
+            assert a.tobytes() == rebuilt.tobytes(), e0
             assert alpha == step.alpha
-            assert ({t: after.count_below(t) for t in ts}
-                    == {t: want.count_below(t) for t in ts}), e0
             assert (verify_weyl_edge(spec, after, alpha)
                     == verify_weyl_edge(spec, want, step.alpha))
             compared += 1
     for u in g.ids:
         H2, _step = remove_node(H, u)
         a = dense_without_vertex(H, m, u)
-        assert a.tobytes() == assemble_p2(H2).data.tobytes(), u
-        after, want = eigenvalues(a), p2_spectrum(H2, bases=False)
-        assert ({t: after.count_below(t) for t in ts}
-                == {t: want.count_below(t) for t in ts}), u
+        after = ValueCount(a)
+        rebuilt, want = agree(after, H2)
+        assert a.tobytes() == rebuilt.tobytes(), u
         assert verify_weyl_nodes(spec, after, 1) == verify_weyl_nodes(spec, want, 1)
         compared += 1
     return compared

@@ -1079,3 +1079,37 @@ def test_forest_count_exact_hit_takes_the_left_limit():
     spec = tree_spectrum(H)
     assert [spec.count_below(x) for x in (0.5, 2.0, 8.0)] == [1, 6, 7]
     assert [spec.count_below(e.value) for e in spec.entries] == [0, 1, 6]
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+def test_huge_potentials_keep_the_end_counts(p):
+    """On 2- and 3-vertex unit paths with one potential up to 1e17 the
+    starting bracket of the slicing lies above the top eigenvalue: past
+    2^50 the + 1.0 on the spectral bound falls below one ulp of it, and
+    hi adds 8 ulps instead. The top value is at least the quotient
+    kappa + 1 of the unit function at that vertex, to the slicing's
+    precision."""
+    for n in (2, 3):
+        for at in range(n):
+            for kappa in np.geomspace(1e14, 1e17, 13).tolist() + [2e16, 5e16]:
+                g = WeightedGraph([(i, 1.0, kappa if i == at else 0.0)
+                                   for i in range(n)],
+                                  [(i - 1, i, 1.0) for i in range(1, n)])
+                spec = tree_spectrum(Operator(g, p))
+                assert spec.total == n, (n, at, kappa)
+                top = spec.entries[-1].value
+                assert top >= (kappa + 1.0) * (1.0 - 1e-13), (n, at, kappa)
+
+
+def test_ordinary_brackets_start_at_the_bound_plus_one(monkeypatch):
+    """Below a bound of 2^50 the first two counts sit at -(bound + 1) and
+    bound + 1, so no ordinary spectrum moves."""
+    H = Operator(gen_graph("tree", 12, random.Random(3), weighted=True), 1.5)
+    bound = core.spectral_bound(H)
+    seen = []
+    inner = treespec._eval_vertices
+    monkeypatch.setattr(treespec, "_eval_vertices",
+                        lambda H, lam, plan, vals: seen.append(lam)
+                        or inner(H, lam, plan, vals))
+    tree_spectrum(H)
+    assert seen[:2] == [-(bound + 1.0), bound + 1.0]
