@@ -32,7 +32,8 @@ from . import surgery as surgery_mod
 from . import treespec
 from .core import (EigenpairCertificate, Operator, VertexFunction,
                    WeightedGraph, _canonical_edges, _id_key,
-                   connected_components, is_forest, residual, residuals)
+                   connected_components, is_forest, residual, residuals,
+                   spectral_bound)
 
 EXIT_OK = 0
 EXIT_STDOUT_CLOSED = 1
@@ -263,6 +264,22 @@ def _residuals(H: Operator, pairs: list) -> list:
                      [value for value, _f in pairs]).tolist()
 
 
+def _assert_residuals(H: Operator, pairs: list, res: list, tol: float):
+    """Raise AssertionError (exit 4) at the first computed eigenpair whose
+    residual exceeds tol. Where that residual lies within the float64 floor
+    n * eps * spectral_bound(H), which the operator's scale then puts above
+    tol, the message names the bound and the floor."""
+    for (value, _f), r in zip(pairs, res):
+        if r > tol:
+            msg = f"reconstructed eigenfunction at {value} has residual {r}"
+            bound = spectral_bound(H)
+            floor = H.graph.n * np.finfo(float).eps * bound
+            if r <= floor:
+                msg += (f", within the float64 floor {floor:.3g} = n * eps * "
+                        f"spectral bound {bound:.3g}, above --tol {tol:.3g}")
+            raise AssertionError(msg)
+
+
 def _spectrum_report(g: WeightedGraph, p: float, spec: treespec.Spectrum,
                      bases: bool) -> dict:
     """The ``spectrum`` and ``oracle`` output: values with multiplicities,
@@ -283,10 +300,7 @@ def cmd_spectrum(args) -> int:
     spec = full_spectrum(H, bases=args.eigenbasis)
     if args.eigenbasis:
         pairs = _eigenpairs_of(spec)
-        for (value, _f), r in zip(pairs, _residuals(H, pairs)):
-            if r > args.tol:
-                raise AssertionError(
-                    f"reconstructed eigenfunction at {value} has residual {r}")
+        _assert_residuals(H, pairs, _residuals(H, pairs), args.tol)
     _emit(_spectrum_report(g, p, spec, args.eigenbasis))
     return EXIT_OK
 
@@ -378,8 +392,11 @@ def cmd_check(args) -> int:
         raise ValueError(
             "position bounds need a connected graph; use --bounds weyl")
 
+    res = _residuals(H, pairs)
+    if args.all:
+        _assert_residuals(H, pairs, res, tol)
     certs = [EigenpairCertificate(lam, f, r, tol)
-             for (lam, f), r in zip(pairs, _residuals(H, pairs))]
+             for (lam, f), r in zip(pairs, res)]
     weyl = which in ("weyl", "all")
     thresholds = nodal_mod.Thresholds(spec) if weyl else None
     edge_rows = (_weyl_edge_rows(g, certs, spec, edge_cut, thresholds) if weyl

@@ -43,12 +43,25 @@ the sign changes of the g values across a narrow window around it
 One count is one pass of `_eval_vertices` over a component's plan, built
 once per rooting: the leaves first, then the inner vertices children-first.
 The pass writes every g value into a list indexed by vertex and counts the
-negative ones as it goes.
+negative ones as it goes. `_eval_vertices` is the reference, and the only
+pass of `ForestCount`, `PatchedCount` and `_window`.
+
+`_slice` works a component's intervals in rounds: every open interval
+yields its next probe, and the round counts them all at once. Where there
+are enough probes for the shape of the tree, that is one `_lockstep`
+pass, which runs the same float operations one height level at a time on
+arrays of the level's vertices by the probes and gives every list and
+count float for float; the crossover is fixed by the number of probes and
+the plan's height levels and child slots against its size (`_Lanes`).
+Paths, whose every vertex is a level of its own, and small trees stay on
+the scalar pass.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -78,6 +91,21 @@ SECANT_REL = 1e-2
 RECOVER_REL = 1e-4
 
 POLE = math.inf
+
+#: The cost of one `_lockstep` pass in scalar vertex steps (one vertex of
+#: one `_eval_vertices` pass): LEVEL_STEPS per height level and once more
+#: for the pass, SLOT_STEPS per child slot, and PROBE_SHARE of a scalar
+#: pass per probe.
+LEVEL_STEPS = 30.0
+SLOT_STEPS = 7.5
+PROBE_SHARE = 0.22
+
+#: `_slice` keeps at most IN_FLIGHT isolated brackets open or waiting
+#: before it halves another interval, and halves at most HALVINGS
+#: intervals at once, the lowest first. That bounds the g lists it holds
+#: and the width of a lockstep pass.
+IN_FLIGHT = 32
+HALVINGS = 4
 
 
 def cluster_tagged(pairs, rel: float = CLUSTER_REL):
@@ -231,6 +259,132 @@ def _eval_vertices(H: Operator, lam: float, plan, vals: list) -> int:
     return neg
 
 
+class _Lanes:
+    """One component's plan laid out for `_lockstep`: its vertices grouped
+    by height (leaves 0, a parent one above its highest child), each level
+    a block of consecutive rows, and per level the rows of its vertices'
+    k-th children, one child slot at a time.
+
+    Within a level the vertices with more children come first, so slot k
+    covers the level's first m_k rows. ``batch_from`` is the number of
+    probes from which one lockstep pass costs less than that many scalar
+    passes (`_lockstep_pays`); the arrays are built at the first such
+    pass. ``plan`` is the plan, and ``size`` the length of a g list.
+    """
+
+    def __init__(self, plan, size: int):
+        leaves, inner = plan
+        height = {u: 0 for u, *_rest in leaves}
+        for u, *_head, kids in inner:
+            height[u] = 1 + max(height[v] for v, _w in kids)
+        levels = [[] for _ in range(height[inner[-1][0]] + 1 if inner else 1)]
+        for e in leaves:
+            levels[0].append((e, ()))
+        for e in inner:
+            levels[height[e[0]]].append((e, e[5]))
+        for level in levels:
+            level.sort(key=lambda entry: -len(entry[1]))
+        self._grouped = levels
+        self._order = [e[0] for level in levels for e, _kids in level]
+        self.plan = plan
+        self.size = size
+        self.n = len(height)
+        slots = sum(len(level[0][1]) for level in levels)
+        self.batch_from = _lockstep_pays(self.n, len(levels), slots)
+
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        """Per level: its first and last row + 1, kappa, rho and parent
+        weight as columns, and per child slot (m_k, the children's
+        rows)."""
+        row = {u: i for i, u in enumerate(self._order)}
+        blocks = []
+        start = 0
+        for level in self._grouped:
+            heads = [e for e, _kids in level]
+            slots = []
+            for k in range(len(level[0][1])):
+                kids = [kids[k][0] for _e, kids in level if len(kids) > k]
+                slots.append((len(kids), np.array([row[v] for v in kids],
+                                                  dtype=np.intp)))
+            blocks.append((start, start + len(level),
+                           np.array([[e[1]] for e in heads]),
+                           np.array([[e[2]] for e in heads]),
+                           np.array([[e[4]] for e in heads]), tuple(slots)))
+            start += len(level)
+        return tuple(blocks)
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The row of every dense index below ``size``; the vertices
+        outside the component read row n, which stays zero."""
+        rows = np.full(self.size, self.n, dtype=np.intp)
+        rows[self._order] = np.arange(self.n)
+        return rows
+
+
+def _lockstep_pays(n: int, levels: int, slots: int) -> int:
+    """The number of probes from which one `_lockstep` pass over a plan of
+    n vertices, ``levels`` height levels and ``slots`` child slots is
+    cheaper than as many `_eval_vertices` passes, by the cost model of
+    LEVEL_STEPS, SLOT_STEPS and PROBE_SHARE."""
+    fixed = LEVEL_STEPS * (levels + 1) + SLOT_STEPS * slots
+    return max(2, math.ceil(fixed / ((1.0 - PROBE_SHARE) * n)))
+
+
+def _lockstep(H: Operator, lanes: _Lanes, xs: list):
+    """One pass of the g recursion at every probe in ``xs`` at once: the
+    (g list, count) that `_eval_vertices` gives at each, float for float,
+    or None where any g is not finite.
+
+    Every level is one array of its rows by the probes, and every step is
+    the scalar pass's float operation on the whole array: phi and phi_inv
+    as copysign(float_power(|x|, e), x), which is x ** e or -((-x) ** e)
+    in the same floats, and a zero argument, which the scalar pass skips or
+    maps to 1.0, adds a zero or gives 1.0 here too. The children's terms
+    are added one slot at a time, in the plan's order. Each term is
+    computed once, from the child's g and its parent weight, the weight
+    the parent's pass multiplies by. An exact child zero, an overflow or a
+    NaN leaves a value that is not finite in the batch, and the None then
+    sends the probes to the scalar pass (`_passes`), which writes the pole
+    marker or raises OverflowError.
+    """
+    pm1 = H.p - 1.0
+    pinv = 1.0 / pm1
+    lam = np.array(xs)
+    n = lanes.n
+    g = np.zeros((n + 1, len(xs)))
+    up = np.empty((n, len(xs)))  # each vertex's term in its parent's sum
+    top = len(lanes.blocks) - 1
+    with np.errstate(all="ignore"):
+        for i, (s, e, kappa, rho, w, slots) in enumerate(lanes.blocks):
+            acc = rho * lam
+            np.subtract(kappa, acc, out=acc)
+            if i == top:  # the root alone: the virtual parent's -1
+                acc -= 1.0
+            for m, kids in slots:
+                acc[:m] += up[kids]
+            np.divide(acc, w, out=acc)
+            y = g[s:e]
+            np.abs(acc, out=y)
+            np.float_power(y, pinv, out=y)
+            np.copysign(y, acc, out=y)
+            y += 1.0
+            if i < top:
+                t = up[s:e]
+                np.divide(1.0, y, out=t)
+                np.subtract(1.0, t, out=t)
+                np.abs(t, out=acc)
+                np.float_power(acc, pm1, out=acc)
+                np.copysign(acc, t, out=t)
+                t *= w
+        body = g[:n]
+        if not np.isfinite(body).all():
+            return None
+        counts = np.count_nonzero(body < 0.0, axis=0).tolist()
+    return list(zip(g[lanes.rows].T.tolist(), counts))
+
+
 def _negative(g: float) -> bool:
     """Whether a g value counts as negative: the pole marker does, since
     only an exact child zero produces it and the count takes left limits."""
@@ -250,13 +404,28 @@ def _located(a: float, b: float, mid: float) -> bool:
     return b - a <= _narrow(a, b, SLICE_REL) or not a < mid < b
 
 
-def _count(H: Operator, x: float, plan, vals: list, ca: int, cb: int) -> int:
-    """`_eval_vertices` at x inside an interval whose ends count ca and cb;
-    a count outside [ca, cb] is a hard error."""
-    c = _eval_vertices(H, x, plan, vals)
+def _checked(c: int, x: float, ca: int, cb: int) -> int:
+    """The count c of a pass at x inside an interval whose ends count ca and
+    cb; a count outside [ca, cb] is a hard error."""
     if not ca <= c <= cb:
         raise AssertionError(f"eigenvalue count not monotone near {x!r}")
     return c
+
+
+def _passes(H: Operator, lanes: _Lanes, xs: list) -> list:
+    """(g list, count) of a pass over ``lanes.plan`` at every probe in
+    ``xs``, each list new: one `_lockstep` pass when there are at least
+    ``lanes.batch_from`` probes, else, and wherever that pass meets a value
+    that is not finite, one `_eval_vertices` pass per probe."""
+    if len(xs) >= lanes.batch_from:
+        got = _lockstep(H, lanes, xs)
+        if got is not None:
+            return got
+    out = []
+    for x in xs:
+        vals = [0.0] * lanes.size
+        out.append((vals, _eval_vertices(H, x, lanes.plan, vals)))
+    return out
 
 
 def _slice(T: RootedTree, H: Operator, order) -> list:
@@ -272,7 +441,25 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     SLICE_REL * max(1, min(|a|, |b|)), or no float lies strictly inside
     it. An interval across which the count rises by
     exactly one goes to `_isolated`, which returns the same float from
-    fewer counts; one across which it rises by more is halved on the stack.
+    fewer counts; one across which it rises by more is halved
+    (`_bracket`).
+
+    The intervals are worked in rounds. Every open interval gives one probe
+    per round, and the round's probes are counted together (`_passes`): by
+    one lockstep pass over the component's `_Lanes` from the number of
+    probes at which that is cheaper than one scalar pass each, a number
+    fixed by the plan's height levels and child slots against its size.
+    Where no round can hold that many probes (paths, small trees), the
+    intervals are worked one at a time on scalar passes instead, without
+    the rounds' bookkeeping. An interval's probes depend on its own counts
+    alone, so no value depends on which intervals share a round, or
+    whether any do. Isolated brackets open while fewer than IN_FLIGHT are
+    open. Another interval is halved only while fewer than IN_FLIGHT
+    isolated brackets are open or waiting, at most HALVINGS at once and
+    the lowest first, so the waiting intervals are mostly the right halves
+    along a few paths down the halving. That keeps the g lists held to a
+    multiple of IN_FLIGHT lists, where opening every interval at once
+    would hold one per eigenvalue.
 
     Every pass writes a list of its own, which stays with the intervals
     it bounds, so each interval carries the g lists at both its ends. The
@@ -293,34 +480,90 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     if (c_lo, c_hi) != (0, n):
         raise AssertionError(
             f"eigenvalue counts {c_lo} and {c_hi} at -/+{hi:.6g}, not 0 and {n}")
+    lanes = _Lanes(plan, size)
     out = []
-    stack = [(-hi, hi, 0, n, at_lo, at_hi)]
-    while stack:
-        a, b, ca, cb, at_a, at_b = stack.pop()
-        if cb - ca == 1:
-            out.append((_isolated(T, H, order, a, b, ca, at_a, at_b), 1))
-            continue
-        mid = 0.5 * (a + b)
-        if _located(a, b, mid):
-            out.append((mid, cb - ca))
-            continue
-        at_mid = [0.0] * size
-        cm = _count(H, mid, plan, at_mid, ca, cb)
-        if cb > cm:
-            stack.append((mid, b, cm, cb, at_mid, at_b))
-        if cm > ca:
-            stack.append((a, mid, ca, cm, at_a, at_mid))
-    return out
+    if lanes.batch_from > min(n, IN_FLIGHT + HALVINGS):
+        todo = [(-hi, hi, 0, n, at_lo, at_hi)]
+        while todo:
+            task = _bracket(T, H, order, *todo.pop())
+            answer = None
+            try:
+                while True:
+                    x = task.send(answer)
+                    vals = [0.0] * size
+                    answer = vals, _eval_vertices(H, x, plan, vals)
+            except StopIteration as stop:
+                located, halves = stop.value
+                out += located
+                todo += halves
+        return sorted(out)
+    to_halve = [(-hi, hi, 0, n, at_lo, at_hi)]  # a heap: the lowest first
+    to_isolate = []
+    running = []  # (interval, its probe, whether it is halved) when open
+
+    def advance(task, answer, halved):
+        try:
+            running.append((task, task.send(answer), halved))
+        except StopIteration as stop:
+            located, halves = stop.value
+            out.extend(located)
+            for half in halves:
+                if half[3] - half[2] == 1:
+                    to_isolate.append(half)
+                else:
+                    heapq.heappush(to_halve, half)
+
+    while to_halve or to_isolate or running:
+        halving = sum(halved for _task, _x, halved in running)
+        isolating = len(running) - halving
+        while to_isolate and isolating < IN_FLIGHT:
+            advance(_bracket(T, H, order, *to_isolate.pop()), None, False)
+            isolating += 1
+        while (to_halve and halving < HALVINGS
+               and isolating + len(to_isolate) < IN_FLIGHT):
+            advance(_bracket(T, H, order, *heapq.heappop(to_halve)), None, True)
+            halving += 1
+        answers = _passes(H, lanes, [x for _task, x, _h in running])
+        stepped, running[:] = running[:], []
+        for (task, _x, halved), answer in zip(stepped, answers):
+            advance(task, answer, halved)
+    return sorted(out)
+
+
+def _bracket(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
+             cb: int, at_a: list, at_b: list):
+    """The probes of the interval (a, b) of `_slice`, whose ends count ca
+    and cb and carry the g lists ``at_a`` and ``at_b``: a generator that
+    yields each probe and is sent the (g list, count) of its pass. It
+    returns the (value, multiplicity) pairs it located and the halves left
+    to work, as `_slice` keeps them. An interval across which the count
+    rises by one is `_isolated`'s; any other is halved once."""
+    if cb - ca == 1:
+        value = yield from _isolated(T, H, order, a, b, ca, at_a, at_b)
+        return [(value, 1)], []
+    mid = 0.5 * (a + b)
+    if _located(a, b, mid):
+        return [(mid, cb - ca)], []
+    at_mid, cm = yield mid
+    _checked(cm, mid, ca, cb)
+    halves = []
+    if cb > cm:
+        halves.append((mid, b, cm, cb, at_mid, at_b))
+    if cm > ca:
+        halves.append((a, mid, ca, cm, at_a, at_mid))
+    return [], halves
 
 
 def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
-              at_lo: list, at_hi: list) -> float:
+              at_lo: list, at_hi: list):
     """The midpoint that halving (a, b) until `_located` returns, where the
     count over the component that ``order`` spans rises from ca to ca + 1
-    across (a, b): one eigenvalue. ``at_lo`` and ``at_hi`` are the g lists
-    of the passes at a and b, kept by `_slice`; they are read and never
-    written, since neighbouring intervals share them. Every probe writes a
-    new list, which then stays with the end it moves.
+    across (a, b): one eigenvalue. A generator, as `_bracket` runs it: it
+    yields each probe, is sent the (g list, count) of its pass and returns
+    the midpoint. ``at_lo`` and ``at_hi`` are the g lists of the passes at
+    a and b, kept by `_slice`; they are read and never written, since
+    neighbouring intervals share them. Every probe's list is new, and it
+    then stays with the end it moves.
 
     The vertex v where the count rises is the one vertex whose `_negative`
     sign differs between the lists at the bracket's two ends
@@ -357,7 +600,6 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
     midpoint inside it is evaluated.
     """
     plan = T.plans[order]
-    size = len(at_lo)
     cb = ca + 1
     lo, hi = a, b
     v = -1  # the vertex where the count rises, while it is the only one
@@ -385,8 +627,8 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
                      0.25 * _narrow(lo, hi, SLICE_REL))
                 x = min(max(z, lo + q), hi - q)
         w1, w2 = w, w1
-        vals = [0.0] * size  # never a kept list: `_slice` shares those
-        c = _count(H, x, plan, vals, ca, cb)
+        vals, c = yield x
+        _checked(c, x, ca, cb)
         if path is None:
             if v >= 0:
                 star = _largest_entry(T, vals, v)
@@ -406,7 +648,6 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
             lo, g_lo, at_lo = x, g, vals
         else:
             hi, g_hi, at_hi = x, g, vals
-    vals = [0.0] * size
     while True:
         mid = 0.5 * (a + b)
         if _located(a, b, mid):
@@ -415,10 +656,12 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
             a = mid
         elif mid >= hi:
             b = mid
-        elif _count(H, mid, plan, vals, ca, cb) == ca:
-            a = lo = mid
         else:
-            b = hi = mid
+            _vals, c = yield mid
+            if _checked(c, mid, ca, cb) == ca:
+                a = lo = mid
+            else:
+                b = hi = mid
 
 
 def _straddles(g_lo: float, g_hi: float) -> bool:

@@ -378,10 +378,17 @@ def test_check_all_runs_clean(tmp_path, capsys):
 def test_check_all_passes_on_a_weighted_path_at_p_1_2(tmp_path, capsys):
     """gen path 9 --seed 1 --weighted at p = 1.2, which once failed
     nodal-upper at lambda ~ 3.559. A path is the deepest case of the
-    eigenvalue count, and every check on it passes."""
+    eigenvalue count, and every check on it passes. Two of its p = 1.2
+    eigenfunctions have residuals of 8.5e-4 and 1.2e-3 (the float count at
+    p < 2, ROADMAP item 1), so at the default --tol the certificates fail
+    first, and the checks are read at --tol 1e-2."""
     doc = graph_document(gen_graph("path", 9, random.Random(1), weighted=True))
     path = write_doc(tmp_path, doc)
-    assert main(["check", path, "--all", "--p", "1.2"]) == EXIT_OK
+    assert main(["check", path, "--all", "--p", "1.2"]) == EXIT_VIOLATION
+    assert capsys.readouterr().err == (
+        "violated invariant: reconstructed eigenfunction at 2.454247866921251 "
+        "has residual 0.0008473898563048916\n")
+    assert main(["check", path, "--all", "--p", "1.2", "--tol", "1e-2"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["all_pass"] is True
     assert {row["name"] for row in out["checks"]} >= {
@@ -589,10 +596,14 @@ def test_check_all_keeps_the_near_tie_verdict(tmp_path, capsys, monkeypatch):
     """``check --all`` on ``gen tree 12 --seed 3 --weighted`` at p = 1.2
     exits 4 on one weyl-edge row, edge (4, 5) with alpha = 1 - 8e-15, and
     prints the bytes it prints when every removal is rebuilt by
-    ``remove_edge`` and counted by a fresh ``ForestCount``."""
+    ``remove_edge`` and counted by a fresh ``ForestCount``. Its worst
+    p = 1.2 residual is 4.3e-3 (ROADMAP item 1), so the rows are read at
+    --tol 1e-2; at the default --tol the certificates fail first."""
     path = write_doc(tmp_path, graph_document(
         gen_graph("tree", 12, random.Random(3), weighted=True)))
-    argv = ["check", path, "--all", "--p", "1.2"]
+    assert main(["check", path, "--all", "--p", "1.2"]) == EXIT_VIOLATION
+    assert "has residual" in capsys.readouterr().err
+    argv = ["check", path, "--all", "--p", "1.2", "--tol", "1e-2"]
     assert main(argv) == EXIT_VIOLATION
     out = capsys.readouterr().out
     failed = [row for row in json.loads(out)["checks"] if not row["pass"]]
@@ -739,12 +750,61 @@ def test_every_verb_prints_strict_json_at_a_huge_potential(tmp_path, capsys):
             assert [e["value"] for e in report["spectrum"]] == [1.0, 1e308]
 
 
+def _verb(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_check_all_compares_each_residual_with_tol(tmp_path, capsys):
+    """``check --all`` certifies no eigenpair whose residual exceeds --tol:
+    it exits 4 with the error document and stderr line of ``spectrum
+    --eigenbasis``, and prints no report. On the p = 2 document with a
+    potential of 1e308 the eigenvector at 1.0 reads exactly 0 at vertex 0,
+    so its residual is 1.0. That lies within the float64 floor of an
+    operator whose spectral bound is 1e308, and the message says so."""
+    path = write_doc(tmp_path, {
+        "vertices": [{"id": 0, "kappa": 1e308}, {"id": 1}],
+        "edges": [{"u": 0, "v": 1}]})
+    basis = _verb(["spectrum", path, "--p", "2", "--eigenbasis"], capsys)
+    check = _verb(["check", path, "--p", "2", "--all"], capsys)
+    assert basis == check
+    code, out, err = check
+    assert code == EXIT_VIOLATION
+    assert json.loads(out)["exit_code"] == EXIT_VIOLATION
+    assert err == ("violated invariant: reconstructed eigenfunction at 1.0 "
+                   "has residual 1.0, within the float64 floor 4.44e+292 = "
+                   "n * eps * spectral bound 1e+308, above --tol 1e-08\n")
+
+
+def test_residual_failures_name_the_floor_only_above_tol(tmp_path, capsys):
+    """A residual above --tol keeps the plain message where the float64
+    floor n * eps * spectral_bound lies below --tol: ``gen tree 15 --seed 0
+    --weighted`` at p = 1.2 fails by 3.4e-8 on both verbs. The same
+    document's dense p = 2 basis, checked at --tol 1e-300, fails within
+    the floor, and the message names it; the exit code stays 4."""
+    path = write_doc(tmp_path, graph_document(
+        gen_graph("tree", 15, random.Random(0), weighted=True)))
+    for verb in (["spectrum", path, "--eigenbasis"], ["check", path, "--all"]):
+        code, out, err = _verb([*verb, "--p", "1.2"], capsys)
+        assert code == EXIT_VIOLATION
+        assert err == ("violated invariant: reconstructed eigenfunction at "
+                       "1.2314771267546447 has residual "
+                       "3.402582826605993e-08\n")
+        code, out, err = _verb([*verb, "--p", "2", "--tol", "1e-300"], capsys)
+        assert code == EXIT_VIOLATION
+        assert "float64 floor" in err and "above --tol 1e-300" in err
+        assert _verb([*verb, "--p", "2"], capsys)[0] == EXIT_OK
+
+
 def test_check_all_dense_guard_matches_the_rebuild(tmp_path, capsys,
                                                    monkeypatch):
     """A removal whose patched diagonal entry leaves the float range (the
     compensated potential of vertex 1 is finite, times 1/rho_1 it is not)
     gives the error, exit code and stdout of rebuilding that operator with
-    ``remove_edge`` and assembling it with ``p2_spectrum``."""
+    ``remove_edge`` and assembling it with ``p2_spectrum``. The residuals
+    of this operator reach 2.4e286, within its float64 floor, so the
+    removals are reached at --tol 1e300 only."""
     doc = {"p": 2.0,
            "vertices": [{"id": 0, "kappa": 1e292}, {"id": 1, "rho": 1e-3},
                         {"id": 2}],
@@ -752,7 +812,9 @@ def test_check_all_dense_guard_matches_the_rebuild(tmp_path, capsys,
                      {"u": 1, "v": 2, "omega": 1e299}]}
     path = write_doc(tmp_path, doc)
     oracle.assemble_p2(Operator(parse_document(doc)[0], 2.0))  # finite
-    argv = ["check", path, "--all"]
+    assert main(["check", path, "--all"]) == EXIT_VIOLATION
+    assert "float64 floor" in capsys.readouterr().err
+    argv = ["check", path, "--all", "--tol", "1e300"]
     rebuilt = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

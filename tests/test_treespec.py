@@ -3,6 +3,7 @@ zeros, slicing, and eigenbasis reconstruction."""
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,83 @@ def test_eval_vertices_count_is_the_negative_entries():
     assert poles > 0
 
 
+def _scalar_passes(H, plan, size, xs):
+    """(float.hex of every entry, count) of one `_eval_vertices` pass per
+    probe, or the exception the first raising pass raises."""
+    out = []
+    for x in xs:
+        vals = [0.0] * size
+        try:
+            c = treespec._eval_vertices(H, x, plan, vals)
+        except OverflowError as exc:
+            return exc
+        out.append(([v.hex() for v in vals], c))
+    return out
+
+
+def _hex_passes(got):
+    return [([v.hex() for v in vals], c) for vals, c in got]
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+def test_lockstep_pass_is_the_scalar_pass_to_the_bit(monkeypatch, p):
+    """One `_lockstep` pass writes every g list and count that one
+    `_eval_vertices` pass per probe writes, float for float, on seeded
+    trees, paths and stars and on each component of a forest, at -/+hi,
+    at random points and exactly at the spectrum's values. Where a
+    scalar pass writes a value that is not finite (the pole marker on the
+    unit star at lambda = 1, every value at NaN) or raises OverflowError
+    (a potential of 1e200 at p < 2), the lockstep pass returns None, and a
+    round forced through it still gives the scalar lists, counts and
+    exception."""
+    rng = random.Random(31)
+    graphs = [gen_graph(kind, n, random.Random(seed), weighted=True)
+              for kind, n in (("tree", 40), ("path", 12), ("star", 15))
+              for seed in (0, 1)]
+    graphs.append(disjoint_union(*[random_tree(rng, n=rng.randint(2, 9))
+                                   for _ in range(4)]))
+    batched = 0
+    for g in graphs:
+        H = Operator(g, p)
+        T = RootedTree(g)
+        hi = core.spectral_bound(H) + 1.0
+        values = tree_spectrum(H).values()
+        xs = [-hi, hi, *values] + [rng.uniform(-hi, hi) for _ in range(20)]
+        for order in T.components:
+            plan, size = T.plans[order], max(order) + 1
+            lanes = treespec._Lanes(plan, size)
+            want = _scalar_passes(H, plan, size, xs)
+            got = treespec._lockstep(H, lanes, xs)
+            if all(math.isfinite(float.fromhex(v)) for vals, _c in want
+                   for v in vals):
+                assert _hex_passes(got) == want, (g.n, p)
+                batched += 1
+            else:  # an exact hit on a leaf's zero
+                assert got is None
+    assert batched >= len(graphs)
+
+    _every_round_batched(monkeypatch)
+    unit_star = gen_graph("star", 9, random.Random(0))
+    huge = WeightedGraph([(0, 1.0, 1e200), (1, 1.0, 0.0), (2, 1.0, 0.0)],
+                         [(0, 1, 1.0), (1, 2, 1.0)])
+    for g, xs in ((unit_star, [0.5, 1.0, 2.0]), (graphs[0], [0.0, math.nan]),
+                  (huge, [0.0, 1.0])):
+        H = Operator(g, p)
+        T = RootedTree(g)
+        (order,) = T.components
+        plan, size = T.plans[order], max(order) + 1
+        lanes = treespec._Lanes(plan, size)
+        want = _scalar_passes(H, plan, size, xs)
+        if g is huge and p < 2.0:
+            assert isinstance(want, OverflowError)
+            with pytest.raises(OverflowError, match=re.escape(str(want))):
+                treespec._passes(H, lanes, xs)
+        else:
+            if g is not huge:
+                assert treespec._lockstep(H, lanes, xs) is None
+            assert _hex_passes(treespec._passes(H, lanes, xs)) == want
+
+
 def test_tree_spectrum_frozen_cases():
     k2 = WeightedGraph.unit(2, [(0, 1)])
     assert np.allclose(tree_spectrum(Operator(k2, 2.0)).flat(), [0.0, 2.0],
@@ -517,6 +595,12 @@ def _hex_entries(spec):
     return [(e.value.hex(), e.mult) for e in spec.entries]
 
 
+def _every_round_batched(monkeypatch):
+    """Make `_slice` count every round, of any width, by one `_lockstep`
+    pass."""
+    monkeypatch.setattr(treespec, "_lockstep_pays", lambda *args: 1)
+
+
 def test_tree_spectrum_is_the_plain_bisection_to_the_bit():
     """Steering inside isolated brackets changes no float: on seeded trees,
     paths and stars, on forests of three and more components and on the
@@ -525,6 +609,19 @@ def test_tree_spectrum_is_the_plain_bisection_to_the_bit():
     benchmark's path 45 (members 0-2) at p = 1.2, tree 120 (member 0) at
     p = 1.2 and 3 and star 60 (member 0) at p = 3, where the division walk
     and the fallback to `_steering` both fire."""
+    _assert_bisection_corpus()
+
+
+def test_tree_spectrum_is_the_plain_bisection_with_every_round_batched(
+        monkeypatch):
+    """The corpus of `test_tree_spectrum_is_the_plain_bisection_to_the_bit`
+    gives the same floats with every round of every component, of any
+    width, counted by one lockstep pass."""
+    _every_round_batched(monkeypatch)
+    _assert_bisection_corpus()
+
+
+def _assert_bisection_corpus():
     graphs = [gen_graph(kind, n, random.Random(seed), weighted=True)
               for kind, n in (("tree", 24), ("path", 18), ("star", 14))
               for seed in (0, 1, 2)]
@@ -548,16 +645,61 @@ def test_tree_spectrum_is_the_plain_bisection_to_the_bit():
             kind, n, seed, p)
 
 
+def test_rounds_hold_at_most_the_brackets_in_flight(monkeypatch):
+    """A round of `_slice` counts at most IN_FLIGHT isolated brackets and
+    HALVINGS halvings, and on a tree of 150 vertices more than half as
+    many. The values do not depend on those bounds: rounds of at most eight
+    isolated brackets and one halving give the same floats, and so does
+    one interval at a time, where no round can reach the crossover, and
+    the reference bisection."""
+    widths = []
+    inner = treespec._passes
+
+    def counted(H, lanes, xs):
+        widths.append(len(xs))
+        return inner(H, lanes, xs)
+
+    monkeypatch.setattr(treespec, "_passes", counted)
+    H = Operator(gen_graph("tree", 150, random.Random(4), weighted=True), 1.5)
+    want = _hex_entries(tree_spectrum(H))
+    assert want == bisection_spectrum(H)
+    assert treespec.IN_FLIGHT // 2 < max(widths)
+    assert max(widths) <= treespec.IN_FLIGHT + treespec.HALVINGS
+    for in_flight in (8, 1):  # the crossover of this tree is 7 probes
+        widths.clear()
+        monkeypatch.setattr(treespec, "IN_FLIGHT", in_flight)
+        monkeypatch.setattr(treespec, "HALVINGS", 1)
+        assert _hex_entries(tree_spectrum(H)) == want
+        assert widths == [] if in_flight == 1 else max(widths) <= 9
+
+
+def test_slicing_without_rounds_where_no_round_batches(monkeypatch):
+    """A component that no round can batch, since its crossover exceeds
+    the most probes a round holds (a path, or a tree below about 20
+    vertices), is sliced one interval at a time on scalar passes, with no
+    round; a tree of 60 vertices is not."""
+    rounds = []
+    inner = treespec._passes
+    monkeypatch.setattr(treespec, "_passes", lambda *args: rounds.append(1)
+                        or inner(*args))
+    for kind, n, batched in (("path", 45, False), ("tree", 12, False),
+                             ("tree", 60, True)):
+        rounds.clear()
+        H = Operator(gen_graph(kind, n, random.Random(0), weighted=True), 3.0)
+        assert _hex_entries(tree_spectrum(H)) == bisection_spectrum(H)
+        assert bool(rounds) is batched, (kind, n)
+
+
 def _hex_list(vals, order) -> list:
     return [vals[u].hex() for u in order]
 
 
 def test_isolated_brackets_enter_with_the_passes_at_their_ends(monkeypatch):
     """Every isolated bracket enters `_isolated` with the g lists of a
-    fresh pass at each of its ends, and leaves them as it found them: no
-    list that neighbouring intervals share is written as scratch. On a
-    forest the lists reach no further than the component's largest
-    vertex."""
+    fresh pass at each of its ends, and leaves them as it found them when
+    its last probe is answered: no list that neighbouring intervals share
+    is written as scratch. On a forest the lists reach no further than the
+    component's largest vertex."""
     inner = treespec._isolated
     seen = []
 
@@ -568,7 +710,7 @@ def test_isolated_brackets_enter_with_the_passes_at_their_ends(monkeypatch):
             assert treespec._eval_vertices(H, x, T.plans[order], fresh) == count
             assert _hex_list(kept, order) == _hex_list(fresh, order)
         before = (_hex_list(at_lo, order), _hex_list(at_hi, order))
-        out = inner(T, H, order, a, b, ca, at_lo, at_hi)
+        out = yield from inner(T, H, order, a, b, ca, at_lo, at_hi)
         assert (_hex_list(at_lo, order), _hex_list(at_hi, order)) == before
         seen.append(out)
         return out
@@ -645,13 +787,31 @@ def _counted_calls(monkeypatch, name: str) -> list:
     return calls
 
 
+def _counted_passes(monkeypatch) -> list:
+    """A list that gains one entry per counting pass from now on: one per
+    `_eval_vertices` call and one per probe of a `_lockstep` pass that
+    returns lists. A lockstep pass that returns None leaves its probes to
+    `_eval_vertices`, which counts them there."""
+    calls = _counted_calls(monkeypatch, "_eval_vertices")
+    inner = treespec._lockstep
+
+    def counted(H, lanes, xs):
+        got = inner(H, lanes, xs)
+        if got is not None:
+            calls.extend([1] * len(xs))
+        return got
+
+    monkeypatch.setattr(treespec, "_lockstep", counted)
+    return calls
+
+
 def test_isolated_eigenvalues_take_fewer_counting_passes(monkeypatch):
     """On ``gen tree 120 --seed 0 --weighted`` at p = 3 the spectrum takes at
     most 0.25 times the counting passes of the reference bisection (1097 of
     4729), and `_steering` runs for at most 0.33 of the eigenvalues (35 of
     120)."""
     H = Operator(gen_graph("tree", 120, random.Random(0), weighted=True), 3.0)
-    passes = _counted_calls(monkeypatch, "_eval_vertices")
+    passes = _counted_passes(monkeypatch)
     steered = _counted_calls(monkeypatch, "_steering")
     want = bisection_spectrum(H)
     plain = len(passes)
@@ -675,7 +835,7 @@ def test_isolated_eigenvalues_steer_where_the_root_is_small(monkeypatch, kind,
     limit, steer_limit = {("path", 1.2): (15.1, 0.6),
                           ("star", 1.2): (8.8, 0.05),
                           ("star", 3.0): (11.0, 0.1)}[kind, p]
-    passes = _counted_calls(monkeypatch, "_eval_vertices")
+    passes = _counted_passes(monkeypatch)
     steered = _counted_calls(monkeypatch, "_steering")
     for seed in (0, 1, 2):
         H = Operator(gen_graph(kind, n, random.Random(seed), weighted=True), p)
