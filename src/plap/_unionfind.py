@@ -5,7 +5,6 @@ class UnionFind:
     def __init__(self, n):
         self.parent = list(range(n))
         self.size = [1] * n
-        self.count = n
 
     def find(self, x):
         root = x
@@ -23,11 +22,7 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
-        self.count -= 1
         return True
-
-    def connected(self, a, b):
-        return self.find(a) == self.find(b)
 
     def groups(self):
         """Members of each set, grouped, in first-seen order."""

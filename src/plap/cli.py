@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -67,7 +68,7 @@ def _check_id(raw):
 
 
 def _number(raw, what: str) -> float:
-    if isinstance(raw, (list, dict)) or raw is None:
+    if isinstance(raw, (list, dict, bool, str)) or raw is None:
         raise ValueError(f"{what} must be a number, got {raw!r}")
     try:
         return float(raw)
@@ -237,8 +238,7 @@ def _check_route(H: Operator, bases: bool) -> tuple:
     `oracle.ValueCount`). Neither route clusters an after-spectrum.
     """
     if _tree_route(H):
-        spec = treespec.tree_eigenpairs(H) if bases else treespec.tree_spectrum(H)
-        return (spec, lambda e0: surgery_mod.EdgeCut(H, e0),
+        return (full_spectrum(H, bases), lambda e0: surgery_mod.EdgeCut(H, e0),
                 lambda u: treespec.ForestCount(surgery_mod.remove_node(H, u)[0]))
     m = oracle_mod.assemble_p2(H)
     return (oracle_mod.matrix_spectrum(m, H.graph.rho, bases),
@@ -583,13 +583,23 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+def tolerance(text: str) -> float:
+    """``--tol``: a finite positive float. NaN or inf would pass every
+    residual check, and zero or less would fail every one."""
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}")
+    return tol
+
+
 def _add_common(sp, with_p: bool = True, with_tol: bool = False):
     sp.add_argument("file", help="graph document: a JSON path, or - for stdin")
     if with_p:
         sp.add_argument("--p", type=float, default=None,
                         help="override the document's p")
     if with_tol:
-        sp.add_argument("--tol", type=float, default=1e-8,
+        sp.add_argument("--tol", type=tolerance, default=1e-8,
                         help="residual tolerance of eigenpairs")
     sp.add_argument("--strict", action="store_true",
                     help="reject unknown document fields")

@@ -133,14 +133,9 @@ class WeightedGraph:
         self.adj = tuple(tuple(nbrs) for nbrs in adj)
         self._index = index
         # dense edge arrays for vectorized operator application
-        if dense_edges:
-            self._eu = np.asarray([e[0] for e in dense_edges], dtype=np.intp)
-            self._ev = np.asarray([e[1] for e in dense_edges], dtype=np.intp)
-            self._ew = np.asarray([e[2] for e in dense_edges], dtype=np.float64)
-        else:
-            self._eu = np.empty(0, dtype=np.intp)
-            self._ev = np.empty(0, dtype=np.intp)
-            self._ew = np.empty(0, dtype=np.float64)
+        self._eu = np.asarray([e[0] for e in dense_edges], dtype=np.intp)
+        self._ev = np.asarray([e[1] for e in dense_edges], dtype=np.intp)
+        self._ew = np.asarray([e[2] for e in dense_edges], dtype=np.float64)
         # the scatter plan of every per-vertex sum over edges: each vertex
         # once, then the edge heads, then the edge tails, in edge order
         self._plan = np.concatenate((np.arange(n), self._eu, self._ev))

@@ -151,39 +151,31 @@ def _slack(lam: float) -> float:
     return 1e-8 * max(1.0, abs(lam))
 
 
-def _counts(spec):
-    """Memoized c-(t) = #{eta < t - s} and c+(t) = #{eta <= t + s} of
-    anything with ``count_below``, with s = ``_slack(t)``; each keeps its
-    counts in a dict of its own."""
-    below_at, upto_at = {}, {}
+def _below(t: float) -> float:
+    """The threshold t - ``_slack(t)`` at which the checks count the
+    values below t."""
+    return t - _slack(t)
 
-    def below(t):
-        if t not in below_at:
-            below_at[t] = spec.count_below(t - _slack(t))
-        return below_at[t]
 
-    def upto(t):
-        if t not in upto_at:
-            upto_at[t] = spec.count_below(math.nextafter(t + _slack(t), math.inf))
-        return upto_at[t]
-
-    return below, upto
+def _upto(t: float) -> float:
+    """The threshold nextafter(t + ``_slack(t)``, inf) at which the checks
+    count the values up to t, a value at t + s included."""
+    return math.nextafter(t + _slack(t), math.inf)
 
 
 class Thresholds:
     """Where the removal checks count the after-values of a removal from an
     operator with spectrum ``spec``, built once for all its removals: at
-    its i-th distinct value t, below[i] = t - s and
-    upto[i] = nextafter(t + s, inf), with s = ``_slack(t)``, the thresholds
-    of `_counts`; ``flat`` is the spectrum with repetition and pos[k] the
-    distinct index of flat[k]."""
+    its i-th distinct value t, below[i] = `_below`(t) and
+    upto[i] = `_upto`(t); ``flat`` is the spectrum with repetition and
+    pos[k] the distinct index of flat[k]."""
 
     def __init__(self, spec: Spectrum):
         values = spec.values()
         self.flat = spec.flat()
         self.pos = [i for i, e in enumerate(spec.entries) for _ in range(e.mult)]
-        self.below = [t - _slack(t) for t in values]
-        self.upto = [math.nextafter(t + _slack(t), math.inf) for t in values]
+        self.below = [_below(t) for t in values]
+        self.upto = [_upto(t) for t in values]
 
 
 def counts_below(counter, xs) -> list:
@@ -224,8 +216,7 @@ def check_upper(H: Operator, cert: EigenpairCertificate,
     """
     lam = cert.eigenvalue
     rep = _position_report(H, cert, varspec, rep)
-    _below, upto = _counts(varspec)
-    k = upto(lam) + 1
+    k = varspec.count_below(_upto(lam)) + 1
     upper = BoundReport(kind="nodal-upper", bound=float(k - 1),
                         observed=float(rep.nu), satisfied=rep.nu <= k - 1,
                         k=k)
@@ -249,10 +240,9 @@ def check_lower(H: Operator, cert: EigenpairCertificate,
     """
     lam = cert.eigenvalue
     rep = _position_report(H, cert, varspec, rep)
-    below, _upto = _counts(varspec)
     out = []
     bounds = []
-    k1 = below(lam)
+    k1 = varspec.count_below(_below(lam))
     if k1 >= 1:
         b = k1 - rep.beta_prime + rep.l - rep.z + rep.c
         out.append(BoundReport(kind="nodal-lower-simple", bound=float(b),

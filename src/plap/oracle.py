@@ -94,21 +94,16 @@ def matrix_spectrum(m: SymmetricMatrix, rho, bases: bool) -> Spectrum:
     With ``bases``, eigenvectors of ``m`` are pulled back through
     D_rho^{-1/2} and normalized to unit 2-norm with the usual sign
     convention, all as one block (`core.p_normalized_rows`); without it
-    the eigenvalues come from `eigenvalues` and no eigenvector is computed.
+    the eigenvalues come from ``numpy.linalg.eigvalsh`` and no eigenvector
+    is computed.
     Nearby eigenvalues merge per ORACLE_CLUSTER_REL.
     """
     if not bases:
-        return eigenvalues(m.data)
+        return _clustered(np.linalg.eigvalsh(m.data))
     w, v = eig_sym(m)
     d = 1.0 / np.sqrt(rho)
     rows = p_normalized_rows(v.T * d, 2.0)
     return _clustered(w, [VertexFunction(x) for x in rows])
-
-
-def eigenvalues(a: np.ndarray) -> Spectrum:
-    """Clustered eigenvalues of the symmetric array ``a``, by
-    ``numpy.linalg.eigvalsh``: no eigenvector is computed."""
-    return _clustered(np.linalg.eigvalsh(a))
 
 
 class ValueCount:

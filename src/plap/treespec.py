@@ -47,14 +47,15 @@ negative ones as it goes. `_eval_vertices` is the reference, and the only
 pass of `ForestCount`, `PatchedCount` and `_window`.
 
 `_slice` works a component's intervals in rounds: every open interval
-yields its next probe, and the round counts them all at once. Where there
-are enough probes for the shape of the tree, that is one `_lockstep`
-pass, which runs the same float operations one height level at a time on
-arrays of the level's vertices by the probes and gives every list and
-count float for float; the crossover is fixed by the number of probes and
-the plan's height levels and child slots against its size (`_Lanes`).
-Paths, whose every vertex is a level of its own, and small trees stay on
-the scalar pass.
+yields its next probe, and the round counts them all at once, as does the
+first round, the passes at the two ends. Where there are enough probes
+for the shape of the tree, that is one `_lockstep` pass, which runs the
+same float operations one height level at a time on arrays of the level's
+vertices by the probes and gives every list and count float for float;
+the crossover is fixed by the number of probes and the plan's height
+levels and child slots against its size (`_Lanes`). Below it, as on
+paths, whose every vertex is a level of its own, and on small trees, a
+round is one scalar pass per probe.
 """
 
 from __future__ import annotations
@@ -448,12 +449,10 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     per round, and the round's probes are counted together (`_passes`): by
     one lockstep pass over the component's `_Lanes` from the number of
     probes at which that is cheaper than one scalar pass each, a number
-    fixed by the plan's height levels and child slots against its size.
-    Where no round can hold that many probes (paths, small trees), the
-    intervals are worked one at a time on scalar passes instead, without
-    the rounds' bookkeeping. An interval's probes depend on its own counts
-    alone, so no value depends on which intervals share a round, or
-    whether any do. Isolated brackets open while fewer than IN_FLIGHT are
+    fixed by the plan's height levels and child slots against its size;
+    the first round is the passes at -hi and +hi. An interval's probes
+    depend on its own counts alone, so no value depends on which intervals
+    share a round. Isolated brackets open while fewer than IN_FLIGHT are
     open. Another interval is halved only while fewer than IN_FLIGHT
     isolated brackets are open or waiting, at most HALVINGS at once and
     the lowest first, so the waiting intervals are mostly the right halves
@@ -468,35 +467,16 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     entries up to the component's largest index exist.
     """
     n = len(order)
-    plan = T.plans[order]
-    size = max(order) + 1
     bound = float(np.max(_vertex_bounds(H)[list(order)]))
     # past 2^50 the + 1.0 falls below 8 ulps, and with the rounding of the
     # bound the top eigenvalue may lie above it
     hi = bound + max(1.0, 8.0 * math.ulp(bound))
-    at_lo, at_hi = [0.0] * size, [0.0] * size
-    c_lo = _eval_vertices(H, -hi, plan, at_lo)
-    c_hi = _eval_vertices(H, hi, plan, at_hi)
+    lanes = _Lanes(T.plans[order], max(order) + 1)
+    (at_lo, c_lo), (at_hi, c_hi) = _passes(H, lanes, [-hi, hi])
     if (c_lo, c_hi) != (0, n):
         raise AssertionError(
             f"eigenvalue counts {c_lo} and {c_hi} at -/+{hi:.6g}, not 0 and {n}")
-    lanes = _Lanes(plan, size)
     out = []
-    if lanes.batch_from > min(n, IN_FLIGHT + HALVINGS):
-        todo = [(-hi, hi, 0, n, at_lo, at_hi)]
-        while todo:
-            task = _bracket(T, H, order, *todo.pop())
-            answer = None
-            try:
-                while True:
-                    x = task.send(answer)
-                    vals = [0.0] * size
-                    answer = vals, _eval_vertices(H, x, plan, vals)
-            except StopIteration as stop:
-                located, halves = stop.value
-                out += located
-                todo += halves
-        return sorted(out)
     to_halve = [(-hi, hi, 0, n, at_lo, at_hi)]  # a heap: the lowest first
     to_isolate = []
     running = []  # (interval, its probe, whether it is halved) when open

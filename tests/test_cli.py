@@ -82,6 +82,13 @@ def test_parse_document_rejects_malformed_shapes():
         {**base, "edges": [{"u": 0, "v": 1, "omega": None}]},
         {**base, "vertices": [{"id": 0, "rho": 10 ** 400}, {"id": 1}]},
         {**base, "function": {"0": [1.0], "1": 0.0}},
+        {**base, "p": True},
+        {**base, "p": "3"},
+        {**base, "vertices": [{"id": 0, "rho": True}, {"id": 1}]},
+        {**base, "vertices": [{"id": 0, "kappa": "5"}, {"id": 1}]},
+        {**base, "edges": [{"u": 0, "v": 1, "omega": "2"}]},
+        {**base, "function": {"0": False, "1": 0.0}},
+        {**base, "function": {"0": "1", "1": 0.0}},
     ]
     for doc in bad:
         with pytest.raises(ValueError):
@@ -169,6 +176,27 @@ def test_usage_errors_print_one_json_document(capsys):
         report = json.loads(captured.out)
         assert report["exit_code"] == EXIT_INPUT
         assert report["error"] in captured.err
+
+
+def test_tol_must_be_finite_and_positive(tmp_path, capsys):
+    """A NaN or infinite --tol would pass every residual check and a zero
+    or negative one fail every one: each is a usage error (exit 2, one
+    JSON document) on every verb that takes it, even where the function
+    is not an eigenpair (residual 0.545)."""
+    g = gen_graph("tree", 6, random.Random(0), weighted=True)
+    path = write_doc(tmp_path, graph_document(g, p=3.0))
+    f = json.dumps({str(i): i + 1.0 for i in range(6)})
+    verbs = (["spectrum", path, "--eigenbasis"], ["check", path, "--all"],
+             ["check", path, "--lambda", "0.5", "--function", f])
+    for tol in ("nan", "inf", "0", "-1"):
+        for argv in verbs:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--tol", tol])
+            assert exc.value.code == EXIT_INPUT, (tol, argv)
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            assert report["exit_code"] == EXIT_INPUT
+            assert "finite and positive" in report["error"] in captured.err
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):

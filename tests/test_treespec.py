@@ -608,7 +608,9 @@ def test_tree_spectrum_is_the_plain_bisection_to_the_bit():
     values and multiplicities equal the reference bisection's. So do the
     benchmark's path 45 (members 0-2) at p = 1.2, tree 120 (member 0) at
     p = 1.2 and 3 and star 60 (member 0) at p = 3, where the division walk
-    and the fallback to `_steering` both fire."""
+    and the fallback to `_steering` both fire, and path 45, tree 12 and
+    tree 60 (member 0) at p = 3: the first two below the crossover of
+    every round, the last above it."""
     _assert_bisection_corpus()
 
 
@@ -639,7 +641,9 @@ def _assert_bisection_corpus():
         assert max(mults) == 7
     for kind, n, seed, p in [("path", 45, 0, 1.2), ("path", 45, 1, 1.2),
                              ("path", 45, 2, 1.2), ("tree", 120, 0, 1.2),
-                             ("tree", 120, 0, 3.0), ("star", 60, 0, 3.0)]:
+                             ("tree", 120, 0, 3.0), ("star", 60, 0, 3.0),
+                             ("path", 45, 0, 3.0), ("tree", 12, 0, 3.0),
+                             ("tree", 60, 0, 3.0)]:
         H = Operator(gen_graph(kind, n, random.Random(seed), weighted=True), p)
         assert _hex_entries(tree_spectrum(H)) == bisection_spectrum(H), (
             kind, n, seed, p)
@@ -649,9 +653,9 @@ def test_rounds_hold_at_most_the_brackets_in_flight(monkeypatch):
     """A round of `_slice` counts at most IN_FLIGHT isolated brackets and
     HALVINGS halvings, and on a tree of 150 vertices more than half as
     many. The values do not depend on those bounds: rounds of at most eight
-    isolated brackets and one halving give the same floats, and so does
-    one interval at a time, where no round can reach the crossover, and
-    the reference bisection."""
+    isolated brackets and one halving give the same floats, and so do
+    rounds of at most two probes, where no round reaches the crossover,
+    and the reference bisection."""
     widths = []
     inner = treespec._passes
 
@@ -670,24 +674,7 @@ def test_rounds_hold_at_most_the_brackets_in_flight(monkeypatch):
         monkeypatch.setattr(treespec, "IN_FLIGHT", in_flight)
         monkeypatch.setattr(treespec, "HALVINGS", 1)
         assert _hex_entries(tree_spectrum(H)) == want
-        assert widths == [] if in_flight == 1 else max(widths) <= 9
-
-
-def test_slicing_without_rounds_where_no_round_batches(monkeypatch):
-    """A component that no round can batch, since its crossover exceeds
-    the most probes a round holds (a path, or a tree below about 20
-    vertices), is sliced one interval at a time on scalar passes, with no
-    round; a tree of 60 vertices is not."""
-    rounds = []
-    inner = treespec._passes
-    monkeypatch.setattr(treespec, "_passes", lambda *args: rounds.append(1)
-                        or inner(*args))
-    for kind, n, batched in (("path", 45, False), ("tree", 12, False),
-                             ("tree", 60, True)):
-        rounds.clear()
-        H = Operator(gen_graph(kind, n, random.Random(0), weighted=True), 3.0)
-        assert _hex_entries(tree_spectrum(H)) == bisection_spectrum(H)
-        assert bool(rounds) is batched, (kind, n)
+        assert max(widths) <= treespec.IN_FLIGHT + treespec.HALVINGS
 
 
 def _hex_list(vals, order) -> list:
