@@ -12,8 +12,7 @@ from .core import (P_MIN, EigenpairCertificate, Operator, VertexFunction,
                    technical_R)
 from .nodal import (BoundReport, NodalReport, analyze, check_lower,
                     check_upper, is_bipartite, nodal_domains)
-from .oracle import (SymmetricMatrix, assemble_p2, eig_sym, p2_spectrum,
-                     variational_index)
+from .oracle import SymmetricMatrix, assemble_p2, eig_sym, p2_spectrum
 from .surgery import (CheckReport, ReductionReport, SurgeryStep,
                       reduce_to_forest, reduce_to_nodal_union, remove_edge,
                       remove_node, verify_weyl_edge, verify_weyl_nodes)
@@ -32,6 +31,6 @@ __all__ = [
     "is_bipartite", "is_forest", "nodal_domains", "p2_spectrum",
     "p_normalized", "phi", "phi_inv", "rayleigh", "reduce_to_forest",
     "reduce_to_nodal_union", "remove_edge", "remove_node", "residual",
-    "residuals", "spectral_bound", "technical_R", "tree_eigenpairs", "tree_spectrum",
-    "variational_index", "verify_weyl_edge", "verify_weyl_nodes",
+    "residuals", "spectral_bound", "technical_R", "tree_eigenpairs",
+    "tree_spectrum", "verify_weyl_edge", "verify_weyl_nodes",
 ]

@@ -2,7 +2,6 @@
 
 Verbs:
   spectrum   eigenvalues (optionally eigenbases) of the document's operator
-  oracle     dense p = 2 reference spectrum
   nodal      nodal-domain report for the document's function
   check      nodal bounds and removal interlacing for certified eigenpairs
   surgery    eigenpair-preserving edge/vertex removal
@@ -282,8 +281,8 @@ def _assert_residuals(H: Operator, pairs: list, res: list, tol: float):
 
 def _spectrum_report(g: WeightedGraph, p: float, spec: treespec.Spectrum,
                      bases: bool) -> dict:
-    """The ``spectrum`` and ``oracle`` output: values with multiplicities,
-    and with ``bases`` every entry's eigenfunctions."""
+    """The ``spectrum`` output: values with multiplicities, and with
+    ``bases`` every entry's eigenfunctions."""
     out = {"p": p, "n": g.n,
            "spectrum": [{"value": e.value, "mult": e.mult} for e in spec.entries]}
     if bases:
@@ -302,20 +301,6 @@ def cmd_spectrum(args) -> int:
         pairs = _eigenpairs_of(spec)
         _assert_residuals(H, pairs, _residuals(H, pairs), args.tol)
     _emit(_spectrum_report(g, p, spec, args.eigenbasis))
-    return EXIT_OK
-
-
-def cmd_oracle(args) -> int:
-    g, p, _func = _read_document(args)
-    p = _resolve_p(p, args.p)
-    if p != 2.0:
-        raise CapabilityError("the dense reference route only covers p = 2")
-    if g.n > oracle_mod.MAX_DENSE_N:
-        raise CapabilityError(
-            f"the dense reference route is capped at {oracle_mod.MAX_DENSE_N} vertices")
-    H = Operator(g, 2.0)
-    spec = oracle_mod.p2_spectrum(H, bases=args.eigenbasis)
-    _emit(_spectrum_report(g, 2.0, spec, args.eigenbasis))
     return EXIT_OK
 
 
@@ -380,11 +365,11 @@ def cmd_check(args) -> int:
             func = _function_from_json(g, json.loads(args.function))
         if func is None:
             raise ValueError("check needs a function (--function or document)")
-        r = residual(H, func, args.lam)
-        if r > tol:
-            raise ValueError(
-                f"not an eigenpair: residual {r:.3e} exceeds tol {tol:.3e}")
         pairs = [(args.lam, func)]
+        res = _residuals(H, pairs)
+        if res[0] > tol:
+            raise ValueError(
+                f"not an eigenpair: residual {res[0]:.3e} exceeds tol {tol:.3e}")
 
     components = len(connected_components(g))
     position_bounds = which in ("upper", "lower", "all")
@@ -392,14 +377,14 @@ def cmd_check(args) -> int:
         raise ValueError(
             "position bounds need a connected graph; use --bounds weyl")
 
-    res = _residuals(H, pairs)
     if args.all:
+        res = _residuals(H, pairs)
         _assert_residuals(H, pairs, res, tol)
     certs = [EigenpairCertificate(lam, f, r, tol)
              for (lam, f), r in zip(pairs, res)]
     weyl = which in ("weyl", "all")
     thresholds = nodal_mod.Thresholds(spec) if weyl else None
-    edge_rows = (_weyl_edge_rows(g, certs, spec, edge_cut, thresholds) if weyl
+    edge_rows = (_weyl_edge_rows(g, certs, edge_cut, thresholds) if weyl
                  else [[] for _ in certs])
     rows = []
     ok_all = True
@@ -422,8 +407,7 @@ def cmd_check(args) -> int:
             ok_all = ok_all and row["pass"]
     if weyl and g.n > 1:
         for vid in g.ids:
-            rep = surgery_mod.verify_weyl_nodes(spec, without_vertex(vid), 1,
-                                                thresholds)
+            rep = surgery_mod.verify_weyl_nodes(thresholds, without_vertex(vid), 1)
             rows.append({"name": "weyl-node", "vertex": vid, "pass": rep.ok,
                          "checked": rep.checked, "failures": list(rep.failures)})
             ok_all = ok_all and rep.ok
@@ -431,8 +415,8 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok_all else EXIT_VIOLATION
 
 
-def _weyl_edge_rows(g: WeightedGraph, certs: list, spec: treespec.Spectrum,
-                    edge_cut, thresholds: nodal_mod.Thresholds) -> list:
+def _weyl_edge_rows(g: WeightedGraph, certs: list, edge_cut,
+                    thresholds: nodal_mod.Thresholds) -> list:
     """Per certificate, its weyl-edge rows in edge order: one per edge whose
     endpoints both lie outside the function's zero band.
 
@@ -442,7 +426,7 @@ def _weyl_edge_rows(g: WeightedGraph, certs: list, spec: treespec.Spectrum,
     lists are kept at a time; on the dense route each removal patches a
     copy of the request's one matrix. Each eigenfunction's sign pattern is
     computed once and serves all of its removals, and every removal is
-    counted at the ``thresholds`` of ``spec``, built once per request. An
+    counted at the ``thresholds`` of the spectrum, built once per request. An
     error that `main` reports takes the place of the row it stopped, and
     `cmd_check` raises the first one in its pair-major order, so the
     report or error is the one a pass pair by pair would give.
@@ -457,7 +441,7 @@ def _weyl_edge_rows(g: WeightedGraph, certs: list, spec: treespec.Spectrum,
                 continue
             try:
                 alpha, after = cut.after(cert.function, s)
-                rep = surgery_mod.verify_weyl_edge(spec, after, alpha, thresholds)
+                rep = surgery_mod.verify_weyl_edge(thresholds, after, alpha)
             except (ValueError, AssertionError, RuntimeError,
                     ArithmeticError) as exc:  # what `main` reports
                 rows.append(exc)
@@ -616,11 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eigenbasis", action="store_true",
                     help="also emit a full eigenbasis")
     sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("oracle", help="dense p = 2 reference spectrum")
-    _add_common(sp)
-    sp.add_argument("--eigenbasis", action="store_true")
-    sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("nodal", help="nodal-domain report for a function")
     _add_common(sp, with_p=False)

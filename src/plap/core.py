@@ -450,10 +450,11 @@ def spectral_bound(H: Operator) -> float:
 def _vertex_bounds(H: Operator) -> np.ndarray:
     """The terms of ``spectral_bound``, one per vertex; their maximum over a
     component, or a subtree with its parent edge absorbed, bounds its
-    spectrum."""
+    spectrum. A term past the float range reads inf, without a warning."""
     g = H.graph
     deg = _edge_sums(g, g._ew)
-    return (2.0 ** (H.p - 1.0)) * deg / g.rho + np.abs(g.kappa) / g.rho
+    with np.errstate(over="ignore"):
+        return (2.0 ** (H.p - 1.0)) * deg / g.rho + np.abs(g.kappa) / g.rho
 
 
 def technical_R(alpha1: float, alpha2: float, beta1: float, beta2: float,

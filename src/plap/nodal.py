@@ -17,7 +17,6 @@ import numpy as np
 from ._unionfind import UnionFind
 from .core import (ZERO_BAND_REL, EigenpairCertificate, Operator,
                    VertexFunction, WeightedGraph, _id_key, connected_components)
-from .oracle import variational_index
 from .treespec import Spectrum
 
 
@@ -234,9 +233,10 @@ def check_lower(H: Operator, cert: EigenpairCertificate,
     The generic floor k1 - beta' + l - z + c uses the number k1 of spectrum
     values strictly below the eigenvalue; when the eigenvalue is itself in
     the spectrum a sharper floor k + m - 1 - beta' + l - z applies, with
-    (k, m) its position and multiplicity. Reports carry whichever forms
-    apply, plus their combined maximum. ``rep`` is
-    ``analyze(H.graph, cert.function)`` when the caller has it.
+    k the 1-based index of the first value of its entry (`Spectrum.find`)
+    and m that entry's multiplicity. Reports carry whichever forms apply,
+    plus their combined maximum. ``rep`` is ``analyze(H.graph,
+    cert.function)`` when the caller has it.
     """
     lam = cert.eigenvalue
     rep = _position_report(H, cert, varspec, rep)
@@ -250,8 +250,9 @@ def check_lower(H: Operator, cert: EigenpairCertificate,
                                satisfied=rep.nu >= b, k=k1))
         bounds.append(b)
     try:
-        k, m = variational_index(varspec, lam)
-    except ValueError:
+        e = varspec.find(lam)
+        k, m = 1 + varspec.count_below(e.value), e.mult
+    except ValueError:  # lam is not in the spectrum
         k = m = None
     if k is not None and k1 >= k - 1:
         b = k + m - 1 - rep.beta_prime + rep.l - rep.z

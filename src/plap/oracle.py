@@ -160,10 +160,3 @@ def p2_diagonal(g: WeightedGraph, i: int, kappa_i: float, skip: int) -> float:
         raise ValueError("matrix entries must be finite")
     return 0.5 * x + 0.5 * x
 
-
-def variational_index(S: Spectrum, lam: float) -> tuple[int, int]:
-    """Position of ``lam`` in the ordered spectrum: (first 1-based index of
-    its multiplicity block, multiplicity). Raises ValueError when lam is not
-    in the spectrum at the dense-route tolerance."""
-    e = S.find(lam, ORACLE_CLUSTER_REL)
-    return 1 + S.count_below(e.value), e.mult

@@ -23,7 +23,7 @@ from .core import (EigenpairCertificate, Operator, VertexFunction,
                    is_forest, phi, residual)
 from .nodal import Thresholds, _slack, analyze, counts_below, sign_pattern
 from .oracle import SymmetricMatrix, ValueCount, p2_diagonal, p2_spectrum
-from .treespec import ForestCount, PatchedCount, Spectrum
+from .treespec import ForestCount, PatchedCount
 
 
 #: Defect tolerance of the per-domain first eigenvalues that
@@ -217,14 +217,14 @@ def remove_node(H: Operator, u0) -> tuple[Operator, SurgeryStep]:
     return H2, step
 
 
-def verify_weyl_edge(spec_before: Spectrum, after, alpha_sign: float,
-                     thresholds: Thresholds | None = None) -> CheckReport:
+def verify_weyl_edge(th: Thresholds, after, alpha_sign: float) -> CheckReport:
     """Check the one-sided shift pattern of a compensated edge removal.
 
     With eta the after-values and lambda the before-values, a negative
     ratio alpha forces eta_{k-1} <= lambda_k <= eta_k, a positive one
     eta_k <= lambda_k <= eta_{k+1}, for every k (missing neighbors count as
-    -inf / +inf), each side within the slack s of lambda_k.
+    -inf / +inf), each side within the slack s of lambda_k. ``th`` holds
+    the thresholds of the before-spectrum (`nodal.Thresholds`).
 
     ``after`` is anything with ``total`` and ``count_below`` (a
     ``Spectrum``, a ``treespec.ForestCount`` or an ``oracle.ValueCount``).
@@ -232,9 +232,7 @@ def verify_weyl_edge(spec_before: Spectrum, after, alpha_sign: float,
     `nodal.counts_below` call: c- = #{eta < lambda_k - s} and
     c+ = #{eta <= lambda_k + s}. The pattern is c+ >= k - 1 and
     c- <= k - 1 for alpha < 0, c+ >= k and c- <= k for alpha > 0.
-    ``thresholds`` are those of ``spec_before``, built here when not given.
     """
-    th = Thresholds(spec_before) if thresholds is None else thresholds
     lam = th.flat
     if after.total != len(lam):
         raise ValueError("edge removal must preserve the vertex count")
@@ -257,10 +255,10 @@ def verify_weyl_edge(spec_before: Spectrum, after, alpha_sign: float,
                        failures=tuple(failures))
 
 
-def verify_weyl_nodes(spec_before: Spectrum, after, n: int,
-                      thresholds: Thresholds | None = None) -> CheckReport:
+def verify_weyl_nodes(th: Thresholds, after, n: int) -> CheckReport:
     """Check the two-sided squeeze of removing ``n`` vertices:
-    lambda_k <= eta_k <= lambda_{k+n} for every k on the smaller graph.
+    lambda_k <= eta_k <= lambda_{k+n} for every k on the smaller graph,
+    with ``th`` the `nodal.Thresholds` of the before-spectrum.
 
     ``after`` is anything with ``total`` and ``count_below``. The two sides
     are read as counts at before-values, all in one `nodal.counts_below`
@@ -268,10 +266,8 @@ def verify_weyl_nodes(spec_before: Spectrum, after, n: int,
     eta_k <= lambda_{k+n} as #{eta <= lambda_{k+n} + s} >= k, with s the
     slack of that before-value. Taking the slack at the before-value
     rather than at eta_k changes the verdict only inside a window about
-    1e-16 wide. ``thresholds`` are those of ``spec_before``, built here
-    when not given.
+    1e-16 wide.
     """
-    th = Thresholds(spec_before) if thresholds is None else thresholds
     lam = th.flat
     m = after.total
     if m != len(lam) - n:

@@ -437,7 +437,8 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
 
     The count must read 0 at -hi and len(order) at +hi, a hard structural
     check, with hi = bound + max(1, 8 ulps of the bound), the bound being
-    the largest `spectral_bound` term over ``order``. An interval is
+    the largest `spectral_bound` term over ``order``; a hi outside the
+    float range raises ArithmeticError. An interval is
     halved until `_located`: its width is at most
     SLICE_REL * max(1, min(|a|, |b|)), or no float lies strictly inside
     it. An interval across which the count rises by
@@ -471,6 +472,10 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     # past 2^50 the + 1.0 falls below 8 ulps, and with the rounding of the
     # bound the top eigenvalue may lie above it
     hi = bound + max(1.0, 8.0 * math.ulp(bound))
+    if not math.isfinite(hi):
+        raise ArithmeticError(
+            f"spectral bound {bound:.6g} leaves the float64 range "
+            f"(largest float {np.finfo(float).max:.6g})")
     lanes = _Lanes(T.plans[order], max(order) + 1)
     (at_lo, c_lo), (at_hi, c_hi) = _passes(H, lanes, [-hi, hi])
     if (c_lo, c_hi) != (0, n):

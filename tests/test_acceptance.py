@@ -32,7 +32,8 @@ from plap.core import (
     spectral_bound,
     technical_R,
 )
-from plap.nodal import analyze, check_lower, check_upper, is_bipartite, sign_pattern
+from plap.nodal import (Thresholds, analyze, check_lower, check_upper,
+                        is_bipartite, sign_pattern)
 from plap.oracle import p2_spectrum
 from plap.surgery import (
     reduce_to_nodal_union,
@@ -200,6 +201,7 @@ def test_06_weyl_interlacing_suite(corpus6):
     single_nodes = multi_nodes = 0
 
     for g, spec in graphs:
+        th = Thresholds(spec)
         H = Operator(g, 2.0)
         pairs = [(e.value, f) for e in spec.entries for f in e.basis]
         rng.shuffle(pairs)
@@ -216,7 +218,7 @@ def test_06_weyl_interlacing_suite(corpus6):
                 continue
             u, v = cands[rng.randrange(len(cands))]
             H2, step = remove_edge(H, f, (u, v))
-            rep = verify_weyl_edge(spec, p2_spectrum(H2, bases=False),
+            rep = verify_weyl_edge(th, p2_spectrum(H2, bases=False),
                                    step.alpha)
             assert rep.ok, rep.failures
             if step.alpha < 0:
@@ -230,7 +232,7 @@ def test_06_weyl_interlacing_suite(corpus6):
         H2 = H
         for u in rng.sample(list(g.ids), k):
             H2, _step = remove_node(H2, u)
-        rep = verify_weyl_nodes(spec, p2_spectrum(H2, bases=False), k)
+        rep = verify_weyl_nodes(th, p2_spectrum(H2, bases=False), k)
         assert rep.ok, rep.failures
         if k == 1:
             single_nodes += 1
@@ -242,6 +244,7 @@ def test_06_weyl_interlacing_suite(corpus6):
         for p in (1.5, 3.0):
             H = Operator(t, p)
             spec = specs[p]
+            th = Thresholds(spec)
             done = False
             for e in spec.entries:
                 if done:
@@ -256,7 +259,7 @@ def test_06_weyl_interlacing_suite(corpus6):
                     if not cands:
                         continue
                     H2, step = remove_edge(H, f, cands[0])
-                    rep = verify_weyl_edge(spec, tree_spectrum(H2), step.alpha)
+                    rep = verify_weyl_edge(th, tree_spectrum(H2), step.alpha)
                     assert rep.ok, rep.failures
                     if step.alpha < 0:
                         neg += 1
@@ -266,7 +269,7 @@ def test_06_weyl_interlacing_suite(corpus6):
                     done = True
                     break
             u = rng.choice(list(t.ids))
-            rep = verify_weyl_nodes(spec, tree_spectrum(remove_node(H, u)[0]), 1)
+            rep = verify_weyl_nodes(th, tree_spectrum(remove_node(H, u)[0]), 1)
             assert rep.ok, rep.failures
             tree_nodes += 1
 

@@ -135,7 +135,7 @@ def _documents(draw):
     return doc
 
 
-_ARGV = [["spectrum", "-"], ["spectrum", "-", "--eigenbasis"], ["oracle", "-"],
+_ARGV = [["spectrum", "-"], ["spectrum", "-", "--eigenbasis"],
          ["nodal", "-"], ["check", "-", "--all"], ["check", "-", "--lambda", "1"],
          ["surgery", "-", "--remove-node", "0"],
          ["surgery", "-", "--remove-edge", "0,1", "--lambda", "1"]]
@@ -304,15 +304,20 @@ def test_spectrum_capability_exit(tmp_path, capsys):
     assert "p = 2" in capsys.readouterr().err
 
 
-def test_oracle_verb(tmp_path, capsys):
-    path = write_doc(tmp_path, diamond_doc())
-    assert main(["oracle", path]) == EXIT_OK
+def test_p2_spectrum_is_the_dense_route_and_oracle_no_verb(tmp_path, capsys):
+    """``spectrum --p 2`` answers what the dense reference route answers;
+    ``oracle`` is not a verb, so it is a usage error with one JSON
+    document."""
+    path = write_doc(tmp_path, diamond_doc(p=3.0))
+    assert main(["spectrum", path, "--p", "2"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
-    assert sum(e["mult"] for e in out["spectrum"]) == 4
-    assert main(["oracle", path, "--p", "3"]) == EXIT_CAPABILITY
-    with pytest.raises(SystemExit) as exc:  # no tolerance to set
-        main(["oracle", path, "--tol", "1e-6"])
+    assert [(round(e["value"], 9), e["mult"]) for e in out["spectrum"]] == [
+        (0, 1), (2, 1), (4, 2)]  # the Laplacian of K4 minus an edge
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", path])
     assert exc.value.code == EXIT_INPUT
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_code"] == EXIT_INPUT
 
 
 def test_nodal_verb(tmp_path, capsys):
@@ -552,8 +557,6 @@ def test_p2_forest_above_dense_cap_takes_tree_route(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     mults = {round(e["value"], 6): e["mult"] for e in out["spectrum"]}
     assert mults == {0: 1, 1: 511, 513: 1}
-    # the dense verb itself reports its cap as a capability limit
-    assert main(["oracle", path]) == EXIT_CAPABILITY
 
     cycle = graph_document(gen_graph("cycle", 513, random.Random(0)), p=2.0)
     assert main(["spectrum", write_doc(tmp_path, cycle, "c.json")]) == EXIT_CAPABILITY
@@ -588,6 +591,26 @@ def test_overflow_exits_4_without_traceback(tmp_path, capsys):
     assert "numerical failure" in captured.err
 
 
+@pytest.mark.parametrize("p", ["1.2", "3"])
+def test_overflowing_spectral_bound_says_so(tmp_path, capsys, p):
+    """A spectral bound past the float range (4 * 1e300 / 1e-300) leaves no
+    finite bracket for the count: exit 4 with one JSON document whose
+    message names the float64 range, and no numpy warning."""
+    path = write_doc(tmp_path, {
+        "vertices": [{"id": 0, "rho": 1e-300}, {"id": 1}],
+        "edges": [{"u": 0, "v": 1, "omega": 1e300}]})
+    for argv in (["spectrum", path, "--p", p], ["check", path, "--all", "--p", p]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_VIOLATION, argv
+        assert not [w for w in caught if w.category is RuntimeWarning], argv
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1
+        report = json.loads(captured.out)
+        assert "float64 range" in report["error"], report
+        assert captured.err.startswith("numerical failure:"), captured.err
+
+
 def test_boundary_is_a_capability_limit(tmp_path, capsys):
     """A Dirichlet boundary is never dropped silently: every verb that reads
     a document refuses a non-empty one."""
@@ -598,7 +621,7 @@ def test_boundary_is_a_capability_limit(tmp_path, capsys):
     assert main(["spectrum", free]) == EXIT_OK
     doc["boundary"] = [0]
     fixed = write_doc(tmp_path, doc, "fixed.json")
-    for argv in (["spectrum", fixed], ["oracle", fixed], ["nodal", fixed],
+    for argv in (["spectrum", fixed], ["nodal", fixed],
                  ["check", fixed, "--lambda", "1"],
                  ["surgery", fixed, "--remove-node", "1"]):
         assert main(argv) == EXIT_CAPABILITY, argv
@@ -763,8 +786,6 @@ def test_every_verb_prints_strict_json_at_a_huge_potential(tmp_path, capsys):
     pair = '{"0": 0, "1": 1}'
     for argv in (["spectrum", path, "--p", "2"],
                  ["spectrum", path, "--p", "2", "--eigenbasis"],
-                 ["oracle", path, "--p", "2"],
-                 ["oracle", path, "--p", "2", "--eigenbasis"],
                  ["check", path, "--p", "2", "--all"],
                  ["check", path, "--p", "2", "--lambda", "1", "--function", pair],
                  ["nodal", path, "--function", pair],
@@ -774,7 +795,7 @@ def test_every_verb_prints_strict_json_at_a_huge_potential(tmp_path, capsys):
         assert out.count("\n") == 1, argv
         report = _strict_json(out)
         assert code in (EXIT_OK, EXIT_INPUT, EXIT_VIOLATION), argv
-        if argv[0] in ("spectrum", "oracle") and code == EXIT_OK:
+        if argv[0] == "spectrum" and code == EXIT_OK:
             assert [e["value"] for e in report["spectrum"]] == [1.0, 1e308]
 
 
@@ -867,23 +888,21 @@ def test_check_all_dense_guard_matches_the_rebuild(tmp_path, capsys,
 
 def test_dense_spectrum_without_basis_decomposes_nothing(tmp_path, capsys,
                                                          monkeypatch):
-    """``spectrum`` and ``oracle`` at p = 2 compute eigenvectors only for
-    ``--eigenbasis``, and print the same spectrum either way."""
+    """``spectrum`` at p = 2 computes eigenvectors only for
+    ``--eigenbasis``, and prints the same spectrum either way."""
     doc = graph_document(gen_graph("graph", 10, random.Random(4), weighted=True),
                          p=2.0)
     path = write_doc(tmp_path, doc)
     solved = count_eigh(monkeypatch)
-    for verb in ("spectrum", "oracle"):
-        assert main([verb, path]) == EXIT_OK
-        plain = json.loads(capsys.readouterr().out)
-        assert solved == [] and "eigenbasis" not in plain
-        assert main([verb, path, "--eigenbasis"]) == EXIT_OK
-        full = json.loads(capsys.readouterr().out)
-        assert solved == [10]
-        solved.clear()
-        for a, b in zip(plain["spectrum"], full["spectrum"], strict=True):
-            assert a["mult"] == b["mult"]
-            assert abs(a["value"] - b["value"]) <= 1e-13 * max(1.0, abs(b["value"]))
+    assert main(["spectrum", path]) == EXIT_OK
+    plain = json.loads(capsys.readouterr().out)
+    assert solved == [] and "eigenbasis" not in plain
+    assert main(["spectrum", path, "--eigenbasis"]) == EXIT_OK
+    full = json.loads(capsys.readouterr().out)
+    assert solved == [10]
+    for a, b in zip(plain["spectrum"], full["spectrum"], strict=True):
+        assert a["mult"] == b["mult"]
+        assert abs(a["value"] - b["value"]) <= 1e-13 * max(1.0, abs(b["value"]))
 
 
 def test_python_m_plap_runs_the_cli():

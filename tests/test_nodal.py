@@ -21,7 +21,7 @@ from plap.nodal import (
     nodal_domains,
     sign_pattern,
 )
-from plap.oracle import p2_spectrum, variational_index
+from plap.oracle import p2_spectrum
 from plap.treespec import Spectrum, SpectrumEntry
 
 
@@ -144,8 +144,10 @@ def _flat_upper(rep, flat, lam, sl):
                         lam >= floor_val - sl, k=rep.nu)]
 
 
-def _flat_lower(rep, spec, flat, lam, sl):
-    """check_lower's reports read off the flat value list."""
+def _flat_lower(rep, flat, lam, sl):
+    """check_lower's reports read off the flat value list: (k, m) are the
+    first 1-based position and the count of the value nearest lam (the
+    lowest of equally near ones), when that lies within s."""
     out, bounds = [], []
     k1 = sum(1 for v in flat if v < lam - sl)
     if k1 >= 1:
@@ -153,10 +155,10 @@ def _flat_lower(rep, spec, flat, lam, sl):
         out.append(BoundReport("nodal-lower-simple", float(b), float(rep.nu),
                                rep.nu >= b, k=k1))
         bounds.append(b)
-    try:
-        k, m = variational_index(spec, lam)
-    except ValueError:
-        k = m = None
+    near = min(flat, key=lambda v: abs(v - lam))
+    k = m = None
+    if abs(near - lam) <= sl:
+        k, m = flat.index(near) + 1, flat.count(near)
     if k is not None and (k == 1 or flat[k - 2] < lam - sl):
         b = k + m - 1 - rep.beta_prime + rep.l - rep.z
         out.append(BoundReport("nodal-lower-variational", float(b),
@@ -193,10 +195,29 @@ def test_bound_checks_match_the_flat_list_definitions():
             flat = spec.flat()
             cert = EigenpairCertificate(lam, f, 0.0, 1e-8)
             assert check_upper(H, cert, spec) == _flat_upper(rep, flat, lam, sl)
-            assert check_lower(H, cert, spec) == _flat_lower(rep, spec, flat,
-                                                             lam, sl)
+            assert check_lower(H, cert, spec) == _flat_lower(rep, flat, lam, sl)
             checked += max(mults) > 1
     assert checked > 100
+
+
+def test_variational_rows_on_star():
+    """The variational row gives lam's position k and multiplicity m in the
+    star's spectrum 0, 1, 1, 4, and is absent where lam is no eigenvalue."""
+    star = WeightedGraph.unit(4, [(0, 1), (0, 2), (0, 3)])
+    H = Operator(star, 2.0)
+    spec = p2_spectrum(H)
+    f = VertexFunction([1.0, 1.0, 1.0, 1.0])
+
+    def position(lam):
+        cert = EigenpairCertificate(lam, f, 0.0, 1e-8)
+        rows = [r for r in check_lower(H, cert, spec)
+                if r.kind == "nodal-lower-variational"]
+        return (rows[0].k, rows[0].m) if rows else None
+
+    assert position(0.0) == (1, 1)
+    assert position(1.0) == (2, 2)
+    assert position(4.0) == (4, 1)
+    assert position(2.5) is None
 
 
 def test_bound_checks_input_guards():

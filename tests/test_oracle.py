@@ -1,5 +1,5 @@
-"""Dense p = 2 reference route: matrix assembly, the LAPACK eigensolver,
-pullback eigenfunctions and variational positions."""
+"""Dense p = 2 reference route: matrix assembly, the LAPACK eigensolver
+and pullback eigenfunctions."""
 
 import random
 
@@ -15,7 +15,6 @@ from plap.oracle import (
     assemble_p2,
     eig_sym,
     p2_spectrum,
-    variational_index,
 )
 
 
@@ -119,16 +118,6 @@ def test_symmetrization_keeps_entries_above_half_the_range():
     a = assemble_p2(Operator(gen_graph("graph", 9, random.Random(2),
                                        weighted=True), 2.0)).data
     assert SymmetricMatrix(a).data.tobytes() == (0.5 * (a + a.T)).tobytes()
-
-
-def test_variational_index_on_star():
-    star = WeightedGraph.unit(4, [(0, 1), (0, 2), (0, 3)])
-    spec = p2_spectrum(Operator(star, 2.0))
-    assert variational_index(spec, 0.0) == (1, 1)
-    assert variational_index(spec, 1.0) == (2, 2)
-    assert variational_index(spec, 4.0) == (4, 1)
-    with pytest.raises(ValueError):
-        variational_index(spec, 2.5)
 
 
 def test_dense_size_guard():

@@ -18,7 +18,7 @@ from plap.core import (
     residual,
 )
 from plap.cli import gen_graph
-from plap.nodal import _slack, sign_pattern
+from plap.nodal import Thresholds, _slack, sign_pattern
 from plap.oracle import ValueCount, assemble_p2, p2_spectrum
 from plap.surgery import (
     DenseEdgeCut,
@@ -140,7 +140,7 @@ def _plain_spectrum(vals):
 
 
 def test_verify_weyl_edge_synthetic():
-    before = _plain_spectrum([0.0, 1.0, 2.0])
+    before = Thresholds(_plain_spectrum([0.0, 1.0, 2.0]))
     good_pos = _plain_spectrum([-0.5, 0.5, 1.5])
     rep = verify_weyl_edge(before, good_pos, +1.0)
     assert rep.ok and rep.checked == 3 and rep.failures == ()
@@ -157,7 +157,7 @@ def test_verify_weyl_edge_synthetic():
 
 
 def test_verify_weyl_nodes_synthetic():
-    before = _plain_spectrum([0.0, 1.0, 2.0, 3.0])
+    before = Thresholds(_plain_spectrum([0.0, 1.0, 2.0, 3.0]))
     rep = verify_weyl_nodes(before, _plain_spectrum([0.5, 1.5, 2.5]), 1)
     assert rep.ok and rep.checked == 3
     rep = verify_weyl_nodes(before, _plain_spectrum([1.5, 2.5, 3.5]), 1)
@@ -173,6 +173,7 @@ def _weyl_verdicts(H):
     and, for an edge, by the after-forest's patched counter."""
     g = H.graph
     spec = tree_eigenpairs(H)
+    th = Thresholds(spec)
     out = []
     for i, j, _w in g.edges:
         cut = EdgeCut(H, (g.ids[i], g.ids[j]))
@@ -184,14 +185,14 @@ def _weyl_verdicts(H):
                 H2, step = remove_edge(H, f, (g.ids[i], g.ids[j]))
                 alpha, after = cut.after(f)
                 assert alpha == step.alpha
-                verdicts = [verify_weyl_edge(spec, counter, alpha)
+                verdicts = [verify_weyl_edge(th, counter, alpha)
                             for counter in (ForestCount(H2), tree_spectrum(H2),
                                             after)]
                 out.append(("edge", (e.value, g.ids[i], g.ids[j]),
                             [(rep.ok, rep.checked) for rep in verdicts]))
     for u in g.ids:
         H2, _step = remove_node(H, u)
-        verdicts = [verify_weyl_nodes(spec, counter, 1)
+        verdicts = [verify_weyl_nodes(th, counter, 1)
                     for counter in (ForestCount(H2), tree_spectrum(H2))]
         out.append(("node", (u,), [(rep.ok, rep.checked) for rep in verdicts]))
     return out
@@ -216,6 +217,7 @@ def _cut_counts_agree(H) -> int:
     of removals compared."""
     g = H.graph
     spec = tree_eigenpairs(H)
+    th = Thresholds(spec)
     ts = {t for lam in spec.values()
           for t in (lam - _slack(lam), math.nextafter(lam + _slack(lam), math.inf))}
     compared = 0
@@ -232,8 +234,8 @@ def _cut_counts_agree(H) -> int:
             counts = {t: want.count_below(t) for t in ts}
             assert {t: after.count_below(t) for t in ts} == counts, e0
             assert alpha == step.alpha
-            assert (verify_weyl_edge(spec, after, alpha)
-                    == verify_weyl_edge(spec, _ReadCounts(counts, g.n), alpha))
+            assert (verify_weyl_edge(th, after, alpha)
+                    == verify_weyl_edge(th, _ReadCounts(counts, g.n), alpha))
             compared += 1
     return compared
 
@@ -269,6 +271,7 @@ def _dense_cuts_agree(H) -> int:
     g = H.graph
     m = assemble_p2(H)
     spec = p2_spectrum(H)
+    th = Thresholds(spec)
     ts = sorted({t for lam in spec.values()
                  for t in (lam - _slack(lam),
                            math.nextafter(lam + _slack(lam), math.inf))})
@@ -295,8 +298,8 @@ def _dense_cuts_agree(H) -> int:
             rebuilt, want = agree(after, H2)
             assert a.tobytes() == rebuilt.tobytes(), e0
             assert alpha == step.alpha
-            assert (verify_weyl_edge(spec, after, alpha)
-                    == verify_weyl_edge(spec, want, step.alpha))
+            assert (verify_weyl_edge(th, after, alpha)
+                    == verify_weyl_edge(th, want, step.alpha))
             compared += 1
     for u in g.ids:
         H2, _step = remove_node(H, u)
@@ -304,7 +307,7 @@ def _dense_cuts_agree(H) -> int:
         after = ValueCount(a)
         rebuilt, want = agree(after, H2)
         assert a.tobytes() == rebuilt.tobytes(), u
-        assert verify_weyl_nodes(spec, after, 1) == verify_weyl_nodes(spec, want, 1)
+        assert verify_weyl_nodes(th, after, 1) == verify_weyl_nodes(th, want, 1)
         compared += 1
     return compared
 
@@ -357,12 +360,13 @@ def test_weyl_counts_keep_a_known_failure():
     H = Operator(gen_graph("tree", 12, random.Random(3), weighted=True), 1.2)
     g = H.graph
     spec = tree_eigenpairs(H)
+    th = Thresholds(spec)
     failed = 0
     for e in spec.entries:
         for f in e.basis:
             H2, step = remove_edge(H, f, (4, 5))
-            by_count = verify_weyl_edge(spec, ForestCount(H2), step.alpha)
-            by_spec = verify_weyl_edge(spec, tree_spectrum(H2), step.alpha)
+            by_count = verify_weyl_edge(th, ForestCount(H2), step.alpha)
+            by_spec = verify_weyl_edge(th, tree_spectrum(H2), step.alpha)
             assert (by_count.ok, by_count.checked) == (by_spec.ok, by_spec.checked)
             assert by_count.checked == g.n
             failed += not by_count.ok
@@ -386,12 +390,12 @@ def test_tree_spectrum_after_a_huge_compensation():
         s = _slack(x.value)
         jump = counter.count_below(x.value + s) - counter.count_below(x.value - s)
         assert jump == x.mult, x.value
-    assert verify_weyl_edge(spec, after, step.alpha).ok
+    assert verify_weyl_edge(Thresholds(spec), after, step.alpha).ok
 
 
 def test_weyl_on_diamond_surgery():
     H = Operator(diamond_graph(), 2.0)
-    before = p2_spectrum(H)
+    before = Thresholds(p2_spectrum(H))
     f = VertexFunction([1.0, -1.0, 1.0, -1.0])
     H2, step = remove_edge(H, f, (2, 4))
     rep = verify_weyl_edge(before, p2_spectrum(H2), step.alpha)
