@@ -30,8 +30,8 @@ from . import nodal as nodal_mod
 from . import oracle as oracle_mod
 from . import surgery as surgery_mod
 from . import treespec
-from .core import (EigenpairCertificate, Operator, VertexFunction,
-                   WeightedGraph, _canonical_edges, _id_key,
+from .core import (FLOAT_RANGE, EigenpairCertificate, Operator,
+                   VertexFunction, WeightedGraph, _canonical_edges, _id_key,
                    connected_components, is_forest, residual, residuals,
                    spectral_bound)
 
@@ -225,9 +225,10 @@ def full_spectrum(H: Operator, bases: bool = False) -> treespec.Spectrum:
 def _check_route(H: Operator, bases: bool) -> tuple:
     """What ``check`` reads of the operator, by the routes of
     ``full_spectrum``: (its spectrum, with every eigenbasis when ``bases``;
-    the cut of an edge e0, whose ``after(f, signs)`` gives alpha and the
-    eigenvalue counter after the compensated removal of e0 under f; the
-    eigenvalue counter after removing a vertex u).
+    the cut of an edge e0, whose ``afters(functions, signs)`` gives, per
+    function f, alpha and the eigenvalue counter after the compensated
+    removal of e0 under f; the eigenvalue counter after removing a vertex
+    u).
 
     The tree route cuts with `surgery.EdgeCut` and counts a vertex removal
     with a `treespec.ForestCount` of the smaller forest. The dense route
@@ -421,26 +422,32 @@ def _weyl_edge_rows(g: WeightedGraph, certs: list, edge_cut,
     endpoints both lie outside the function's zero band.
 
     The rows are computed edge by edge: one cut per edge (``edge_cut`` of
-    `_check_route`) counts the removal under every eigenfunction. On the
-    tree route that cut keeps one after-forest and only that edge's g
-    lists are kept at a time; on the dense route each removal patches a
-    copy of the request's one matrix. Each eigenfunction's sign pattern is
-    computed once and serves all of its removals, and every removal is
-    counted at the ``thresholds`` of the spectrum, built once per request. An
-    error that `main` reports takes the place of the row it stopped, and
-    `cmd_check` raises the first one in its pair-major order, so the
-    report or error is the one a pass pair by pair would give.
+    `_check_route`) takes the removals under every eigenfunction before
+    any of them is verified. On the tree route that cut keeps one
+    after-forest and counts all its removals in one array pass, and only
+    that edge's g lists are kept at a time; on the dense route each removal
+    patches a copy of the request's one matrix. Each eigenfunction's sign
+    pattern is computed once and serves all of its removals, and every
+    removal is counted at the ``thresholds`` of the spectrum, built once
+    per request. An error that `main` reports takes the place of the row
+    it stopped, and `cmd_check` raises the first one in its pair-major
+    order, so the report or error is the one a pass pair by pair would
+    give.
     """
     signs = [nodal_mod.sign_pattern(g, cert.function)[0] for cert in certs]
     table = [[] for _ in certs]
     for i, j, _w in g.edges:
         u, v = g.ids[i], g.ids[j]
-        cut = edge_cut((u, v))
-        for rows, cert, s in zip(table, certs, signs):
-            if s[i] == 0 or s[j] == 0:
+        todo = [(rows, cert, s) for rows, cert, s in zip(table, certs, signs)
+                if s[i] != 0 and s[j] != 0]
+        afters = edge_cut((u, v)).afters([cert.function for _r, cert, _s in todo],
+                                         [s for _r, _c, s in todo])
+        for (rows, cert, _s), got in zip(todo, afters):
+            if isinstance(got, Exception):
+                rows.append(got)
                 continue
+            alpha, after = got
             try:
-                alpha, after = cut.after(cert.function, s)
                 rep = surgery_mod.verify_weyl_edge(thresholds, after, alpha)
             except (ValueError, AssertionError, RuntimeError,
                     ArithmeticError) as exc:  # what `main` reports
@@ -687,6 +694,9 @@ def main(argv=None) -> int:
         return _failed(EXIT_INPUT, "error", exc)
     except AssertionError as exc:
         return _failed(EXIT_VIOLATION, "violated invariant", exc)
+    except OverflowError as exc:  # a float power's bare errno text
+        return _failed(EXIT_VIOLATION, "numerical failure",
+                       OverflowError(f"a value leaves {FLOAT_RANGE}: {exc}"))
     except (RuntimeError, ArithmeticError) as exc:
         return _failed(EXIT_VIOLATION, "numerical failure", exc)
 

@@ -32,6 +32,9 @@ ZERO_BAND_REL = 1e-12
 #: The smallest normal float64.
 _TINY = np.finfo(float).tiny
 
+#: How a numerical failure names the range a value left.
+FLOAT_RANGE = f"the float64 range (largest float {np.finfo(float).max:.6g})"
+
 #: Gradient steps ``first_eigenpair`` may spend over all its descent rounds.
 MAX_DESCENT_STEPS = 100_000
 

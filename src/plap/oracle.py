@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Operator, VertexFunction, WeightedGraph, p_normalized_rows
+from .core import (FLOAT_RANGE, Operator, VertexFunction, WeightedGraph,
+                   p_normalized_rows)
 from .treespec import Spectrum, SpectrumEntry, cluster_tagged
 
 #: Two eigenvalues within ORACLE_CLUSTER_REL * max(1, |value|) of each other
@@ -24,6 +25,9 @@ ORACLE_CLUSTER_REL = 1e-8
 
 #: Refuse dense work beyond this many vertices.
 MAX_DENSE_N = 512
+
+#: The error of an `assemble_p2` entry outside the float range.
+_LEAVES = f"the p = 2 matrix leaves {FLOAT_RANGE}"
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,8 @@ class SymmetricMatrix:
 
 def assemble_p2(H: Operator) -> SymmetricMatrix:
     """Symmetrized matrix of a p = 2 operator:
-    D_rho^{-1/2} (L_omega + diag(kappa)) D_rho^{-1/2}."""
+    D_rho^{-1/2} (L_omega + diag(kappa)) D_rho^{-1/2}. An entry outside
+    the float range raises ArithmeticError."""
     if H.p != 2.0:
         raise ValueError("the dense route only covers p = 2")
     g = H.graph
@@ -63,11 +68,14 @@ def assemble_p2(H: Operator) -> SymmetricMatrix:
     # endpoints interleaved (u0, v0, u1, v1, ...) so that every diagonal
     # entry sums its edge weights in edge order
     ends = np.column_stack((g._eu, g._ev)).ravel()
-    np.add.at(a, (ends, ends), np.repeat(g._ew, 2))
-    a[g._eu, g._ev] = -g._ew  # a simple graph: each pair appears once
-    a[g._ev, g._eu] = -g._ew
-    d = 1.0 / np.sqrt(g.rho)
-    a = a * d[:, None] * d[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(a, (ends, ends), np.repeat(g._ew, 2))
+        a[g._eu, g._ev] = -g._ew  # a simple graph: each pair appears once
+        a[g._ev, g._eu] = -g._ew
+        d = 1.0 / np.sqrt(g.rho)
+        a = a * d[:, None] * d[None, :]
+    if not np.all(np.isfinite(a)):
+        raise ArithmeticError(_LEAVES)
     return SymmetricMatrix(a)
 
 
@@ -147,8 +155,9 @@ def p2_diagonal(g: WeightedGraph, i: int, kappa_i: float, skip: int) -> float:
 
     The sum runs in `assemble_p2`'s order: the potential, then the other
     incident weights in edge order, then times d_i and d_i; the entry is
-    then checked and symmetrized as `SymmetricMatrix` does, so an entry
-    outside the float range raises its ValueError.
+    then checked as `assemble_p2` checks it, so an entry outside the float
+    range raises its ArithmeticError, and symmetrized as `SymmetricMatrix`
+    does.
     """
     x = kappa_i
     for j, w in g.adj[i]:
@@ -157,6 +166,6 @@ def p2_diagonal(g: WeightedGraph, i: int, kappa_i: float, skip: int) -> float:
     d = 1.0 / math.sqrt(g.rho[i])
     x = x * d * d
     if not math.isfinite(x):
-        raise ValueError("matrix entries must be finite")
+        raise ArithmeticError(_LEAVES)
     return 0.5 * x + 0.5 * x
 

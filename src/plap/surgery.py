@@ -119,9 +119,10 @@ class EdgeCut:
     The after-forest is the forest minus ``e0`` with the potentials it has
     before the removal, in the vertex order and rooting of the operator
     ``remove_edge`` builds. A removal only adds to the two endpoint
-    potentials, so its counter patches them (`treespec.PatchedCount`) and
-    counts what ``ForestCount(remove_edge(H, f, e0)[0])`` counts, to the
-    bit.
+    potentials, so the removals under all the eigenfunctions are counted
+    as patches of those two potentials (`treespec.PatchedCount`), in one
+    pass per set of thresholds, and each counts what
+    ``ForestCount(remove_edge(H, f, e0)[0])`` counts, to the bit.
     """
 
     def __init__(self, H: Operator, e0):
@@ -132,14 +133,27 @@ class EdgeCut:
             _without_edge(g, g.index_of(e0[0]), g.index_of(e0[1]), g.kappa),
             H.p))
 
-    def after(self, f: VertexFunction, signs=None) -> tuple:
-        """(alpha, eigenvalue counter of the operator after the removal)
-        under the eigenfunction ``f``, as `remove_edge` gives them;
-        ``signs`` is f's `sign_pattern`, computed when not given."""
-        iu, iv, alpha, d_u, d_v = _compensation(self._H, f, self._e0, signs)
+    def afters(self, functions, signs=None) -> list:
+        """Per eigenfunction of ``functions``, (alpha, eigenvalue counter of
+        the operator after the removal) as `remove_edge` gives them, or the
+        ValueError that removal raises; ``signs`` holds each function's
+        `sign_pattern`, computed where not given. Every counter is one of
+        a single `treespec.PatchedCount`, so the first count asked of any
+        of them counts all the removals at once."""
         kappa = self._H.graph.kappa
-        return alpha, PatchedCount(self._after, {iu: float(kappa[iu]) + d_u,
-                                                 iv: float(kappa[iv]) + d_v})
+        out, patches = [], []
+        for f, s in zip(functions, signs or [None] * len(functions)):
+            try:
+                iu, iv, alpha, d_u, d_v = _compensation(self._H, f, self._e0, s)
+            except ValueError as exc:
+                out.append(exc)
+                continue
+            out.append(alpha)
+            patches.append({iu: float(kappa[iu]) + d_u,
+                            iv: float(kappa[iv]) + d_v})
+        counters = iter(PatchedCount(self._after, patches).counters)
+        return [got if isinstance(got, ValueError) else (got, next(counters))
+                for got in out]
 
 
 class DenseEdgeCut:
@@ -172,21 +186,28 @@ class DenseEdgeCut:
         a[iv, iv] = p2_diagonal(g, iv, float(g.kappa[iv]) + d_v, iu)
         return alpha, a
 
-    def after(self, f: VertexFunction, signs=None) -> tuple:
-        """(alpha, eigenvalue counter of the operator after the removal)
-        under the eigenfunction ``f``, as `remove_edge` gives them;
-        ``signs`` is f's `sign_pattern`, computed when not given."""
-        alpha, a = self.matrix(f, signs)
-        return alpha, ValueCount(a)
+    def afters(self, functions, signs=None) -> list:
+        """Per eigenfunction of ``functions``, (alpha, eigenvalue counter of
+        the operator after the removal) as `remove_edge` gives them, or the
+        ValueError or ArithmeticError that removal raises, as
+        `EdgeCut.afters` gives them."""
+        out = []
+        for f, s in zip(functions, signs or [None] * len(functions)):
+            try:
+                alpha, a = self.matrix(f, s)
+                out.append((alpha, ValueCount(a)))
+            except (ValueError, ArithmeticError) as exc:
+                out.append(exc)
+        return out
 
 
 def dense_without_vertex(H: Operator, m: SymmetricMatrix, u0) -> np.ndarray:
     """``assemble_p2(remove_node(H, u0)[0])`` from the operator's
     `assemble_p2` matrix ``m``: a copy of ``m`` without u0's row and
     column, with each neighbour's diagonal entry rewritten
-    (`oracle.p2_diagonal`), and the rebuild's ValueError where one leaves
-    the float range. The bits differ only where a vertex without edges has
-    the potential -0.0: the rebuild adds 0.0 to it."""
+    (`oracle.p2_diagonal`), and the rebuild's ArithmeticError where one
+    leaves the float range. The bits differ only where a vertex without
+    edges has the potential -0.0: the rebuild adds 0.0 to it."""
     g = H.graph
     iu = g.index_of(u0)
     if g.n == 1:

@@ -34,8 +34,9 @@ it (`_steering`); where the re-rooted g does not bracket a zero, the probe
 is regula falsi on g_v, and where g_v does not either, the midpoint. The
 count on the original rooting decides each step, and the halving is then
 replayed, so every value is the float that halving alone returns
-(`_isolated`). A forest that differs from a counted one in a few
-potentials is counted by re-evaluating only their root paths
+(`_isolated`). Forests that differ from a counted one in the same few
+potentials are counted by re-evaluating only those vertices' root paths,
+all the forests at all the thresholds asked in one array pass
 (`PatchedCount`). The vanishing vertices behind an eigenvalue come from
 the sign changes of the g values across a narrow window around it
 (`_window`).
@@ -43,8 +44,9 @@ the sign changes of the g values across a narrow window around it
 One count is one pass of `_eval_vertices` over a component's plan, built
 once per rooting: the leaves first, then the inner vertices children-first.
 The pass writes every g value into a list indexed by vertex and counts the
-negative ones as it goes. `_eval_vertices` is the reference, and the only
-pass of `ForestCount`, `PatchedCount` and `_window`.
+negative ones as it goes. `_eval_vertices` is the reference, the only pass
+of `ForestCount` and `_window`, and the pass the array passes fall back to
+wherever they meet a value that is not finite.
 
 `_slice` works a component's intervals in rounds: every open interval
 yields its next probe, and the round counts them all at once, as does the
@@ -55,7 +57,8 @@ vertices by the probes and gives every list and count float for float;
 the crossover is fixed by the number of probes and the plan's height
 levels and child slots against its size (`_Lanes`). Below it, as on
 paths, whose every vertex is a level of its own, and on small trees, a
-round is one scalar pass per probe.
+round is one scalar pass per probe, and so is every probe whose column of
+a lockstep pass holds a value that is not finite.
 """
 
 from __future__ import annotations
@@ -69,8 +72,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Operator, VertexFunction, WeightedGraph, _defect,
-                   _newton_polish, _vertex_bounds, p_normalized, phi, phi_inv)
+from .core import (FLOAT_RANGE, Operator, VertexFunction, WeightedGraph,
+                   _defect, _newton_polish, _vertex_bounds, p_normalized, phi,
+                   phi_inv)
 
 #: Two spectral values are considered equal when they differ by at most
 #: CLUSTER_REL * max(1, |value|).
@@ -104,9 +108,10 @@ PROBE_SHARE = 0.22
 #: `_slice` keeps at most IN_FLIGHT isolated brackets open or waiting
 #: before it halves another interval, and halves at most HALVINGS
 #: intervals at once, the lowest first. That bounds the g lists it holds
-#: and the width of a lockstep pass.
-IN_FLIGHT = 32
-HALVINGS = 4
+#: and the width of a lockstep pass; wider rounds take fewer passes, each
+#: of which pays its per-level cost once for more probes.
+IN_FLIGHT = 64
+HALVINGS = 16
 
 
 def cluster_tagged(pairs, rel: float = CLUSTER_REL):
@@ -333,10 +338,10 @@ def _lockstep_pays(n: int, levels: int, slots: int) -> int:
     return max(2, math.ceil(fixed / ((1.0 - PROBE_SHARE) * n)))
 
 
-def _lockstep(H: Operator, lanes: _Lanes, xs: list):
-    """One pass of the g recursion at every probe in ``xs`` at once: the
-    (g list, count) that `_eval_vertices` gives at each, float for float,
-    or None where any g is not finite.
+def _lockstep(H: Operator, lanes: _Lanes, xs: list) -> list:
+    """One pass of the g recursion at every probe in ``xs`` at once: per
+    probe, the (g list, count) that `_eval_vertices` gives there, float for
+    float, or None where one of its g values is not finite.
 
     Every level is one array of its rows by the probes, and every step is
     the scalar pass's float operation on the whole array: phi and phi_inv
@@ -346,9 +351,9 @@ def _lockstep(H: Operator, lanes: _Lanes, xs: list):
     are added one slot at a time, in the plan's order. Each term is
     computed once, from the child's g and its parent weight, the weight
     the parent's pass multiplies by. An exact child zero, an overflow or a
-    NaN leaves a value that is not finite in the batch, and the None then
-    sends the probes to the scalar pass (`_passes`), which writes the pole
-    marker or raises OverflowError.
+    NaN leaves a value that is not finite in its probe's column, and the
+    None then sends that probe alone to the scalar pass (`_passes`), which
+    writes the pole marker or raises OverflowError.
     """
     pm1 = H.p - 1.0
     pinv = 1.0 / pm1
@@ -380,10 +385,10 @@ def _lockstep(H: Operator, lanes: _Lanes, xs: list):
                 np.copysign(acc, t, out=t)
                 t *= w
         body = g[:n]
-        if not np.isfinite(body).all():
-            return None
+        finite = np.isfinite(body).all(axis=0).tolist()
         counts = np.count_nonzero(body < 0.0, axis=0).tolist()
-    return list(zip(g[lanes.rows].T.tolist(), counts))
+    return [(vals, c) if ok else None
+            for vals, c, ok in zip(g[lanes.rows].T.tolist(), counts, finite)]
 
 
 def _negative(g: float) -> bool:
@@ -416,16 +421,14 @@ def _checked(c: int, x: float, ca: int, cb: int) -> int:
 def _passes(H: Operator, lanes: _Lanes, xs: list) -> list:
     """(g list, count) of a pass over ``lanes.plan`` at every probe in
     ``xs``, each list new: one `_lockstep` pass when there are at least
-    ``lanes.batch_from`` probes, else, and wherever that pass meets a value
-    that is not finite, one `_eval_vertices` pass per probe."""
-    if len(xs) >= lanes.batch_from:
-        got = _lockstep(H, lanes, xs)
-        if got is not None:
-            return got
-    out = []
-    for x in xs:
-        vals = [0.0] * lanes.size
-        out.append((vals, _eval_vertices(H, x, lanes.plan, vals)))
+    ``lanes.batch_from`` probes, else, and at every probe where that pass
+    meets a value that is not finite, one `_eval_vertices` pass."""
+    out = (_lockstep(H, lanes, xs) if len(xs) >= lanes.batch_from
+           else [None] * len(xs))
+    for i, x in enumerate(xs):
+        if out[i] is None:
+            vals = [0.0] * lanes.size
+            out[i] = (vals, _eval_vertices(H, x, lanes.plan, vals))
     return out
 
 
@@ -437,21 +440,25 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
 
     The count must read 0 at -hi and len(order) at +hi, a hard structural
     check, with hi = bound + max(1, 8 ulps of the bound), the bound being
-    the largest `spectral_bound` term over ``order``; a hi outside the
-    float range raises ArithmeticError. An interval is
+    the largest `spectral_bound` term over ``order``. A hi outside the
+    float range raises ArithmeticError, and so do end counts that disagree
+    where an end pass holds a g value that is not finite: there the
+    recursion left the float range, and the count's logic did not fail.
+    An interval is
     halved until `_located`: its width is at most
     SLICE_REL * max(1, min(|a|, |b|)), or no float lies strictly inside
-    it. An interval across which the count rises by
-    exactly one goes to `_isolated`, which returns the same float from
-    fewer counts; one across which it rises by more is halved
-    (`_bracket`).
+    it. An interval across which the count rises by exactly one goes to
+    `_isolated`, which returns the same float from fewer counts; one
+    across which it rises by more is halved (`_bracket`).
 
     The intervals are worked in rounds. Every open interval gives one probe
     per round, and the round's probes are counted together (`_passes`): by
     one lockstep pass over the component's `_Lanes` from the number of
     probes at which that is cheaper than one scalar pass each, a number
-    fixed by the plan's height levels and child slots against its size;
-    the first round is the passes at -hi and +hi. An interval's probes
+    fixed by the plan's height levels and child slots against its size,
+    and by a scalar pass for each probe below that number or whose
+    lockstep column holds a value that is not finite; the first round is
+    the passes at -hi and +hi. An interval's probes
     depend on its own counts alone, so no value depends on which intervals
     share a round. Isolated brackets open while fewer than IN_FLIGHT are
     open. Another interval is halved only while fewer than IN_FLIGHT
@@ -459,7 +466,8 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     the lowest first, so the waiting intervals are mostly the right halves
     along a few paths down the halving. That keeps the g lists held to a
     multiple of IN_FLIGHT lists, where opening every interval at once
-    would hold one per eigenvalue.
+    would hold one per eigenvalue; a round counts at most
+    IN_FLIGHT + HALVINGS probes.
 
     Every pass writes a list of its own, which stays with the intervals
     it bounds, so each interval carries the g lists at both its ends. The
@@ -473,14 +481,15 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     # bound the top eigenvalue may lie above it
     hi = bound + max(1.0, 8.0 * math.ulp(bound))
     if not math.isfinite(hi):
-        raise ArithmeticError(
-            f"spectral bound {bound:.6g} leaves the float64 range "
-            f"(largest float {np.finfo(float).max:.6g})")
+        raise ArithmeticError(f"spectral bound {bound:.6g} leaves {FLOAT_RANGE}")
     lanes = _Lanes(T.plans[order], max(order) + 1)
     (at_lo, c_lo), (at_hi, c_hi) = _passes(H, lanes, [-hi, hi])
     if (c_lo, c_hi) != (0, n):
-        raise AssertionError(
-            f"eigenvalue counts {c_lo} and {c_hi} at -/+{hi:.6g}, not 0 and {n}")
+        counts = (f"eigenvalue counts {c_lo} and {c_hi} at -/+{hi:.6g}, "
+                  f"not 0 and {n}")
+        if not all(math.isfinite(g[u]) for g in (at_lo, at_hi) for u in order):
+            raise ArithmeticError(f"{counts}: the g recursion leaves {FLOAT_RANGE}")
+        raise AssertionError(counts)
     out = []
     to_halve = [(-hi, hi, 0, n, at_lo, at_hi)]  # a heap: the lowest first
     to_isolate = []
@@ -582,7 +591,10 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
     two probes. Once the bracket is narrower than the final width, the
     halving of (a, b) is replayed: a midpoint outside the bracket takes the
     count of the end it lies beyond, the count being monotone, and only a
-    midpoint inside it is evaluated.
+    midpoint inside it is evaluated. The replay asks `_located` only once
+    its interval is at most SLICE_REL * max(1, |a|, |b|) wide, a bound on
+    every `_narrow` of the intervals inside (a, b), or once no float lies
+    strictly inside it.
     """
     plan = T.plans[order]
     cb = ca + 1
@@ -592,7 +604,7 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
     g_lo = g_hi = math.nan  # u*'s re-rooted g at lo and hi, once evaluated
     pts = []  # the last three (x, re-rooted g) with a finite value
     w1 = w2 = math.inf  # the bracket's width one and two probes ago
-    while not hi - lo <= _narrow(lo, hi, SLICE_REL):
+    while not hi - lo <= (tight := _narrow(lo, hi, SLICE_REL)):
         w = hi - lo
         x = 0.5 * (lo + hi)
         on_gamma = _straddles(g_lo, g_hi)
@@ -608,8 +620,8 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
             elif v >= 0 and _straddles(at_lo[v], at_hi[v]):
                 z = lo + w * (at_lo[v] / (at_lo[v] - at_hi[v]))
             if z == z:
-                q = (0.2 * w if path is None else  # the pick's probe
-                     0.25 * _narrow(lo, hi, SLICE_REL))
+                # the pick's probe keeps to the middle 60 % of the bracket
+                q = 0.2 * w if path is None else 0.25 * tight
                 x = min(max(z, lo + q), hi - q)
         w1, w2 = w, w1
         vals, c = yield x
@@ -633,9 +645,10 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
             lo, g_lo, at_lo = x, g, vals
         else:
             hi, g_hi, at_hi = x, g, vals
+    cap = SLICE_REL * max(1.0, abs(a), abs(b))  # no `_narrow` below exceeds it
     while True:
         mid = 0.5 * (a + b)
-        if _located(a, b, mid):
+        if not (b - a > cap and a < mid < b) and _located(a, b, mid):
             return mid
         if mid <= lo:
             a = mid
@@ -948,50 +961,167 @@ class ForestCount:
 
 
 class PatchedCount:
-    """Eigenvalue counter of a forest that differs from the one ``base``
-    counts only in the potentials of the dense indices in ``kappa``.
+    """Eigenvalue counters of the forests that differ from the one ``base``
+    counts only in a few potentials: one forest per patch in ``patches``,
+    each a dict from dense indices to their potentials, every patch with
+    the same indices. ``counters`` holds one counter per patch, in order.
 
-    A vertex's g value depends on its own subtree alone, so the patch moves
-    only the g values on the root paths of the patched vertices. A count at
-    x starts from the g list and count of ``base``'s pass at x, which that
-    counter keeps, takes off the negatives on those paths and re-evaluates
-    them with a plan of just those vertices, in the forest's plan order and
-    with the patched potentials. That runs the float operations of a full
-    pass on the patched forest, so the count is that of its
-    ``ForestCount``. Where ``base``'s pass overflows, the whole patched
-    forest is evaluated instead, and raises where that pass raises.
+    A vertex's g value depends on its own subtree alone, so the patches
+    move only the g values on the root paths of the patched vertices. The
+    first count asked of any counter evaluates those paths for every patch
+    at every threshold asked, in one array pass of (patch, threshold)
+    lanes, and the counters read it until a count at other thresholds is
+    asked. The pass starts from the g list and count of ``base``'s pass at
+    each threshold, which that counter keeps: it takes off the negatives on
+    the paths and evaluates them in the forest's plan order, with the
+    patched potentials, by the float rules of `_lockstep`. A child off the
+    paths adds the term of its kept g value. That runs the float operations
+    of a full pass on each patched forest, so a count is that of its
+    ``ForestCount``. A lane that holds a value that is not finite is
+    counted by `_eval_vertices` on the paths, and one whose kept pass
+    overflowed on the whole patched forest, which raises where that pass
+    raises; the raising lane's counter then raises the same OverflowError.
     """
 
-    def __init__(self, base: ForestCount, kappa: dict):
+    def __init__(self, base: ForestCount, patches: list):
         T = base._T
         near = set()
-        for u in kappa:
+        for u in patches[0] if patches else ():
             while u != -1 and u not in near:
                 near.add(u)
                 u = T.parent[u]
+        rows = {}
+        steps = []  # per path vertex, children first: see `_lanes`
+        off = []  # (child, weight) of every child off the paths
+        for leaves, inner in T.plans.values():
+            for u, kappa, rho, root, w_par, *kids in (*leaves, *inner):
+                if u not in near:
+                    continue
+                terms = []
+                for v, w in kids[0] if kids else ():
+                    if v in rows:
+                        terms.append((True, rows[v]))
+                    else:
+                        terms.append((False, len(off)))
+                        off.append((v, w))
+                if u in patches[0]:
+                    kappa = np.array([[patch[u]] for patch in patches])
+                rows[u] = len(steps)
+                steps.append((kappa, rho, root, w_par, tuple(terms)))
         self._base = base
-        self._kappa = kappa
-        self._near = tuple(near)
-        self._plans = _patched_plans(T, kappa, near)
+        self._patches = patches
+        self._near = tuple(rows)
+        self._steps = steps
+        self._off = off
+        self._w_off = np.array([w for _v, w in off]).reshape(-1, 1)
+        self._xs = self._counts = None
         self.total = base.total
+        self.counters = tuple(_PatchCounter(self, i) for i in range(len(patches)))
 
-    def count_below(self, x: float) -> int:
-        """#{eigenvalues < x} of the patched forest, as
-        `ForestCount.count_below` reads it."""
-        H = self._base._H
-        kept = self._base._pass(x)
+    def counts(self, xs) -> list:
+        """Per patch, #{eigenvalues < x} of its forest at every threshold
+        of ``xs``, or the OverflowError that counting it raises."""
+        xs = tuple(xs)
+        if xs != self._xs:
+            self._xs, self._counts = xs, self._lanes(xs)
+        return self._counts
+
+    def _lanes(self, xs: tuple) -> list:
+        """`counts` by one array pass over the root paths (see the class)."""
+        if not xs:
+            return [[] for _patch in self._patches]
+        base = self._base
+        H = base._H
+        pm1 = H.p - 1.0
+        pinv = 1.0 / pm1
+        kept = [base._pass(x) for x in xs]
+        lost = [got is None for got in kept]
+        n, m = len(self._near), len(self._off)
+        at_near = np.array([[math.nan] * n if got is None else
+                            [got[0][u] for u in self._near] for got in kept])
+        at_off = np.array([[math.nan] * m if got is None else
+                           [got[0][v] for v, _w in self._off] for got in kept])
+        lam = np.array(xs)
+        shape = (len(self._patches), len(xs))
+        g = np.empty((n, *shape))
+        up = np.empty((n, *shape))  # each path vertex's term in its parent's
+        acc = np.empty(shape)
+        with np.errstate(all="ignore"):
+            t = np.divide(1.0, at_off.T)
+            np.subtract(1.0, t, out=t)
+            off_up = np.copysign(np.float_power(np.abs(t), pm1), t)
+            off_up *= self._w_off
+            for i, (kappa, rho, root, w_par, terms) in enumerate(self._steps):
+                np.subtract(kappa, rho * lam, out=acc)
+                if root:
+                    acc -= 1.0
+                for on_path, j in terms:
+                    acc += up[j] if on_path else off_up[j]
+                np.divide(acc, w_par, out=acc)
+                y = g[i]
+                np.abs(acc, out=y)
+                np.float_power(y, pinv, out=y)
+                np.copysign(y, acc, out=y)
+                y += 1.0
+                if not root:
+                    t = up[i]
+                    np.divide(1.0, y, out=t)
+                    np.subtract(1.0, t, out=t)
+                    np.abs(t, out=acc)
+                    np.float_power(acc, pm1, out=acc)
+                    np.copysign(acc, t, out=t)
+                    t *= w_par
+            was = np.count_nonzero((at_near < 0.0) | (at_near == POLE), axis=1)
+            fine = np.isfinite(g).all(axis=0) & ~np.array(lost)
+            counts = np.count_nonzero(g < 0.0, axis=0)
+        counts += np.array([0 if got is None else got[1] for got in kept]) - was
+        out = counts.tolist()
+        for i, (patch, ok) in enumerate(zip(self._patches, fine.tolist())):
+            try:
+                for j, x in enumerate(xs):
+                    if not ok[j]:
+                        out[i][j] = self._scalar(patch, x, kept[j])
+            except OverflowError as exc:
+                out[i] = exc
+        return out
+
+    def _scalar(self, patch: dict, x: float, kept) -> int:
+        """The count of ``patch``'s forest at x by `_eval_vertices`: on the
+        root paths over a copy of the kept pass, or over the whole forest
+        where that pass overflowed."""
+        H, T = self._base._H, self._base._T
         if kept is None:
             vals = [0.0] * self.total
-            return sum(_eval_vertices(H, x, plan, vals) for plan in
-                       _patched_plans(self._base._T, self._kappa, None))
+            return sum(_eval_vertices(H, x, plan, vals)
+                       for plan in _patched_plans(T, patch, None))
         vals, c = kept
-        for u in self._near:
-            if _negative(vals[u]):
-                c -= 1
+        c -= sum(_negative(vals[u]) for u in self._near)
         vals = vals.copy()
-        for plan in self._plans:
+        for plan in _patched_plans(T, patch, set(self._near)):
             c += _eval_vertices(H, x, plan, vals)
         return c
+
+
+class _PatchCounter:
+    """The eigenvalue counter of one patch of a `PatchedCount`: ``total``,
+    ``count_below`` and the ``counts_below`` that `nodal.counts_below`
+    reads in one call."""
+
+    def __init__(self, patched: PatchedCount, i: int):
+        self._patched = patched
+        self._i = i
+        self.total = patched.total
+
+    def counts_below(self, xs) -> list:
+        """#{eigenvalues < x} at every threshold of ``xs``."""
+        got = self._patched.counts(xs)[self._i]
+        if isinstance(got, OverflowError):
+            raise got
+        return list(got)
+
+    def count_below(self, x: float) -> int:
+        """#{eigenvalues < x}."""
+        return self.counts_below([x])[0]
 
 
 def _patched_plans(T: RootedTree, kappa: dict, keep) -> list:

@@ -611,6 +611,45 @@ def test_overflowing_spectral_bound_says_so(tmp_path, capsys, p):
         assert captured.err.startswith("numerical failure:"), captured.err
 
 
+#: Valid documents whose arithmetic leaves the float range: the g recursion
+#: overflows in the end pass at -hi (p = 5.04), the p = 2 matrix entry
+#: omega / rho overflows, and a float power overflows inside a count
+#: (p = 1.4202).
+_FLOAT_RANGE_DOCS = {
+    "end pass": ({"p": 5.043237421143029, "vertices": [
+        {"id": 0, "rho": 4.6125967262017454e+29, "kappa": -3.6974533342023734e+191},
+        {"id": 1, "rho": 2.4585657040803394e+218, "kappa": 6.886930462108767e+123}],
+        "edges": [{"u": 0, "v": 1, "omega": 7.590119275661598e+291}]}, []),
+    "p2 matrix": ({"vertices": [{"id": 0, "rho": 1e-300}, {"id": 1}],
+                   "edges": [{"u": 0, "v": 1, "omega": 1e300}]}, ["--p", "2"]),
+    "float power": ({"p": 1.4202, "vertices": [
+        {"id": 0, "rho": 1.2e215, "kappa": 3.0e-49},
+        {"id": 1, "rho": 2.6e24, "kappa": 1.4e36}],
+        "edges": [{"u": 0, "v": 1, "omega": 1.6e109}]}, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_RANGE_DOCS))
+def test_leaving_the_float_range_is_a_numerical_failure(tmp_path, capsys, name):
+    """Each document of _FLOAT_RANGE_DOCS exits 4 on ``spectrum`` and
+    ``check --all`` with one JSON document whose message names the float64
+    range, one stderr line, no traceback and no numpy warning."""
+    doc, extra = _FLOAT_RANGE_DOCS[name]
+    path = write_doc(tmp_path, doc)
+    for argv in (["spectrum", path, *extra], ["check", path, "--all", *extra]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_VIOLATION, argv
+        assert not [w for w in caught if w.category is RuntimeWarning], argv
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1
+        report = json.loads(captured.out)
+        assert report["exit_code"] == EXIT_VIOLATION
+        assert "the float64 range (largest float 1.79769e+308)" in report["error"]
+        assert captured.err.startswith("numerical failure:"), captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_boundary_is_a_capability_limit(tmp_path, capsys):
     """A Dirichlet boundary is never dropped silently: every verb that reads
     a document refuses a non-empty one."""
@@ -665,9 +704,12 @@ def test_check_all_keeps_the_near_tie_verdict(tmp_path, capsys, monkeypatch):
         def __init__(self, H, e0):
             self.H, self.e0 = H, e0
 
-        def after(self, f, signs):
-            H2, step = surgery.remove_edge(self.H, f, self.e0)
-            return step.alpha, treespec.ForestCount(H2)
+        def afters(self, functions, signs):
+            out = []
+            for f in functions:
+                H2, step = surgery.remove_edge(self.H, f, self.e0)
+                out.append((step.alpha, treespec.ForestCount(H2)))
+            return out
 
     monkeypatch.setattr(surgery, "EdgeCut", Rebuilt)
     assert main(argv) == EXIT_VIOLATION
@@ -692,12 +734,49 @@ def test_check_all_reads_each_sign_pattern_once(tmp_path, capsys,
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == out
     assert own == []
-    after = surgery.EdgeCut.after
-    monkeypatch.setattr(surgery.EdgeCut, "after",
-                        lambda self, f, signs: after(self, f))
+    afters = surgery.EdgeCut.afters
+    monkeypatch.setattr(surgery.EdgeCut, "afters",
+                        lambda self, functions, signs: afters(self, functions))
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == out
     assert len(own) > 9
+
+
+def test_check_all_counts_each_cut_edge_in_one_array_pass(tmp_path, capsys,
+                                                         monkeypatch):
+    """On the tree route ``check --all`` counts every removal of one edge
+    in one array pass of `PatchedCount`: one pass and one patched counter
+    per cut edge, one patch per weyl-edge row, and no scalar pass on the
+    removals' root paths."""
+    g = gen_graph("tree", 12, random.Random(0), weighted=True)
+    path = write_doc(tmp_path, graph_document(g))
+    lanes, patches, scalar = [], [], []
+    inner_lanes, inner_init = treespec.PatchedCount._lanes, treespec.PatchedCount.__init__
+
+    def counted_lanes(self, xs):
+        lanes.append(len(xs))
+        return inner_lanes(self, xs)
+
+    def counted_init(self, base, batch):
+        patches.append(len(batch))
+        inner_init(self, base, batch)
+
+    monkeypatch.setattr(treespec.PatchedCount, "_lanes", counted_lanes)
+    monkeypatch.setattr(treespec.PatchedCount, "__init__", counted_init)
+    monkeypatch.setattr(treespec.PatchedCount, "_scalar",
+                        lambda *args: scalar.append(1))
+    for p in ("1.2", "3"):
+        lanes.clear()
+        patches.clear()
+        assert main(["check", path, "--all", "--p", p, "--tol", "1e-2"]) in (
+            EXIT_OK, EXIT_VIOLATION)
+        rows = [row for row in json.loads(capsys.readouterr().out)["checks"]
+                if row["name"] == "weyl-edge"]
+        assert len(patches) == len(g.edges)
+        assert len(lanes) == sum(1 for k in patches if k)
+        assert sum(patches) == len(rows) > 100
+        assert set(lanes) == {2 * len({row["lambda"] for row in rows})}
+    assert scalar == []
 
 
 def test_check_all_dense_route_decomposes_once(tmp_path, capsys, monkeypatch):
@@ -851,9 +930,10 @@ def test_check_all_dense_guard_matches_the_rebuild(tmp_path, capsys,
     """A removal whose patched diagonal entry leaves the float range (the
     compensated potential of vertex 1 is finite, times 1/rho_1 it is not)
     gives the error, exit code and stdout of rebuilding that operator with
-    ``remove_edge`` and assembling it with ``p2_spectrum``. The residuals
-    of this operator reach 2.4e286, within its float64 floor, so the
-    removals are reached at --tol 1e300 only."""
+    ``remove_edge`` and assembling it with ``p2_spectrum``: a numerical
+    failure that names the float64 range, with no numpy warning. The
+    residuals of this operator reach 2.4e286, within its float64 floor, so
+    the removals are reached at --tol 1e300 only."""
     doc = {"p": 2.0,
            "vertices": [{"id": 0, "kappa": 1e292}, {"id": 1, "rho": 1e-3},
                         {"id": 2}],
@@ -866,22 +946,31 @@ def test_check_all_dense_guard_matches_the_rebuild(tmp_path, capsys,
     argv = ["check", path, "--all", "--tol", "1e300"]
     rebuilt = []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert main(argv) == EXIT_INPUT
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == EXIT_VIOLATION
         out = capsys.readouterr().out
-        assert json.loads(out)["error"] == "matrix entries must be finite"
+        assert json.loads(out)["error"] == (
+            "the p = 2 matrix leaves the float64 range "
+            "(largest float 1.79769e+308)")
 
         class Rebuilt:
             def __init__(self, H, m, e0):
                 self.H, self.e0 = H, e0
 
-            def after(self, f, signs):
-                rebuilt.append(self.e0)
-                H2, step = surgery.remove_edge(self.H, f, self.e0)
-                return step.alpha, oracle.p2_spectrum(H2, bases=False)
+            def afters(self, functions, signs):
+                out = []
+                for f in functions:
+                    rebuilt.append(self.e0)
+                    H2, step = surgery.remove_edge(self.H, f, self.e0)
+                    try:
+                        out.append((step.alpha,
+                                    oracle.p2_spectrum(H2, bases=False)))
+                    except ArithmeticError as exc:
+                        out.append(exc)
+                return out
 
         monkeypatch.setattr(surgery, "DenseEdgeCut", Rebuilt)
-        assert main(argv) == EXIT_INPUT
+        assert main(argv) == EXIT_VIOLATION
     assert capsys.readouterr().out == out
     assert rebuilt
 

@@ -166,30 +166,34 @@ def test_verify_weyl_nodes_synthetic():
         verify_weyl_nodes(before, _plain_spectrum([0.5, 1.5]), 1)
 
 
+def _outside_band(g, f, i, j) -> bool:
+    """Whether f is outside its zero band at both dense indices i and j."""
+    s, _band = sign_pattern(g, f)
+    return s[i] != 0 and s[j] != 0
+
+
 def _weyl_verdicts(H):
     """(name, target, verdicts) for every compensated edge removal of every
     eigenpair and every vertex removal: a verdict is (ok, checked), read by
     the counter of the operator after the removal, by its full spectrum
-    and, for an edge, by the after-forest's patched counter."""
+    and, for an edge, by the after-forest's patched counter, which counts
+    all the edge's removals at once."""
     g = H.graph
     spec = tree_eigenpairs(H)
     th = Thresholds(spec)
     out = []
     for i, j, _w in g.edges:
-        cut = EdgeCut(H, (g.ids[i], g.ids[j]))
-        for e in spec.entries:
-            for f in e.basis:
-                s, _band = sign_pattern(g, f)
-                if s[i] == 0 or s[j] == 0:
-                    continue
-                H2, step = remove_edge(H, f, (g.ids[i], g.ids[j]))
-                alpha, after = cut.after(f)
-                assert alpha == step.alpha
-                verdicts = [verify_weyl_edge(th, counter, alpha)
-                            for counter in (ForestCount(H2), tree_spectrum(H2),
-                                            after)]
-                out.append(("edge", (e.value, g.ids[i], g.ids[j]),
-                            [(rep.ok, rep.checked) for rep in verdicts]))
+        pairs = [(e, f) for e in spec.entries for f in e.basis
+                 if _outside_band(g, f, i, j)]
+        afters = EdgeCut(H, (g.ids[i], g.ids[j])).afters([f for _e, f in pairs])
+        for (e, f), (alpha, after) in zip(pairs, afters, strict=True):
+            H2, step = remove_edge(H, f, (g.ids[i], g.ids[j]))
+            assert alpha == step.alpha
+            verdicts = [verify_weyl_edge(th, counter, alpha)
+                        for counter in (ForestCount(H2), tree_spectrum(H2),
+                                        after)]
+            out.append(("edge", (e.value, g.ids[i], g.ids[j]),
+                        [(rep.ok, rep.checked) for rep in verdicts]))
     for u in g.ids:
         H2, _step = remove_node(H, u)
         verdicts = [verify_weyl_nodes(th, counter, 1)
@@ -210,32 +214,31 @@ class _ReadCounts:
 
 
 def _cut_counts_agree(H) -> int:
-    """For every eigenpair and edge, the after-forest's patched counter
-    counts what ``ForestCount`` of ``remove_edge``'s operator counts at
-    every threshold a weyl-edge row reads, and its row equals the one read
-    from those counts, which holds no other threshold. Returns the number
-    of removals compared."""
+    """For every edge, the after-forest's patched counter, asked for all
+    the edge's removals at once, counts what ``ForestCount`` of
+    ``remove_edge``'s operator counts at every threshold a weyl-edge row
+    reads, in one pass for the whole list of thresholds and one threshold
+    at a time, and each row equals the one read from those counts, which
+    holds no other threshold. Returns the number of removals compared."""
     g = H.graph
     spec = tree_eigenpairs(H)
     th = Thresholds(spec)
-    ts = {t for lam in spec.values()
-          for t in (lam - _slack(lam), math.nextafter(lam + _slack(lam), math.inf))}
+    ts = th.below + th.upto
     compared = 0
     for i, j, _w in g.edges:
         e0 = (g.ids[i], g.ids[j])
-        cut = EdgeCut(H, e0)
-        for f in (f for e in spec.entries for f in e.basis):
-            s, _band = sign_pattern(g, f)
-            if s[i] == 0 or s[j] == 0:
-                continue
+        fs = [f for e in spec.entries for f in e.basis if _outside_band(g, f, i, j)]
+        afters = EdgeCut(H, e0).afters(fs)
+        for f, (alpha, after) in zip(fs, afters, strict=True):
             H2, step = remove_edge(H, f, e0)
-            alpha, after = cut.after(f)
             want = ForestCount(H2)
-            counts = {t: want.count_below(t) for t in ts}
-            assert {t: after.count_below(t) for t in ts} == counts, e0
+            counts = [want.count_below(t) for t in ts]
+            assert after.counts_below(ts) == counts, e0
+            assert [after.count_below(t) for t in ts] == counts, e0
             assert alpha == step.alpha
             assert (verify_weyl_edge(th, after, alpha)
-                    == verify_weyl_edge(th, _ReadCounts(counts, g.n), alpha))
+                    == verify_weyl_edge(th, _ReadCounts(dict(zip(ts, counts)), g.n),
+                                        alpha))
             compared += 1
     return compared
 
@@ -294,7 +297,7 @@ def _dense_cuts_agree(H) -> int:
                 continue
             H2, step = remove_edge(H, f, e0)
             alpha, a = cut.matrix(f, s)
-            alpha, after = cut.after(f)
+            ((alpha, after),) = cut.afters([f])
             rebuilt, want = agree(after, H2)
             assert a.tobytes() == rebuilt.tobytes(), e0
             assert alpha == step.alpha
@@ -332,26 +335,41 @@ def _with_kappa(g, kappa: dict):
 def test_patched_counter_counts_poles_and_overflows_as_a_full_pass():
     """A patched counter counts what ``ForestCount`` of the patched forest
     counts where the kept pass holds the pole marker on a patched path (the
-    unit path 0 - 1 - 2 at x = 1, where leaf 2's g is exactly 0), and where
-    the kept pass overflows: a potential of 1e80 overflows phi_inv at
-    p = 1.2, and patched back to 0.5 the whole forest is counted."""
+    unit path 0 - 1 - 2 at x = 1, where leaf 2's g is exactly 0), where a
+    patch puts an exact zero on its own path (potential 0 at x = 1, -0.5
+    at x = 0.5), which the array pass leaves to a scalar pass of that lane,
+    and where the kept pass overflows: a potential of 1e80 overflows
+    phi_inv at p = 1.2, and patched back to 0.5 the whole forest is
+    counted. The counter of a patch to 1e80 raises the OverflowError of
+    its forest's count, on that base and on the finite one, and leaves
+    the other counter's counts standing."""
     unit = gen_graph("path", 3, random.Random(0))
+    xs = [0.5, 1.0, 1.5, 2.0, 3.0]
+    patches = [{2: 0.5}, {2: 0.0}, {2: -0.5}]
     for p in (1.2, 2.0, 3.0):
         counter = ForestCount(Operator(unit, p))
         counter.count_below(1.0)
         assert counter._vals[1] == math.inf  # the pole marker
-        patched = PatchedCount(counter, {2: 0.5})
-        want = ForestCount(Operator(_with_kappa(unit, {2: 0.5}), p))
-        for x in (0.5, 1.0, 1.5, 2.0, 3.0):
-            assert patched.count_below(x) == want.count_below(x), (p, x)
+        patched = PatchedCount(counter, patches)
+        for patch, after in zip(patches, patched.counters, strict=True):
+            want = ForestCount(Operator(_with_kappa(unit, patch), p))
+            assert after.counts_below(xs) == [want.count_below(x) for x in xs]
+            for x in xs:
+                assert after.count_below(x) == want.count_below(x), (p, x)
     g = gen_graph("path", 5, random.Random(0), weighted=True)
     base = ForestCount(Operator(_with_kappa(g, {2: 1e80}), 1.2))
-    patched = PatchedCount(base, {2: 0.5})
-    want = ForestCount(Operator(_with_kappa(g, {2: 0.5}), 1.2))
-    for x in (-1.0, 0.3, 1.0, 2.5, 6.0):
+    xs = [-1.0, 0.3, 1.0, 2.5, 6.0]
+    for x in xs:
         with pytest.raises(OverflowError):
             base.count_below(x)
-        assert patched.count_below(x) == want.count_below(x)
+    want = ForestCount(Operator(_with_kappa(g, {2: 0.5}), 1.2))
+    for base in (base, want):  # the second overflows on the path alone
+        patched, kept = PatchedCount(base, [{2: 0.5}, {2: 1e80}]).counters
+        assert patched.counts_below(xs) == [want.count_below(x) for x in xs]
+        with pytest.raises(OverflowError):
+            kept.counts_below(xs)
+        for x in xs:
+            assert patched.count_below(x) == want.count_below(x)
 
 
 def test_weyl_counts_keep_a_known_failure():

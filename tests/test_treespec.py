@@ -301,6 +301,13 @@ def _hex_passes(got):
     return [([v.hex() for v in vals], c) for vals, c in got]
 
 
+def _not_finite(want) -> list:
+    """Per pass of `_scalar_passes`, whether it wrote a value that is not
+    finite."""
+    return [not all(math.isfinite(float.fromhex(v)) for v in vals)
+            for vals, _c in want]
+
+
 @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
 def test_lockstep_pass_is_the_scalar_pass_to_the_bit(monkeypatch, p):
     """One `_lockstep` pass writes every g list and count that one
@@ -309,8 +316,9 @@ def test_lockstep_pass_is_the_scalar_pass_to_the_bit(monkeypatch, p):
     at random points and exactly at the spectrum's values. Where a
     scalar pass writes a value that is not finite (the pole marker on the
     unit star at lambda = 1, every value at NaN) or raises OverflowError
-    (a potential of 1e200 at p < 2), the lockstep pass returns None, and a
-    round forced through it still gives the scalar lists, counts and
+    (a potential of 1e200 at p < 2), the lockstep pass returns None for
+    that probe alone and the lists and counts of the others, and a round
+    forced through it still gives the scalar lists, counts and
     exception."""
     rng = random.Random(31)
     graphs = [gen_graph(kind, n, random.Random(seed), weighted=True)
@@ -330,12 +338,12 @@ def test_lockstep_pass_is_the_scalar_pass_to_the_bit(monkeypatch, p):
             lanes = treespec._Lanes(plan, size)
             want = _scalar_passes(H, plan, size, xs)
             got = treespec._lockstep(H, lanes, xs)
-            if all(math.isfinite(float.fromhex(v)) for vals, _c in want
-                   for v in vals):
-                assert _hex_passes(got) == want, (g.n, p)
+            assert [col is None for col in got] == _not_finite(want), (g.n, p)
+            if not any(_not_finite(want)):
                 batched += 1
-            else:  # an exact hit on a leaf's zero
-                assert got is None
+            # None where an exact hit on a leaf's zero leaves the pole marker
+            assert _hex_passes(c for c in got if c is not None) == [
+                w for w, bad in zip(want, _not_finite(want)) if not bad]
     assert batched >= len(graphs)
 
     _every_round_batched(monkeypatch)
@@ -356,7 +364,9 @@ def test_lockstep_pass_is_the_scalar_pass_to_the_bit(monkeypatch, p):
                 treespec._passes(H, lanes, xs)
         else:
             if g is not huge:
-                assert treespec._lockstep(H, lanes, xs) is None
+                got = treespec._lockstep(H, lanes, xs)
+                assert [col is None for col in got] == _not_finite(want)
+                assert None in got and any(col is not None for col in got)
             assert _hex_passes(treespec._passes(H, lanes, xs)) == want
 
 
@@ -776,16 +786,15 @@ def _counted_calls(monkeypatch, name: str) -> list:
 
 def _counted_passes(monkeypatch) -> list:
     """A list that gains one entry per counting pass from now on: one per
-    `_eval_vertices` call and one per probe of a `_lockstep` pass that
-    returns lists. A lockstep pass that returns None leaves its probes to
-    `_eval_vertices`, which counts them there."""
+    `_eval_vertices` call and one per probe for which a `_lockstep` pass
+    returns a list. A probe it returns None for is left to
+    `_eval_vertices`, which counts it there."""
     calls = _counted_calls(monkeypatch, "_eval_vertices")
     inner = treespec._lockstep
 
     def counted(H, lanes, xs):
         got = inner(H, lanes, xs)
-        if got is not None:
-            calls.extend([1] * len(xs))
+        calls.extend(1 for col in got if col is not None)
         return got
 
     monkeypatch.setattr(treespec, "_lockstep", counted)
