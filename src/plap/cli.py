@@ -175,8 +175,14 @@ def graph_document(g: WeightedGraph, p=None, function=None) -> dict:
 
 def _emit(obj):
     """The report as one compact JSON line, flushed so that a closed stdout
-    shows up here and not at interpreter exit."""
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    shows up here and not at interpreter exit. JSON has no NaN or Infinity:
+    a report holding one is an ArithmeticError, and nothing is written."""
+    try:
+        text = json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"the report holds a value outside {FLOAT_RANGE}"
+                              f" ({exc})") from None
+    sys.stdout.write(text + "\n")
     sys.stdout.flush()
 
 

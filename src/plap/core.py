@@ -480,7 +480,10 @@ def technical_R(alpha1: float, alpha2: float, beta1: float, beta2: float,
     return lead - diff * phi(diff, p)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _defect(H: Operator, x: np.ndarray, lam: float) -> float:
+    """max |H x - lam rho phi(x)|: inf or NaN, and no warning, where the
+    terms leave the float range."""
     phix = _phi_arr(x, H.p)
     return float(np.maximum.reduce(
         np.abs(_apply_values(H, x, phix) - lam * H.graph.rho * phix)))

@@ -36,7 +36,7 @@ count on the original rooting decides each step, and the halving is then
 replayed, so every value is the float that halving alone returns
 (`_isolated`). Forests that differ from a counted one in the same few
 potentials are counted by re-evaluating only those vertices' root paths,
-all the forests at all the thresholds asked in one array pass
+all the forests at all the thresholds asked in one level pass
 (`PatchedCount`). The vanishing vertices behind an eigenvalue come from
 the sign changes of the g values across a narrow window around it
 (`_window`).
@@ -45,20 +45,21 @@ One count is one pass of `_eval_vertices` over a component's plan, built
 once per rooting: the leaves first, then the inner vertices children-first.
 The pass writes every g value into a list indexed by vertex and counts the
 negative ones as it goes. `_eval_vertices` is the reference, the only pass
-of `ForestCount` and `_window`, and the pass the array passes fall back to
-wherever they meet a value that is not finite.
+of `ForestCount` and `_window`, and the pass the array pass falls back to
+wherever it meets a value that is not finite. `_level_pass` is the one
+array pass: the same float operations one height level at a time on
+arrays of a level's vertices by (patch, threshold) lanes.
 
 `_slice` works a component's intervals in rounds: every open interval
 yields its next probe, and the round counts them all at once, as does the
 first round, the passes at the two ends. Where there are enough probes
-for the shape of the tree, that is one `_lockstep` pass, which runs the
-same float operations one height level at a time on arrays of the level's
-vertices by the probes and gives every list and count float for float;
-the crossover is fixed by the number of probes and the plan's height
-levels and child slots against its size (`_Lanes`). Below it, as on
-paths, whose every vertex is a level of its own, and on small trees, a
-round is one scalar pass per probe, and so is every probe whose column of
-a lockstep pass holds a value that is not finite.
+for the shape of the tree, that is one `_lockstep` pass, one `_level_pass`
+with one lane per probe, which gives every list and count float for
+float; the crossover is fixed by the number of probes and the plan's
+height levels and child slots against its size. Below it, as on paths,
+whose every vertex is a level of its own, and on small trees, a round is
+one scalar pass per probe, and so is every probe whose column of a
+lockstep pass holds a value that is not finite.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,33 +267,49 @@ def _eval_vertices(H: Operator, lam: float, plan, vals: list) -> int:
     return neg
 
 
-class _Lanes:
-    """One component's plan laid out for `_lockstep`: its vertices grouped
-    by height (leaves 0, a parent one above its highest child), each level
-    a block of consecutive rows, and per level the rows of its vertices'
-    k-th children, one child slot at a time.
+def _eval_plans(H: Operator, lam: float, plans, vals: list) -> int:
+    """`_eval_vertices` over every plan of ``plans``, one forest's: the
+    number of its eigenvalues below lam."""
+    neg = 0
+    for plan in plans:
+        neg += _eval_vertices(H, lam, plan, vals)
+    return neg
 
-    Within a level the vertices with more children come first, so slot k
-    covers the level's first m_k rows. ``batch_from`` is the number of
-    probes from which one lockstep pass costs less than that many scalar
-    passes (`_lockstep_pays`); the arrays are built at the first such
-    pass. ``plan`` is the plan, and ``size`` the length of a g list.
+
+class _Lanes:
+    """A plan laid out for `_level_pass`: its vertices grouped by height (0
+    without a child in the plan, else one above its highest child in it),
+    each level a block of consecutive rows, and per level the rows of its
+    vertices' k-th children, one child slot at a time. A child outside the
+    plan (``outside``, (child, weight) pairs) has a row after the plan's n
+    for the term of its given g value. ``order`` lists the plan's vertices
+    by row, ``columns`` their kappa, rho, root marker (1.0 or 0.0) and
+    parent weight. Within a level the vertices with more children come
+    first, so slot k covers the level's first m_k rows, and among as many
+    children the roots come last. ``batch_from`` is the number of probes
+    from which one lockstep pass costs less than that many scalar passes
+    (`_lockstep_pays`); ``size`` is the length of a g list.
     """
 
     def __init__(self, plan, size: int):
         leaves, inner = plan
-        height = {u: 0 for u, *_rest in leaves}
-        for u, *_head, kids in inner:
-            height[u] = 1 + max(height[v] for v, _w in kids)
-        levels = [[] for _ in range(height[inner[-1][0]] + 1 if inner else 1)]
-        for e in leaves:
-            levels[0].append((e, ()))
-        for e in inner:
-            levels[height[e[0]]].append((e, e[5]))
+        height = dict.fromkeys([e[0] for e in leaves], 0)
+        levels = [[(e, ()) for e in leaves]]
+        for e in inner:  # children first: a level at most one above the last
+            h = height[e[0]] = 1 + max(height.get(v, -1) for v, _w in e[5])
+            if h == len(levels):
+                levels.append([])
+            levels[h].append((e, e[5]))
         for level in levels:
-            level.sort(key=lambda entry: -len(entry[1]))
+            if len(level) > 1:
+                level.sort(key=lambda entry: (-len(entry[1]), entry[0][3]))
         self._grouped = levels
-        self._order = [e[0] for level in levels for e, _kids in level]
+        heads = [e for level in levels for e, _kids in level]
+        self.order = [e[0] for e in heads]
+        self.outside = [kid for level in levels for _e, kids in level
+                        for kid in kids if kid[0] not in height]
+        self._w_out = np.array([w for _v, w in self.outside]).reshape(-1, 1)
+        self.columns = np.array([*zip(*heads)][1:5], dtype=float)[..., None, None]
         self.plan = plan
         self.size = size
         self.n = len(height)
@@ -300,32 +318,35 @@ class _Lanes:
 
     @functools.cached_property
     def blocks(self) -> tuple:
-        """Per level: its first and last row + 1, kappa, rho and parent
-        weight as columns, and per child slot (m_k, the children's
-        rows)."""
-        row = {u: i for i, u in enumerate(self._order)}
+        """Per level: its first and last row + 1, the end of its rows up to
+        its last non-root (those add terms), its parent weights, and per
+        child slot (m_k, the children's rows, a slice if consecutive)."""
+        w = self.columns[3]
+        row = dict(zip(self.order, range(self.n)))
+        row.update(zip([v for v, _w in self.outside], itertools.count(self.n)))
         blocks = []
-        start = 0
+        s = 0
         for level in self._grouped:
-            heads = [e for e, _kids in level]
+            e = t = s + len(level)
+            while t > s and level[t - s - 1][0][3]:
+                t -= 1
             slots = []
             for k in range(len(level[0][1])):
-                kids = [kids[k][0] for _e, kids in level if len(kids) > k]
-                slots.append((len(kids), np.array([row[v] for v in kids],
-                                                  dtype=np.intp)))
-            blocks.append((start, start + len(level),
-                           np.array([[e[1]] for e in heads]),
-                           np.array([[e[2]] for e in heads]),
-                           np.array([[e[4]] for e in heads]), tuple(slots)))
-            start += len(level)
+                kids = [row[kids[k][0]] for _head, kids in level if len(kids) > k]
+                m, a = len(kids), kids[0]
+                slots.append((m, slice(a, a + m)
+                              if m == 1 or kids == [*range(a, a + m)]
+                              else np.array(kids, dtype=np.intp)))
+            blocks.append((s, e, t, w[s:e], tuple(slots)))
+            s = e
         return tuple(blocks)
 
     @functools.cached_property
     def rows(self) -> np.ndarray:
         """The row of every dense index below ``size``; the vertices
-        outside the component read row n, which stays zero."""
+        outside the plan read row n, which stays zero."""
         rows = np.full(self.size, self.n, dtype=np.intp)
-        rows[self._order] = np.arange(self.n)
+        rows[self.order] = np.arange(self.n)
         return rows
 
 
@@ -338,55 +359,73 @@ def _lockstep_pays(n: int, levels: int, slots: int) -> int:
     return max(2, math.ceil(fixed / ((1.0 - PROBE_SHARE) * n)))
 
 
-def _lockstep(H: Operator, lanes: _Lanes, xs: list) -> list:
-    """One pass of the g recursion at every probe in ``xs`` at once: per
-    probe, the (g list, count) that `_eval_vertices` gives there, float for
-    float, or None where one of its g values is not finite.
+def _terms(pm1: float, g: np.ndarray, w, out=None, scratch=None) -> np.ndarray:
+    """w * phi(1 - 1/g), a child's term over an edge of weight w, into
+    ``out`` (``scratch`` is overwritten), both new where not given; phi is
+    copysign(float_power(|t|, p - 1), t), the floats of the scalar pass."""
+    t = np.divide(1.0, g, out=out)
+    np.subtract(1.0, t, out=t)
+    a = np.abs(t, out=scratch)
+    np.float_power(a, pm1, out=a)
+    np.copysign(a, t, out=t)
+    t *= w
+    return t
 
-    Every level is one array of its rows by the probes, and every step is
-    the scalar pass's float operation on the whole array: phi and phi_inv
-    as copysign(float_power(|x|, e), x), which is x ** e or -((-x) ** e)
-    in the same floats, and a zero argument, which the scalar pass skips or
-    maps to 1.0, adds a zero or gives 1.0 here too. The children's terms
-    are added one slot at a time, in the plan's order. Each term is
-    computed once, from the child's g and its parent weight, the weight
-    the parent's pass multiplies by. An exact child zero, an overflow or a
-    NaN leaves a value that is not finite in its probe's column, and the
-    None then sends that probe alone to the scalar pass (`_passes`), which
-    writes the pole marker or raises OverflowError.
+
+def _level_pass(H: Operator, lanes: _Lanes, lam: np.ndarray, kappa: np.ndarray,
+                given=None) -> np.ndarray:
+    """The g values of the plan of ``lanes`` in (patch, threshold) lanes, of
+    shape (n + 1, patches, thresholds): one row per vertex and a last row
+    of zeros. The thresholds are ``lam``, ``kappa`` (n, patches, 1) holds
+    each patch's potentials and ``given`` the g values of the children
+    outside the plan, one row each, by threshold.
+
+    Every step is the scalar pass's float operation on a whole array:
+    kappa - rho lam less the roots' 1.0 on every row at once (less 0.0
+    elsewhere, which changes no float), then level by level the children's
+    `_terms` one slot at a time in the plan's order, and phi_inv as
+    copysign(float_power(|x|, e), x). A zero argument, which the scalar
+    pass skips or maps to 1.0, adds a zero or gives 1.0 here too. An exact
+    child zero, an overflow or a NaN leaves a value that is not finite in
+    its lane, where the scalar pass writes the pole marker or raises.
     """
     pm1 = H.p - 1.0
     pinv = 1.0 / pm1
-    lam = np.array(xs)
     n = lanes.n
-    g = np.zeros((n + 1, len(xs)))
-    up = np.empty((n, len(xs)))  # each vertex's term in its parent's sum
-    top = len(lanes.blocks) - 1
+    _kappa, rho, root, _w = lanes.columns
+    g = np.zeros((n + 1, kappa.shape[1], len(lam)))
+    up = np.empty((n + len(lanes.outside), *g.shape[1:]))  # terms by row
+    scratch = np.empty_like(g)
     with np.errstate(all="ignore"):
-        for i, (s, e, kappa, rho, w, slots) in enumerate(lanes.blocks):
-            acc = rho * lam
-            np.subtract(kappa, acc, out=acc)
-            if i == top:  # the root alone: the virtual parent's -1
-                acc -= 1.0
-            for m, kids in slots:
-                acc[:m] += up[kids]
-            np.divide(acc, w, out=acc)
+        if given is not None:
+            up[n:] = _terms(pm1, given, lanes._w_out)[:, None]
+        acc = g[:n]
+        np.multiply(rho, lam, out=acc)
+        np.subtract(kappa, acc, out=acc)
+        acc -= root
+        for s, e, t, w, slots in lanes.blocks:
             y = g[s:e]
-            np.abs(acc, out=y)
-            np.float_power(y, pinv, out=y)
-            np.copysign(y, acc, out=y)
+            for m, kids in slots:
+                y[:m] += up[kids]
+            np.divide(y, w, out=y)
+            a = np.abs(y, out=scratch[:e - s])
+            np.float_power(a, pinv, out=a)
+            np.copysign(a, y, out=y)
             y += 1.0
-            if i < top:
-                t = up[s:e]
-                np.divide(1.0, y, out=t)
-                np.subtract(1.0, t, out=t)
-                np.abs(t, out=acc)
-                np.float_power(acc, pm1, out=acc)
-                np.copysign(acc, t, out=t)
-                t *= w
-        body = g[:n]
-        finite = np.isfinite(body).all(axis=0).tolist()
-        counts = np.count_nonzero(body < 0.0, axis=0).tolist()
+            if t > s:
+                _terms(pm1, y[:t - s], w[:t - s], up[s:t], a[:t - s])
+    return g
+
+
+def _lockstep(H: Operator, lanes: _Lanes, xs: list) -> list:
+    """One `_level_pass` over a component's plan with one lane per probe in
+    ``xs``: per probe, the (g list, count) that `_eval_vertices` gives
+    there, float for float, or None where one of its g values is not
+    finite, which sends that probe alone to the scalar pass (`_passes`)."""
+    g = _level_pass(H, lanes, np.array(xs), lanes.columns[0])[:, 0]
+    body = g[:lanes.n]
+    finite = np.isfinite(body).all(axis=0).tolist()
+    counts = np.count_nonzero(body < 0.0, axis=0).tolist()
     return [(vals, c) if ok else None
             for vals, c, ok in zip(g[lanes.rows].T.tolist(), counts, finite)]
 
@@ -536,6 +575,8 @@ def _bracket(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
         value = yield from _isolated(T, H, order, a, b, ca, at_a, at_b)
         return [(value, 1)], []
     mid = 0.5 * (a + b)
+    if not -POLE < mid < POLE:  # a + b left the float range
+        mid = 0.5 * a + 0.5 * b
     if _located(a, b, mid):
         return [(mid, cb - ca)], []
     at_mid, cm = yield mid
@@ -588,7 +629,9 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
     pass on the original rooting alone decides which end moves. After the
     pick a probe stays a quarter of the final width inside the bracket,
     and it is the midpoint when the bracket did not halve over the last
-    two probes. Once the bracket is narrower than the final width, the
+    two probes or is wider than the largest float; a midpoint whose sum of
+    ends leaves the float range is half of one plus half of the other.
+    Once the bracket is narrower than the final width, the
     halving of (a, b) is replayed: a midpoint outside the bracket takes the
     count of the end it lies beyond, the count being monotone, and only a
     midpoint inside it is evaluated. The replay asks `_located` only once
@@ -607,11 +650,13 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
     while not hi - lo <= (tight := _narrow(lo, hi, SLICE_REL)):
         w = hi - lo
         x = 0.5 * (lo + hi)
+        if not -POLE < x < POLE:  # lo + hi left the float range
+            x = 0.5 * lo + 0.5 * hi
         on_gamma = _straddles(g_lo, g_hi)
         if not (on_gamma or v >= 0 and _straddles(at_lo[v], at_hi[v])):
             # before the pick, or where neither value brackets a zero
             v = _flip_vertex(order, at_lo, at_hi)
-        if w <= 0.5 * w2:
+        if w <= 0.5 * w2 and w < POLE:
             z = math.nan
             if on_gamma:
                 z = _moebius_zero(pts) if len(pts) == 3 else math.nan
@@ -648,8 +693,11 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
     cap = SLICE_REL * max(1.0, abs(a), abs(b))  # no `_narrow` below exceeds it
     while True:
         mid = 0.5 * (a + b)
-        if not (b - a > cap and a < mid < b) and _located(a, b, mid):
-            return mid
+        if not (b - a > cap and a < mid < b):
+            if not -POLE < mid < POLE:  # a + b left the float range
+                mid = 0.5 * a + 0.5 * b
+            if _located(a, b, mid):
+                return mid
         if mid <= lo:
             a = mid
         elif mid >= hi:
@@ -938,8 +986,7 @@ class ForestCount:
         if x not in self._passes:
             vals = [0.0] * self.total
             try:
-                c = sum(_eval_vertices(self._H, x, plan, vals)
-                        for plan in self._T.plans.values())
+                c = _eval_plans(self._H, x, self._T.plans.values(), vals)
             except OverflowError:
                 self._passes[x] = None
             else:
@@ -956,8 +1003,7 @@ class ForestCount:
         one ulp above an eigenvalue a leaf's value can round to exactly 0.0
         and the count then still reads the one below.
         """
-        return sum(_eval_vertices(self._H, x, plan, self._vals)
-                   for plan in self._T.plans.values())
+        return _eval_plans(self._H, x, self._T.plans.values(), self._vals)
 
 
 class PatchedCount:
@@ -967,20 +1013,19 @@ class PatchedCount:
     the same indices. ``counters`` holds one counter per patch, in order.
 
     A vertex's g value depends on its own subtree alone, so the patches
-    move only the g values on the root paths of the patched vertices. The
-    first count asked of any counter evaluates those paths for every patch
-    at every threshold asked, in one array pass of (patch, threshold)
-    lanes, and the counters read it until a count at other thresholds is
-    asked. The pass starts from the g list and count of ``base``'s pass at
-    each threshold, which that counter keeps: it takes off the negatives on
-    the paths and evaluates them in the forest's plan order, with the
-    patched potentials, by the float rules of `_lockstep`. A child off the
-    paths adds the term of its kept g value. That runs the float operations
-    of a full pass on each patched forest, so a count is that of its
-    ``ForestCount``. A lane that holds a value that is not finite is
-    counted by `_eval_vertices` on the paths, and one whose kept pass
-    overflowed on the whole patched forest, which raises where that pass
-    raises; the raising lane's counter then raises the same OverflowError.
+    move only the g values on the root paths of the patched vertices, one
+    plan laid out once (`_Lanes`) whose children off the paths lie outside
+    it. The first count asked of any counter runs one `_level_pass` over
+    it in (patch, threshold) lanes, with the patched potentials and the
+    off-path children's g values in ``base``'s pass at each threshold,
+    which that counter keeps; the counters read it until other thresholds
+    are asked. A count is the kept pass's, less its negatives on the
+    paths, plus the lane's: the float operations of a full pass on the
+    patched forest, so the count of its ``ForestCount``. A lane that holds
+    a value that is not finite is counted by `_eval_vertices` on the
+    paths, and one whose kept pass overflowed on the whole patched forest,
+    which raises where that pass raises; that lane's counter then raises
+    the same OverflowError.
     """
 
     def __init__(self, base: ForestCount, patches: list):
@@ -990,30 +1035,19 @@ class PatchedCount:
             while u != -1 and u not in near:
                 near.add(u)
                 u = T.parent[u]
-        rows = {}
-        steps = []  # per path vertex, children first: see `_lanes`
-        off = []  # (child, weight) of every child off the paths
-        for leaves, inner in T.plans.values():
-            for u, kappa, rho, root, w_par, *kids in (*leaves, *inner):
-                if u not in near:
-                    continue
-                terms = []
-                for v, w in kids[0] if kids else ():
-                    if v in rows:
-                        terms.append((True, rows[v]))
-                    else:
-                        terms.append((False, len(off)))
-                        off.append((v, w))
-                if u in patches[0]:
-                    kappa = np.array([[patch[u]] for patch in patches])
-                rows[u] = len(steps)
-                steps.append((kappa, rho, root, w_par, tuple(terms)))
         self._base = base
         self._patches = patches
-        self._near = tuple(rows)
-        self._steps = steps
-        self._off = off
-        self._w_off = np.array([w for _v, w in off]).reshape(-1, 1)
+        self._near = near
+        if near:
+            plan = [[e for plan in T.plans.values() for e in plan[part]
+                     if e[0] in near] for part in (0, 1)]
+            self._paths = paths = _Lanes(plan, base.total)
+            kappa = paths.columns[0].repeat(len(patches), axis=1)
+            for u in patches[0]:
+                kappa[paths.order.index(u), :, 0] = [patch[u] for patch in patches]
+            self._kappa = kappa
+            self._read = operator.itemgetter(
+                *paths.order, *(v for v, _w in paths.outside))
         self._xs = self._counts = None
         self.total = base.total
         self.counters = tuple(_PatchCounter(self, i) for i in range(len(patches)))
@@ -1027,62 +1061,28 @@ class PatchedCount:
         return self._counts
 
     def _lanes(self, xs: tuple) -> list:
-        """`counts` by one array pass over the root paths (see the class)."""
+        """`counts` by one level pass over the root paths (see the class)."""
         if not xs:
             return [[] for _patch in self._patches]
-        base = self._base
-        H = base._H
-        pm1 = H.p - 1.0
-        pinv = 1.0 / pm1
+        base, paths = self._base, self._paths
+        n = paths.n
         kept = [base._pass(x) for x in xs]
-        lost = [got is None for got in kept]
-        n, m = len(self._near), len(self._off)
-        at_near = np.array([[math.nan] * n if got is None else
-                            [got[0][u] for u in self._near] for got in kept])
-        at_off = np.array([[math.nan] * m if got is None else
-                           [got[0][v] for v, _w in self._off] for got in kept])
-        lam = np.array(xs)
-        shape = (len(self._patches), len(xs))
-        g = np.empty((n, *shape))
-        up = np.empty((n, *shape))  # each path vertex's term in its parent's
-        acc = np.empty(shape)
-        with np.errstate(all="ignore"):
-            t = np.divide(1.0, at_off.T)
-            np.subtract(1.0, t, out=t)
-            off_up = np.copysign(np.float_power(np.abs(t), pm1), t)
-            off_up *= self._w_off
-            for i, (kappa, rho, root, w_par, terms) in enumerate(self._steps):
-                np.subtract(kappa, rho * lam, out=acc)
-                if root:
-                    acc -= 1.0
-                for on_path, j in terms:
-                    acc += up[j] if on_path else off_up[j]
-                np.divide(acc, w_par, out=acc)
-                y = g[i]
-                np.abs(acc, out=y)
-                np.float_power(y, pinv, out=y)
-                np.copysign(y, acc, out=y)
-                y += 1.0
-                if not root:
-                    t = up[i]
-                    np.divide(1.0, y, out=t)
-                    np.subtract(1.0, t, out=t)
-                    np.abs(t, out=acc)
-                    np.float_power(acc, pm1, out=acc)
-                    np.copysign(acc, t, out=t)
-                    t *= w_par
-            was = np.count_nonzero((at_near < 0.0) | (at_near == POLE), axis=1)
-            fine = np.isfinite(g).all(axis=0) & ~np.array(lost)
-            counts = np.count_nonzero(g < 0.0, axis=0)
-        counts += np.array([0 if got is None else got[1] for got in kept]) - was
+        at = np.array([self._read(got[0] if got else [math.nan] * self.total)
+                       for got in kept]).reshape(len(xs), -1).T
+        g = _level_pass(base._H, paths, np.array(xs), self._kappa, at[n:])[:n]
+        was = np.count_nonzero((at[:n] < 0.0) | (at[:n] == POLE), axis=0)
+        counts = np.count_nonzero(g < 0.0, axis=0)
+        counts += np.array([got[1] if got else 0 for got in kept]) - was
         out = counts.tolist()
-        for i, (patch, ok) in enumerate(zip(self._patches, fine.tolist())):
-            try:
-                for j, x in enumerate(xs):
-                    if not ok[j]:
-                        out[i][j] = self._scalar(patch, x, kept[j])
-            except OverflowError as exc:
-                out[i] = exc
+        fine = np.isfinite(g).all(axis=0)
+        if None in kept:
+            fine[:, [j for j, got in enumerate(kept) if got is None]] = False
+        for i, j in [] if fine.all() else np.argwhere(~fine).tolist():
+            if not isinstance(out[i], OverflowError):
+                try:
+                    out[i][j] = self._scalar(self._patches[i], xs[j], kept[j])
+                except OverflowError as exc:
+                    out[i] = exc
         return out
 
     def _scalar(self, patch: dict, x: float, kept) -> int:
@@ -1091,15 +1091,12 @@ class PatchedCount:
         where that pass overflowed."""
         H, T = self._base._H, self._base._T
         if kept is None:
-            vals = [0.0] * self.total
-            return sum(_eval_vertices(H, x, plan, vals)
-                       for plan in _patched_plans(T, patch, None))
+            return _eval_plans(H, x, _patched_plans(T, patch, None),
+                               [0.0] * self.total)
         vals, c = kept
         c -= sum(_negative(vals[u]) for u in self._near)
-        vals = vals.copy()
-        for plan in _patched_plans(T, patch, set(self._near)):
-            c += _eval_vertices(H, x, plan, vals)
-        return c
+        return c + _eval_plans(H, x, _patched_plans(T, patch, self._near),
+                               vals.copy())
 
 
 class _PatchCounter:

@@ -1,6 +1,8 @@
 """Shared builders: the worked 4-vertex example with its closed-form
 spectrum, and seeded random graph corpora."""
 
+import decimal
+
 from plap import oracle, treespec
 from plap.cli import gen_graph
 from plap.core import EigenpairCertificate, WeightedGraph, residual
@@ -106,3 +108,58 @@ def count_eigh(monkeypatch):
 
     monkeypatch.setattr(oracle, "eig_sym", counted)
     return solved
+
+
+def decimal_count(g: WeightedGraph, p: float, lam: float, root: int = 0) -> int:
+    """#{eigenvalues < lam} of the forest operator of ``g`` at exponent p by
+    the g recursion in 50-digit decimal arithmetic, written here from its
+    definition and independent of plap's floats: every component hangs
+    from a virtual parent by a unit edge, from ``root`` in its own and from
+    its smallest vertex in the others, and the count is the number of
+    vertices whose g is negative. The inputs are read exactly. A child's
+    exact zero makes its parent's g a pole, which counts as negative and
+    adds the term of g = infinity, omega, to the grandparent."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        D = decimal.Decimal
+        pm1 = D(p) - 1
+        inv = 1 / pm1
+
+        def phi(x, e):  # sign(x) |x| ** e, through sqrt where e = 1/2
+            m = abs(x)
+            m = m.sqrt() if e == D("0.5") else m ** e if m else m
+            return m if x >= 0 else -m
+
+        adj = [[] for _ in range(g.n)]
+        for u, v, w in g.edges:
+            adj[u].append((v, D(w)))
+            adj[v].append((u, D(w)))
+        lam = D(lam)
+        parent = [None] * g.n
+        count = 0
+        for r in (root, *range(g.n)):
+            if parent[r] is not None:
+                continue
+            parent[r], order, weight = -1, [r], {r: D(1)}
+            for u in order:  # grows while it is read: breadth first
+                for v, w in adj[u]:
+                    if parent[v] is None:
+                        parent[v], weight[v] = u, w
+                        order.append(v)
+            acc = {u: D(float(g.kappa[u])) - D(float(g.rho[u])) * lam
+                   - (1 if u == r else 0) for u in order}
+            pole = set()
+            for u in reversed(order):  # children first
+                if u in pole:
+                    gu = None
+                else:
+                    gu = 1 + phi(acc[u] / weight[u], inv)
+                if gu is None or gu < 0:
+                    count += 1
+                if u == r:
+                    continue
+                if gu == 0:
+                    pole.add(parent[u])
+                else:  # a pole's term is omega phi(1 - 1/inf) = omega
+                    acc[parent[u]] += weight[u] * (1 if gu is None
+                                                   else phi(1 - 1 / gu, pm1))
+        return count

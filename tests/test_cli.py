@@ -650,6 +650,70 @@ def test_leaving_the_float_range_is_a_numerical_failure(tmp_path, capsys, name):
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def _strict_json(text: str):
+    """The JSON document ``text``, refusing NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_eigenvalue_at_the_float_range_edge_is_finite(tmp_path, capsys, n):
+    """A lone vertex with kappa / rho = 1e308 has the one eigenvalue 1e308,
+    and two such joined by a unit edge have it twice, to 1e-300: the
+    bracket (-hi, hi) is wider than the largest float and the last
+    halvings' sums of ends leave the float range, in an isolated bracket
+    and in a halved one, yet ``spectrum`` prints the value, finite, to
+    1e-8."""
+    path = write_doc(tmp_path, {"p": 3, "vertices": [
+        {"id": i, "kappa": 1e300, "rho": 1e-8} for i in range(n)],
+        "edges": [{"u": 0, "v": 1, "omega": 1.0}][:n - 1]})
+    assert main(["spectrum", path]) == EXIT_OK
+    (entry,) = _strict_json(capsys.readouterr().out)["spectrum"]
+    assert entry["mult"] == n
+    assert abs(entry["value"] - 1e308) <= 1e-8 * 1e308, entry
+
+
+def test_an_overflowing_residual_prints_no_warning(tmp_path, capsys):
+    """Where the eigen-equation defect of a reconstructed eigenfunction
+    leaves the float range, ``spectrum --eigenbasis`` and ``check --all``
+    exit 4 with the residual failure, and stderr holds that one line and
+    no numpy warning."""
+    path = write_doc(tmp_path, {"p": 2.5, "vertices": [
+        {"id": 0, "rho": 8.533259224287432e+170, "kappa": -2.8337562362318377e+242},
+        {"id": 1, "rho": 1.010671056369484e+175, "kappa": -5.105370838541263e+65}],
+        "edges": [{"u": 0, "v": 1, "omega": 6.541013967081399e+112}]})
+    for argv in (["spectrum", path, "--eigenbasis"], ["check", path, "--all"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_VIOLATION, argv
+        assert not caught, [str(w.message) for w in caught]
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err, captured.err
+        assert captured.err.startswith(
+            "violated invariant: reconstructed eigenfunction at"), captured.err
+        assert captured.err.count("\n") == 1
+        assert _strict_json(captured.out)["exit_code"] == EXIT_VIOLATION
+
+
+def test_a_report_holding_infinity_is_a_numerical_failure(tmp_path, capsys,
+                                                          monkeypatch):
+    """JSON has no Infinity: a report that would hold one is not printed.
+    The request exits 4 with one JSON document naming the float64 range
+    and one stderr line."""
+    monkeypatch.setattr(cli, "full_spectrum", lambda H, bases=False:
+                        treespec.Spectrum((treespec.SpectrumEntry(math.inf, 4),)))
+    assert main(["spectrum", write_doc(tmp_path, diamond_doc(p=3.0))]) == (
+        EXIT_VIOLATION)
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 1
+    report = _strict_json(captured.out)
+    assert report["exit_code"] == EXIT_VIOLATION
+    assert "the float64 range (largest float 1.79769e+308)" in report["error"]
+    assert captured.err.startswith("numerical failure:"), captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_boundary_is_a_capability_limit(tmp_path, capsys):
     """A Dirichlet boundary is never dropped silently: every verb that reads
     a document refuses a non-empty one."""

@@ -8,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (copy_forest, count_slices, disjoint_union,
-                      random_forest, random_tree)
+from conftest import (copy_forest, count_slices, decimal_count,
+                      disjoint_union, random_forest, random_tree)
 from plap import core, treespec
 from plap.cli import gen_graph
 from plap.core import Operator, WeightedGraph, first_eigenpair, residual
@@ -599,6 +599,35 @@ def bisection_spectrum(H):
                 stack.append((a, mid, ca, cm))
     return [(center.hex(), sum(mults))
             for center, _vals, mults in cluster_tagged(pairs)]
+
+
+#: The (kind, n) of the tree-route benchmark workload's spectrum documents,
+#: pool members 0-2 each: gen_graph(kind, n, random.Random(j), weighted=True).
+TREE_ROUTE_SPECTRA = [("tree", 30), ("tree", 60), ("tree", 90), ("tree", 120),
+                      ("path", 15), ("path", 30), ("path", 45), ("star", 60)]
+
+
+def test_counts_agree_with_a_50_digit_g_recursion():
+    """At p = 3, on the tree-route spectrum documents, the g recursion in
+    50-digit decimal arithmetic (`decimal_count`) counts what
+    ``ForestCount`` and the spectrum count at the midpoint between every
+    two consecutive eigenvalues, and it counts the same under every vertex
+    as the root, one midpoint per root in turn."""
+    for kind, n in TREE_ROUTE_SPECTRA:
+        for j in (0, 1, 2):
+            g = gen_graph(kind, n, random.Random(j), weighted=True)
+            H = Operator(g, 3.0)
+            spec, counter = tree_spectrum(H), ForestCount(H)
+            values = spec.values()
+            mids = [0.5 * (a + b) for a, b in zip(values, values[1:])]
+            for x in mids:
+                want = spec.count_below(x)
+                assert counter.count_below(x) == want, (kind, n, j, x)
+                assert decimal_count(g, 3.0, x) == want, (kind, n, j, x)
+            for r in range(g.n):
+                x = mids[r % len(mids)]
+                assert decimal_count(g, 3.0, x, root=r) == spec.count_below(x), (
+                    kind, n, j, r)
 
 
 def _hex_entries(spec):
