@@ -233,24 +233,25 @@ def _check_route(H: Operator, bases: bool) -> tuple:
     ``full_spectrum``: (its spectrum, with every eigenbasis when ``bases``;
     the cut of an edge e0, whose ``afters(functions, signs)`` gives, per
     function f, alpha and the eigenvalue counter after the compensated
-    removal of e0 under f; the eigenvalue counter after removing a vertex
-    u).
+    removal of e0 under f; a function that gives, vertex by vertex in the
+    graph's order, the eigenvalue counter after removing that vertex, or
+    the error that removal raises).
 
     The tree route cuts with `surgery.EdgeCut` and counts a vertex removal
     with a `treespec.ForestCount` of the smaller forest. The dense route
     assembles one matrix, reads the spectrum from it, and counts every
     removal by the sorted ``eigvalsh`` values of a patched copy of it
-    (`surgery.DenseEdgeCut`, `surgery.dense_without_vertex`,
+    (`surgery.DenseEdgeCut`, `surgery.dense_vertex_removals`,
     `oracle.ValueCount`). Neither route clusters an after-spectrum.
     """
     if _tree_route(H):
         return (full_spectrum(H, bases), lambda e0: surgery_mod.EdgeCut(H, e0),
-                lambda u: treespec.ForestCount(surgery_mod.remove_node(H, u)[0]))
+                lambda: (treespec.ForestCount(surgery_mod.remove_node(H, u)[0])
+                         for u in H.graph.ids))
     m = oracle_mod.assemble_p2(H)
     return (oracle_mod.matrix_spectrum(m, H.graph.rho, bases),
             lambda e0: surgery_mod.DenseEdgeCut(H, m, e0),
-            lambda u: oracle_mod.ValueCount(
-                surgery_mod.dense_without_vertex(H, m, u)))
+            lambda: surgery_mod.dense_vertex_removals(H, m))
 
 
 def _eigenpairs_of(spec: treespec.Spectrum):
@@ -361,7 +362,7 @@ def cmd_check(args) -> int:
     H = Operator(g, p)
     tol = args.tol
     which = args.bounds
-    spec, edge_cut, without_vertex = _check_route(H, args.all)
+    spec, edge_cut, without_vertices = _check_route(H, args.all)
 
     if args.all:
         pairs = _eigenpairs_of(spec)
@@ -413,8 +414,10 @@ def cmd_check(args) -> int:
             rows.append(row)
             ok_all = ok_all and row["pass"]
     if weyl and g.n > 1:
-        for vid in g.ids:
-            rep = surgery_mod.verify_weyl_nodes(thresholds, without_vertex(vid), 1)
+        for vid, after in zip(g.ids, without_vertices()):
+            if isinstance(after, Exception):
+                raise after
+            rep = surgery_mod.verify_weyl_nodes(thresholds, after, 1)
             rows.append({"name": "weyl-node", "vertex": vid, "pass": rep.ok,
                          "checked": rep.checked, "failures": list(rep.failures)})
             ok_all = ok_all and rep.ok

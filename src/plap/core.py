@@ -432,7 +432,8 @@ def residuals(H: Operator, X: np.ndarray, lams) -> np.ndarray:
     phiy = _phi_arr(Y, H.p)
     hy = _apply_values(H, Y, phiy)
     lams = np.asarray(lams, dtype=np.float64)
-    r = np.max(np.abs(hy - lams[:, None] * g.rho * phiy), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        r = np.max(np.abs(hy - lams[:, None] * g.rho * phiy), axis=1)
     bad = np.flatnonzero(~np.isfinite(r))
     if len(bad):
         raise ArithmeticError(
@@ -571,6 +572,7 @@ def _descend(H: Operator, x: np.ndarray, lam: float, tol: float,
     return x, lam, res, used
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _newton_polish(H: Operator, x: np.ndarray, lam: float,
                    tol: float) -> tuple[np.ndarray, float, float]:
     """Quadratic cleanup of an almost-converged eigenpair.
@@ -578,6 +580,9 @@ def _newton_polish(H: Operator, x: np.ndarray, lam: float,
     Newton steps on the square system (eigen-equation, unit p-norm); the
     descent phase bottoms out at a defect around sqrt(machine-eps) because
     quotient differences vanish there, while Newton keeps full resolution.
+    Near the ends of the float range the Jacobian and its equilibration
+    overflow, silently: the solve then fails or gives a step that is not
+    finite, and the polish stops with the best pair it has.
     """
     g = H.graph
     p = H.p
@@ -591,9 +596,8 @@ def _newton_polish(H: Operator, x: np.ndarray, lam: float,
     ends = np.column_stack((g._eu, g._ev)).ravel()
     for _ in range(50):
         absx = np.abs(x)
-        with np.errstate(divide="ignore", over="ignore"):
-            wv = np.minimum(absx ** (p - 2.0), 1e18)
-            we = np.minimum(np.abs(x[g._eu] - x[g._ev]) ** (p - 2.0), 1e18)
+        wv = np.minimum(absx ** (p - 2.0), 1e18)
+        we = np.minimum(np.abs(x[g._eu] - x[g._ev]) ** (p - 2.0), 1e18)
         a = np.zeros((n, n))
         diag = (g.kappa - lam * g.rho) * wv
         a[np.arange(n), np.arange(n)] = diag

@@ -124,6 +124,30 @@ class ValueCount:
         self.values = np.linalg.eigvalsh(a)
         self.total = len(self.values)
 
+    @classmethod
+    def each(cls, arrays: list) -> list:
+        """Per item of ``arrays``, the `ValueCount` of the array, or the
+        item itself where it is the exception that building the array
+        raised. The arrays, all of one shape, go to one ``eigvalsh`` call
+        as a stack, whose values are those of one call per array to the
+        bit; where the stack raises LinAlgError, every array is counted
+        alone and one that raises has its LinAlgError in its place."""
+        built = [a for a in arrays if not isinstance(a, Exception)]
+        try:
+            rows = iter(np.linalg.eigvalsh(np.stack(built)) if built else ())
+        except np.linalg.LinAlgError:
+            return [a if isinstance(a, Exception) else _counted(a) for a in arrays]
+        counts = []
+        for a in arrays:
+            if isinstance(a, Exception):
+                counts.append(a)
+                continue
+            count = cls.__new__(cls)
+            count.values = next(rows)
+            count.total = len(count.values)
+            counts.append(count)
+        return counts
+
     def count_below(self, x: float) -> int:
         """#{values < x}."""
         return int(np.searchsorted(self.values, x))
@@ -131,6 +155,14 @@ class ValueCount:
     def counts_below(self, xs) -> list:
         """`count_below` at every threshold of ``xs``."""
         return np.searchsorted(self.values, xs).tolist()
+
+
+def _counted(a: np.ndarray):
+    """``ValueCount(a)``, or the LinAlgError that raises."""
+    try:
+        return ValueCount(a)
+    except np.linalg.LinAlgError as exc:
+        return exc
 
 
 def _clustered(w, funcs=None) -> Spectrum:

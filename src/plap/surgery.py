@@ -166,7 +166,7 @@ class DenseEdgeCut:
     the pair and rewrites those two entries (`oracle.p2_diagonal`). The
     copy is ``assemble_p2(remove_edge(H, f, e0)[0])``, to the bit, and its
     counter (`oracle.ValueCount`) counts that matrix's ``eigvalsh``
-    values.
+    values, all the copies' from one call (`oracle.ValueCount.each`).
     """
 
     def __init__(self, H: Operator, m: SymmetricMatrix, e0):
@@ -190,15 +190,18 @@ class DenseEdgeCut:
         """Per eigenfunction of ``functions``, (alpha, eigenvalue counter of
         the operator after the removal) as `remove_edge` gives them, or the
         ValueError or ArithmeticError that removal raises, as
-        `EdgeCut.afters` gives them."""
-        out = []
+        `EdgeCut.afters` gives them. Every matrix is built before one
+        stacked ``eigvalsh`` counts them all."""
+        alphas, arrays = [], []
         for f, s in zip(functions, signs or [None] * len(functions)):
             try:
                 alpha, a = self.matrix(f, s)
-                out.append((alpha, ValueCount(a)))
             except (ValueError, ArithmeticError) as exc:
-                out.append(exc)
-        return out
+                alpha = a = exc
+            alphas.append(alpha)
+            arrays.append(a)
+        return [got if isinstance(got, Exception) else (alpha, got)
+                for alpha, got in zip(alphas, ValueCount.each(arrays))]
 
 
 def dense_without_vertex(H: Operator, m: SymmetricMatrix, u0) -> np.ndarray:
@@ -217,6 +220,20 @@ def dense_without_vertex(H: Operator, m: SymmetricMatrix, u0) -> np.ndarray:
         jj = j - (j > iu)
         a[jj, jj] = p2_diagonal(g, j, float(g.kappa[j]) + w, iu)
     return a
+
+
+def dense_vertex_removals(H: Operator, m: SymmetricMatrix) -> list:
+    """Per vertex of the graph, in its order, the eigenvalue counter
+    (`oracle.ValueCount`) of `dense_without_vertex`, or the ValueError or
+    ArithmeticError that removal raises. Every matrix is built before one
+    stacked ``eigvalsh`` counts them all."""
+    arrays = []
+    for u in H.graph.ids:
+        try:
+            arrays.append(dense_without_vertex(H, m, u))
+        except (ValueError, ArithmeticError) as exc:
+            arrays.append(exc)
+    return ValueCount.each(arrays)
 
 
 def remove_node(H: Operator, u0) -> tuple[Operator, SurgeryStep]:

@@ -28,9 +28,13 @@ eigenvalues and which has no pole near this one: the zero of the Moebius
 map through its last three values, else regula falsi. That entry is found
 from the vertex v where the count rises, the one vertex whose sign differs
 between the interval's two kept lists: dividing down v's subtree by the g
-values rebuilds the eigenfunction there (`_largest_entry`). Only where no
-such single vertex exists does a top-down pass over every re-rooted g pick
-it (`_steering`); where the re-rooted g does not bracket a zero, the probe
+values rebuilds the eigenfunction there (`_largest_entry`). An interval
+with no such single vertex keeps probing until it is SECANT_REL of its
+value wide, by when it mostly has one; only where it still has none, mostly
+on paths, does a top-down pass over every re-rooted g pick the entry
+(`_steering`). A narrower SECANT_REL trades that pass for more probes, and
+at 1e-6 path 45 at p = 1.2 takes more passes than the tests allow (see
+SECANT_REL). Where the re-rooted g does not bracket a zero, the probe
 is regula falsi on g_v, and where g_v does not either, the midpoint. The
 count on the original rooting decides each step, and the halving is then
 replayed, so every value is the float that halving alone returns
@@ -90,8 +94,15 @@ WINDOW_REL = 1e-10
 SLICE_REL = 1e-13
 
 #: Relative width below which `_isolated`, finding no single vertex where
-#: the count rises, picks the vertex it steers on with `_steering`.
-SECANT_REL = 1e-2
+#: the count rises, picks the vertex it steers on with `_steering`. Until
+#: then it halves, and a narrower bracket mostly has a single flip vertex,
+#: so the division walk picks instead. On the benchmark's tree spectra
+#: `_steering` runs for about 0.06 of the eigenvalues of trees and 0.28 of
+#: paths at 1e-3, against 0.27 and 0.43 at 1e-2, and spectra take less
+#: time; 3e-3 to 1e-4 are no faster, and lower values add probes: at 1e-6
+#: path 45 at p = 1.2 takes 16.2 counting passes per eigenvalue, over the
+#: 15.1 the tests allow.
+SECANT_REL = 1e-3
 
 #: `_rerooted_g` reads a vertex's accumulator back from its g only where
 #: |g - 1| exceeds this; nearer 1 the read-back loses too many digits.
@@ -612,7 +623,12 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
     where the eigenfunction lives below v. Where that walk meets a g of
     exactly 0.0 or leaves the float range, `_steering` picks u* at the same
     probe; where no single v exists, it picks at the first probe inside
-    the relative width SECANT_REL. From the pick on every pass also gives
+    the relative width SECANT_REL. Until then the bracket is halved, and a
+    single v mostly appears on the way, so `_steering` runs only where
+    waiting did not give one, mostly on paths; a narrower SECANT_REL pays
+    for fewer `_steering` calls with more probes, at 1e-6 more than the
+    tests allow on path 45 at p = 1.2 (see SECANT_REL). From the pick on
+    every pass also gives
     u*'s re-rooted g, gamma (`_rerooted_g`), and the kept lists give it at
     the two ends: it falls through zero at the eigenvalue and has no pole
     near it.
@@ -977,21 +993,16 @@ class ForestCount:
         self._T = RootedTree(H.graph)
         self.total = H.graph.n
         self._vals = [0.0] * self.total  # g values, rewritten by every count
-        self._passes = {}  # x -> (g list, count) or None: see `_pass`
 
     def _pass(self, x: float):
-        """(g list, count) of one pass at x over the whole forest, kept for
-        every later call, which `PatchedCount` patches; None when the pass
-        overflows."""
-        if x not in self._passes:
-            vals = [0.0] * self.total
-            try:
-                c = _eval_plans(self._H, x, self._T.plans.values(), vals)
-            except OverflowError:
-                self._passes[x] = None
-            else:
-                self._passes[x] = (vals, c)
-        return self._passes[x]
+        """(new g list, count) of one pass at x over the whole forest, which
+        `PatchedCount` patches; None when the pass overflows."""
+        vals = [0.0] * self.total
+        try:
+            c = _eval_plans(self._H, x, self._T.plans.values(), vals)
+        except OverflowError:
+            return None
+        return vals, c
 
     def count_below(self, x: float) -> int:
         """#{eigenvalues < x}, with multiplicity.
@@ -1017,13 +1028,13 @@ class PatchedCount:
     plan laid out once (`_Lanes`) whose children off the paths lie outside
     it. The first count asked of any counter runs one `_level_pass` over
     it in (patch, threshold) lanes, with the patched potentials and the
-    off-path children's g values in ``base``'s pass at each threshold,
-    which that counter keeps; the counters read it until other thresholds
-    are asked. A count is the kept pass's, less its negatives on the
-    paths, plus the lane's: the float operations of a full pass on the
-    patched forest, so the count of its ``ForestCount``. A lane that holds
-    a value that is not finite is counted by `_eval_vertices` on the
-    paths, and one whose kept pass overflowed on the whole patched forest,
+    off-path children's g values in one pass of ``base`` at each
+    threshold; the counters read its counts until other thresholds are
+    asked. A count is the base pass's, less its negatives on the paths,
+    plus the lane's: the float operations of a full pass on the patched
+    forest, so the count of its ``ForestCount``. A lane that holds a value
+    that is not finite is counted by `_eval_vertices` on the paths, and
+    one whose base pass overflowed on the whole patched forest,
     which raises where that pass raises; that lane's counter then raises
     the same OverflowError.
     """

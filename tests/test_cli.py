@@ -164,6 +164,49 @@ def test_every_document_gets_an_exit_code(doc, argv):
         assert code == EXIT_OK or report["all_pass"] is False
 
 
+@st.composite
+def _extreme_documents(draw):
+    """A graph document of one to four vertices whose rho, omega and
+    |kappa| are log-uniform in 1e-300 ... 1e300, kappa of either sign, at
+    an exponent p in [1.001, 10]."""
+    def scale():
+        return 10.0 ** draw(st.floats(-300.0, 300.0))
+
+    n = draw(st.integers(1, 4))
+    return {"p": draw(st.floats(1.001, 10.0)),
+            "vertices": [{"id": i, "rho": scale(),
+                          "kappa": draw(st.sampled_from([-1.0, 1.0])) * scale()}
+                         for i in range(n)],
+            "edges": [{"u": i, "v": j, "omega": scale()}
+                      for i in range(n) for j in range(i + 1, n)
+                      if draw(st.booleans())]}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(doc=_extreme_documents(),
+       argv=st.sampled_from([["spectrum", "-"], ["spectrum", "-", "--eigenbasis"],
+                             ["check", "-", "--all"]]))
+def test_extreme_scales_get_an_exit_code_and_no_warning(doc, argv):
+    """Documents whose weights span the float range end, on ``spectrum``,
+    ``spectrum --eigenbasis`` and ``check --all``, in a documented exit
+    code with one strict JSON document on stdout (no NaN or Infinity), and
+    no numpy warning is raised or printed on the way."""
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_CAPABILITY, EXIT_VIOLATION)
+    _strict_json(out.getvalue())
+    assert not caught, [str(w.message) for w in caught]
+    assert "Warning" not in err.getvalue(), err.getvalue()
+
+
 def test_usage_errors_print_one_json_document(capsys):
     """argparse's usage errors follow the same contract: exit 2, the usage
     message on stderr, and one JSON document on stdout."""
@@ -696,6 +739,27 @@ def test_an_overflowing_residual_prints_no_warning(tmp_path, capsys):
         assert _strict_json(captured.out)["exit_code"] == EXIT_VIOLATION
 
 
+def test_an_overflowing_newton_polish_prints_no_warning(tmp_path, capsys):
+    """Where the Newton polish of a reconstructed eigenfunction assembles a
+    Jacobian outside the float range, ``spectrum --eigenbasis`` and
+    ``check --all`` exit 4 with one JSON document on stdout, and no numpy
+    warning is raised or printed."""
+    path = write_doc(tmp_path, {"p": 1.9813, "vertices": [
+        {"id": 0, "rho": 3.5131768087927935e+172, "kappa": 8.478042158964898e+64},
+        {"id": 1, "rho": 2.6030398888722223e+198, "kappa": 1.803926226060218e-234},
+        {"id": 2, "rho": 6.43924842023688e-86, "kappa": -2.1145319369811585e+22}],
+        "edges": [{"u": 1, "v": 0, "omega": 4.5902347272794584e+100},
+                  {"u": 2, "v": 1, "omega": 5.253050818483572e-149}]})
+    for argv in (["spectrum", path, "--eigenbasis"], ["check", path, "--all"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == EXIT_VIOLATION, argv
+        assert not caught, [str(w.message) for w in caught]
+        captured = capsys.readouterr()
+        assert "Warning" not in captured.err, captured.err
+        assert _strict_json(captured.out)["exit_code"] == EXIT_VIOLATION
+
+
 def test_a_report_holding_infinity_is_a_numerical_failure(tmp_path, capsys,
                                                           monkeypatch):
     """JSON has no Infinity: a report that would hold one is not printed.
@@ -910,13 +974,6 @@ def test_check_all_rejects_a_document_function(tmp_path, capsys, monkeypatch):
     del doc["function"]
     assert main(["check", write_doc(tmp_path, doc, "plain.json"), "--all"]) == EXIT_OK
     capsys.readouterr()
-
-
-def _strict_json(text: str):
-    """``json.loads`` that rejects NaN, Infinity and -Infinity."""
-    def reject(name):
-        raise ValueError(f"{name} is not JSON")
-    return json.loads(text, parse_constant=reject)
 
 
 def test_every_verb_prints_strict_json_at_a_huge_potential(tmp_path, capsys):

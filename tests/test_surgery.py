@@ -24,6 +24,7 @@ from plap.surgery import (
     DenseEdgeCut,
     EdgeCut,
     SurgeryStep,
+    dense_vertex_removals,
     dense_without_vertex,
     reduce_to_forest,
     reduce_to_nodal_union,
@@ -323,6 +324,71 @@ def test_dense_cuts_agree_with_rebuilt_operators():
         gen_graph(kind, n, random.Random(n), weighted=True), 2.0))
         for kind in ("graph", "cycle", "tree") for n in (6, 11, 16))
     assert compared > 1000
+
+
+def _counted_eigvalsh(monkeypatch) -> tuple:
+    """(a list that gains the shape of every array ``numpy.linalg.eigvalsh``
+    is called on from now on, the unpatched function)."""
+    shapes, inner = [], np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes, inner
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_dense_removals_are_counted_in_one_stacked_eigvalsh(monkeypatch, n):
+    """At p = 2 on ``gen graph n`` (n = 8, 10, 12), `DenseEdgeCut.afters`
+    counts every removal of a cut edge with one ``eigvalsh`` call, and
+    `dense_vertex_removals` every vertex removal with one; each counter's
+    values are the bytes of ``eigvalsh`` on the rebuilt operator's matrix
+    alone."""
+    H = Operator(gen_graph("graph", n, random.Random(n), weighted=True), 2.0)
+    g, m = H.graph, assemble_p2(H)
+    functions = [f for e in p2_spectrum(H).entries for f in e.basis]
+    shapes, eigvalsh = _counted_eigvalsh(monkeypatch)
+    for i, j, _w in g.edges:
+        e0 = (g.ids[i], g.ids[j])
+        kept = [f for f in functions if _outside_band(g, f, i, j)]
+        shapes.clear()
+        afters = DenseEdgeCut(H, m, e0).afters(kept)
+        assert shapes == [(len(kept), n, n)], e0
+        for f, (alpha, after) in zip(kept, afters, strict=True):
+            H2, step = remove_edge(H, f, e0)
+            want = eigvalsh(assemble_p2(H2).data)
+            assert alpha == step.alpha
+            assert after.values.tobytes() == want.tobytes(), e0
+    shapes.clear()
+    afters = dense_vertex_removals(H, m)
+    assert shapes == [(n, n - 1, n - 1)]
+    for u, after in zip(g.ids, afters, strict=True):
+        want = eigvalsh(assemble_p2(remove_node(H, u)[0]).data)
+        assert after.values.tobytes() == want.tobytes(), u
+
+
+def test_value_counts_keep_each_error_in_its_place(monkeypatch):
+    """`ValueCount.each` passes a build error through in its place, and
+    where the stacked ``eigvalsh`` raises LinAlgError, counts each array
+    alone: only the array that raises has its LinAlgError."""
+    inner = np.linalg.eigvalsh
+    bad = np.diag([1.0, 7.0])
+
+    def fails_on_bad(a, *args, **kwargs):
+        if np.any(np.all(np.asarray(a) == bad, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails_on_bad)
+    built = ArithmeticError("the p = 2 matrix leaves the float range")
+    got = ValueCount.each([np.eye(2), built, bad, 2.0 * np.eye(2)])
+    assert got[1] is built
+    assert isinstance(got[2], np.linalg.LinAlgError)
+    assert got[0].values.tolist() == [1.0, 1.0] and got[0].total == 2
+    assert got[3].counts_below([2.0, 2.5]) == [0, 2]
+    assert ValueCount.each([built]) == [built] and ValueCount.each([]) == []
 
 
 def _with_kappa(g, kappa: dict):

@@ -874,6 +874,24 @@ def test_isolated_eigenvalues_steer_where_the_root_is_small(monkeypatch, kind,
             seed, len(steered) / spec.total)
 
 
+def test_trees_steer_only_where_narrowing_finds_no_flip_vertex(monkeypatch):
+    """On ``gen tree 120 --weighted`` at p = 1.2, pool members 0-2,
+    `_isolated` waits until its bracket is SECANT_REL wide before it
+    steers, by when the division walk picks u* for most eigenvalues:
+    `_steering` runs for at most 0.12 of them, about 10 % above the most a
+    member takes (0.108; 0.35-0.375 with SECANT_REL at 1e-2), and the
+    values are still the reference bisection's floats."""
+    steered = _counted_calls(monkeypatch, "_steering")
+    for seed in (0, 1, 2):
+        H = Operator(gen_graph("tree", 120, random.Random(seed), weighted=True),
+                     1.2)
+        want = bisection_spectrum(H)
+        steered.clear()
+        spec = tree_spectrum(H)
+        assert _hex_entries(spec) == want, seed
+        assert len(steered) <= 0.12 * spec.total, (seed, len(steered) / spec.total)
+
+
 def test_isolated_falls_back_to_regula_falsi_on_gamma(monkeypatch):
     """Where the Moebius zero is NaN, each probe on the re-rooted g is the
     regula falsi point on its values at the bracket's ends, and the values
