@@ -593,6 +593,16 @@ def tolerance(text: str) -> float:
     return tol
 
 
+def finite(text: str) -> float:
+    """``--lambda``: a finite float of either sign. NaN or inf, and a
+    literal past the float range, leave no eigen-equation defect to
+    measure."""
+    lam = float(text)
+    if not math.isfinite(lam):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return lam
+
+
 def _add_common(sp, with_p: bool = True, with_tol: bool = False):
     sp.add_argument("file", help="graph document: a JSON path, or - for stdin")
     if with_p:
@@ -625,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="verify bounds for certified eigenpairs")
     _add_common(sp, with_tol=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None,
+    sp.add_argument("--lambda", dest="lam", type=finite, default=None,
                     help="eigenvalue to certify")
     sp.add_argument("--function", default=None,
                     help="inline JSON eigenfunction")
@@ -643,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="vertex to remove (repeatable, applied after edges)")
     sp.add_argument("--function", default=None,
                     help="inline JSON eigenfunction")
-    sp.add_argument("--lambda", dest="lam", type=float, default=None,
+    sp.add_argument("--lambda", dest="lam", type=finite, default=None,
                     help="eigenvalue, for the residual report")
     sp.set_defaults(func=cmd_surgery)
 

@@ -120,8 +120,8 @@ class EdgeCut:
     before the removal, in the vertex order and rooting of the operator
     ``remove_edge`` builds. A removal only adds to the two endpoint
     potentials, so the removals under all the eigenfunctions are counted
-    as patches of those two potentials (`treespec.PatchedCount`), in one
-    pass per set of thresholds, and each counts what
+    as patches of those two potentials (`treespec.PatchedCount`), in two
+    level passes per set of thresholds, and each counts what
     ``ForestCount(remove_edge(H, f, e0)[0])`` counts, to the bit.
     """
 

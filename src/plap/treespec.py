@@ -39,19 +39,20 @@ is regula falsi on g_v, and where g_v does not either, the midpoint. The
 count on the original rooting decides each step, and the halving is then
 replayed, so every value is the float that halving alone returns
 (`_isolated`). Forests that differ from a counted one in the same few
-potentials are counted by re-evaluating only those vertices' root paths,
-all the forests at all the thresholds asked in one level pass
-(`PatchedCount`). The vanishing vertices behind an eigenvalue come from
-the sign changes of the g values across a narrow window around it
-(`_window`).
+potentials are counted at all the thresholds asked by two level passes:
+one over the whole unpatched forest, then one that re-evaluates only
+those vertices' root paths for all the forests at once (`PatchedCount`).
+The vanishing vertices behind an eigenvalue come from the sign changes of
+the g values across a narrow window around it (`_window`).
 
 One count is one pass of `_eval_vertices` over a component's plan, built
 once per rooting: the leaves first, then the inner vertices children-first.
 The pass writes every g value into a list indexed by vertex and counts the
-negative ones as it goes. `_eval_vertices` is the reference, the only pass
-of `ForestCount` and `_window`, and the pass the array pass falls back to
-wherever it meets a value that is not finite. `_level_pass` is the one
-array pass: the same float operations one height level at a time on
+negative ones as it goes. `_eval_vertices` is the reference: the only pass
+of `ForestCount.count_below` and `_window`, and the pass the array passes
+fall back to wherever they meet a value that is not finite. `_level_pass`
+is the one array pass, of `_lockstep` and of both passes of
+`PatchedCount`: the same float operations one height level at a time on
 arrays of a level's vertices by (patch, threshold) lanes.
 
 `_slice` works a component's intervals in rounds: every open interval
@@ -73,7 +74,6 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,10 +157,9 @@ class RootedTree:
     for its own component, otherwise the component's smallest dense index;
     a root has parent -1. Exposes parent/children arrays over the graph's
     dense indices, each vertex's parent edge weight, one children-first
-    order per component (``components``, ordered by smallest vertex) and
-    their concatenation (``order``), and the potentials and masses as lists
-    (``kappa``, ``rho``). The spectral output downstream does not depend on
-    the roots.
+    order per component (``components``, ordered by smallest vertex), and
+    the potentials and masses as lists (``kappa``, ``rho``). The spectral
+    output downstream does not depend on the roots.
 
     ``plans`` maps each component's order, in the order of ``components``,
     to what one evaluation of g walks (`_eval_vertices`): the leaves, each
@@ -197,7 +196,6 @@ class RootedTree:
         self.parent_w = parent_w
         self.children = tuple(tuple(c) for c in children)
         self.components = tuple(components)
-        self.order = tuple(u for comp in components for u in comp)
         self.rho = rho = graph.rho.tolist()
         self.kappa = kappa = graph.kappa.tolist()
         self.plans = {}
@@ -994,16 +992,6 @@ class ForestCount:
         self.total = H.graph.n
         self._vals = [0.0] * self.total  # g values, rewritten by every count
 
-    def _pass(self, x: float):
-        """(new g list, count) of one pass at x over the whole forest, which
-        `PatchedCount` patches; None when the pass overflows."""
-        vals = [0.0] * self.total
-        try:
-            c = _eval_plans(self._H, x, self._T.plans.values(), vals)
-        except OverflowError:
-            return None
-        return vals, c
-
     def count_below(self, x: float) -> int:
         """#{eigenvalues < x}, with multiplicity.
 
@@ -1024,19 +1012,20 @@ class PatchedCount:
     the same indices. ``counters`` holds one counter per patch, in order.
 
     A vertex's g value depends on its own subtree alone, so the patches
-    move only the g values on the root paths of the patched vertices, one
-    plan laid out once (`_Lanes`) whose children off the paths lie outside
-    it. The first count asked of any counter runs one `_level_pass` over
-    it in (patch, threshold) lanes, with the patched potentials and the
-    off-path children's g values in one pass of ``base`` at each
-    threshold; the counters read its counts until other thresholds are
-    asked. A count is the base pass's, less its negatives on the paths,
-    plus the lane's: the float operations of a full pass on the patched
-    forest, so the count of its ``ForestCount``. A lane that holds a value
-    that is not finite is counted by `_eval_vertices` on the paths, and
-    one whose base pass overflowed on the whole patched forest,
-    which raises where that pass raises; that lane's counter then raises
-    the same OverflowError.
+    move only the g values on the root paths of the patched vertices. The
+    first count asked of any counter runs two level passes at every
+    threshold asked (`_level_pass`): one over the whole base forest, one
+    lane per threshold, and one over the patched root paths, one plan laid
+    out once (`_Lanes`) in (patch, threshold) lanes, with the patched
+    potentials and the g values of the children off the paths read from
+    the first pass. The counters read those counts until other thresholds
+    are asked. A count is the base pass's, less its negatives on the
+    paths, plus the lane's: the float operations of a full pass on the
+    patched forest, so the count of its ``ForestCount``. A lane whose base
+    or patched column holds a value that is not finite is counted by
+    `_eval_vertices` over the whole patched forest, the reference, which
+    raises where that forest's count raises; that lane's counter then
+    raises the same OverflowError.
     """
 
     def __init__(self, base: ForestCount, patches: list):
@@ -1048,17 +1037,18 @@ class PatchedCount:
                 u = T.parent[u]
         self._base = base
         self._patches = patches
-        self._near = near
         if near:
-            plan = [[e for plan in T.plans.values() for e in plan[part]
-                     if e[0] in near] for part in (0, 1)]
-            self._paths = paths = _Lanes(plan, base.total)
+            whole = [[e for plan in T.plans.values() for e in plan[part]]
+                     for part in (0, 1)]
+            self._forest = forest = _Lanes(whole, base.total)
+            self._paths = paths = _Lanes([[e for e in part if e[0] in near]
+                                          for part in whole], base.total)
             kappa = paths.columns[0].repeat(len(patches), axis=1)
             for u in patches[0]:
                 kappa[paths.order.index(u), :, 0] = [patch[u] for patch in patches]
             self._kappa = kappa
-            self._read = operator.itemgetter(
-                *paths.order, *(v for v, _w in paths.outside))
+            self._at = forest.rows[[*paths.order,
+                                    *(v for v, _w in paths.outside)]]
         self._xs = self._counts = None
         self.total = base.total
         self.counters = tuple(_PatchCounter(self, i) for i in range(len(patches)))
@@ -1072,42 +1062,35 @@ class PatchedCount:
         return self._counts
 
     def _lanes(self, xs: tuple) -> list:
-        """`counts` by one level pass over the root paths (see the class)."""
+        """`counts` by a level pass over the base forest and one over the
+        root paths (see the class)."""
         if not xs:
             return [[] for _patch in self._patches]
-        base, paths = self._base, self._paths
+        H, forest, paths = self._base._H, self._forest, self._paths
         n = paths.n
-        kept = [base._pass(x) for x in xs]
-        at = np.array([self._read(got[0] if got else [math.nan] * self.total)
-                       for got in kept]).reshape(len(xs), -1).T
-        g = _level_pass(base._H, paths, np.array(xs), self._kappa, at[n:])[:n]
-        was = np.count_nonzero((at[:n] < 0.0) | (at[:n] == POLE), axis=0)
+        lam = np.array(xs)
+        base = _level_pass(H, forest, lam, forest.columns[0])[:forest.n, 0]
+        at = base[self._at]
+        g = _level_pass(H, paths, lam, self._kappa, at[n:])[:n]
         counts = np.count_nonzero(g < 0.0, axis=0)
-        counts += np.array([got[1] if got else 0 for got in kept]) - was
+        counts += (np.count_nonzero(base < 0.0, axis=0)
+                   - np.count_nonzero(at[:n] < 0.0, axis=0))
         out = counts.tolist()
-        fine = np.isfinite(g).all(axis=0)
-        if None in kept:
-            fine[:, [j for j, got in enumerate(kept) if got is None]] = False
+        fine = np.isfinite(g).all(axis=0) & np.isfinite(base).all(axis=0)
         for i, j in [] if fine.all() else np.argwhere(~fine).tolist():
             if not isinstance(out[i], OverflowError):
                 try:
-                    out[i][j] = self._scalar(self._patches[i], xs[j], kept[j])
+                    out[i][j] = self._scalar(self._patches[i], xs[j])
                 except OverflowError as exc:
                     out[i] = exc
         return out
 
-    def _scalar(self, patch: dict, x: float, kept) -> int:
-        """The count of ``patch``'s forest at x by `_eval_vertices`: on the
-        root paths over a copy of the kept pass, or over the whole forest
-        where that pass overflowed."""
-        H, T = self._base._H, self._base._T
-        if kept is None:
-            return _eval_plans(H, x, _patched_plans(T, patch, None),
-                               [0.0] * self.total)
-        vals, c = kept
-        c -= sum(_negative(vals[u]) for u in self._near)
-        return c + _eval_plans(H, x, _patched_plans(T, patch, self._near),
-                               vals.copy())
+    def _scalar(self, patch: dict, x: float) -> int:
+        """The count of ``patch``'s forest at x by `_eval_vertices` over the
+        whole forest."""
+        base = self._base
+        return _eval_plans(base._H, x, _patched_plans(base._T, patch),
+                           [0.0] * self.total)
 
 
 class _PatchCounter:
@@ -1132,17 +1115,13 @@ class _PatchCounter:
         return self.counts_below([x])[0]
 
 
-def _patched_plans(T: RootedTree, kappa: dict, keep) -> list:
-    """T's plans with kappa[u] as the potential of every u in ``kappa``,
-    restricted to the vertices in ``keep`` (all when None); a plan left
-    empty is dropped."""
+def _patched_plans(T: RootedTree, kappa: dict) -> list:
+    """T's plans with kappa[u] as the potential of every u in ``kappa``."""
     def entry(e):
         return (e[0], kappa[e[0]], *e[2:]) if e[0] in kappa else e
 
-    plans = [tuple(tuple(entry(e) for e in part if keep is None or e[0] in keep)
-                   for part in plan)
-             for plan in T.plans.values()]
-    return [plan for plan in plans if any(plan)]
+    return [tuple(tuple(entry(e) for e in part) for part in plan)
+            for plan in T.plans.values()]
 
 
 def _clusters(T: RootedTree, H: Operator) -> list:

@@ -165,32 +165,48 @@ def test_every_document_gets_an_exit_code(doc, argv):
 
 
 @st.composite
-def _extreme_documents(draw):
+def _extreme_documents(draw, function: bool = False):
     """A graph document of one to four vertices whose rho, omega and
     |kappa| are log-uniform in 1e-300 ... 1e300, kappa of either sign, at
-    an exponent p in [1.001, 10]."""
+    an exponent p in [1.001, 10]; with ``function``, it carries a
+    ``"function"`` whose entries are log-uniform of either sign too."""
     def scale():
         return 10.0 ** draw(st.floats(-300.0, 300.0))
 
+    def signed():
+        return draw(st.sampled_from([-1.0, 1.0])) * scale()
+
     n = draw(st.integers(1, 4))
-    return {"p": draw(st.floats(1.001, 10.0)),
-            "vertices": [{"id": i, "rho": scale(),
-                          "kappa": draw(st.sampled_from([-1.0, 1.0])) * scale()}
-                         for i in range(n)],
-            "edges": [{"u": i, "v": j, "omega": scale()}
-                      for i in range(n) for j in range(i + 1, n)
-                      if draw(st.booleans())]}
+    doc = {"p": draw(st.floats(1.001, 10.0)),
+           "vertices": [{"id": i, "rho": scale(), "kappa": signed()}
+                        for i in range(n)],
+           "edges": [{"u": i, "v": j, "omega": scale()}
+                     for i in range(n) for j in range(i + 1, n)
+                     if draw(st.booleans())]}
+    if function:
+        doc["function"] = {str(i): signed() for i in range(n)}
+    return doc
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(doc=_extreme_documents(),
-       argv=st.sampled_from([["spectrum", "-"], ["spectrum", "-", "--eigenbasis"],
-                             ["check", "-", "--all"]]))
-def test_extreme_scales_get_an_exit_code_and_no_warning(doc, argv):
-    """Documents whose weights span the float range end, on ``spectrum``,
-    ``spectrum --eigenbasis`` and ``check --all``, in a documented exit
-    code with one strict JSON document on stdout (no NaN or Infinity), and
-    no numpy warning is raised or printed on the way."""
+#: (argv, whether the document carries a function): ``check --all``
+#: rejects a document function, and the verbs after it need one.
+_EXTREME_VERBS = [
+    (["spectrum", "-"], False), (["spectrum", "-", "--eigenbasis"], False),
+    (["check", "-", "--all"], False), (["nodal", "-"], True),
+    (["check", "-", "--lambda", "1"], True),
+    (["surgery", "-", "--remove-node", "0"], True),
+    (["surgery", "-", "--remove-edge", "0,1", "--lambda", "1"], True)]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_EXTREME_VERBS).flatmap(
+    lambda case: st.tuples(st.just(case[0]), _extreme_documents(case[1]))))
+def test_extreme_scales_get_an_exit_code_and_no_warning(case):
+    """Documents whose weights span the float range end, on every verb
+    that reads one, in a documented exit code with one strict JSON
+    document on stdout (no NaN or Infinity), and no numpy warning is
+    raised or printed on the way."""
+    argv, doc = case
     saved = sys.stdin
     sys.stdin = io.StringIO(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -240,6 +256,28 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys):
             report = json.loads(captured.out)
             assert report["exit_code"] == EXIT_INPUT
             assert "finite and positive" in report["error"] in captured.err
+
+
+def test_lambda_must_be_finite(tmp_path, capsys):
+    """A NaN or infinite --lambda, or one past the float range, leaves no
+    eigen-equation defect to measure: each is a usage error (exit 2, one
+    JSON document) on both verbs that take it, where it was a numerical
+    failure (exit 4). A finite value of either sign parses."""
+    g = gen_graph("path", 3, random.Random(0))
+    path = write_doc(tmp_path, graph_document(g))
+    f = json.dumps({"0": 1.0, "1": 0.0, "2": -1.0})
+    verbs = (["check", path, "--function", f],
+             ["surgery", path, "--function", f, "--remove-edge", "0,1"])
+    for lam in ("nan", "inf", "1e400", "-inf"):
+        for argv in verbs:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, f"--lambda={lam}"])
+            assert exc.value.code == EXIT_INPUT, (lam, argv)
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            assert report["exit_code"] == EXIT_INPUT
+            assert "must be finite" in report["error"] in captured.err
+    assert cli.finite("-1e300") == -1e300 and cli.finite("0.5") == 0.5
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
@@ -873,17 +911,31 @@ def test_check_all_reads_each_sign_pattern_once(tmp_path, capsys,
 def test_check_all_counts_each_cut_edge_in_one_array_pass(tmp_path, capsys,
                                                          monkeypatch):
     """On the tree route ``check --all`` counts every removal of one edge
-    in one array pass of `PatchedCount`: one pass and one patched counter
-    per cut edge, one patch per weyl-edge row, and no scalar pass on the
-    removals' root paths."""
+    in one array pass of `PatchedCount`: one patched counter per cut edge,
+    one patch per weyl-edge row, and per cut edge with removals two level
+    passes (the base forest, then the patched root paths), no
+    `_eval_vertices` pass while they count and no scalar recount."""
     g = gen_graph("tree", 12, random.Random(0), weighted=True)
     path = write_doc(tmp_path, graph_document(g))
     lanes, patches, scalar = [], [], []
     inner_lanes, inner_init = treespec.PatchedCount._lanes, treespec.PatchedCount.__init__
+    level_pass, eval_vertices = treespec._level_pass, treespec._eval_vertices
+    counting = []  # the open `_lanes` call, if any
 
     def counted_lanes(self, xs):
-        lanes.append(len(xs))
-        return inner_lanes(self, xs)
+        lanes.append([len(xs), 0, 0])  # thresholds, level and scalar passes
+        counting.append(lanes[-1])
+        try:
+            return inner_lanes(self, xs)
+        finally:
+            counting.pop()
+
+    def counted(inner, k):
+        def call(*args):
+            for open_call in counting:
+                open_call[k] += 1
+            return inner(*args)
+        return call
 
     def counted_init(self, base, batch):
         patches.append(len(batch))
@@ -893,6 +945,8 @@ def test_check_all_counts_each_cut_edge_in_one_array_pass(tmp_path, capsys,
     monkeypatch.setattr(treespec.PatchedCount, "__init__", counted_init)
     monkeypatch.setattr(treespec.PatchedCount, "_scalar",
                         lambda *args: scalar.append(1))
+    monkeypatch.setattr(treespec, "_level_pass", counted(level_pass, 1))
+    monkeypatch.setattr(treespec, "_eval_vertices", counted(eval_vertices, 2))
     for p in ("1.2", "3"):
         lanes.clear()
         patches.clear()
@@ -903,7 +957,9 @@ def test_check_all_counts_each_cut_edge_in_one_array_pass(tmp_path, capsys,
         assert len(patches) == len(g.edges)
         assert len(lanes) == sum(1 for k in patches if k)
         assert sum(patches) == len(rows) > 100
-        assert set(lanes) == {2 * len({row["lambda"] for row in rows})}
+        assert {xs for xs, _level, _scalar in lanes} == {
+            2 * len({row["lambda"] for row in rows})}
+        assert all(call[1:] == [2, 0] for call in lanes)
     assert scalar == []
 
 

@@ -398,6 +398,26 @@ def _with_kappa(g, kappa: dict):
                          [(g.ids[i], g.ids[j], w) for i, j, w in g.edges])
 
 
+def test_patched_counter_counts_a_pole_off_the_patched_paths():
+    """A patched counter counts what ``ForestCount`` of the patched forest
+    counts where the base pass holds the pole marker away from the patched
+    root paths: on the unit tree 0 - {1 - 2, 3 - 4} patched at vertex 2,
+    leaf 4's g is exactly 0 at x = 1, so vertex 3, off the path 2 - 1 - 0,
+    carries the marker."""
+    g = WeightedGraph.unit(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
+    xs = [0.5, 1.0, 1.5, 2.0, 3.0]
+    patches = [{2: 0.5}, {2: 0.0}, {2: -0.5}]
+    for p in (1.2, 2.0, 3.0):
+        counter = ForestCount(Operator(g, p))
+        counter.count_below(1.0)
+        assert counter._vals[4] == 0.0 and counter._vals[3] == math.inf
+        patched = PatchedCount(counter, patches)
+        assert sorted(patched._paths.order) == [0, 1, 2]
+        for patch, after in zip(patches, patched.counters, strict=True):
+            want = ForestCount(Operator(_with_kappa(g, patch), p))
+            assert after.counts_below(xs) == [want.count_below(x) for x in xs]
+
+
 def test_patched_counter_counts_poles_and_overflows_as_a_full_pass():
     """A patched counter counts what ``ForestCount`` of the patched forest
     counts where the kept pass holds the pole marker on a patched path (the

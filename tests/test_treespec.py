@@ -133,7 +133,7 @@ def test_root_tree_structure():
     T = RootedTree(g, 0)
     assert T.parent == [-1, 0, 1]
     assert T.children == ((1,), (2,), ())
-    assert T.order[-1] == 0  # children come before their parent
+    assert T.components == ((2, 1, 0),)  # children come before their parent
     T2 = RootedTree(g, 1)
     assert T2.parent[1] == -1
     assert set(T2.children[1]) == {0, 2}
@@ -155,7 +155,8 @@ def test_rooted_forest_components():
         assert [u for u in range(9) if T.parent[u] == -1] == roots
         assert [set(c) for c in T.components] == [{0, 3, 5}, {1, 4, 7, 8},
                                                   {2, 6}]
-        assert T.order == tuple(u for c in T.components for u in c)
+        assert sorted(u for c in T.components for u in c) == [*range(9)]
+        assert [*T.plans] == [*T.components]
         for comp in T.components:
             assert T.parent[comp[-1]] == -1
             for i, u in enumerate(comp):
@@ -216,7 +217,7 @@ def test_eval_vertices_values_and_poles():
 
     def gvals(lam):
         vals = [0.0] * g.n
-        treespec._eval_vertices(H, lam, T.plans[T.order], vals)
+        treespec._eval_vertices(H, lam, T.plans[T.components[0]], vals)
         return vals
 
     # a unit leaf at p = 2 has g(lam) = 1 - lam
