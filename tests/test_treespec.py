@@ -1,6 +1,7 @@
 """Forest spectra by eigenvalue counting: rooting, the g recursion and its
 zeros, slicing, and eigenbasis reconstruction."""
 
+import hashlib
 import math
 import random
 import re
@@ -715,6 +716,35 @@ def test_rounds_hold_at_most_the_brackets_in_flight(monkeypatch):
         monkeypatch.setattr(treespec, "HALVINGS", 1)
         assert _hex_entries(tree_spectrum(H)) == want
         assert max(widths) <= treespec.IN_FLIGHT + treespec.HALVINGS
+
+
+def test_every_probe_is_pinned(monkeypatch):
+    """The probes that `_passes` counts during one ``tree_spectrum`` each of
+    path 45 at p = 1.2, tree 120 at p = 1.2 and 3, star 60 at p = 3 (member
+    0 each) and a seeded forest of four trees at p = 1.5 are pinned by
+    their number and the SHA-256 of their sorted float.hex. A bracket's
+    probes depend on its own counts alone, so the pin does not depend on
+    which brackets share a round."""
+    probes = []
+    inner = treespec._passes
+
+    def counted(H, lanes, xs):
+        probes.extend(xs)
+        return inner(H, lanes, xs)
+
+    monkeypatch.setattr(treespec, "_passes", counted)
+    rng = random.Random(5)
+    for g, p in [(gen_graph("path", 45, random.Random(0), weighted=True), 1.2),
+                 (gen_graph("tree", 120, random.Random(0), weighted=True), 1.2),
+                 (gen_graph("tree", 120, random.Random(0), weighted=True), 3.0),
+                 (gen_graph("star", 60, random.Random(0), weighted=True), 3.0),
+                 (disjoint_union(*[random_tree(rng, n=rng.randint(3, 9))
+                                   for _ in range(4)]), 1.5)]:
+        tree_spectrum(Operator(g, p))
+    digest = hashlib.sha256(
+        " ".join(sorted(x.hex() for x in probes)).encode()).hexdigest()
+    assert (len(probes), digest) == (
+        3868, "50b4f39438392aef7287f18d5b96b918d3adce78bd6988f86cd93ef249484f68")
 
 
 def _hex_list(vals, order) -> list:
