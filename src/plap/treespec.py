@@ -428,21 +428,26 @@ def _level_pass(H: Operator, lanes: _Lanes, lam: np.ndarray, kappa: np.ndarray,
 
 def _lockstep(H: Operator, lanes: _Lanes, xs: list) -> list:
     """One `_level_pass` over a component's plan with one lane per probe in
-    ``xs``: per probe, the (g list, count) that `_eval_vertices` gives
+    ``xs``: per probe, the (column, count) that `_eval_vertices` gives
     there, float for float, or None where one of its g values is not
-    finite, which sends that probe alone to the scalar pass (`_passes`)."""
+    finite, which sends that probe alone to the scalar pass (`_passes`).
+    A column holds the probe's g values by dense vertex as float64 in bytes
+    of its own, read through a read-only memoryview: indexing it gives
+    floats as a list does, and it does not pin the round's array."""
     g = _level_pass(H, lanes, np.array(xs), lanes.columns[0])[:, 0]
     body = g[:lanes.n]
     finite = np.isfinite(body).all(axis=0).tolist()
     counts = np.count_nonzero(body < 0.0, axis=0).tolist()
-    return [(vals, c) if ok else None
-            for vals, c, ok in zip(g[lanes.rows].T.tolist(), counts, finite)]
+    rows = np.ascontiguousarray(g[lanes.rows].T)
+    return [(memoryview(row.tobytes()).cast("d"), c) if ok else None
+            for row, c, ok in zip(rows, counts, finite)]
 
 
-def _negative(g: float) -> bool:
-    """Whether a g value counts as negative: the pole marker does, since
-    only an exact child zero produces it and the count takes left limits."""
-    return g < 0.0 or g == POLE
+def _negative(g):
+    """Whether a g value counts as negative, elementwise on an array: the
+    pole marker does, since only an exact child zero produces it and the
+    count takes left limits."""
+    return (g < 0.0) | (g == POLE)
 
 
 def _narrow(a: float, b: float, rel: float) -> float:
@@ -467,10 +472,11 @@ def _checked(c: int, x: float, ca: int, cb: int) -> int:
 
 
 def _passes(H: Operator, lanes: _Lanes, xs: list) -> list:
-    """(g list, count) of a pass over ``lanes.plan`` at every probe in
-    ``xs``, each list new: one `_lockstep` pass when there are at least
+    """(column, count) of a pass over ``lanes.plan`` at every probe in
+    ``xs``: one `_lockstep` pass when there are at least
     ``lanes.batch_from`` probes, else, and at every probe where that pass
-    meets a value that is not finite, one `_eval_vertices` pass."""
+    meets a value that is not finite, one `_eval_vertices` pass, whose
+    column is the new list it writes."""
     out = (_lockstep(H, lanes, xs) if len(xs) >= lanes.batch_from
            else [None] * len(xs))
     for i, x in enumerate(xs):
@@ -492,36 +498,37 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
     float range raises ArithmeticError, and so do end counts that disagree
     where an end pass holds a g value that is not finite: there the
     recursion left the float range, and the count's logic did not fail.
-    An interval is
-    halved until `_located`: its width is at most
+    An interval is halved until `_located`: its width is at most
     SLICE_REL * max(1, min(|a|, |b|)), or no float lies strictly inside
-    it. An interval across which the count rises by exactly one goes to
-    `_isolated`, which returns the same float from fewer counts; one
-    across which it rises by more is halved (`_bracket`).
+    it. An interval across which the count rises by exactly one is a
+    `_Bracket`, which returns the same float from fewer counts; one across
+    which it rises by more is halved here.
 
-    The intervals are worked in rounds. Every open interval gives one probe
-    per round, and the round's probes are counted together (`_passes`): by
-    one lockstep pass over the component's `_Lanes` from the number of
-    probes at which that is cheaper than one scalar pass each, a number
-    fixed by the plan's height levels and child slots against its size,
-    and by a scalar pass for each probe below that number or whose
-    lockstep column holds a value that is not finite; the first round is
-    the passes at -hi and +hi. An interval's probes
-    depend on its own counts alone, so no value depends on which intervals
-    share a round. Isolated brackets open while fewer than IN_FLIGHT are
-    open. Another interval is halved only while fewer than IN_FLIGHT
-    isolated brackets are open or waiting, at most HALVINGS at once and
-    the lowest first, so the waiting intervals are mostly the right halves
-    along a few paths down the halving. That keeps the g lists held to a
-    multiple of IN_FLIGHT lists, where opening every interval at once
-    would hold one per eigenvalue; a round counts at most
+    The intervals are worked in rounds, one loop for rounds of every
+    width. Every open interval gives one probe per round, and the round's
+    probes are counted together (`_passes`): by one lockstep pass over the
+    component's `_Lanes` from the number of probes at which that is
+    cheaper than one scalar pass each, a number fixed by the plan's height
+    levels and child slots against its size, and by a scalar pass for each
+    probe below that number or whose lockstep column holds a value that is
+    not finite; the first round is the passes at -hi and +hi. Before the
+    probes, the brackets that look for their flip vertex have it found in
+    one `_flip_vertex` call. An interval's probes depend on its own counts
+    alone, so no value depends on which intervals share a round. Brackets
+    open while fewer than IN_FLIGHT are open. Another interval is halved
+    only while fewer than IN_FLIGHT brackets are open or waiting, at most
+    HALVINGS at once and the lowest first, so the waiting intervals are
+    mostly the right halves along a few paths down the halving. That keeps
+    the columns held to a multiple of IN_FLIGHT, where opening every
+    interval at once would hold one per eigenvalue; a round counts at most
     IN_FLIGHT + HALVINGS probes.
 
-    Every pass writes a list of its own, which stays with the intervals
-    it bounds, so each interval carries the g lists at both its ends. The
-    two halves of an interval share the list at its midpoint, so no list
-    is written twice. A list is indexed by dense vertex, and only the
-    entries up to the component's largest index exist.
+    Every pass gives a column of its own (`_passes`), which stays with the
+    intervals it bounds, so each interval carries the columns at both its
+    ends. The two halves of an interval share the column at its midpoint,
+    so no column is written twice, and a lockstep column is read-only. A
+    column is indexed by dense vertex, and only the entries up to the
+    component's largest index exist.
     """
     n = len(order)
     bound = float(np.max(_vertex_bounds(H)[list(order)]))
@@ -539,97 +546,86 @@ def _slice(T: RootedTree, H: Operator, order) -> list:
             raise ArithmeticError(f"{counts}: the g recursion leaves {FLOAT_RANGE}")
         raise AssertionError(counts)
     out = []
-    to_halve = [(-hi, hi, 0, n, at_lo, at_hi)]  # a heap: the lowest first
+    # a heap, the lowest first; the tie-breaker keeps the columns out of
+    # every comparison
+    to_halve = [(-hi, 0, hi, 0, n, at_lo, at_hi)]
+    ties = itertools.count(1)
     to_isolate = []
-    running = []  # (interval, its probe, whether it is halved) when open
-
-    def advance(task, answer, halved):
-        try:
-            running.append((task, task.send(answer), halved))
-        except StopIteration as stop:
-            located, halves = stop.value
-            out.extend(located)
-            for half in halves:
+    scope = (T, H, T.plans[order])
+    brackets = []  # the open ones
+    while to_halve or to_isolate or brackets:
+        isolating = len(brackets)
+        while to_isolate and isolating < IN_FLIGHT:
+            bracket = _Bracket(scope, *to_isolate.pop())
+            if bracket.settled(out):
+                brackets.append(bracket)
+            isolating += 1
+        halving = []
+        started = 0
+        while (to_halve and started < HALVINGS
+               and isolating + len(to_isolate) < IN_FLIGHT):
+            a, _tie, b, ca, cb, at_a, at_b = heapq.heappop(to_halve)
+            mid = 0.5 * (a + b)
+            if not -POLE < mid < POLE:  # a + b left the float range
+                mid = 0.5 * a + 0.5 * b
+            if _located(a, b, mid):
+                out.append((mid, cb - ca))
+            else:
+                halving.append((a, b, ca, cb, at_a, at_b, mid))
+            started += 1
+        seeking = [bracket for bracket in brackets if bracket.seeking]
+        if seeking:
+            for bracket, v in zip(seeking, _flip_vertex(
+                    order, [bracket.at_lo for bracket in seeking],
+                    [bracket.at_hi for bracket in seeking])):
+                bracket.flip(v)
+        xs = [bracket.probe() for bracket in brackets]
+        answers = _passes(H, lanes, xs + [h[6] for h in halving])
+        brackets = [bracket for bracket, (col, c) in zip(brackets, answers)
+                    if bracket.answer(col, c, out)]
+        for (a, b, ca, cb, at_a, at_b, mid), (at_mid, cm) in zip(
+                halving, answers[len(xs):]):
+            _checked(cm, mid, ca, cb)
+            for half in ((mid, b, cm, cb, at_mid, at_b),
+                         (a, mid, ca, cm, at_a, at_mid)):
                 if half[3] - half[2] == 1:
                     to_isolate.append(half)
-                else:
-                    heapq.heappush(to_halve, half)
-
-    while to_halve or to_isolate or running:
-        halving = sum(halved for _task, _x, halved in running)
-        isolating = len(running) - halving
-        while to_isolate and isolating < IN_FLIGHT:
-            advance(_bracket(T, H, order, *to_isolate.pop()), None, False)
-            isolating += 1
-        while (to_halve and halving < HALVINGS
-               and isolating + len(to_isolate) < IN_FLIGHT):
-            advance(_bracket(T, H, order, *heapq.heappop(to_halve)), None, True)
-            halving += 1
-        answers = _passes(H, lanes, [x for _task, x, _h in running])
-        stepped, running[:] = running[:], []
-        for (task, _x, halved), answer in zip(stepped, answers):
-            advance(task, answer, halved)
+                elif half[3] > half[2]:
+                    heapq.heappush(to_halve, (half[0], next(ties), *half[1:]))
     return sorted(out)
 
 
-def _bracket(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
-             cb: int, at_a: list, at_b: list):
-    """The probes of the interval (a, b) of `_slice`, whose ends count ca
-    and cb and carry the g lists ``at_a`` and ``at_b``: a generator that
-    yields each probe and is sent the (g list, count) of its pass. It
-    returns the (value, multiplicity) pairs it located and the halves left
-    to work, as `_slice` keeps them. An interval across which the count
-    rises by one is `_isolated`'s; any other is halved once."""
-    if cb - ca == 1:
-        value = yield from _isolated(T, H, order, a, b, ca, at_a, at_b)
-        return [(value, 1)], []
-    mid = 0.5 * (a + b)
-    if not -POLE < mid < POLE:  # a + b left the float range
-        mid = 0.5 * a + 0.5 * b
-    if _located(a, b, mid):
-        return [(mid, cb - ca)], []
-    at_mid, cm = yield mid
-    _checked(cm, mid, ca, cb)
-    halves = []
-    if cb > cm:
-        halves.append((mid, b, cm, cb, at_mid, at_b))
-    if cm > ca:
-        halves.append((a, mid, ca, cm, at_a, at_mid))
-    return [], halves
-
-
-def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
-              at_lo: list, at_hi: list):
-    """The midpoint that halving (a, b) until `_located` returns, where the
-    count over the component that ``order`` spans rises from ca to ca + 1
-    across (a, b): one eigenvalue. A generator, as `_bracket` runs it: it
-    yields each probe, is sent the (g list, count) of its pass and returns
-    the midpoint. ``at_lo`` and ``at_hi`` are the g lists of the passes at
-    a and b, kept by `_slice`; they are read and never written, since
-    neighbouring intervals share them. Every probe's list is new, and it
-    then stays with the end it moves.
+class _Bracket:
+    """An isolated bracket of `_slice`, open across its rounds: it locates
+    the midpoint that halving (a, b) until `_located` returns, where the
+    count over the component rises from ca to ca + 1: one eigenvalue.
+    ``at_lo`` and ``at_hi`` are the columns of the passes at its ends lo
+    and hi, which neighbouring intervals share and which it never writes;
+    every probe's column is new, and it then stays with the end it moves.
+    ``scope`` is the component's (RootedTree, Operator, plan). A round asks
+    every open bracket for its probe (`probe`), and the pass there moves
+    one of its ends (`answer`).
 
     The vertex v where the count rises is the one vertex whose `_negative`
-    sign differs between the lists at the bracket's two ends
+    sign differs between the columns at the bracket's two ends
     (`_flip_vertex`), when there is exactly one: g_v falls through zero
     inside the bracket. It is looked for before every probe until u* is
-    picked, and after that whenever neither gamma nor g_v brackets a zero.
-    The first probe at which v exists is v's regula falsi point, kept
-    within the middle 60 % of the bracket, and its pass picks u*: the
-    largest |f| over v's subtree, with f(v) = 1 and f(c) = f(u) / g_c down
-    the tree (`_largest_entry`), which is the eigenfunction's largest entry
-    where the eigenfunction lives below v. Where that walk meets a g of
-    exactly 0.0 or leaves the float range, `_steering` picks u* at the same
-    probe; where no single v exists, it picks at the first probe inside
-    the relative width SECANT_REL. Until then the bracket is halved, and a
-    single v mostly appears on the way, so `_steering` runs only where
-    waiting did not give one, mostly on paths; a narrower SECANT_REL pays
-    for fewer `_steering` calls with more probes, at 1e-6 more than the
-    tests allow on path 45 at p = 1.2 (see SECANT_REL). From the pick on
-    every pass also gives
-    u*'s re-rooted g, gamma (`_rerooted_g`), and the kept lists give it at
-    the two ends: it falls through zero at the eigenvalue and has no pole
-    near it.
+    picked, and after that whenever neither gamma nor g_v brackets a zero
+    (``seeking``). The first probe at which v exists is v's regula falsi
+    point, kept within the middle 60 % of the bracket, and its pass picks
+    u*: the largest |f| over v's subtree, with f(v) = 1 and
+    f(c) = f(u) / g_c down the tree (`_largest_entry`), which is the
+    eigenfunction's largest entry where the eigenfunction lives below v.
+    Where that walk meets a g of exactly 0.0 or leaves the float range,
+    `_steering` picks u* at the same probe; where no single v exists, it
+    picks at the first probe inside the relative width SECANT_REL. Until
+    then the bracket is halved, and a single v mostly appears on the way,
+    so `_steering` runs only where waiting did not give one, mostly on
+    paths; a narrower SECANT_REL pays for fewer `_steering` calls with more
+    probes, at 1e-6 more than the tests allow on path 45 at p = 1.2 (see
+    SECANT_REL). From the pick on every pass also gives u*'s re-rooted g,
+    gamma (`_rerooted_g`), and the kept columns give it at the two ends: it
+    falls through zero at the eigenvalue and has no pole near it.
 
     Once three values of gamma exist, the next probe is the zero of the
     Moebius map through the last three (`_moebius_zero`), which is exact
@@ -645,83 +641,161 @@ def _isolated(T: RootedTree, H: Operator, order, a: float, b: float, ca: int,
     and it is the midpoint when the bracket did not halve over the last
     two probes or is wider than the largest float; a midpoint whose sum of
     ends leaves the float range is half of one plus half of the other.
-    Once the bracket is narrower than the final width, the
-    halving of (a, b) is replayed: a midpoint outside the bracket takes the
-    count of the end it lies beyond, the count being monotone, and only a
-    midpoint inside it is evaluated. The replay asks `_located` only once
-    its interval is at most SLICE_REL * max(1, |a|, |b|) wide, a bound on
-    every `_narrow` of the intervals inside (a, b), or once no float lies
-    strictly inside it.
+    Once the bracket is narrower than the final width, the halving of
+    (a, b) is replayed (`_replayed`).
     """
-    plan = T.plans[order]
-    cb = ca + 1
-    lo, hi = a, b
-    v = -1  # the vertex where the count rises, while it is the only one
-    path = None  # the steering path to u*, once picked; () when there is none
-    g_lo = g_hi = math.nan  # u*'s re-rooted g at lo and hi, once evaluated
-    pts = []  # the last three (x, re-rooted g) with a finite value
-    w1 = w2 = math.inf  # the bracket's width one and two probes ago
-    while not hi - lo <= (tight := _narrow(lo, hi, SLICE_REL)):
+
+    __slots__ = ("T", "H", "plan", "a", "b", "ca", "lo", "hi", "at_lo",
+                 "at_hi", "v", "gv_lo", "gv_hi", "path", "g_lo", "g_hi", "pts",
+                 "w1", "w2", "x", "tight", "on_gamma", "on_v", "seeking",
+                 "cap")
+
+    def __init__(self, scope: tuple, a: float, b: float, ca: int, _cb: int,
+                 at_lo, at_hi):
+        self.T, self.H, self.plan = scope
+        self.a, self.b, self.ca = a, b, ca
+        self.lo, self.hi, self.at_lo, self.at_hi = a, b, at_lo, at_hi
+        self.v = -1  # the vertex where the count rises, while it is the only one
+        self.gv_lo = self.gv_hi = math.nan  # g_v at lo and hi
+        self.path = None  # the steering path to u*, once picked; () when there is none
+        self.g_lo = self.g_hi = math.nan  # u*'s re-rooted g at lo and hi
+        self.pts = []  # the last three (x, re-rooted g) with a finite value
+        self.w1 = self.w2 = math.inf  # the bracket's width one and two probes ago
+        self.x = math.nan  # the next probe
+        self.cap = None  # the replay's width cap, once it replays
+
+    def settled(self, out: list) -> bool:
+        """After the ends moved: whether the bracket is still open, else
+        its value is in ``out``. A bracket narrower than the final width
+        ``tight`` replays; a wider one notes whether gamma straddles zero,
+        else whether g_v does, and whether it is ``seeking`` its flip
+        vertex: where neither does."""
+        lo, hi = self.lo, self.hi
+        if self.cap is None:
+            self.tight = tight = _narrow(lo, hi, SLICE_REL)
+            if not hi - lo <= tight:
+                self.on_gamma = on_gamma = _straddles(self.g_lo, self.g_hi)
+                self.on_v = on_v = not on_gamma and self.v >= 0 and _straddles(
+                    self.gv_lo, self.gv_hi)
+                self.seeking = not (on_gamma or on_v)
+                return True
+            # no `_narrow` of the intervals inside (a, b) exceeds it
+            self.cap = SLICE_REL * max(1.0, abs(self.a), abs(self.b))
+            self.seeking = False
+        self.a, self.b, mid, located = _replayed(self.a, self.b, lo, hi,
+                                                 self.cap)
+        if located:
+            out.append((mid, 1))
+            return False
+        self.x = mid
+        return True
+
+    def flip(self, v: int) -> None:
+        """Take v as the flip vertex, with g_v at the ends."""
+        self.v = v
+        if v >= 0:
+            self.gv_lo, self.gv_hi = self.at_lo[v], self.at_hi[v]
+            self.on_v = _straddles(self.gv_lo, self.gv_hi)
+        else:
+            self.gv_lo = self.gv_hi = math.nan
+            self.on_v = False
+
+    def probe(self) -> float:
+        """The next probe: the replay's midpoint, or the narrowing rule's
+        point inside (lo, hi)."""
+        if self.cap is not None:
+            return self.x
+        lo, hi = self.lo, self.hi
         w = hi - lo
         x = 0.5 * (lo + hi)
         if not -POLE < x < POLE:  # lo + hi left the float range
             x = 0.5 * lo + 0.5 * hi
-        on_gamma = _straddles(g_lo, g_hi)
-        if not (on_gamma or v >= 0 and _straddles(at_lo[v], at_hi[v])):
-            # before the pick, or where neither value brackets a zero
-            v = _flip_vertex(order, at_lo, at_hi)
-        if w <= 0.5 * w2 and w < POLE:
+        if w <= 0.5 * self.w2 and w < POLE:
             z = math.nan
-            if on_gamma:
-                z = _moebius_zero(pts) if len(pts) == 3 else math.nan
+            if self.on_gamma:
+                g_lo, g_hi = self.g_lo, self.g_hi
+                z = _moebius_zero(self.pts) if len(self.pts) == 3 else math.nan
                 if not lo < z < hi:
                     z = lo + w * (g_lo / (g_lo - g_hi))
-            elif v >= 0 and _straddles(at_lo[v], at_hi[v]):
-                z = lo + w * (at_lo[v] / (at_lo[v] - at_hi[v]))
+            elif self.on_v:
+                gv_lo = self.gv_lo
+                z = lo + w * (gv_lo / (gv_lo - self.gv_hi))
             if z == z:
                 # the pick's probe keeps to the middle 60 % of the bracket
-                q = 0.2 * w if path is None else 0.25 * tight
+                q = 0.2 * w if self.path is None else 0.25 * self.tight
                 x = min(max(z, lo + q), hi - q)
-        w1, w2 = w, w1
-        vals, c = yield x
-        _checked(c, x, ca, cb)
+        self.w1, self.w2 = w, self.w1
+        self.x = x
+        return x
+
+    def answer(self, col, c: int, out: list) -> bool:
+        """Move an end by the (column, count) of the pass at the probe:
+        whether the bracket is still open (`settled`)."""
+        ca, x = self.ca, self.x
+        if c != ca and c != ca + 1:
+            _checked(c, x, ca, ca + 1)
+        if self.cap is not None:  # a replay's midpoint inside (lo, hi)
+            if c == ca:
+                self.a = self.lo = x
+            else:
+                self.b = self.hi = x
+            return self.settled(out)
+        v, path = self.v, self.path
         if path is None:
-            if v >= 0:
-                star = _largest_entry(T, vals, v)
-                path = (_path_to(T, star) if star >= 0
-                        else _steering(H, T, plan, vals, x))
-            elif w <= _narrow(lo, hi, SECANT_REL):
-                path = _steering(H, T, plan, vals, x)
-            if path:  # the ends get their values as well
-                g_lo = _rerooted_g(H, path, at_lo, lo)
-                g_hi = _rerooted_g(H, path, at_hi, hi)
-                pts = [(e, g) for e, g in ((lo, g_lo), (hi, g_hi))
-                       if math.isfinite(g)]
-        g = _rerooted_g(H, path, vals, x) if path else math.nan
+            path = self.path = self._pick(col, x)
+        g = _rerooted_g(self.H, path, col, x) if path else math.nan
         if math.isfinite(g):
-            pts = [*pts[-2:], (x, g)]
+            self.pts = [*self.pts[-2:], (x, g)]
+        gv = col[v] if v >= 0 else math.nan
         if c == ca:
-            lo, g_lo, at_lo = x, g, vals
+            self.lo, self.g_lo, self.gv_lo, self.at_lo = x, g, gv, col
         else:
-            hi, g_hi, at_hi = x, g, vals
-    cap = SLICE_REL * max(1.0, abs(a), abs(b))  # no `_narrow` below exceeds it
+            self.hi, self.g_hi, self.gv_hi, self.at_hi = x, g, gv, col
+        return self.settled(out)
+
+    def _pick(self, col, x: float):
+        """u*'s path at a probe x with a flip vertex or inside SECANT_REL,
+        with gamma at the ends; None until then."""
+        T, H, v = self.T, self.H, self.v
+        lo, hi = self.lo, self.hi
+        if v >= 0:
+            star = _largest_entry(T, col, v)
+            path = (_path_to(T, star) if star >= 0
+                    else _steering(H, T, self.plan, col, x))
+        elif hi - lo <= _narrow(lo, hi, SECANT_REL):
+            path = _steering(H, T, self.plan, col, x)
+        else:
+            return None
+        if path:  # the ends get their values as well
+            self.g_lo = _rerooted_g(H, path, self.at_lo, lo)
+            self.g_hi = _rerooted_g(H, path, self.at_hi, hi)
+            self.pts = [(e, g) for e, g in ((lo, self.g_lo), (hi, self.g_hi))
+                        if math.isfinite(g)]
+        return path
+
+
+def _replayed(a: float, b: float, lo: float, hi: float, cap: float) -> tuple:
+    """The replay of halving (a, b) inside the bracket (lo, hi) up to its
+    next count: (a, b, mid, located), mid being the value once located and
+    else the next midpoint, which lies inside (lo, hi). A midpoint outside
+    the bracket takes the count of the end it lies beyond, the count being
+    monotone. The replay asks `_located` only once its interval is at most
+    ``cap`` wide, SLICE_REL * max(1, |a|, |b|) of the first (a, b), a
+    bound on every `_narrow` of the intervals inside it, or once no float
+    lies strictly inside it."""
     while True:
         mid = 0.5 * (a + b)
         if not (b - a > cap and a < mid < b):
             if not -POLE < mid < POLE:  # a + b left the float range
                 mid = 0.5 * a + 0.5 * b
             if _located(a, b, mid):
-                return mid
+                return a, b, mid, True
         if mid <= lo:
             a = mid
         elif mid >= hi:
             b = mid
         else:
-            _vals, c = yield mid
-            if _checked(c, mid, ca, cb) == ca:
-                a = lo = mid
-            else:
-                b = hi = mid
+            return a, b, mid, False
 
 
 def _straddles(g_lo: float, g_hi: float) -> bool:
@@ -730,10 +804,35 @@ def _straddles(g_lo: float, g_hi: float) -> bool:
     return 0.0 <= g_lo < POLE and -POLE < g_hi <= 0.0 and g_lo != g_hi
 
 
-def _flip_vertex(order, at_lo: list, at_hi: list) -> int:
-    """The one vertex of ``order`` whose g value is `_negative` in exactly
-    one of the two g lists; -1 when there is none or more than one. The
-    test of `_negative` is written out, which saves two calls a vertex."""
+def _flip_vertex(order, lows: list, highs: list) -> list:
+    """Per bracket, from the columns at its two ends in ``lows`` and
+    ``highs``: the one vertex of ``order`` whose g value is `_negative` at
+    exactly one end, -1 where there is none or more than one. The brackets
+    with lockstep columns at both ends are compared in one array comparison
+    of the stacked columns, whose entries past the component are 0.0 at
+    both ends and whose values are all finite, so that `_negative` is the
+    sign; one with a scalar pass's list at an end is scanned over ``order``
+    (`_scanned_flip`)."""
+    out = []
+    stacked = []
+    for at_lo, at_hi in zip(lows, highs):
+        if isinstance(at_lo, memoryview) and isinstance(at_hi, memoryview):
+            stacked.append(len(out))
+            out.append(-1)
+        else:
+            out.append(_scanned_flip(order, at_lo, at_hi))
+    if stacked:  # finite, since `_lockstep` gives no other column: < 0.0
+        flips = ((_stacked([lows[i] for i in stacked]) < 0.0)
+                 != (_stacked([highs[i] for i in stacked]) < 0.0))
+        for i, v, k in zip(stacked, flips.argmax(axis=1).tolist(),
+                           np.count_nonzero(flips, axis=1).tolist()):
+            out[i] = v if k == 1 else -1
+    return out
+
+
+def _scanned_flip(order, at_lo, at_hi) -> int:
+    """`_flip_vertex` of one bracket by a scan over ``order``; the test of
+    `_negative` is written out, which saves two calls a vertex."""
     v = -1
     for u in order:
         x = at_lo[u]
@@ -745,10 +844,15 @@ def _flip_vertex(order, at_lo: list, at_hi: list) -> int:
     return v
 
 
-def _largest_entry(T: RootedTree, vals: list, v: int) -> int:
+def _stacked(cols: list) -> np.ndarray:
+    """The (columns, vertices) array of lockstep columns of one length."""
+    return np.frombuffer(b"".join(cols)).reshape(len(cols), -1)
+
+
+def _largest_entry(T: RootedTree, vals, v: int) -> int:
     """The vertex of v's subtree where |f| is largest, f(v) = 1 and
     f(c) = f(u) / g_c for every child c of u, on the g values in
-    ``vals``: one division per vertex. -1 when a g is exactly 0.0 or f
+    ``vals`` (a column or a list): one division per vertex. -1 when a g is exactly 0.0 or f
     leaves the finite range."""
     children = T.children
     best, top = v, 1.0
@@ -798,13 +902,14 @@ def _moebius_zero(pts) -> float:
     return x3 - y3 * d1 * d2 * (y2 - y1) / den
 
 
-def _steering(H: Operator, T: RootedTree, plan, vals: list,
+def _steering(H: Operator, T: RootedTree, plan, vals,
               lam: float) -> tuple:
     """The path (`_path_to`) from the component's root down to the vertex
     u* whose re-rooted g is smallest in magnitude at lam, read from the g
-    values that a pass at lam over ``plan`` left in ``vals``; empty when
-    the recursion divides by zero, overflows or gives a value that is not
-    finite. `_isolated` calls it where the division walk cannot pick.
+    values that a pass at lam over ``plan`` left in ``vals`` (a column or a
+    list); empty when the recursion divides by zero, overflows or gives a
+    value that is not finite. `_Bracket` calls it where the division walk
+    cannot pick.
 
     The re-rooted g of u, gamma_u, is the g value u would have if the tree
     hung from u: its zeros are the component's eigenvalues, and near an
@@ -855,10 +960,10 @@ def _steering(H: Operator, T: RootedTree, plan, vals: list,
     return _path_to(T, star)
 
 
-def _rerooted_g(H: Operator, path: tuple, vals: list, lam: float) -> float:
+def _rerooted_g(H: Operator, path: tuple, vals, lam: float) -> float:
     """gamma at the end u* of ``path`` (see `_steering`) from the g values
-    that a pass at lam left in ``vals``, walking down from the root; NaN
-    when the recursion divides by zero or overflows.
+    that a pass at lam left in ``vals`` (a column or a list), walking down
+    from the root; NaN when the recursion divides by zero or overflows.
 
     Where two or more children off the path would add a term, the pass's
     own sum is read back from g_u instead, since omega_u phi(g_u - 1) is the
@@ -898,26 +1003,38 @@ def _rerooted_g(H: Operator, path: tuple, vals: list, lam: float) -> float:
     return g
 
 
-def _window(T: RootedTree, H: Operator, lam: float, order):
-    """Sign changes of g across W = lam -/+ WINDOW_REL * max(1, |lam|) on
-    ``order`` (children-first): (z, count jump).
+def _windows(T: RootedTree, H: Operator, lams: list, order) -> list:
+    """Per value lam of ``lams``, the sign changes of g across
+    W = lam -/+ WINDOW_REL * max(1, |lam|) on ``order`` (children-first):
+    (z, count jump, the column of g at lam).
 
     With s_u = [g_u < 0 right of W] - [g_u < 0 left of W], the count jump
     is the sum of s_u, the right count minus the left one, and, children
     first, z_u = s_u + [some child c has z_c >= 1]. A vertex whose g
     vanishes in W has z_u >= 1; a child's zero in W is a pole of g_u, whose
-    s_u = -1 the child's z cancels.
+    s_u = -1 the child's z cancels. The three passes of every value, at
+    the window's two ends and at lam, are counted together by `_passes`,
+    IN_FLIGHT + HALVINGS probes at most to a round as in `_slice`.
     """
-    d = WINDOW_REL * max(1.0, abs(lam))
-    plan = T.plans[order]
-    left, right = [0.0] * T.graph.n, [0.0] * T.graph.n
-    jump = -_eval_vertices(H, lam - d, plan, left)
-    jump += _eval_vertices(H, lam + d, plan, right)
-    z = {}
-    for u in order:
-        s = _negative(right[u]) - _negative(left[u])
-        z[u] = s + any(z[c] >= 1 for c in T.children[u])
-    return z, jump
+    lanes = _Lanes(T.plans[order], max(order) + 1)
+    xs = []
+    for lam in lams:
+        d = WINDOW_REL * max(1.0, abs(lam))
+        xs += [lam - d, lam + d, lam]
+    width = 3 * max(1, (IN_FLIGHT + HALVINGS) // 3)
+    got = [answer for s in range(0, len(xs), width)
+           for answer in _passes(H, lanes, xs[s:s + width])]
+    kids = T.children
+    out = []
+    for j in range(0, len(got), 3):
+        (left, c_left), (right, c_right), (at, _c) = got[j:j + 3]
+        s = (_negative(np.asarray(right)).astype(int)
+             - _negative(np.asarray(left))).tolist()
+        z = {}
+        for u in order:
+            z[u] = s[u] + any(z[c] >= 1 for c in kids[u])
+        out.append((z, c_right - c_left, at))
+    return out
 
 
 @dataclass(frozen=True)
@@ -1149,14 +1266,25 @@ def tree_eigenpairs(H: Operator) -> Spectrum:
     """``tree_spectrum`` with every entry's ``basis`` filled in, as
     ``forest_eigenbasis`` would give it. Each component is sliced once for
     all the values, and a value's basis is built only on the components
-    whose slicing produced it: the others have no eigenfunction there."""
+    whose slicing produced it: the others have no eigenfunction there. The
+    windows of all the values of a component are counted together
+    (`_windows`)."""
     T = RootedTree(H.graph)
+    clusters = _clusters(T, H)
+    values = {}  # component index -> the centers its slicing produced
+    for center, _vals, tags in clusters:
+        for ci in sorted({ci for ci, _m in tags}):
+            values.setdefault(ci, []).append(center)
+    windows = {(ci, lam): window for ci, lams in values.items()
+               for lam, window in zip(lams, _windows(T, H, lams,
+                                                     T.components[ci]))}
     entries = []
-    for center, _vals, tags in _clusters(T, H):
-        orders = [T.components[ci] for ci in sorted({ci for ci, _m in tags})]
+    for center, _vals, tags in clusters:
+        cis = sorted({ci for ci, _m in tags})
         entries.append(SpectrumEntry(
             center, sum(m for _ci, m in tags),
-            tuple(_basis(H, T, center, orders))))
+            tuple(_basis(H, T, center, [T.components[ci] for ci in cis],
+                         [windows[ci, center] for ci in cis]))))
     return Spectrum(tuple(entries))
 
 
@@ -1166,7 +1294,7 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
 
     On each component the vanishing set Z holds every vertex u with
     z_u >= 1 across the window W = lam -/+ WINDOW_REL * max(1, |lam|) (see
-    `_window`) whose parent has z = 0; its size k minus the number h of
+    `_windows`) whose parent has z = 0; its size k minus the number h of
     distinct parents must equal the component's count jump over W, a hard
     check. Each vertex of Z seeds a generator on its piece of the tree
     minus those parents; values propagate downward by
@@ -1177,27 +1305,31 @@ def eigenbasis(H: Operator, T: RootedTree, lam: float) -> list[VertexFunction]:
     """
     if T.graph is not H.graph:
         raise ValueError("tree and operator must share one graph")
-    return _basis(H, T, float(lam), T.components)
+    lam = float(lam)
+    return _basis(H, T, lam, T.components,
+                  [_windows(T, H, [lam], order)[0] for order in T.components])
 
 
-def _basis(H: Operator, T: RootedTree, lam: float,
-           orders) -> list[VertexFunction]:
+def _basis(H: Operator, T: RootedTree, lam: float, orders,
+           windows) -> list[VertexFunction]:
     """`eigenbasis` on the components that ``orders`` lists, in that
-    order."""
-    out = [f for order in orders for f in _component_basis(H, T, lam, order)]
+    order, each with its `_windows` entry at lam in ``windows``."""
+    out = [f for order, window in zip(orders, windows)
+           for f in _component_basis(H, T, lam, order, window)]
     if not out:
         raise ValueError(f"{lam} is not an eigenvalue of this forest")
     return out
 
 
-def _component_basis(H: Operator, T: RootedTree, lam: float,
-                     order) -> list[VertexFunction]:
-    """`eigenbasis` on the component that ``order`` spans; empty when lam
-    is not one of its eigenvalues."""
+def _component_basis(H: Operator, T: RootedTree, lam: float, order,
+                     window) -> list[VertexFunction]:
+    """`eigenbasis` on the component that ``order`` spans, from its
+    `_windows` entry at lam; empty when lam is not one of its
+    eigenvalues."""
     g = T.graph
     p = H.p
     n = g.n
-    z, jump = _window(T, H, lam, order)
+    z, jump, gvals = window
     if jump == 0:
         return []
     Z = {u for u in order
@@ -1208,9 +1340,6 @@ def _component_basis(H: Operator, T: RootedTree, lam: float,
         raise AssertionError(
             f"{k} vanishing vertices and {h} parents at {lam!r}, but the "
             f"eigenvalue count rises by {jump} across the window")
-
-    gvals = [0.0] * n
-    _eval_vertices(H, lam, T.plans[order], gvals)
 
     # every vertex of Z tops its own piece of the tree minus the removed
     # parents; gen maps each kept vertex to its piece's generator, if any

@@ -752,36 +752,45 @@ def _hex_list(vals, order) -> list:
 
 
 def test_isolated_brackets_enter_with_the_passes_at_their_ends(monkeypatch):
-    """Every isolated bracket enters `_isolated` with the g lists of a
-    fresh pass at each of its ends, and leaves them as it found them when
-    its last probe is answered: no list that neighbouring intervals share
-    is written as scratch. On a forest the lists reach no further than the
-    component's largest vertex."""
-    inner = treespec._isolated
+    """Every isolated bracket opens (`_Bracket`) with the columns of a
+    fresh pass at each of its ends, and on a forest no column reaches past
+    the component's largest vertex. With every round batched every column
+    is a read-only view of float64 bytes of its own, so a write to one that
+    neighbouring intervals share raises."""
+    inner = treespec._Bracket.__init__
     seen = []
 
-    def checked(T, H, order, a, b, ca, at_lo, at_hi):
-        assert len(at_lo) == len(at_hi) == max(order) + 1
-        for x, kept, count in ((a, at_lo, ca), (b, at_hi, ca + 1)):
+    def checked(self, scope, a, b, ca, cb, at_lo, at_hi):
+        T, H, plan = scope
+        order = next(c for c in T.components if T.plans[c] is plan)
+        assert cb == ca + 1
+        for x, kept, count in ((a, at_lo, ca), (b, at_hi, cb)):
+            assert len(kept) == max(order) + 1
             fresh = [0.0] * len(kept)
-            assert treespec._eval_vertices(H, x, T.plans[order], fresh) == count
+            assert treespec._eval_vertices(H, x, plan, fresh) == count
             assert _hex_list(kept, order) == _hex_list(fresh, order)
-        before = (_hex_list(at_lo, order), _hex_list(at_hi, order))
-        out = yield from inner(T, H, order, a, b, ca, at_lo, at_hi)
-        assert (_hex_list(at_lo, order), _hex_list(at_hi, order)) == before
-        seen.append(out)
-        return out
+            if batched:  # a float64 buffer of its own
+                assert isinstance(kept, memoryview) and kept.format == "d"
+                assert isinstance(kept.obj, bytes)
+                with pytest.raises(TypeError, match="read-only"):
+                    kept[order[0]] = 0.0
+        seen.append(a)
+        inner(self, scope, a, b, ca, cb, at_lo, at_hi)
 
-    monkeypatch.setattr(treespec, "_isolated", checked)
+    monkeypatch.setattr(treespec._Bracket, "__init__", checked)
     rng = random.Random(5)
-    for g, p in [(gen_graph("path", 45, random.Random(0), weighted=True), 1.2),
-                 (gen_graph("tree", 60, random.Random(1), weighted=True), 3.0),
-                 (gen_graph("star", 30, random.Random(2), weighted=True), 3.0),
-                 (disjoint_union(*[random_tree(rng, n=rng.randint(3, 9))
-                                   for _ in range(4)]), 1.5)]:
-        seen.clear()
-        spec = tree_spectrum(Operator(g, p))
-        assert len(seen) == spec.total  # every value has multiplicity one
+    cases = [(gen_graph("path", 45, random.Random(0), weighted=True), 1.2),
+             (gen_graph("tree", 60, random.Random(1), weighted=True), 3.0),
+             (gen_graph("star", 30, random.Random(2), weighted=True), 3.0),
+             (disjoint_union(*[random_tree(rng, n=rng.randint(3, 9))
+                               for _ in range(4)]), 1.5)]
+    for batched in (False, True):
+        if batched:
+            _every_round_batched(monkeypatch)
+        for g, p in cases:
+            seen.clear()
+            spec = tree_spectrum(Operator(g, p))
+            assert len(seen) == spec.total  # every value has multiplicity one
 
 
 @pytest.mark.parametrize("fault", ["no single vertex", "zero g", "overflow"])
@@ -820,7 +829,8 @@ def test_isolated_falls_back_to_steering(monkeypatch, fault):
     monkeypatch.setattr(treespec, "_steering", counted_steering)
     monkeypatch.setattr(treespec, "_largest_entry", faulty_walk)
     if fault == "no single vertex":
-        monkeypatch.setattr(treespec, "_flip_vertex", lambda *args: -1)
+        monkeypatch.setattr(treespec, "_flip_vertex",
+                            lambda order, lows, highs: [-1] * len(lows))
     assert _hex_entries(tree_spectrum(H)) == want
     if fault == "no single vertex":
         assert events == ["steering"] * H.graph.n
@@ -1209,21 +1219,25 @@ def test_tree_eigenpairs_equal_spectrum_and_forest_eigenbasis():
 
 def test_tree_eigenpairs_windows_each_value_on_its_own_components(monkeypatch):
     """On a union of 50 weighted 4-vertex trees a basis is built only on the
-    components whose slicing produced its value: one `_window` per (value,
-    component) pair, not one per value and component."""
+    components whose slicing produced its value: `_windows` counts one
+    window per (value, component) pair, not one per value and component,
+    and each component's windows in one call."""
     rng = random.Random(50)
     trees = [gen_graph("tree", 4, rng, weighted=True) for _ in range(50)]
     pairs = sum(len(tree_spectrum(Operator(t, 3.0)).entries) for t in trees)
     windows = []
-    inner = treespec._window
+    calls = []
+    inner = treespec._windows
 
-    def counted(*args):
-        windows.append(1)
-        return inner(*args)
+    def counted(T, H, lams, order):
+        windows.extend(lams)
+        calls.append(order)
+        return inner(T, H, lams, order)
 
-    monkeypatch.setattr(treespec, "_window", counted)
+    monkeypatch.setattr(treespec, "_windows", counted)
     spec = tree_eigenpairs(Operator(disjoint_union(*trees), 3.0))
     assert len(windows) == pairs
+    assert len(calls) == len(set(calls)) == 50
     assert sum(len(e.basis) for e in spec.entries) == spec.total == 200
 
 
