@@ -20,14 +20,15 @@ poles as well as on the two unbounded tails.
 One consequence answers every spectral question on a forest: the number of
 vertices with g_u(x) < 0 is the number of eigenvalues below x
 (`ForestCount`). Spectra come from halving intervals on that count
-(`_slice`), and every pass's g list is kept with the intervals it bounds.
+(`_slice`), and every pass's column of g values is kept with the intervals
+it bounds.
 An interval that holds one eigenvalue is narrowed by interpolating the g
 value that the eigenfunction's largest entry would have if the tree were
 re-rooted there (`_rerooted_g`), whose zeros are the component's
 eigenvalues and which has no pole near this one: the zero of the Moebius
 map through its last three values, else regula falsi. That entry is found
 from the vertex v where the count rises, the one vertex whose sign differs
-between the interval's two kept lists: dividing down v's subtree by the g
+between the interval's two kept columns: dividing down v's subtree by the g
 values rebuilds the eigenfunction there (`_largest_entry`). An interval
 with no such single vertex keeps probing until it is SECANT_REL of its
 value wide, by when it mostly has one; only where it still has none, mostly
@@ -38,33 +39,44 @@ SECANT_REL). Where the re-rooted g does not bracket a zero, the probe
 is regula falsi on g_v, and where g_v does not either, the midpoint. The
 count on the original rooting decides each step, and the halving is then
 replayed, so every value is the float that halving alone returns
-(`_isolated`). Forests that differ from a counted one in the same few
+(`_Bracket`). Forests that differ from a counted one in the same few
 potentials are counted at all the thresholds asked by two level passes:
 one over the whole unpatched forest, then one that re-evaluates only
 those vertices' root paths for all the forests at once (`PatchedCount`).
 The vanishing vertices behind an eigenvalue come from the sign changes of
-the g values across a narrow window around it (`_window`).
+the g values across a narrow window around it (`_windows`, which counts
+the windows of all of a component's values together).
 
 One count is one pass of `_eval_vertices` over a component's plan, built
 once per rooting: the leaves first, then the inner vertices children-first.
 The pass writes every g value into a list indexed by vertex and counts the
 negative ones as it goes. `_eval_vertices` is the reference: the only pass
-of `ForestCount.count_below` and `_window`, and the pass the array passes
-fall back to wherever they meet a value that is not finite. `_level_pass`
+of `ForestCount.count_below`, and the pass the array passes fall back to
+wherever they meet a value that is not finite. `_level_pass`
 is the one array pass, of `_lockstep` and of both passes of
 `PatchedCount`: the same float operations one height level at a time on
 arrays of a level's vertices by (patch, threshold) lanes.
 
-`_slice` works a component's intervals in rounds: every open interval
-yields its next probe, and the round counts them all at once, as does the
-first round, the passes at the two ends. Where there are enough probes
-for the shape of the tree, that is one `_lockstep` pass, one `_level_pass`
-with one lane per probe, which gives every list and count float for
-float; the crossover is fixed by the number of probes and the plan's
-height levels and child slots against its size. Below it, as on paths,
-whose every vertex is a level of its own, and on small trees, a round is
-one scalar pass per probe, and so is every probe whose column of a
-lockstep pass holds a value that is not finite.
+`_slice` works a component's intervals in rounds, one loop for rounds of
+every width: every open interval gives its next probe, and the round
+counts them all at once, as does the first round, the passes at the two
+ends. An interval that holds one eigenvalue is a `_Bracket`, an object
+whose state lives across rounds: a round moves each bracket's ends by its
+pass's count and asks it for its next probe. Where there are enough
+probes for the shape of the tree, the round is one `_lockstep` pass, one
+`_level_pass` with one lane per probe, which gives every g value and count
+float for float; the crossover is fixed by the number of probes and the
+plan's height levels and child slots against its size. Its columns are
+float64 bytes, one block per probe, read through read-only memoryviews: 8
+bytes a value where a list of floats takes 32, no conversion of the
+round's array to Python floats, indexing that gives floats as a list does,
+and a write to a column that neighbouring intervals share raises. The
+brackets that look for their flip vertex compare their stacked columns in
+one array step (`_flip_vertex`). Below the crossover, as on paths, whose
+every vertex is a level of its own, and on small trees, a round is one
+scalar pass per probe, whose column is the list it writes, and so is
+every probe whose column of a lockstep pass holds a value that is not
+finite.
 """
 
 from __future__ import annotations
@@ -93,7 +105,7 @@ WINDOW_REL = 1e-10
 #: `_slice` locates an eigenvalue to within SLICE_REL * max(1, |value|).
 SLICE_REL = 1e-13
 
-#: Relative width below which `_isolated`, finding no single vertex where
+#: Relative width below which a `_Bracket`, finding no single vertex where
 #: the count rises, picks the vertex it steers on with `_steering`. Until
 #: then it halves, and a narrower bracket mostly has a single flip vertex,
 #: so the division walk picks instead. On the benchmark's tree spectra
@@ -120,7 +132,7 @@ PROBE_SHARE = 0.22
 
 #: `_slice` keeps at most IN_FLIGHT isolated brackets open or waiting
 #: before it halves another interval, and halves at most HALVINGS
-#: intervals at once, the lowest first. That bounds the g lists it holds
+#: intervals at once, the lowest first. That bounds the columns it holds
 #: and the width of a lockstep pass; wider rounds take fewer passes, each
 #: of which pays its per-level cost once for more probes.
 IN_FLIGHT = 64
@@ -297,7 +309,7 @@ class _Lanes:
     first, so slot k covers the level's first m_k rows, and among as many
     children the roots come last. ``batch_from`` is the number of probes
     from which one lockstep pass costs less than that many scalar passes
-    (`_lockstep_pays`); ``size`` is the length of a g list.
+    (`_lockstep_pays`); ``size`` is the length of a column.
     """
 
     def __init__(self, plan, size: int):
@@ -732,18 +744,30 @@ class _Bracket:
         """Move an end by the (column, count) of the pass at the probe:
         whether the bracket is still open (`settled`)."""
         ca, x = self.ca, self.x
-        if c != ca and c != ca + 1:
-            _checked(c, x, ca, ca + 1)
+        _checked(c, x, ca, ca + 1)
         if self.cap is not None:  # a replay's midpoint inside (lo, hi)
             if c == ca:
                 self.a = self.lo = x
             else:
                 self.b = self.hi = x
             return self.settled(out)
-        v, path = self.v, self.path
-        if path is None:
-            path = self.path = self._pick(col, x)
-        g = _rerooted_g(self.H, path, col, x) if path else math.nan
+        T, H, v, path = self.T, self.H, self.v, self.path
+        if path is None:  # u*'s path, at a flip vertex or inside SECANT_REL
+            lo, hi = self.lo, self.hi
+            if v >= 0:
+                star = _largest_entry(T, col, v)
+                path = (_path_to(T, star) if star >= 0
+                        else _steering(H, T, self.plan, col, x))
+            elif hi - lo <= _narrow(lo, hi, SECANT_REL):
+                path = _steering(H, T, self.plan, col, x)
+            self.path = path
+            if path:  # the ends get their values as well
+                self.g_lo = _rerooted_g(H, path, self.at_lo, lo)
+                self.g_hi = _rerooted_g(H, path, self.at_hi, hi)
+                self.pts = [(e, g) for e, g in ((lo, self.g_lo),
+                                                (hi, self.g_hi))
+                            if math.isfinite(g)]
+        g = _rerooted_g(H, path, col, x) if path else math.nan
         if math.isfinite(g):
             self.pts = [*self.pts[-2:], (x, g)]
         gv = col[v] if v >= 0 else math.nan
@@ -752,26 +776,6 @@ class _Bracket:
         else:
             self.hi, self.g_hi, self.gv_hi, self.at_hi = x, g, gv, col
         return self.settled(out)
-
-    def _pick(self, col, x: float):
-        """u*'s path at a probe x with a flip vertex or inside SECANT_REL,
-        with gamma at the ends; None until then."""
-        T, H, v = self.T, self.H, self.v
-        lo, hi = self.lo, self.hi
-        if v >= 0:
-            star = _largest_entry(T, col, v)
-            path = (_path_to(T, star) if star >= 0
-                    else _steering(H, T, self.plan, col, x))
-        elif hi - lo <= _narrow(lo, hi, SECANT_REL):
-            path = _steering(H, T, self.plan, col, x)
-        else:
-            return None
-        if path:  # the ends get their values as well
-            self.g_lo = _rerooted_g(H, path, self.at_lo, lo)
-            self.g_hi = _rerooted_g(H, path, self.at_hi, hi)
-            self.pts = [(e, g) for e, g in ((lo, self.g_lo), (hi, self.g_hi))
-                        if math.isfinite(g)]
-        return path
 
 
 def _replayed(a: float, b: float, lo: float, hi: float, cap: float) -> tuple:
@@ -822,8 +826,9 @@ def _flip_vertex(order, lows: list, highs: list) -> list:
         else:
             out.append(_scanned_flip(order, at_lo, at_hi))
     if stacked:  # finite, since `_lockstep` gives no other column: < 0.0
-        flips = ((_stacked([lows[i] for i in stacked]) < 0.0)
-                 != (_stacked([highs[i] for i in stacked]) < 0.0))
+        lo, hi = (np.frombuffer(b"".join([ends[i] for i in stacked]))
+                  .reshape(len(stacked), -1) for ends in (lows, highs))
+        flips = (lo < 0.0) != (hi < 0.0)
         for i, v, k in zip(stacked, flips.argmax(axis=1).tolist(),
                            np.count_nonzero(flips, axis=1).tolist()):
             out[i] = v if k == 1 else -1
@@ -842,11 +847,6 @@ def _scanned_flip(order, at_lo, at_hi) -> int:
                 return -1
             v = u
     return v
-
-
-def _stacked(cols: list) -> np.ndarray:
-    """The (columns, vertices) array of lockstep columns of one length."""
-    return np.frombuffer(b"".join(cols)).reshape(len(cols), -1)
 
 
 def _largest_entry(T: RootedTree, vals, v: int) -> int:

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,7 +263,7 @@ def test_eval_vertices_count_is_the_negative_entries():
     `_negative` marks, on random forests at random points, at every
     eigenvalue and at both its float neighbours, and at 1, where every
     unit leaf reads exactly 0.0 and the unit star's centre the pole marker:
-    one sign rule serves the count and `_window`."""
+    one sign rule serves the count and `_windows`."""
     rng = random.Random(2024)
     unit_star = WeightedGraph.unit(4, [(0, 1), (0, 2), (0, 3)])
     poles = 0
@@ -747,16 +748,33 @@ def test_every_probe_is_pinned(monkeypatch):
         3868, "50b4f39438392aef7287f18d5b96b918d3adce78bd6988f86cd93ef249484f68")
 
 
+def test_slicing_keeps_float64_columns(monkeypatch):
+    """The `tracemalloc` peak of ``tree_spectrum`` on ``gen tree 400 --seed 0
+    --weighted`` at p = 3 is at most 2.5 MiB, half of the 5.0 MiB it took
+    while every lockstep pass's g values became lists of Python floats
+    (32 bytes a value where a float64 column takes 8); it reads 1.96
+    MiB."""
+    H = Operator(gen_graph("tree", 400, random.Random(0), weighted=True), 3.0)
+    tracemalloc.start()
+    try:
+        tree_spectrum(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20, peak / 2 ** 20
+
+
 def _hex_list(vals, order) -> list:
     return [vals[u].hex() for u in order]
 
 
 def test_isolated_brackets_enter_with_the_passes_at_their_ends(monkeypatch):
     """Every isolated bracket opens (`_Bracket`) with the columns of a
-    fresh pass at each of its ends, and on a forest no column reaches past
-    the component's largest vertex. With every round batched every column
-    is a read-only view of float64 bytes of its own, so a write to one that
-    neighbouring intervals share raises."""
+    fresh pass at each of its ends, and they read the same once the
+    spectrum is done: no column that neighbouring intervals share is
+    written as scratch. On a forest no column reaches past the component's
+    largest vertex. With every round batched every column is a read-only
+    view of float64 bytes of its own, so a write to one raises."""
     inner = treespec._Bracket.__init__
     seen = []
 
@@ -769,12 +787,12 @@ def test_isolated_brackets_enter_with_the_passes_at_their_ends(monkeypatch):
             fresh = [0.0] * len(kept)
             assert treespec._eval_vertices(H, x, plan, fresh) == count
             assert _hex_list(kept, order) == _hex_list(fresh, order)
+            seen.append((kept, order, _hex_list(fresh, order)))
             if batched:  # a float64 buffer of its own
                 assert isinstance(kept, memoryview) and kept.format == "d"
                 assert isinstance(kept.obj, bytes)
                 with pytest.raises(TypeError, match="read-only"):
                     kept[order[0]] = 0.0
-        seen.append(a)
         inner(self, scope, a, b, ca, cb, at_lo, at_hi)
 
     monkeypatch.setattr(treespec._Bracket, "__init__", checked)
@@ -790,7 +808,10 @@ def test_isolated_brackets_enter_with_the_passes_at_their_ends(monkeypatch):
         for g, p in cases:
             seen.clear()
             spec = tree_spectrum(Operator(g, p))
-            assert len(seen) == spec.total  # every value has multiplicity one
+            # two ends a bracket, and every value has multiplicity one
+            assert len(seen) == 2 * spec.total
+            for kept, order, want in seen:
+                assert _hex_list(kept, order) == want
 
 
 @pytest.mark.parametrize("fault", ["no single vertex", "zero g", "overflow"])
