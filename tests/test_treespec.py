@@ -774,7 +774,8 @@ def test_isolated_brackets_enter_with_the_passes_at_their_ends(monkeypatch):
     spectrum is done: no column that neighbouring intervals share is
     written as scratch. On a forest no column reaches past the component's
     largest vertex. With every round batched every column is a read-only
-    view of float64 bytes of its own, so a write to one raises."""
+    view of float64 bytes of its own, whose numpy view is not writeable,
+    so a write to one raises."""
     inner = treespec._Bracket.__init__
     seen = []
 
@@ -790,7 +791,8 @@ def test_isolated_brackets_enter_with_the_passes_at_their_ends(monkeypatch):
             seen.append((kept, order, _hex_list(fresh, order)))
             if batched:  # a float64 buffer of its own
                 assert isinstance(kept, memoryview) and kept.format == "d"
-                assert isinstance(kept.obj, bytes)
+                assert isinstance(kept.obj, bytes) and kept.readonly
+                assert not np.frombuffer(kept).flags.writeable
                 with pytest.raises(TypeError, match="read-only"):
                     kept[order[0]] = 0.0
         inner(self, scope, a, b, ca, cb, at_lo, at_hi)
@@ -817,7 +819,7 @@ def test_isolated_brackets_enter_with_the_passes_at_their_ends(monkeypatch):
 @pytest.mark.parametrize("fault", ["no single vertex", "zero g", "overflow"])
 def test_isolated_falls_back_to_steering(monkeypatch, fault):
     """Where the count rises at more than one vertex, a g on the division
-    walk is exactly 0.0 or the walk's product overflows, `_isolated` picks
+    walk is exactly 0.0 or the walk's product overflows, a `_Bracket` picks
     u* with `_steering` at once and still returns the bisection's
     floats."""
     H = Operator(gen_graph("tree", 30, random.Random(0), weighted=True), 3.0)
@@ -938,7 +940,7 @@ def test_isolated_eigenvalues_steer_where_the_root_is_small(monkeypatch, kind,
 
 def test_trees_steer_only_where_narrowing_finds_no_flip_vertex(monkeypatch):
     """On ``gen tree 120 --weighted`` at p = 1.2, pool members 0-2,
-    `_isolated` waits until its bracket is SECANT_REL wide before it
+    a `_Bracket` waits until it is SECANT_REL wide before it
     steers, by when the division walk picks u* for most eigenvalues:
     `_steering` runs for at most 0.12 of them, about 10 % above the most a
     member takes (0.108; 0.35-0.375 with SECANT_REL at 1e-2), and the
@@ -1000,7 +1002,7 @@ def test_steering_gives_up_instead_of_raising(monkeypatch):
     """A g list whose 1 - 1/g squares past the float range at p = 3, or
     that holds exact zeros, gives no steering path and a NaN steering
     value, never an OverflowError or ZeroDivisionError; on NaN steering
-    values `_isolated` halves and returns the same floats."""
+    values a `_Bracket` halves and returns the same floats."""
     H = Operator(gen_graph("star", 8, random.Random(0), weighted=True), 3.0)
     T = RootedTree(H.graph)
     (order,) = T.components
