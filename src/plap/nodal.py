@@ -166,8 +166,8 @@ class Thresholds:
     """Where the removal checks count the after-values of a removal from an
     operator with spectrum ``spec``, built once for all its removals: at
     its i-th distinct value t, below[i] = `_below`(t) and
-    upto[i] = `_upto`(t); ``flat`` is the spectrum with repetition and
-    pos[k] the distinct index of flat[k]."""
+    upto[i] = `_upto`(t), xs = below + upto; ``flat`` is the spectrum
+    with repetition and pos[k] the distinct index of flat[k]."""
 
     def __init__(self, spec: Spectrum):
         values = spec.values()
@@ -175,16 +175,7 @@ class Thresholds:
         self.pos = [i for i, e in enumerate(spec.entries) for _ in range(e.mult)]
         self.below = [_below(t) for t in values]
         self.upto = [_upto(t) for t in values]
-
-
-def counts_below(counter, xs) -> list:
-    """``counter.count_below`` at every threshold of the list ``xs``: in one
-    call where the counter has ``counts_below`` (the sorted values of
-    `oracle.ValueCount`), else one count per threshold."""
-    many = getattr(counter, "counts_below", None)
-    if many is not None:
-        return many(xs)
-    return [counter.count_below(x) for x in xs]
+        self.xs = self.below + self.upto
 
 
 def _position_report(H: Operator, cert: EigenpairCertificate,

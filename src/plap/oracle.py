@@ -148,12 +148,8 @@ class ValueCount:
             counts.append(count)
         return counts
 
-    def count_below(self, x: float) -> int:
-        """#{values < x}."""
-        return int(np.searchsorted(self.values, x))
-
     def counts_below(self, xs) -> list:
-        """`count_below` at every threshold of ``xs``."""
+        """#{values < x} at every threshold of ``xs``."""
         return np.searchsorted(self.values, xs).tolist()
 
 

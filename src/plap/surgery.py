@@ -21,7 +21,7 @@ from ._unionfind import UnionFind
 from .core import (EigenpairCertificate, Operator, VertexFunction,
                    WeightedGraph, connected_components, induced_subgraph,
                    is_forest, phi, residual)
-from .nodal import Thresholds, _slack, analyze, counts_below, sign_pattern
+from .nodal import Thresholds, _slack, analyze, sign_pattern
 from .oracle import SymmetricMatrix, ValueCount, p2_diagonal, p2_spectrum
 from .treespec import ForestCount, PatchedCount
 
@@ -264,12 +264,13 @@ def verify_weyl_edge(th: Thresholds, after, alpha_sign: float) -> CheckReport:
     -inf / +inf), each side within the slack s of lambda_k. ``th`` holds
     the thresholds of the before-spectrum (`nodal.Thresholds`).
 
-    ``after`` is anything with ``total`` and ``count_below`` (a
-    ``Spectrum``, a ``treespec.ForestCount`` or an ``oracle.ValueCount``).
-    Only two counts per distinct lambda_k are read, all in one
-    `nodal.counts_below` call: c- = #{eta < lambda_k - s} and
-    c+ = #{eta <= lambda_k + s}. The pattern is c+ >= k - 1 and
-    c- <= k - 1 for alpha < 0, c+ >= k and c- <= k for alpha > 0.
+    ``after`` is anything with ``total`` and ``counts_below`` (a
+    ``Spectrum``, ``ForestCount`` or ``PatchedCount`` counter of `treespec`,
+    an ``oracle.ValueCount``). Only two counts per distinct lambda_k are
+    read, all in one ``counts_below(th.xs)`` call:
+    c- = #{eta < lambda_k - s} and c+ = #{eta <= lambda_k + s}. The
+    pattern is c+ >= k - 1 and c- <= k - 1 for alpha < 0, c+ >= k and
+    c- <= k for alpha > 0.
     """
     lam = th.flat
     if after.total != len(lam):
@@ -278,7 +279,7 @@ def verify_weyl_edge(th: Thresholds, after, alpha_sign: float) -> CheckReport:
         raise ValueError("alpha must have a definite sign")
     shift = 1 if alpha_sign > 0 else 0
     d = len(th.below)
-    c = counts_below(after, th.below + th.upto)
+    c = after.counts_below(th.xs)
     failures = []
     for k, (lk, i) in enumerate(zip(lam, th.pos), start=1):
         need = k - 1 + shift
@@ -298,8 +299,8 @@ def verify_weyl_nodes(th: Thresholds, after, n: int) -> CheckReport:
     lambda_k <= eta_k <= lambda_{k+n} for every k on the smaller graph,
     with ``th`` the `nodal.Thresholds` of the before-spectrum.
 
-    ``after`` is anything with ``total`` and ``count_below``. The two sides
-    are read as counts at before-values, all in one `nodal.counts_below`
+    ``after`` is a counter as for `verify_weyl_edge`. The two sides are
+    read as counts at before-values, all in one ``counts_below(th.xs)``
     call: lambda_k <= eta_k as #{eta < lambda_k - s} <= k - 1, and
     eta_k <= lambda_{k+n} as #{eta <= lambda_{k+n} + s} >= k, with s the
     slack of that before-value. Taking the slack at the before-value
@@ -311,14 +312,11 @@ def verify_weyl_nodes(th: Thresholds, after, n: int) -> CheckReport:
     if m != len(lam) - n:
         raise ValueError(f"after-spectrum should be {n} values shorter")
     failures = []
-    if m:
-        # the distinct values read: below at lambda_1..lambda_m, upto at
-        # lambda_{1+n}..lambda_{m+n}
-        top, bottom = th.pos[m - 1] + 1, th.pos[n]
-        c = counts_below(after, th.below[:top] + th.upto[bottom:])
+    d = len(th.below)
+    c = after.counts_below(th.xs) if m else []
     for k in range(1, m + 1):
         lo, hi = lam[k - 1], lam[k + n - 1]
-        c_below, c_upto = c[th.pos[k - 1]], c[top + th.pos[k + n - 1] - bottom]
+        c_below, c_upto = c[th.pos[k - 1]], c[d + th.pos[k + n - 1]]
         if c_below > k - 1 or c_upto < k:
             failures.append(
                 f"value {k} outside [{lo}, {hi}] after removing {n} vertices: "

@@ -53,9 +53,10 @@ The pass writes every g value into a list indexed by vertex and counts the
 negative ones as it goes. `_eval_vertices` is the reference: the only pass
 of `ForestCount.count_below`, and the pass the array passes fall back to
 wherever they meet a value that is not finite. `_level_pass`
-is the one array pass, of `_lockstep` and of both passes of
-`PatchedCount`: the same float operations one height level at a time on
-arrays of a level's vertices by (patch, threshold) lanes.
+is the one array pass, of `_lockstep` (the slicing rounds and
+`ForestCount.counts_below`) and of both passes of `PatchedCount`: the
+same float operations one height level at a time on arrays of a level's
+vertices by (patch, threshold) lanes.
 
 `_slice` works a component's intervals in rounds, one loop for rounds of
 every width: every open interval gives its next probe, and the round
@@ -1079,6 +1080,10 @@ class Spectrum:
         """Number of eigenvalues strictly below ``x``, with multiplicity."""
         return self._below[bisect.bisect_left(self._values, x)]
 
+    def counts_below(self, xs) -> list:
+        """`count_below` at every threshold of ``xs``."""
+        return [self.count_below(x) for x in xs]
+
     def find(self, lam: float, rel_tol: float = 1e-8) -> SpectrumEntry:
         best = None
         gap = math.inf
@@ -1109,8 +1114,15 @@ class ForestCount:
         self.total = H.graph.n
         self._vals = [0.0] * self.total  # g values, rewritten by every count
 
+    @functools.cached_property
+    def _lanes(self) -> _Lanes:
+        """The whole forest as one plan, leaves first, laid out once."""
+        whole = [[e for plan in self._T.plans.values() for e in plan[part]]
+                 for part in (0, 1)]
+        return _Lanes(whole, self.total)
+
     def count_below(self, x: float) -> int:
-        """#{eigenvalues < x}, with multiplicity.
+        """#{eigenvalues < x}, with multiplicity: the scalar reference.
 
         An exact hit follows the left limit: a g value of exactly 0.0 counts
         as not negative, and the pole marker, which only an exact child zero
@@ -1120,6 +1132,12 @@ class ForestCount:
         and the count then still reads the one below.
         """
         return _eval_plans(self._H, x, self._T.plans.values(), self._vals)
+
+    def counts_below(self, xs) -> list:
+        """`count_below` at every threshold of ``xs`` by the slicing rounds'
+        rule (`_passes`), so a lane that is not finite is counted again by
+        the scalar pass, which raises where `count_below` raises."""
+        return [c for _col, c in _passes(self._H, self._lanes, list(xs))]
 
 
 class PatchedCount:
@@ -1142,7 +1160,8 @@ class PatchedCount:
     or patched column holds a value that is not finite is counted by
     `_eval_vertices` over the whole patched forest, the reference, which
     raises where that forest's count raises; that lane's counter then
-    raises the same OverflowError.
+    raises the same OverflowError. The base pass runs on the base's own
+    layout of the whole forest, ``base._lanes``.
     """
 
     def __init__(self, base: ForestCount, patches: list):
@@ -1155,11 +1174,9 @@ class PatchedCount:
         self._base = base
         self._patches = patches
         if near:
-            whole = [[e for plan in T.plans.values() for e in plan[part]]
-                     for part in (0, 1)]
-            self._forest = forest = _Lanes(whole, base.total)
+            forest = base._lanes
             self._paths = paths = _Lanes([[e for e in part if e[0] in near]
-                                          for part in whole], base.total)
+                                          for part in forest.plan], base.total)
             kappa = paths.columns[0].repeat(len(patches), axis=1)
             for u in patches[0]:
                 kappa[paths.order.index(u), :, 0] = [patch[u] for patch in patches]
@@ -1183,7 +1200,7 @@ class PatchedCount:
         root paths (see the class)."""
         if not xs:
             return [[] for _patch in self._patches]
-        H, forest, paths = self._base._H, self._forest, self._paths
+        H, forest, paths = self._base._H, self._base._lanes, self._paths
         n = paths.n
         lam = np.array(xs)
         base = _level_pass(H, forest, lam, forest.columns[0])[:forest.n, 0]
@@ -1211,9 +1228,8 @@ class PatchedCount:
 
 
 class _PatchCounter:
-    """The eigenvalue counter of one patch of a `PatchedCount`: ``total``,
-    ``count_below`` and the ``counts_below`` that `nodal.counts_below`
-    reads in one call."""
+    """The eigenvalue counter of one patch of a `PatchedCount`: ``total``
+    and ``counts_below``, which the Weyl verifiers read in one call."""
 
     def __init__(self, patched: PatchedCount, i: int):
         self._patched = patched
@@ -1226,10 +1242,6 @@ class _PatchCounter:
         if isinstance(got, OverflowError):
             raise got
         return list(got)
-
-    def count_below(self, x: float) -> int:
-        """#{eigenvalues < x}."""
-        return self.counts_below([x])[0]
 
 
 def _patched_plans(T: RootedTree, kappa: dict) -> list:

@@ -963,6 +963,48 @@ def test_check_all_counts_each_cut_edge_in_one_array_pass(tmp_path, capsys,
     assert scalar == []
 
 
+def test_check_all_counts_each_vertex_removal_in_one_call(tmp_path, capsys,
+                                                          monkeypatch):
+    """On the tree route ``check --all`` counts each vertex removal of
+    ``gen tree 40 --seed 0 --weighted`` at p = 3 with one
+    ``ForestCount.counts_below`` call at every threshold of the request,
+    and never calls the scalar ``ForestCount.count_below``. It prints the
+    bytes it prints when those counts are taken one threshold at a time by
+    ``count_below``. The request exits 4 on its nodal-lower rows at
+    lambda ~ 0.6745 (16 domains against the bound 17), which every Weyl row
+    passes."""
+    g = gen_graph("tree", 40, random.Random(0), weighted=True)
+    path = write_doc(tmp_path, graph_document(g))
+    argv = ["check", path, "--all", "--p", "3"]
+    counts_below, count_below = (treespec.ForestCount.counts_below,
+                                 treespec.ForestCount.count_below)
+    calls, scalar = [], []
+
+    def counted(self, xs):
+        calls.append((self.total, len(xs)))
+        return counts_below(self, xs)
+
+    monkeypatch.setattr(treespec.ForestCount, "counts_below", counted)
+    monkeypatch.setattr(
+        treespec.ForestCount, "count_below",
+        lambda self, x: scalar.append(x) or count_below(self, x))
+    assert main(argv) == EXIT_VIOLATION
+    out = capsys.readouterr().out
+    rows = json.loads(out)["checks"]
+    assert {row["name"] for row in rows if not row["pass"]} == {
+        "nodal-lower-simple", "nodal-lower-variational",
+        "nodal-lower-combined"}
+    assert sum(row["name"] == "weyl-node" for row in rows) == g.n
+    assert scalar == []
+    distinct = len(treespec.tree_spectrum(Operator(g, 3.0)).entries)
+    assert calls == [(g.n - 1, 2 * distinct)] * g.n
+    monkeypatch.setattr(treespec.ForestCount, "counts_below",
+                        lambda self, xs: [self.count_below(x) for x in xs])
+    assert main(argv) == EXIT_VIOLATION
+    assert capsys.readouterr().out == out
+    assert len(scalar) == 2 * distinct * g.n
+
+
 def test_check_all_dense_route_decomposes_once(tmp_path, capsys, monkeypatch):
     """At p = 2 the Weyl rows count eigenvalues of every after-operator, so
     the only eigendecomposition is the one behind the before-eigenbasis.

@@ -8,7 +8,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import certify, diamond_graph, random_connected_graph, random_tree
+from conftest import (certify, diamond_graph, disjoint_union,
+                      random_connected_graph, random_tree)
+from plap import treespec
 from plap.core import (
     EigenpairCertificate,
     Operator,
@@ -210,8 +212,8 @@ class _ReadCounts:
     def __init__(self, counts: dict, total: int):
         self.counts, self.total = counts, total
 
-    def count_below(self, x):
-        return self.counts[x]
+    def counts_below(self, xs):
+        return [self.counts[x] for x in xs]
 
 
 def _cut_counts_agree(H) -> int:
@@ -224,7 +226,7 @@ def _cut_counts_agree(H) -> int:
     g = H.graph
     spec = tree_eigenpairs(H)
     th = Thresholds(spec)
-    ts = th.below + th.upto
+    ts = th.xs
     compared = 0
     for i, j, _w in g.edges:
         e0 = (g.ids[i], g.ids[j])
@@ -235,7 +237,7 @@ def _cut_counts_agree(H) -> int:
             want = ForestCount(H2)
             counts = [want.count_below(t) for t in ts]
             assert after.counts_below(ts) == counts, e0
-            assert [after.count_below(t) for t in ts] == counts, e0
+            assert [after.counts_below([t])[0] for t in ts] == counts, e0
             assert alpha == step.alpha
             assert (verify_weyl_edge(th, after, alpha)
                     == verify_weyl_edge(th, _ReadCounts(dict(zip(ts, counts)), g.n),
@@ -284,7 +286,7 @@ def _dense_cuts_agree(H) -> int:
         a = assemble_p2(H2).data
         values = np.linalg.eigvalsh(a)
         want = [int(np.sum(values < t)) for t in ts]
-        assert [after.count_below(t) for t in ts] == want
+        assert [after.counts_below([t])[0] for t in ts] == want
         assert after.counts_below(ts) == want
         return a, p2_spectrum(H2, bases=False)
 
@@ -441,7 +443,7 @@ def test_patched_counter_counts_poles_and_overflows_as_a_full_pass():
             want = ForestCount(Operator(_with_kappa(unit, patch), p))
             assert after.counts_below(xs) == [want.count_below(x) for x in xs]
             for x in xs:
-                assert after.count_below(x) == want.count_below(x), (p, x)
+                assert after.counts_below([x]) == [want.count_below(x)], (p, x)
     g = gen_graph("path", 5, random.Random(0), weighted=True)
     base = ForestCount(Operator(_with_kappa(g, {2: 1e80}), 1.2))
     xs = [-1.0, 0.3, 1.0, 2.5, 6.0]
@@ -455,7 +457,55 @@ def test_patched_counter_counts_poles_and_overflows_as_a_full_pass():
         with pytest.raises(OverflowError):
             kept.counts_below(xs)
         for x in xs:
-            assert patched.count_below(x) == want.count_below(x)
+            assert patched.counts_below([x]) == [want.count_below(x)]
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_forest_counts_below_is_the_scalar_count(monkeypatch, batched):
+    """``ForestCount.counts_below`` counts what ``count_below`` counts at
+    every threshold, on either side of the lockstep crossover (``batched``
+    makes every list of thresholds one `_lockstep` pass): on the two
+    pole-marker documents of the patched-counter tests and their patched
+    forests, on a seeded forest of five trees, where the list is wide
+    enough for a lockstep pass by the cost model too, and at the potential
+    1e80 at p = 1.2, where both raise the same OverflowError."""
+    if batched:
+        monkeypatch.setattr(treespec, "_lockstep_pays", lambda *args: 1)
+    lockstep, inner = [], treespec._lockstep
+    monkeypatch.setattr(treespec, "_lockstep",
+                        lambda *args: lockstep.append(1) or inner(*args))
+    tree = WeightedGraph.unit(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
+    path = gen_graph("path", 3, random.Random(0))
+    docs = [tree, path, *(_with_kappa(g, patch) for g in (tree, path)
+                          for patch in ({2: 0.5}, {2: 0.0}, {2: -0.5}))]
+    xs = [0.5, 1.0, 1.5, 2.0, 3.0]
+    for p in (1.2, 2.0, 3.0):
+        for g in docs:
+            counter = ForestCount(Operator(g, p))
+            want = [counter.count_below(x) for x in xs]
+            assert counter.counts_below(xs) == want
+    rng = random.Random(5)
+    forest = disjoint_union(*[random_tree(rng, n=rng.randint(3, 9))
+                              for _ in range(5)])
+    for p in (1.2, 3.0):
+        counter = ForestCount(Operator(forest, p))
+        spec = tree_spectrum(Operator(forest, p))
+        xs = [x for v in spec.values()
+              for x in (v - _slack(v), v, v + _slack(v))]
+        assert len(xs) >= counter._lanes.batch_from
+        lockstep.clear()
+        assert counter.counts_below(xs) == [counter.count_below(x) for x in xs]
+        assert lockstep == [1]
+    g = gen_graph("path", 5, random.Random(0), weighted=True)
+    counter = ForestCount(Operator(_with_kappa(g, {2: 1e80}), 1.2))
+    xs = [-1.0, 0.3, 1.0, 2.5, 6.0]
+    with pytest.raises(OverflowError) as scalar:
+        counter.count_below(xs[0])
+    lockstep.clear()
+    with pytest.raises(OverflowError) as lanes:
+        counter.counts_below(xs)
+    assert lanes.value.args == scalar.value.args
+    assert lockstep == ([1] if batched else [])
 
 
 def test_weyl_counts_keep_a_known_failure():
