@@ -237,17 +237,22 @@ def _check_route(H: Operator, bases: bool) -> tuple:
     graph's order, the eigenvalue counter after removing that vertex, or
     the error that removal raises).
 
-    The tree route cuts with `surgery.EdgeCut` and counts a vertex removal
-    with a `treespec.ForestCount` of the smaller forest. The dense route
-    assembles one matrix, reads the spectrum from it, and counts every
-    removal by the sorted ``eigvalsh`` values of a patched copy of it
-    (`surgery.DenseEdgeCut`, `surgery.dense_vertex_removals`,
-    `oracle.ValueCount`). Neither route clusters an after-spectrum.
+    The tree route roots the forest once, in one `treespec.ForestCount`
+    whose rooting the spectrum is sliced on too, and counts every removal
+    from it (`surgery.EdgeCut`, `surgery.vertex_removals`): one level pass
+    of the whole forest at the request's thresholds, then per cut edge one
+    pass over the vertices the cut moves, and all vertex removals together
+    in passes whose rows are (removal, vertex) pairs; no smaller forest is
+    built. The dense route assembles one matrix, reads the spectrum from
+    it, and counts every removal by the sorted ``eigvalsh`` values of a
+    patched copy of it (`surgery.DenseEdgeCut`,
+    `surgery.dense_vertex_removals`, `oracle.ValueCount`). Neither route
+    clusters an after-spectrum.
     """
     if _tree_route(H):
-        return (full_spectrum(H, bases), lambda e0: surgery_mod.EdgeCut(H, e0),
-                lambda: (treespec.ForestCount(surgery_mod.remove_node(H, u)[0])
-                         for u in H.graph.ids))
+        base = treespec.ForestCount(H)
+        return (base.spectrum(bases), lambda e0: surgery_mod.EdgeCut(base, e0),
+                lambda: surgery_mod.vertex_removals(base))
     m = oracle_mod.assemble_p2(H)
     return (oracle_mod.matrix_spectrum(m, H.graph.rho, bases),
             lambda e0: surgery_mod.DenseEdgeCut(H, m, e0),
@@ -432,9 +437,11 @@ def _weyl_edge_rows(g: WeightedGraph, certs: list, edge_cut,
 
     The rows are computed edge by edge: one cut per edge (``edge_cut`` of
     `_check_route`) takes the removals under every eigenfunction before
-    any of them is verified. On the tree route that cut keeps one
-    after-forest and counts all its removals in one array pass, and only
-    that edge's g lists are kept at a time; on the dense route each removal
+    any of them is verified. On the tree route that cut builds no forest:
+    it counts all its removals from the request's one rooting, in one
+    level pass over the vertices the cut moves, with every other g value
+    read from the request's one pass over the whole forest, and only that
+    edge's counts are kept at a time; on the dense route each removal
     patches a copy of the request's one matrix. Each eigenfunction's sign
     pattern is computed once and serves all of its removals, and every
     removal is counted at the ``thresholds`` of the spectrum, built once

@@ -167,7 +167,9 @@ class Thresholds:
     operator with spectrum ``spec``, built once for all its removals: at
     its i-th distinct value t, below[i] = `_below`(t) and
     upto[i] = `_upto`(t), xs = below + upto; ``flat`` is the spectrum
-    with repetition and pos[k] the distinct index of flat[k]."""
+    with repetition and pos[k] the distinct index of flat[k]. As arrays
+    over flat: ``at_below`` and ``at_upto`` index flat[k]'s two thresholds
+    in xs; ``ranks`` is 0, 1, ..., len(flat)."""
 
     def __init__(self, spec: Spectrum):
         values = spec.values()
@@ -176,6 +178,9 @@ class Thresholds:
         self.below = [_below(t) for t in values]
         self.upto = [_upto(t) for t in values]
         self.xs = self.below + self.upto
+        self.at_below = np.array(self.pos, dtype=np.intp)
+        self.at_upto = self.at_below + len(values)
+        self.ranks = np.arange(len(self.flat) + 1)
 
 
 def _position_report(H: Operator, cert: EigenpairCertificate,

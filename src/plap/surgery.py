@@ -76,17 +76,26 @@ def _compensation(H: Operator, f: VertexFunction, e0, signs=None) -> tuple:
     omega * phi(1 - 1/alpha) of v0. Both endpoint values must sit outside
     the zero band, and both compensated potentials must be finite.
     ``signs`` is f's `sign_pattern`, computed here when not given."""
-    g = H.graph
+    iu, iv, w = _edge(H.graph, e0)
+    return (iu, iv, *_compensated(H, f, iu, iv, w, signs))
+
+
+def _edge(g: WeightedGraph, e0) -> tuple:
+    """(iu, iv, omega) of the edge ``e0`` = (u0, v0) of g, by dense index."""
     u0, v0 = e0
     iu = g.index_of(u0)
     iv = g.index_of(v0)
-    w = None
-    for j, wj in g.adj[iu]:
+    for j, w in g.adj[iu]:
         if j == iv:
-            w = wj
-            break
-    if w is None:
-        raise ValueError(f"no edge between {u0!r} and {v0!r}")
+            return iu, iv, w
+    raise ValueError(f"no edge between {u0!r} and {v0!r}")
+
+
+def _compensated(H: Operator, f: VertexFunction, iu: int, iv: int, w: float,
+                 signs) -> tuple:
+    """(alpha, d_u, d_v) of `_compensation` on the edge of weight w between
+    dense indices iu and iv."""
+    g = H.graph
     x = f.values
     if len(x) != g.n:
         raise ValueError("function does not match the graph")
@@ -99,7 +108,7 @@ def _compensation(H: Operator, f: VertexFunction, e0, signs=None) -> tuple:
     for i, d in sorted(((iu, d_u), (iv, d_v))):
         if not math.isfinite(float(g.kappa[i]) + d):
             raise ValueError(f"kappa must be finite at {g.ids[i]!r}")
-    return iu, iv, alpha, d_u, d_v
+    return alpha, d_u, d_v
 
 
 def _without_edge(g: WeightedGraph, iu: int, iv: int, kappa) -> WeightedGraph:
@@ -113,25 +122,21 @@ def _without_edge(g: WeightedGraph, iu: int, iv: int, kappa) -> WeightedGraph:
 
 class EdgeCut:
     """The compensated removals of one forest edge ``e0`` under any number
-    of eigenfunctions, counted on one after-forest; `DenseEdgeCut` is its
-    counterpart on the dense p = 2 route.
+    of eigenfunctions, counted from ``base``, the `treespec.ForestCount` of
+    the forest before the removal; `DenseEdgeCut` is its counterpart on the
+    dense p = 2 route.
 
-    The after-forest is the forest minus ``e0`` with the potentials it has
-    before the removal, in the vertex order and rooting of the operator
-    ``remove_edge`` builds. A removal only adds to the two endpoint
-    potentials, so the removals under all the eigenfunctions are counted
-    as patches of those two potentials (`treespec.PatchedCount`), in two
-    level passes per set of thresholds, and each counts what
-    ``ForestCount(remove_edge(H, f, e0)[0])`` counts, to the bit.
+    No forest is built: a removal only adds to the two endpoint potentials,
+    so the removals under all the eigenfunctions are removals of one edge
+    with patches of those two potentials (`treespec.PatchedCount`), counted
+    in one level pass over the vertices whose g values the cut moves, and
+    each counts what ``ForestCount(remove_edge(H, f, e0)[0])`` counts, to
+    the bit.
     """
 
-    def __init__(self, H: Operator, e0):
-        g = H.graph
-        self._H = H
+    def __init__(self, base: ForestCount, e0):
+        self._base = base
         self._e0 = e0
-        self._after = ForestCount(Operator(
-            _without_edge(g, g.index_of(e0[0]), g.index_of(e0[1]), g.kappa),
-            H.p))
 
     def afters(self, functions, signs=None) -> list:
         """Per eigenfunction of ``functions``, (alpha, eigenvalue counter of
@@ -140,18 +145,22 @@ class EdgeCut:
         `sign_pattern`, computed where not given. Every counter is one of
         a single `treespec.PatchedCount`, so the first count asked of any
         of them counts all the removals at once."""
-        kappa = self._H.graph.kappa
-        out, patches = [], []
+        H = self._base.operator
+        out, removals = [], []
+        try:
+            iu, iv, w = _edge(H.graph, self._e0)
+        except ValueError as exc:
+            return [exc] * len(functions)
+        k_u, k_v = float(H.graph.kappa[iu]), float(H.graph.kappa[iv])
         for f, s in zip(functions, signs or [None] * len(functions)):
             try:
-                iu, iv, alpha, d_u, d_v = _compensation(self._H, f, self._e0, s)
+                alpha, d_u, d_v = _compensated(H, f, iu, iv, w, s)
             except ValueError as exc:
                 out.append(exc)
                 continue
             out.append(alpha)
-            patches.append({iu: float(kappa[iu]) + d_u,
-                            iv: float(kappa[iv]) + d_v})
-        counters = iter(PatchedCount(self._after, patches).counters)
+            removals.append(((iu, iv), {iu: k_u + d_u, iv: k_v + d_v}))
+        counters = iter(PatchedCount(self._base, removals).counters)
         return [got if isinstance(got, ValueError) else (got, next(counters))
                 for got in out]
 
@@ -236,6 +245,32 @@ def dense_vertex_removals(H: Operator, m: SymmetricMatrix) -> list:
     return ValueCount.each(arrays)
 
 
+def vertex_removals(base: ForestCount) -> list:
+    """Per vertex of the forest that ``base`` counts, in its order, the
+    eigenvalue counter after `remove_node` removes it, or the ValueError
+    that removal raises: `dense_vertex_removals`' counterpart on the tree
+    route. No forest is built: every counter is one of a single
+    `treespec.PatchedCount` of ``base``, so the first count asked of any
+    of them counts all the removals, in level passes over the vertices
+    whose g values they move."""
+    g = base.operator.graph
+    if g.n == 1:
+        return [ValueError("cannot remove the last vertex")]
+    out, removals = [], []
+    for iu in range(g.n):
+        patch = {}
+        for j, w in sorted(g.adj[iu]):  # the rebuilt graph checks in this order
+            patch[j] = float(g.kappa[j]) + w
+            if not math.isfinite(patch[j]):
+                out.append(ValueError(f"kappa must be finite at {g.ids[j]!r}"))
+                break
+        else:
+            out.append(None)
+            removals.append(((iu,), patch))
+    counters = iter(PatchedCount(base, removals).counters)
+    return [next(counters) if got is None else got for got in out]
+
+
 def remove_node(H: Operator, u0) -> tuple[Operator, SurgeryStep]:
     """Remove vertex ``u0``, folding each incident edge weight into the
     neighbor's potential.
@@ -270,26 +305,27 @@ def verify_weyl_edge(th: Thresholds, after, alpha_sign: float) -> CheckReport:
     read, all in one ``counts_below(th.xs)`` call:
     c- = #{eta < lambda_k - s} and c+ = #{eta <= lambda_k + s}. The
     pattern is c+ >= k - 1 and c- <= k - 1 for alpha < 0, c+ >= k and
-    c- <= k for alpha > 0.
+    c- <= k for alpha > 0. Every k is decided by one array comparison, and
+    only the k that fail are written out.
     """
     lam = th.flat
     if after.total != len(lam):
         raise ValueError("edge removal must preserve the vertex count")
     if alpha_sign == 0 or not math.isfinite(alpha_sign):
         raise ValueError("alpha must have a definite sign")
+    c = np.asarray(after.counts_below(th.xs))
     shift = 1 if alpha_sign > 0 else 0
-    d = len(th.below)
-    c = after.counts_below(th.xs)
+    need = th.ranks[shift:shift + len(lam)]  # k - 1 + shift for k = 1, 2, ...
+    c_below, c_upto = c[th.at_below], c[th.at_upto]
+    bad = (c_upto < need) | (c_below > need)
     failures = []
-    for k, (lk, i) in enumerate(zip(lam, th.pos), start=1):
-        need = k - 1 + shift
-        c_below, c_upto = c[i], c[d + i]
-        if c_upto < need or c_below > need:
-            failures.append(
-                f"value {k}: {lk} misplaced after edge removal: "
-                f"#{{eta < {th.below[i]}}} = {c_below} and "
-                f"#{{eta <= {lk + _slack(lk)}}} = {c_upto}, but the first must be "
-                f"<= {need} and the second >= {need}")
+    for k in np.flatnonzero(bad).tolist() if bad.any() else ():
+        lk, i = lam[k], th.pos[k]
+        failures.append(
+            f"value {k + 1}: {lk} misplaced after edge removal: "
+            f"#{{eta < {th.below[i]}}} = {c_below[k]} and "
+            f"#{{eta <= {lk + _slack(lk)}}} = {c_upto[k]}, but the first must be "
+            f"<= {need[k]} and the second >= {need[k]}")
     return CheckReport(ok=not failures, checked=len(lam),
                        failures=tuple(failures))
 
@@ -305,24 +341,25 @@ def verify_weyl_nodes(th: Thresholds, after, n: int) -> CheckReport:
     eta_k <= lambda_{k+n} as #{eta <= lambda_{k+n} + s} >= k, with s the
     slack of that before-value. Taking the slack at the before-value
     rather than at eta_k changes the verdict only inside a window about
-    1e-16 wide.
+    1e-16 wide. Every k is decided by one array comparison, and only the
+    k that fail are written out.
     """
     lam = th.flat
     m = after.total
     if m != len(lam) - n:
         raise ValueError(f"after-spectrum should be {n} values shorter")
     failures = []
-    d = len(th.below)
-    c = after.counts_below(th.xs) if m else []
-    for k in range(1, m + 1):
-        lo, hi = lam[k - 1], lam[k + n - 1]
-        c_below, c_upto = c[th.pos[k - 1]], c[d + th.pos[k + n - 1]]
-        if c_below > k - 1 or c_upto < k:
+    if m:
+        c = np.asarray(after.counts_below(th.xs))
+        c_below, c_upto = c[th.at_below[:m]], c[th.at_upto[n:]]
+        bad = (c_below > th.ranks[:m]) | (c_upto < th.ranks[1:m + 1])
+        for k in np.flatnonzero(bad).tolist() if bad.any() else ():
+            lo, hi = lam[k], lam[k + n]
             failures.append(
-                f"value {k} outside [{lo}, {hi}] after removing {n} vertices: "
-                f"#{{eta < {lo - _slack(lo)}}} = {c_below} and "
-                f"#{{eta <= {hi + _slack(hi)}}} = {c_upto}, but the first "
-                f"must be <= {k - 1} and the second >= {k}")
+                f"value {k + 1} outside [{lo}, {hi}] after removing {n} vertices: "
+                f"#{{eta < {lo - _slack(lo)}}} = {c_below[k]} and "
+                f"#{{eta <= {hi + _slack(hi)}}} = {c_upto[k]}, but the first "
+                f"must be <= {k} and the second >= {k + 1}")
     return CheckReport(ok=not failures, checked=m, failures=tuple(failures))
 
 

@@ -39,10 +39,12 @@ SECANT_REL). Where the re-rooted g does not bracket a zero, the probe
 is regula falsi on g_v, and where g_v does not either, the midpoint. The
 count on the original rooting decides each step, and the halving is then
 replayed, so every value is the float that halving alone returns
-(`_Bracket`). Forests that differ from a counted one in the same few
-potentials are counted at all the thresholds asked by two level passes:
-one over the whole unpatched forest, then one that re-evaluates only
-those vertices' root paths for all the forests at once (`PatchedCount`).
+(`_Bracket`). Forests that differ from a counted one by one removal each,
+of an edge, of a vertex or of nothing, with a few potentials patched,
+are counted from its rooting at all the thresholds asked: one level pass
+over the whole forest, then passes that re-evaluate only the vertices
+each removal moves, the root paths above it and the paths that turn over
+where a cut-off component is rooted anew (`PatchedCount`).
 The vanishing vertices behind an eigenvalue come from the sign changes of
 the g values across a narrow window around it (`_windows`, which counts
 the windows of all of a component's values together).
@@ -54,7 +56,7 @@ negative ones as it goes. `_eval_vertices` is the reference: the only pass
 of `ForestCount.count_below`, and the pass the array passes fall back to
 wherever they meet a value that is not finite. `_level_pass`
 is the one array pass, of `_lockstep` (the slicing rounds and
-`ForestCount.counts_below`) and of both passes of `PatchedCount`: the
+`ForestCount.counts_below`) and of every pass of `PatchedCount`: the
 same float operations one height level at a time on arrays of a level's
 vertices by (patch, threshold) lanes.
 
@@ -224,6 +226,18 @@ class RootedTree:
                     leaves.append(head)
             self.plans[comp] = (tuple(leaves), tuple(inner))
 
+    @functools.cached_property
+    def lowest(self) -> list:
+        """The smallest dense index in every vertex's subtree: where this
+        rooting roots the component that a removal cuts off at the vertex."""
+        low = list(range(len(self.parent)))
+        for comp in self.components:
+            for u in comp:  # children first
+                up = self.parent[u]
+                if up != -1 and low[u] < low[up]:
+                    low[up] = low[u]
+        return low
+
 
 def _eval_vertices(H: Operator, lam: float, plan, vals: list) -> int:
     """One pass of the g recursion over ``plan`` (a `RootedTree.plans`
@@ -303,8 +317,8 @@ class _Lanes:
     without a child in the plan, else one above its highest child in it),
     each level a block of consecutive rows, and per level the rows of its
     vertices' k-th children, one child slot at a time. A child outside the
-    plan (``outside``, (child, weight) pairs) has a row after the plan's n
-    for the term of its given g value. ``order`` lists the plan's vertices
+    plan (``outside``, (child, weight) pairs, each listed once) has a row
+    after the plan's n for the term of its given g value. ``order`` lists the plan's vertices
     by row, ``columns`` their kappa, rho, root marker (1.0 or 0.0) and
     parent weight. Within a level the vertices with more children come
     first, so slot k covers the level's first m_k rows, and among as many
@@ -328,8 +342,8 @@ class _Lanes:
         self._grouped = levels
         heads = [e for level in levels for e, _kids in level]
         self.order = [e[0] for e in heads]
-        self.outside = [kid for level in levels for _e, kids in level
-                        for kid in kids if kid[0] not in height]
+        self.outside = [*dict.fromkeys(kid for level in levels for _e, kids in level
+                                       for kid in kids if kid[0] not in height)]
         self._w_out = np.array([w for _v, w in self.outside]).reshape(-1, 1)
         self.columns = np.array([*zip(*heads)][1:5], dtype=float)[..., None, None]
         self.plan = plan
@@ -1106,18 +1120,25 @@ class ForestCount:
     against closed forms and against first eigenvalues found by descent.
     One count is one pass of `_eval_vertices` over each component: leaves
     first, then inner vertices children-first, counting as it goes.
+    ``operator`` and ``tree`` are the counted operator and its rooting.
+    The removal counters of a `PatchedCount` read this counter's level
+    pass (`level`), and stack their vertex removals in passes no wider
+    than the widest level pass run from it so far (``_widest``, cells a
+    threshold, at least the whole forest's n + 1 rows).
     """
 
     def __init__(self, H: Operator):
-        self._H = H
-        self._T = RootedTree(H.graph)
+        self.operator = H
+        self.tree = RootedTree(H.graph)
         self.total = H.graph.n
         self._vals = [0.0] * self.total  # g values, rewritten by every count
+        self._level = None
+        self._widest = self.total + 1
 
     @functools.cached_property
     def _lanes(self) -> _Lanes:
         """The whole forest as one plan, leaves first, laid out once."""
-        whole = [[e for plan in self._T.plans.values() for e in plan[part]]
+        whole = [[e for plan in self.tree.plans.values() for e in plan[part]]
                  for part in (0, 1)]
         return _Lanes(whole, self.total)
 
@@ -1131,126 +1152,280 @@ class ForestCount:
         one ulp above an eigenvalue a leaf's value can round to exactly 0.0
         and the count then still reads the one below.
         """
-        return _eval_plans(self._H, x, self._T.plans.values(), self._vals)
+        return _eval_plans(self.operator, x, self.tree.plans.values(), self._vals)
 
     def counts_below(self, xs) -> list:
         """`count_below` at every threshold of ``xs`` by the slicing rounds'
         rule (`_passes`), so a lane that is not finite is counted again by
         the scalar pass, which raises where `count_below` raises."""
-        return [c for _col, c in _passes(self._H, self._lanes, list(xs))]
+        return [c for _col, c in _passes(self.operator, self._lanes, list(xs))]
+
+    def spectrum(self, bases: bool) -> Spectrum:
+        """`tree_eigenpairs` of the counted operator with ``bases``, else
+        `tree_spectrum`, sliced on this counter's rooting."""
+        return (_eigenpairs if bases else _spectrum)(self.tree, self.operator)
+
+    def level(self, xs: tuple) -> tuple:
+        """One level pass over the whole forest at every threshold of
+        ``xs``, kept until other thresholds are asked: (the g values by
+        dense index, shape (n, thresholds), and which of them are negative;
+        whether a threshold's values are all finite; the count of negative
+        values at each)."""
+        if self._level is None or self._level[0] != xs:
+            lanes = self._lanes
+            g = _level_pass(self.operator, lanes, np.array(xs),
+                            lanes.columns[0])[lanes.rows, 0]
+            neg = g < 0.0
+            self._level = (xs, g, neg, np.isfinite(g).all(axis=0),
+                           np.count_nonzero(neg, axis=0))
+        return self._level[1:]
 
 
 class PatchedCount:
-    """Eigenvalue counters of the forests that differ from the one ``base``
-    counts only in a few potentials: one forest per patch in ``patches``,
-    each a dict from dense indices to their potentials, every patch with
-    the same indices. ``counters`` holds one counter per patch, in order.
+    """Eigenvalue counters of the forests that each differ from the one
+    ``base`` counts by one removal: ``removals`` holds (cut, patch) pairs,
+    where ``cut`` is () for no removal, (i, j) for the edge between dense
+    indices i and j, or (u,) for the vertex u, and ``patch`` maps dense
+    indices to their potentials after it. ``counters`` holds one counter
+    per removal, in order; each counts what ``ForestCount`` of that forest
+    counts, built as `surgery.remove_edge` or `surgery.remove_node` builds
+    it, to the bit.
 
-    A vertex's g value depends on its own subtree alone, so the patches
-    move only the g values on the root paths of the patched vertices. The
-    first count asked of any counter runs two level passes at every
-    threshold asked (`_level_pass`): one over the whole base forest, one
-    lane per threshold, and one over the patched root paths, one plan laid
-    out once (`_Lanes`) in (patch, threshold) lanes, with the patched
-    potentials and the g values of the children off the paths read from
-    the first pass. The counters read those counts until other thresholds
-    are asked. A count is the base pass's, less its negatives on the
-    paths, plus the lane's: the float operations of a full pass on the
-    patched forest, so the count of its ``ForestCount``. A lane whose base
-    or patched column holds a value that is not finite is counted by
-    `_eval_vertices` over the whole patched forest, the reference, which
-    raises where that forest's count raises; that lane's counter then
-    raises the same OverflowError. The base pass runs on the base's own
-    layout of the whole forest, ``base._lanes``.
+    A vertex's g value depends on its own subtree alone, so a removal moves
+    the g values of few vertices (`_regrown`): the root paths of the
+    vertices it patches or cuts below that keep their root, and in each
+    component it cuts off, the path from the top down to its smallest
+    dense index, where `RootedTree` roots it. The first count asked of any
+    counter reads the base forest's level pass at every threshold asked
+    (`ForestCount.level`, one per set of thresholds) and runs level passes
+    over those vertices alone, with every other g value read from the base
+    pass: the removals of one cut share a pass in (patch, threshold) lanes,
+    and the removals that each have a cut of their own, a vertex each, are
+    stacked in passes whose rows are (removal, vertex) pairs. A count is
+    the base pass's, less its negatives among the moved vertices, plus the
+    pass's. A pass of one cut's removals holds no more cells a threshold
+    than the larger of the base pass (n + 1 rows) and a pass over the root
+    paths of its patched vertices in its patches' lanes, and is split over
+    its patches where it would; a stacked pass holds no more than the
+    widest pass run from the base so far. A lane whose base or patched
+    column holds a value that is not finite is counted by `_eval_vertices`
+    over the whole forest after the removal, the reference, which raises
+    where that forest's count raises; that removal's counter then raises
+    the same OverflowError.
     """
 
-    def __init__(self, base: ForestCount, patches: list):
-        T = base._T
-        near = set()
-        for u in patches[0] if patches else ():
-            while u != -1 and u not in near:
-                near.add(u)
-                u = T.parent[u]
+    def __init__(self, base: ForestCount, removals: list):
+        groups = {}  # one cut and one set of patched vertices: one layout
+        for r, (cut, patch) in enumerate(removals):
+            groups.setdefault((tuple(cut), *sorted(patch)), []).append(r)
         self._base = base
-        self._patches = patches
-        if near:
-            forest = base._lanes
-            self._paths = paths = _Lanes([[e for e in part if e[0] in near]
-                                          for part in forest.plan], base.total)
-            kappa = paths.columns[0].repeat(len(patches), axis=1)
-            for u in patches[0]:
-                kappa[paths.order.index(u), :, 0] = [patch[u] for patch in patches]
-            self._kappa = kappa
-            self._at = forest.rows[[*paths.order,
-                                    *(v for v, _w in paths.outside)]]
+        self._removals = removals
+        self._groups = [(key[0], key[1:], members)
+                        for key, members in groups.items()]
         self._xs = self._counts = None
-        self.total = base.total
-        self.counters = tuple(_PatchCounter(self, i) for i in range(len(patches)))
+        self.counters = tuple(_PatchCounter(self, r, base.total - (len(cut) == 1))
+                              for r, (cut, _patch) in enumerate(removals))
 
-    def counts(self, xs) -> list:
-        """Per patch, #{eigenvalues < x} of its forest at every threshold
-        of ``xs``, or the OverflowError that counting it raises."""
+    def counts(self, xs) -> tuple:
+        """(the count of every removal's forest at every threshold of
+        ``xs``, an integer array of shape (removals, thresholds); the
+        OverflowError that counting raised, by removal)."""
         xs = tuple(xs)
         if xs != self._xs:
             self._xs, self._counts = xs, self._lanes(xs)
         return self._counts
 
-    def _lanes(self, xs: tuple) -> list:
-        """`counts` by a level pass over the base forest and one over the
-        root paths (see the class)."""
+    def _lanes(self, xs: tuple) -> tuple:
+        """`counts` by the passes of the class docstring."""
+        counts = np.empty((len(self._removals), len(xs)), dtype=np.intp)
+        errors = {}
         if not xs:
-            return [[] for _patch in self._patches]
-        H, forest, paths = self._base._H, self._base._lanes, self._paths
-        n = paths.n
-        lam = np.array(xs)
-        base = _level_pass(H, forest, lam, forest.columns[0])[:forest.n, 0]
-        at = base[self._at]
-        g = _level_pass(H, paths, lam, self._kappa, at[n:])[:n]
-        counts = np.count_nonzero(g < 0.0, axis=0)
-        counts += (np.count_nonzero(base < 0.0, axis=0)
-                   - np.count_nonzero(at[:n] < 0.0, axis=0))
-        out = counts.tolist()
-        fine = np.isfinite(g).all(axis=0) & np.isfinite(base).all(axis=0)
-        for i, j in [] if fine.all() else np.argwhere(~fine).tolist():
-            if not isinstance(out[i], OverflowError):
-                try:
-                    out[i][j] = self._scalar(self._patches[i], xs[j])
-                except OverflowError as exc:
-                    out[i] = exc
-        return out
+            return counts, errors
+        T, n = self._base.tree, self._base.total
+        stacked, rows = [], 0
+        for gi, (cut, patched, members) in enumerate(self._groups):
+            moved, leaves, inner = _regrown(T, cut, patched, (gi + 1) * n)
+            size = len(leaves) + len(inner)
+            if len(members) == 1:
+                if rows + size >= self._base._widest:
+                    self._pass(stacked, xs, counts, errors)
+                    stacked, rows = [], 0
+                stacked.append((gi, moved, leaves, inner, members))
+                rows += size
+                continue
+            cells = max(n + 1, (len(_root_paths(T, patched)) + 1) * len(members))
+            step = max(1, cells // (size + 1))
+            for s in range(0, len(members), step):
+                self._pass([(gi, moved, leaves, inner, members[s:s + step])],
+                           xs, counts, errors)
+        if stacked:
+            self._pass(stacked, xs, counts, errors)
+        return counts, errors
 
-    def _scalar(self, patch: dict, x: float) -> int:
-        """The count of ``patch``'s forest at x by `_eval_vertices` over the
-        whole forest."""
+    def _pass(self, parts: list, xs: tuple, counts: np.ndarray, errors: dict):
+        """Count the removals of ``parts``, (group, moved, leaves, inner,
+        removals) each with as many removals, in one level pass, where the
+        children off the parts' entries read the base pass (see the
+        class)."""
         base = self._base
-        return _eval_plans(base._H, x, _patched_plans(base._T, patch),
-                           [0.0] * self.total)
+        n = base.total
+        g, neg, fine, below = base.level(xs)
+        sizes = [len(part[1]) for part in parts]
+        got = below - _sums(neg[[v for part in parts for v in part[1]]],
+                            np.repeat(np.arange(len(parts)), sizes), len(parts))
+        got, bad = got[:, None], ~fine  # (parts, removals, thresholds)
+        leaves = [e for part in parts for e in part[2]]
+        inner = [e for part in parts for e in part[3]]
+        if leaves or inner:
+            lanes = _Lanes((leaves, inner), n)
+            kappa = lanes.columns[0].repeat(len(parts[0][4]), axis=1)
+            row = dict(zip(lanes.order, itertools.count()))
+            at, lane, value = [], [], []
+            for gi, _moved, _leaves, _inner, members in parts:
+                for u in self._removals[members[0]][1]:
+                    for i, r in enumerate(members):
+                        at.append(row[u + (gi + 1) * n])
+                        lane.append(i)
+                        value.append(self._removals[r][1][u])
+            kappa[at, lane, 0] = value
+            out = _level_pass(base.operator, lanes, np.array(xs), kappa,
+                              g[[v for v, _w in lanes.outside]])[:lanes.n]
+            base._widest = max(base._widest, out.shape[1] * (lanes.n + 1))
+            part = np.searchsorted([p[0] for p in parts],
+                                   np.array(lanes.order) // n - 1)
+            got = got + _sums(out < 0.0, part, len(parts))
+            if not np.isfinite(out).all():
+                bad = bad | (_sums(~np.isfinite(out), part, len(parts)) > 0)
+        for s, part in enumerate(parts):
+            counts[part[4]] = got[s]
+        if bad.any():
+            bad = np.broadcast_to(bad, (len(parts), len(parts[0][4]), len(xs)))
+            for s, i, j in np.argwhere(bad).tolist():
+                r = parts[s][4][i]
+                if r not in errors:
+                    try:
+                        counts[r, j] = self._scalar(r, xs[j])
+                    except OverflowError as exc:
+                        errors[r] = exc
+
+    def _scalar(self, r: int, x: float) -> int:
+        """The count of removal r's forest at x by `_eval_vertices` over
+        the whole forest after the removal: T's plan entries of the
+        vertices it does not move, then its own (`_regrown`)."""
+        base = self._base
+        T = base.tree
+        cut, patch = self._removals[r]
+        moved, leaves, inner = _regrown(T, cut, patch, 0)
+        moved = set(moved)
+        plan = [[e for plan in T.plans.values() for e in plan[part]
+                 if e[0] not in moved]
+                + [(e[0], patch[e[0]], *e[2:]) if e[0] in patch else e
+                   for e in own]
+                for part, own in ((0, leaves), (1, inner))]
+        return _eval_vertices(base.operator, x, plan, [0.0] * base.total)
 
 
 class _PatchCounter:
-    """The eigenvalue counter of one patch of a `PatchedCount`: ``total``
+    """The eigenvalue counter of one removal of a `PatchedCount`: ``total``
     and ``counts_below``, which the Weyl verifiers read in one call."""
 
-    def __init__(self, patched: PatchedCount, i: int):
+    def __init__(self, patched: PatchedCount, r: int, total: int):
         self._patched = patched
-        self._i = i
-        self.total = patched.total
+        self._r = r
+        self.total = total
 
-    def counts_below(self, xs) -> list:
-        """#{eigenvalues < x} at every threshold of ``xs``."""
-        got = self._patched.counts(xs)[self._i]
-        if isinstance(got, OverflowError):
-            raise got
-        return list(got)
+    def counts_below(self, xs) -> np.ndarray:
+        """#{eigenvalues < x} at every threshold of ``xs``, as integers."""
+        counts, errors = self._patched.counts(xs)
+        if self._r in errors:
+            raise errors[self._r]
+        return counts[self._r]
 
 
-def _patched_plans(T: RootedTree, kappa: dict) -> list:
-    """T's plans with kappa[u] as the potential of every u in ``kappa``."""
-    def entry(e):
-        return (e[0], kappa[e[0]], *e[2:]) if e[0] in kappa else e
+def _sums(x: np.ndarray, part: np.ndarray, parts: int) -> np.ndarray:
+    """The counts of true values over the rows of the boolean ``x`` in each
+    of ``parts`` parts, row i in part[i]: shape (parts, *x.shape[1:]), zero
+    for a part without rows."""
+    if parts == 1:
+        return np.count_nonzero(x, axis=0)[None]
+    order = np.argsort(part, kind="stable")
+    ends = np.searchsorted(part[order], np.arange(parts + 1))
+    acc = np.zeros((len(part) + 1, *x.shape[1:]), dtype=np.intp)
+    np.cumsum(x[order], axis=0, out=acc[1:])
+    return acc[ends[1:]] - acc[ends[:-1]]
 
-    return [tuple(tuple(entry(e) for e in part) for part in plan)
-            for plan in T.plans.values()]
+
+def _root_paths(T: RootedTree, starts) -> list:
+    """The vertices on the root paths of ``starts`` in T, each once,
+    deepest first, so every vertex comes after its children among them."""
+    depth = {}
+    for v in starts:
+        path = []
+        while v != -1 and v not in depth:
+            path.append(v)
+            v = T.parent[v]
+        d = -1 if v == -1 else depth[v]
+        for u in reversed(path):
+            d += 1
+            depth[u] = d
+    return sorted(depth, key=depth.__getitem__, reverse=True)
+
+
+def _regrown(T: RootedTree, cut: tuple, patched, off: int) -> tuple:
+    """(moved, leaves, inner): what a removal from T's forest moves. ``cut``
+    is () for no removal, (i, j) for the edge between dense indices i and
+    j or (u,) for the vertex u, and ``patched`` lists the vertices whose
+    potentials change with it: with a cut, only the cut edge's ends or the
+    removed vertex's neighbours.
+
+    ``moved`` lists the vertices whose g values the removal can change, a
+    removed vertex last: the root paths of the patched vertices and of the
+    cut's upper end that keep their root, and in every component the cut
+    leaves without its root, the path from its top down to its smallest
+    dense index (``T.lowest``), the root `RootedTree` gives it. ``leaves``
+    and ``inner`` are the `RootedTree.plans` entries of the moved vertices
+    that remain, as the forest after the removal is rooted, children
+    first, each with T's potential and its children in adjacency order: on
+    the paths that turn over, a vertex's parent becomes its child. Each
+    moved vertex v is keyed v + off, as a child too; the children that do
+    not move keep their dense index."""
+    parent, pw = T.parent, T.parent_w
+    if len(cut) == 2:
+        i, j = cut
+        top = j if parent[j] == i else i
+        if parent[top] not in cut:
+            raise ValueError(f"no edge between dense indices {i} and {j}")
+        tops, ups, gone = (top,), (parent[top],), ()
+    elif cut:
+        (u,) = cut
+        tops, gone = T.children[u], cut
+        ups = () if parent[u] == -1 else (parent[u],)
+    else:
+        tops, ups, gone = (), patched, ()
+    # (vertex, its parent after the removal, the weight of that edge)
+    grown = [(x, parent[x], 1.0 if parent[x] == -1 else pw[x])
+             for x in _root_paths(T, ups)]
+    for top in tops:
+        path = [T.lowest[top]]
+        while path[-1] != top:
+            path.append(parent[path[-1]])
+        path.reverse()  # top first: each vertex's new parent follows it
+        grown += [(x, up, pw[up]) for x, up in zip(path, path[1:])]
+        grown.append((path[-1], -1, 1.0))
+    moved = [x for x, _up, _w in grown]
+    inside, lost = set(moved), set(cut)
+    if not inside.issuperset(patched):
+        raise ValueError("a removal patches only vertices whose g values it moves")
+    leaves, inner = [], []
+    for x, up, w in grown:
+        head = (x + off, T.kappa[x], T.rho[x], up == -1, w)
+        kids = tuple((y + off if y in inside else y, wy) for y, wy in T.graph.adj[x]
+                     if y != up and y not in gone and not (x in lost and y in lost))
+        if kids:
+            inner.append((*head, kids))
+        else:
+            leaves.append(head)
+    return moved + list(gone), leaves, inner
 
 
 def _clusters(T: RootedTree, H: Operator) -> list:
@@ -1269,7 +1444,11 @@ def tree_spectrum(H: Operator) -> Spectrum:
     Each component is sliced on its eigenvalue count (`_slice`) and the
     values are merged across components.
     """
-    T = RootedTree(H.graph)
+    return _spectrum(RootedTree(H.graph), H)
+
+
+def _spectrum(T: RootedTree, H: Operator) -> Spectrum:
+    """`tree_spectrum` on the rooting T of H's forest."""
     return Spectrum(tuple(SpectrumEntry(center, sum(m for _ci, m in tags))
                           for center, _vals, tags in _clusters(T, H)))
 
@@ -1281,7 +1460,11 @@ def tree_eigenpairs(H: Operator) -> Spectrum:
     whose slicing produced it: the others have no eigenfunction there. The
     windows of all the values of a component are counted together
     (`_windows`)."""
-    T = RootedTree(H.graph)
+    return _eigenpairs(RootedTree(H.graph), H)
+
+
+def _eigenpairs(T: RootedTree, H: Operator) -> Spectrum:
+    """`tree_eigenpairs` on the rooting T of H's forest."""
     clusters = _clusters(T, H)
     values = {}  # component index -> the centers its slicing produced
     for center, _vals, tags in clusters:

@@ -119,6 +119,13 @@ def decimal_count(g: WeightedGraph, p: float, lam: float, root: int = 0) -> int:
     vertices whose g is negative. The inputs are read exactly. A child's
     exact zero makes its parent's g a pole, which counts as negative and
     adds the term of g = infinity, omega, to the grandparent."""
+    return _decimal_pass(g, p, lam, root)[0]
+
+
+def _decimal_pass(g: WeightedGraph, p: float, lam, root: int) -> tuple:
+    """(count, g values, parents, breadth-first order) of `decimal_count`'s
+    recursion at lam (a float or a Decimal): g[u] is None at a pole, and a
+    root's parent is -1."""
     with decimal.localcontext(decimal.Context(prec=50)):
         D = decimal.Decimal
         pm1 = D(p) - 1
@@ -135,6 +142,7 @@ def decimal_count(g: WeightedGraph, p: float, lam: float, root: int = 0) -> int:
             adj[v].append((u, D(w)))
         lam = D(lam)
         parent = [None] * g.n
+        values, visited = {}, []
         count = 0
         for r in (root, *range(g.n)):
             if parent[r] is not None:
@@ -145,6 +153,7 @@ def decimal_count(g: WeightedGraph, p: float, lam: float, root: int = 0) -> int:
                     if parent[v] is None:
                         parent[v], weight[v] = u, w
                         order.append(v)
+            visited += order
             acc = {u: D(float(g.kappa[u])) - D(float(g.rho[u])) * lam
                    - (1 if u == r else 0) for u in order}
             pole = set()
@@ -153,6 +162,7 @@ def decimal_count(g: WeightedGraph, p: float, lam: float, root: int = 0) -> int:
                     gu = None
                 else:
                     gu = 1 + phi(acc[u] / weight[u], inv)
+                values[u] = gu
                 if gu is None or gu < 0:
                     count += 1
                 if u == r:
@@ -162,4 +172,32 @@ def decimal_count(g: WeightedGraph, p: float, lam: float, root: int = 0) -> int:
                 else:  # a pole's term is omega phi(1 - 1/inf) = omega
                     acc[parent[u]] += weight[u] * (1 if gu is None
                                                    else phi(1 - 1 / gu, pm1))
-        return count
+        return count, values, parent, visited
+
+
+def decimal_eigenfunction(g: WeightedGraph, p: float, lo: float, hi: float,
+                          root: int = 0) -> tuple:
+    """(eigenvalue, eigenfunction) of the one simple eigenvalue of the tree
+    ``g`` in (lo, hi), where `decimal_count` rises by one, in 50-digit
+    decimal arithmetic: the eigenvalue by 160 halvings of (lo, hi) on the
+    count, the function by f(root) = 1 and f(c) = f(u) / g_c(eigenvalue)
+    down every edge u - c, the definition of g, scaled to unit p-norm.
+    Both as Decimals; f by dense index."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        lo, hi = decimal.Decimal(lo), decimal.Decimal(hi)
+        below = decimal_count(g, p, lo, root)
+        if decimal_count(g, p, hi, root) != below + 1:
+            raise ValueError("the count must rise by one across (lo, hi)")
+        for _ in range(160):
+            mid = (lo + hi) / 2
+            if decimal_count(g, p, mid, root) == below:
+                lo = mid
+            else:
+                hi = mid
+        lam = (lo + hi) / 2
+        _count, values, parent, order = _decimal_pass(g, p, lam, root)
+        f = [None] * g.n
+        for u in order:  # parents first
+            f[u] = 1 if parent[u] == -1 else f[parent[u]] / values[u]
+        norm = sum(abs(x) ** decimal.Decimal(p) for x in f) ** (1 / decimal.Decimal(p))
+        return lam, [x / norm for x in f]

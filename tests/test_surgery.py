@@ -34,6 +34,7 @@ from plap.surgery import (
     remove_node,
     verify_weyl_edge,
     verify_weyl_nodes,
+    vertex_removals,
 )
 from plap.treespec import (
     ForestCount,
@@ -169,6 +170,62 @@ def test_verify_weyl_nodes_synthetic():
         verify_weyl_nodes(before, _plain_spectrum([0.5, 1.5]), 1)
 
 
+def _per_k_edge(th, c: list, alpha_sign: float) -> tuple:
+    """The failures of `verify_weyl_edge` for the counts c at th.xs, written
+    one k at a time."""
+    shift, d, out = (1 if alpha_sign > 0 else 0), len(th.below), []
+    for k, (lk, i) in enumerate(zip(th.flat, th.pos), start=1):
+        need = k - 1 + shift
+        if c[d + i] < need or c[i] > need:
+            out.append(f"value {k}: {lk} misplaced after edge removal: "
+                       f"#{{eta < {th.below[i]}}} = {c[i]} and "
+                       f"#{{eta <= {lk + _slack(lk)}}} = {c[d + i]}, but the first "
+                       f"must be <= {need} and the second >= {need}")
+    return tuple(out)
+
+
+def _per_k_nodes(th, c: list, n: int) -> tuple:
+    """The failures of `verify_weyl_nodes` for the counts c at th.xs,
+    written one k at a time."""
+    lam, d, out = th.flat, len(th.below), []
+    for k in range(1, len(lam) - n + 1):
+        lo, hi = lam[k - 1], lam[k + n - 1]
+        c_below, c_upto = c[th.pos[k - 1]], c[d + th.pos[k + n - 1]]
+        if c_below > k - 1 or c_upto < k:
+            out.append(f"value {k} outside [{lo}, {hi}] after removing {n} vertices: "
+                       f"#{{eta < {lo - _slack(lo)}}} = {c_below} and "
+                       f"#{{eta <= {hi + _slack(hi)}}} = {c_upto}, but the first "
+                       f"must be <= {k - 1} and the second >= {k}")
+    return tuple(out)
+
+
+def test_weyl_verifiers_write_what_a_per_k_check_writes():
+    """`verify_weyl_edge` and `verify_weyl_nodes` decide every k by array
+    comparisons and write the failure text of each k that fails, the
+    text and order that checking one k at a time gives: on seeded spectra
+    with multiplicities, for random counts at every threshold, both signs
+    of alpha and one or two removed vertices."""
+    rng = random.Random(3)
+    failed = 0
+    for _ in range(300):
+        values = sorted({round(rng.uniform(-3.0, 3.0), 3) for _ in range(rng.randint(1, 8))})
+        spec = Spectrum(tuple(SpectrumEntry(v, rng.randint(1, 3)) for v in values))
+        th = Thresholds(spec)
+        total = len(th.flat)
+        c = [rng.randint(0, total) for _ in th.xs]
+        for sign in (1.0, -1.0):
+            rep = verify_weyl_edge(th, _ReadCounts(dict(zip(th.xs, c)), total), sign)
+            assert rep.failures == _per_k_edge(th, c, sign)
+            assert (rep.ok, rep.checked) == (not rep.failures, total)
+            failed += not rep.ok
+        for n in (1, 2):
+            if n < total:
+                rep = verify_weyl_nodes(th, _ReadCounts(dict(zip(th.xs, c)), total - n), n)
+                assert rep.failures == _per_k_nodes(th, c, n)
+                assert (rep.ok, rep.checked) == (not rep.failures, total - n)
+    assert failed > 100
+
+
 def _outside_band(g, f, i, j) -> bool:
     """Whether f is outside its zero band at both dense indices i and j."""
     s, _band = sign_pattern(g, f)
@@ -179,16 +236,18 @@ def _weyl_verdicts(H):
     """(name, target, verdicts) for every compensated edge removal of every
     eigenpair and every vertex removal: a verdict is (ok, checked), read by
     the counter of the operator after the removal, by its full spectrum
-    and, for an edge, by the after-forest's patched counter, which counts
-    all the edge's removals at once."""
+    and by the removal counter of the forest before it (`EdgeCut`,
+    `vertex_removals`), which counts all the edge's removals, or all the
+    vertex removals, at once."""
     g = H.graph
     spec = tree_eigenpairs(H)
     th = Thresholds(spec)
+    base = ForestCount(H)
     out = []
     for i, j, _w in g.edges:
         pairs = [(e, f) for e in spec.entries for f in e.basis
                  if _outside_band(g, f, i, j)]
-        afters = EdgeCut(H, (g.ids[i], g.ids[j])).afters([f for _e, f in pairs])
+        afters = EdgeCut(base, (g.ids[i], g.ids[j])).afters([f for _e, f in pairs])
         for (e, f), (alpha, after) in zip(pairs, afters, strict=True):
             H2, step = remove_edge(H, f, (g.ids[i], g.ids[j]))
             assert alpha == step.alpha
@@ -197,62 +256,20 @@ def _weyl_verdicts(H):
                                         after)]
             out.append(("edge", (e.value, g.ids[i], g.ids[j]),
                         [(rep.ok, rep.checked) for rep in verdicts]))
-    for u in g.ids:
+    for u, after in zip(g.ids, vertex_removals(base), strict=True):
         H2, _step = remove_node(H, u)
         verdicts = [verify_weyl_nodes(th, counter, 1)
-                    for counter in (ForestCount(H2), tree_spectrum(H2))]
+                    for counter in (ForestCount(H2), tree_spectrum(H2), after)]
         out.append(("node", (u,), [(rep.ok, rep.checked) for rep in verdicts]))
     return out
-
-
-class _ReadCounts:
-    """A counter that only reads counts given in advance: a threshold it was
-    not given raises KeyError."""
-
-    def __init__(self, counts: dict, total: int):
-        self.counts, self.total = counts, total
-
-    def counts_below(self, xs):
-        return [self.counts[x] for x in xs]
-
-
-def _cut_counts_agree(H) -> int:
-    """For every edge, the after-forest's patched counter, asked for all
-    the edge's removals at once, counts what ``ForestCount`` of
-    ``remove_edge``'s operator counts at every threshold a weyl-edge row
-    reads, in one pass for the whole list of thresholds and one threshold
-    at a time, and each row equals the one read from those counts, which
-    holds no other threshold. Returns the number of removals compared."""
-    g = H.graph
-    spec = tree_eigenpairs(H)
-    th = Thresholds(spec)
-    ts = th.xs
-    compared = 0
-    for i, j, _w in g.edges:
-        e0 = (g.ids[i], g.ids[j])
-        fs = [f for e in spec.entries for f in e.basis if _outside_band(g, f, i, j)]
-        afters = EdgeCut(H, e0).afters(fs)
-        for f, (alpha, after) in zip(fs, afters, strict=True):
-            H2, step = remove_edge(H, f, e0)
-            want = ForestCount(H2)
-            counts = [want.count_below(t) for t in ts]
-            assert after.counts_below(ts) == counts, e0
-            assert [after.counts_below([t])[0] for t in ts] == counts, e0
-            assert alpha == step.alpha
-            assert (verify_weyl_edge(th, after, alpha)
-                    == verify_weyl_edge(th, _ReadCounts(dict(zip(ts, counts)), g.n),
-                                        alpha))
-            compared += 1
-    return compared
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
 def test_weyl_counts_agree_with_after_spectra(p):
     """Counting after-values gives the same verdict as the full
     after-spectrum on every removal of a seeded tree corpus, and so does
-    the patched counter of the after-forest that ``check --all`` builds
-    once per edge. On seeded weighted trees that counter's counts are
-    those of the rebuilt operator at every threshold, to the bit."""
+    the removal counter of the forest before it that ``check --all``
+    reads."""
     rng = random.Random(91)
     rows = 0
     for n in range(4, 12):
@@ -261,10 +278,6 @@ def test_weyl_counts_agree_with_after_spectra(p):
             assert verdicts.count(verdicts[0]) == len(verdicts), (n, name, target)
             rows += 1
     assert rows > 400
-    compared = sum(_cut_counts_agree(Operator(
-        gen_graph("tree", n, random.Random(n), weighted=True), p))
-        for n in (6, 10, 16))
-    assert compared > 300
 
 
 def _dense_cuts_agree(H) -> int:
@@ -400,64 +413,204 @@ def _with_kappa(g, kappa: dict):
                          [(g.ids[i], g.ids[j], w) for i, j, w in g.edges])
 
 
-def test_patched_counter_counts_a_pole_off_the_patched_paths():
-    """A patched counter counts what ``ForestCount`` of the patched forest
-    counts where the base pass holds the pole marker away from the patched
-    root paths: on the unit tree 0 - {1 - 2, 3 - 4} patched at vertex 2,
-    leaf 4's g is exactly 0 at x = 1, so vertex 3, off the path 2 - 1 - 0,
-    carries the marker."""
-    g = WeightedGraph.unit(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
-    xs = [0.5, 1.0, 1.5, 2.0, 3.0]
-    patches = [{2: 0.5}, {2: 0.0}, {2: -0.5}]
-    for p in (1.2, 2.0, 3.0):
-        counter = ForestCount(Operator(g, p))
-        counter.count_below(1.0)
-        assert counter._vals[4] == 0.0 and counter._vals[3] == math.inf
-        patched = PatchedCount(counter, patches)
-        assert sorted(patched._paths.order) == [0, 1, 2]
-        for patch, after in zip(patches, patched.counters, strict=True):
-            want = ForestCount(Operator(_with_kappa(g, patch), p))
-            assert after.counts_below(xs) == [want.count_below(x) for x in xs]
+class _ReadCounts:
+    """A counter that only reads counts given in advance: a threshold it was
+    not given raises KeyError."""
+
+    def __init__(self, counts: dict, total: int):
+        self.counts, self.total = counts, total
+
+    def counts_below(self, xs):
+        return [self.counts[x] for x in xs]
 
 
-def test_patched_counter_counts_poles_and_overflows_as_a_full_pass():
-    """A patched counter counts what ``ForestCount`` of the patched forest
-    counts where the kept pass holds the pole marker on a patched path (the
-    unit path 0 - 1 - 2 at x = 1, where leaf 2's g is exactly 0), where a
-    patch puts an exact zero on its own path (potential 0 at x = 1, -0.5
-    at x = 0.5), which the array pass leaves to a scalar pass of that lane,
-    and where the kept pass overflows: a potential of 1e80 overflows
-    phi_inv at p = 1.2, and patched back to 0.5 the whole forest is
-    counted. The counter of a patch to 1e80 raises the OverflowError of
-    its forest's count, on that base and on the finite one, and leaves
-    the other counter's counts standing."""
-    unit = gen_graph("path", 3, random.Random(0))
+def _relabeled(g, rng):
+    """``g`` with its vertex ids shuffled and listed by the new id, and its
+    edges in a shuffled order: a tree whose subtrees do not hang from
+    their smallest index."""
+    ids = list(range(g.n))
+    rng.shuffle(ids)
+    edges = [(ids[i], ids[j], w) for i, j, w in g.edges]
+    rng.shuffle(edges)
+    return WeightedGraph(sorted((ids[i], float(g.rho[i]), float(g.kappa[i]))
+                                for i in range(g.n)), edges)
+
+
+def _without(g, cut, patch: dict):
+    """The forest ``g`` less the edge (i, j) or the vertex (u,) of ``cut``
+    (dense indices), with the potential patch[i] at every dense index i
+    of ``patch``: the forest `remove_edge` and `remove_node` build."""
+    gone = set(cut) if len(cut) == 1 else set()
+    return WeightedGraph(
+        [(g.ids[i], float(g.rho[i]), patch.get(i, float(g.kappa[i])))
+         for i in range(g.n) if i not in gone],
+        [(g.ids[i], g.ids[j], w) for i, j, w in g.edges
+         if not gone & {i, j} and {i, j} != set(cut)])
+
+
+def _counts_or_error(counter, xs: list, scalar: bool):
+    """``counter``'s counts at xs, one `count_below` each where ``scalar``,
+    else its `counts_below`, or the args of the OverflowError it raises."""
+    try:
+        if scalar:
+            return [counter.count_below(x) for x in xs]
+        return list(counter.counts_below(xs))
+    except OverflowError as exc:
+        return exc.args
+
+
+def _removals_agree(H, every: int = 1, scalar: bool = True) -> dict:
+    """Every compensated removal of an edge under an eigenfunction, and
+    every vertex removal, counted from the forest before it (`EdgeCut`,
+    `vertex_removals`), counts what ``ForestCount`` of the forest
+    `remove_edge` or `remove_node` builds counts at every threshold of the
+    request's `Thresholds`: one `count_below` per threshold where
+    ``scalar``, else its `counts_below`. Each weyl row reads only those
+    thresholds (`_ReadCounts`). Edge e takes the eigenfunctions whose index
+    is e modulo ``every``. Returns how many removals were compared, how
+    many cuts left a component whose smallest index is not the child end,
+    and the most components a vertex removal left."""
+    g = H.graph
+    base = ForestCount(H)
+    spec = base.spectrum(True)
+    th = Thresholds(spec)
+    xs = th.xs
+    functions = [f for e in spec.entries for f in e.basis]
+    seen = dict(edges=0, vertices=0, turned=0, pieces=0)
+    for e, (i, j, _w) in enumerate(g.edges):
+        e0 = (g.ids[i], g.ids[j])
+        fs = [f for k, f in enumerate(functions)
+              if k % every == e % every and _outside_band(g, f, i, j)]
+        child = j if base.tree.parent[j] == i else i
+        for f, (alpha, after) in zip(fs, EdgeCut(base, e0).afters(fs), strict=True):
+            H2, step = remove_edge(H, f, e0)
+            want = _counts_or_error(ForestCount(H2), xs, scalar)
+            assert list(after.counts_below(xs)) == want, e0
+            assert alpha == step.alpha
+            assert (verify_weyl_edge(th, after, alpha)
+                    == verify_weyl_edge(th, _ReadCounts(dict(zip(xs, want)), g.n),
+                                        alpha))
+            seen["edges"] += 1
+            seen["turned"] += base.tree.lowest[child] != child
+    for u, after in zip(g.ids, vertex_removals(base), strict=True):
+        H2, _step = remove_node(H, u)
+        want = _counts_or_error(ForestCount(H2), xs, scalar)
+        assert list(after.counts_below(xs)) == want, u
+        assert (verify_weyl_nodes(th, after, 1)
+                == verify_weyl_nodes(th, _ReadCounts(dict(zip(xs, want)), g.n - 1), 1))
+        seen["vertices"] += 1
+        seen["pieces"] = max(seen["pieces"], len(g.adj[g.index_of(u)]))
+    return seen
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0, 3.0])
+def test_removal_counts_are_the_rebuilt_forests_counts(p):
+    """The removal counters of ``check --all`` count, at every threshold of
+    the request, the integers that ``ForestCount`` of each rebuilt forest
+    counts: every edge under every eigenfunction and every vertex of
+    ``gen tree`` 9 and 12 (seeds 0-2), of those trees relabeled (cuts whose
+    cut-off component is rooted below its top) and of a seeded forest of
+    four trees, against one scalar count per threshold; on ``gen tree``
+    40 and 120 (seed 0), every vertex and every edge under every eighth
+    and every 40th eigenfunction, against the rebuilt forest's
+    ``counts_below``. Vertex 0 is removed in every document, and some
+    removals leave three components or more."""
+    seen = []
+    for n in (9, 12):
+        for seed in range(3):
+            g = gen_graph("tree", n, random.Random(seed), weighted=True)
+            seen.append(_removals_agree(Operator(g, p)))
+            seen.append(_removals_agree(Operator(_relabeled(g, random.Random(seed)), p)))
+    rng = random.Random(4)
+    seen.append(_removals_agree(Operator(disjoint_union(
+        *[gen_graph("tree", rng.randint(2, 7), rng, weighted=True)
+          for _ in range(4)]), p)))
+    for n, every in ((40, 8), (120, 40)):
+        seen.append(_removals_agree(Operator(
+            gen_graph("tree", n, random.Random(0), weighted=True), p), every, False))
+    assert sum(s["edges"] for s in seen) > 1500
+    assert sum(s["turned"] for s in seen) > 50
+    assert max(s["pieces"] for s in seen) >= 3
+
+
+def test_removal_counts_keep_poles_and_overflows(monkeypatch):
+    """A removal counter counts what ``ForestCount`` of its forest counts
+    where a pass holds the pole marker, and raises the OverflowError that
+    counting its forest raises, at the thresholds 0.5, 1, 1.5, 2 and 3:
+
+    - on the unit tree 0 - {1 - 2, 3 - 4}, whose leaf 4 has g exactly 0 at
+      x = 1, so vertex 3 carries the pole marker off the root path of 2,
+      and on the unit path 0 - 1 - 2, whose vertex 1 carries it;
+    - for vertex 2 patched to 0.5, 0 and -0.5 with nothing removed (an
+      exact zero on its own root path at x = 1 and at x = 0.5), for every
+      edge cut with those potentials at both ends, and for every vertex
+      removal, where the lanes that hold a value that is not finite are
+      counted again by the scalar pass;
+    - at the potential 1e80 of vertex 2 on ``gen path 5 --seed 0
+      --weighted`` at p = 1.2, which overflows phi_inv: the forest before
+      every removal overflows; removing vertex 2, or patching it back to
+      0.5, counts a finite forest, and every other removal raises its
+      forest's OverflowError, on that base and on the one patched to 0.5;
+    - where a vertex removal's compensated potential leaves the float
+      range, `vertex_removals` gives the ValueError that `remove_node`
+      raises, in its place.
+    """
+    recounted, inner = [], PatchedCount._scalar
+    monkeypatch.setattr(PatchedCount, "_scalar",
+                        lambda *args: recounted.append(1) or inner(*args))
     xs = [0.5, 1.0, 1.5, 2.0, 3.0]
-    patches = [{2: 0.5}, {2: 0.0}, {2: -0.5}]
+    tree = WeightedGraph.unit(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
+    path = gen_graph("path", 3, random.Random(0))
     for p in (1.2, 2.0, 3.0):
-        counter = ForestCount(Operator(unit, p))
-        counter.count_below(1.0)
-        assert counter._vals[1] == math.inf  # the pole marker
-        patched = PatchedCount(counter, patches)
-        for patch, after in zip(patches, patched.counters, strict=True):
-            want = ForestCount(Operator(_with_kappa(unit, patch), p))
-            assert after.counts_below(xs) == [want.count_below(x) for x in xs]
-            for x in xs:
-                assert after.counts_below([x]) == [want.count_below(x)], (p, x)
+        for g in (tree, path):
+            base = ForestCount(Operator(g, p))
+            base.count_below(1.0)
+            assert math.inf in base._vals
+            removals = [((), {2: k}) for k in (0.5, 0.0, -0.5)]
+            removals += [((i, j), {i: k, j: k}) for i, j, _w in g.edges
+                         for k in (0.5, 0.0, -0.5)]
+            removals += [((u,), {j: float(g.kappa[j]) + w for j, w in g.adj[u]})
+                         for u in range(g.n)]
+            counters = PatchedCount(base, removals).counters
+            for (cut, patch), after in zip(removals, counters, strict=True):
+                want = ForestCount(Operator(_without(g, cut, patch), p))
+                assert after.total == want.total
+                assert list(after.counts_below(xs)) == [want.count_below(x) for x in xs]
+                for x in xs:
+                    assert list(after.counts_below([x])) == [want.count_below(x)]
+    assert recounted
     g = gen_graph("path", 5, random.Random(0), weighted=True)
-    base = ForestCount(Operator(_with_kappa(g, {2: 1e80}), 1.2))
-    xs = [-1.0, 0.3, 1.0, 2.5, 6.0]
-    for x in xs:
-        with pytest.raises(OverflowError):
-            base.count_below(x)
-    want = ForestCount(Operator(_with_kappa(g, {2: 0.5}), 1.2))
-    for base in (base, want):  # the second overflows on the path alone
-        patched, kept = PatchedCount(base, [{2: 0.5}, {2: 1e80}]).counters
-        assert patched.counts_below(xs) == [want.count_below(x) for x in xs]
-        with pytest.raises(OverflowError):
-            kept.counts_below(xs)
-        for x in xs:
-            assert patched.counts_below([x]) == [want.count_below(x)]
+    huge = _without(g, (), {2: 1e80})
+    with pytest.raises(OverflowError) as raised:
+        ForestCount(Operator(huge, 1.2)).count_below(1.0)
+    finite = _without(g, (), {2: 0.5})
+    for doc in (huge, finite):
+        base = ForestCount(Operator(doc, 1.2))
+        removals = [((), {2: 0.5}), ((), {2: 1e80}),
+                    ((1, 2), {1: 0.5, 2: 1e80}), ((2, 3), {2: 0.5, 3: 0.5})]
+        removals += [((u,), {j: float(doc.kappa[j]) + w for j, w in doc.adj[u]})
+                     for u in range(doc.n)]
+        counters = PatchedCount(base, removals).counters
+        outcomes = []
+        for (cut, patch), after in zip(removals, counters, strict=True):
+            want = _counts_or_error(ForestCount(Operator(_without(doc, cut, patch), 1.2)),
+                                    xs, True)
+            assert _counts_or_error(after, xs, False) == want, (cut, patch)
+            outcomes.append(want)
+        assert outcomes[0] == _counts_or_error(ForestCount(Operator(finite, 1.2)),
+                                               xs, True)
+        assert outcomes[1] == raised.value.args
+    big = WeightedGraph([(0, 1.0, 0.0), (1, 1.0, 1.7e308), (2, 1.0, 0.0)],
+                        [(0, 1, 1e308), (1, 2, 1.0)])
+    H = Operator(big, 3.0)
+    for u, after in zip(big.ids, vertex_removals(ForestCount(H)), strict=True):
+        try:
+            want = ForestCount(remove_node(H, u)[0])
+        except ValueError as exc:  # the rebuilt potential leaves the float range
+            assert u == 0 and isinstance(after, ValueError)
+            assert after.args == exc.args == ("kappa must be finite at 1",)
+        else:
+            assert list(after.counts_below(xs)) == [want.count_below(x) for x in xs]
 
 
 @pytest.mark.parametrize("batched", [False, True])
