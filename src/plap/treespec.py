@@ -318,8 +318,8 @@ class _Lanes:
     each level a block of consecutive rows, and per level the rows of its
     vertices' k-th children, one child slot at a time. A child outside the
     plan (``outside``, (child, weight) pairs, each listed once) has a row
-    after the plan's n for the term of its given g value. ``order`` lists the plan's vertices
-    by row, ``columns`` their kappa, rho, root marker (1.0 or 0.0) and
+    after the plan's n for its given term. ``order`` lists the plan's
+    vertices by row, ``columns`` their kappa, rho, root marker (1.0 or 0.0) and
     parent weight. Within a level the vertices with more children come
     first, so slot k covers the level's first m_k rows, and among as many
     children the roots come last. ``batch_from`` is the number of probes
@@ -344,7 +344,6 @@ class _Lanes:
         self.order = [e[0] for e in heads]
         self.outside = [*dict.fromkeys(kid for level in levels for _e, kids in level
                                        for kid in kids if kid[0] not in height)]
-        self._w_out = np.array([w for _v, w in self.outside]).reshape(-1, 1)
         self.columns = np.array([*zip(*heads)][1:5], dtype=float)[..., None, None]
         self.plan = plan
         self.size = size
@@ -413,8 +412,8 @@ def _level_pass(H: Operator, lanes: _Lanes, lam: np.ndarray, kappa: np.ndarray,
     """The g values of the plan of ``lanes`` in (patch, threshold) lanes, of
     shape (n + 1, patches, thresholds): one row per vertex and a last row
     of zeros. The thresholds are ``lam``, ``kappa`` (n, patches, 1) holds
-    each patch's potentials and ``given`` the g values of the children
-    outside the plan, one row each, by threshold.
+    each patch's potentials and ``given`` the terms of the children outside
+    the plan (`_terms` of their g values), one row each, by threshold.
 
     Every step is the scalar pass's float operation on a whole array:
     kappa - rho lam less the roots' 1.0 on every row at once (less 0.0
@@ -434,7 +433,7 @@ def _level_pass(H: Operator, lanes: _Lanes, lam: np.ndarray, kappa: np.ndarray,
     scratch = np.empty_like(g)
     with np.errstate(all="ignore"):
         if given is not None:
-            up[n:] = _terms(pm1, given, lanes._w_out)[:, None]
+            up[n:] = given[:, None]
         acc = g[:n]
         np.multiply(rho, lam, out=acc)
         np.subtract(kappa, acc, out=acc)
@@ -1167,17 +1166,19 @@ class ForestCount:
 
     def level(self, xs: tuple) -> tuple:
         """One level pass over the whole forest at every threshold of
-        ``xs``, kept until other thresholds are asked: (the g values by
-        dense index, shape (n, thresholds), and which of them are negative;
-        whether a threshold's values are all finite; the count of negative
-        values at each)."""
+        ``xs``, kept until other thresholds are asked: (which g values are
+        negative and each vertex's term to its parent (`_terms`), by dense
+        index, shape (n, thresholds); whether a threshold's g values are all
+        finite; the count of negative values at each)."""
         if self._level is None or self._level[0] != xs:
             lanes = self._lanes
             g = _level_pass(self.operator, lanes, np.array(xs),
-                            lanes.columns[0])[lanes.rows, 0]
+                            lanes.columns[0])[:lanes.n, 0]
+            with np.errstate(all="ignore"):
+                terms = _terms(self.operator.p - 1.0, g, lanes.columns[3, :, 0])
             neg = g < 0.0
-            self._level = (xs, g, neg, np.isfinite(g).all(axis=0),
-                           np.count_nonzero(neg, axis=0))
+            self._level = (xs, neg[lanes.rows], terms[lanes.rows],
+                           np.isfinite(g).all(axis=0), np.count_nonzero(neg, axis=0))
         return self._level[1:]
 
 
@@ -1269,7 +1270,7 @@ class PatchedCount:
         class)."""
         base = self._base
         n = base.total
-        g, neg, fine, below = base.level(xs)
+        neg, terms, fine, below = base.level(xs)
         sizes = [len(part[1]) for part in parts]
         got = below - _sums(neg[[v for part in parts for v in part[1]]],
                             np.repeat(np.arange(len(parts)), sizes), len(parts))
@@ -1280,16 +1281,15 @@ class PatchedCount:
             lanes = _Lanes((leaves, inner), n)
             kappa = lanes.columns[0].repeat(len(parts[0][4]), axis=1)
             row = dict(zip(lanes.order, itertools.count()))
-            at, lane, value = [], [], []
+            at, value = [], []  # a patched row, its potential in every lane
             for gi, _moved, _leaves, _inner, members in parts:
-                for u in self._removals[members[0]][1]:
-                    for i, r in enumerate(members):
-                        at.append(row[u + (gi + 1) * n])
-                        lane.append(i)
-                        value.append(self._removals[r][1][u])
-            kappa[at, lane, 0] = value
+                patches = [self._removals[r][1] for r in members]
+                for u in patches[0]:
+                    at.append(row[u + (gi + 1) * n])
+                    value.append([patch[u] for patch in patches])
+            kappa[at, :, 0] = value
             out = _level_pass(base.operator, lanes, np.array(xs), kappa,
-                              g[[v for v, _w in lanes.outside]])[:lanes.n]
+                              terms[[v for v, _w in lanes.outside]])[:lanes.n]
             base._widest = max(base._widest, out.shape[1] * (lanes.n + 1))
             part = np.searchsorted([p[0] for p in parts],
                                    np.array(lanes.order) // n - 1)

@@ -1077,9 +1077,9 @@ def test_tree_40_eigenfunction_has_17_domains_at_50_digits():
     entries above 1e-3 but has the opposite sign on 15 vertices, all
     below 1.4e-5, among them the entries 6.1e-8 (vertex 3) and 7.2e-8
     (vertex 24), which are -2.8e-7 and -3.3e-7 at 50 digits: no zeros the
-    zero band misses, but entries that a residual of 3.2e-11 does not pin
-    at p = 3, where it bounds an entry's error only to about its square
-    root."""
+    zero band misses, but entries whose eigen-equation terms, quadratic in
+    f at p = 3, are about 1e-10, which a residual of 3.2e-11 cannot
+    sign."""
     g = gen_graph("tree", 40, random.Random(0), weighted=True)
     H = Operator(g, 3.0)
     e = treespec.tree_eigenpairs(H).find(0.674505532, rel_tol=1e-8)

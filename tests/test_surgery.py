@@ -539,8 +539,9 @@ def test_removal_counts_keep_poles_and_overflows(monkeypatch):
     counting its forest raises, at the thresholds 0.5, 1, 1.5, 2 and 3:
 
     - on the unit tree 0 - {1 - 2, 3 - 4}, whose leaf 4 has g exactly 0 at
-      x = 1, so vertex 3 carries the pole marker off the root path of 2,
-      and on the unit path 0 - 1 - 2, whose vertex 1 carries it;
+      x = 1, so vertex 3 carries the pole marker off the root path 2 - 1 -
+      0 that a patch of vertex 2 moves, and on the unit path 0 - 1 - 2,
+      whose vertex 1 carries it;
     - for vertex 2 patched to 0.5, 0 and -0.5 with nothing removed (an
       exact zero on its own root path at x = 1 and at x = 0.5), for every
       edge cut with those potentials at both ends, and for every vertex
@@ -566,6 +567,7 @@ def test_removal_counts_keep_poles_and_overflows(monkeypatch):
             base = ForestCount(Operator(g, p))
             base.count_below(1.0)
             assert math.inf in base._vals
+            assert treespec._regrown(base.tree, (), [2], 0)[0] == [2, 1, 0]
             removals = [((), {2: k}) for k in (0.5, 0.0, -0.5)]
             removals += [((i, j), {i: k, j: k}) for i, j, _w in g.edges
                          for k in (0.5, 0.0, -0.5)]
