@@ -169,7 +169,11 @@ class Thresholds:
     upto[i] = `_upto`(t), xs = below + upto; ``flat`` is the spectrum
     with repetition and pos[k] the distinct index of flat[k]. As arrays
     over flat: ``at_below`` and ``at_upto`` index flat[k]'s two thresholds
-    in xs; ``ranks`` is 0, 1, ..., len(flat)."""
+    in xs; ``ranks`` is 0, 1, ..., len(flat). Counts c at xs pass every k
+    of the edge check with shift s (`surgery.verify_weyl_edge`) exactly
+    when c * ``signs`` <= ``edge_bounds``[s] everywhere: a value's count
+    below it is at most its first rank + s, and up to it at least its last
+    rank + s."""
 
     def __init__(self, spec: Spectrum):
         values = spec.values()
@@ -181,6 +185,10 @@ class Thresholds:
         self.at_below = np.array(self.pos, dtype=np.intp)
         self.at_upto = self.at_below + len(values)
         self.ranks = np.arange(len(self.flat) + 1)
+        last = np.cumsum([e.mult for e in spec.entries]) - 1
+        first = last + 1 - [e.mult for e in spec.entries]
+        self.signs = np.repeat([1, -1], len(values))
+        self.edge_bounds = [np.concatenate((first + s, -(last + s))) for s in (0, 1)]
 
 
 def _position_report(H: Operator, cert: EigenpairCertificate,

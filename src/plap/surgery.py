@@ -105,7 +105,7 @@ def _compensated(H: Operator, f: VertexFunction, iu: int, iv: int, w: float,
     alpha = float(x[iv]) / float(x[iu])
     d_u = w * phi(1.0 - alpha, H.p)
     d_v = w * phi(1.0 - 1.0 / alpha, H.p)
-    for i, d in sorted(((iu, d_u), (iv, d_v))):
+    for i, d in ((iu, d_u), (iv, d_v)) if iu < iv else ((iv, d_v), (iu, d_u)):
         if not math.isfinite(float(g.kappa[i]) + d):
             raise ValueError(f"kappa must be finite at {g.ids[i]!r}")
     return alpha, d_u, d_v
@@ -305,8 +305,9 @@ def verify_weyl_edge(th: Thresholds, after, alpha_sign: float) -> CheckReport:
     read, all in one ``counts_below(th.xs)`` call:
     c- = #{eta < lambda_k - s} and c+ = #{eta <= lambda_k + s}. The
     pattern is c+ >= k - 1 and c- <= k - 1 for alpha < 0, c+ >= k and
-    c- <= k for alpha > 0. Every k is decided by one array comparison, and
-    only the k that fail are written out.
+    c- <= k for alpha > 0. Every k is decided by array comparisons, first
+    one over the distinct values (`nodal.Thresholds.edge_bounds`), and only
+    the k that fail are written out.
     """
     lam = th.flat
     if after.total != len(lam):
@@ -315,11 +316,12 @@ def verify_weyl_edge(th: Thresholds, after, alpha_sign: float) -> CheckReport:
         raise ValueError("alpha must have a definite sign")
     c = np.asarray(after.counts_below(th.xs))
     shift = 1 if alpha_sign > 0 else 0
+    if (c * th.signs <= th.edge_bounds[shift]).all():
+        return CheckReport(ok=True, checked=len(lam), failures=())
     need = th.ranks[shift:shift + len(lam)]  # k - 1 + shift for k = 1, 2, ...
     c_below, c_upto = c[th.at_below], c[th.at_upto]
-    bad = (c_upto < need) | (c_below > need)
     failures = []
-    for k in np.flatnonzero(bad).tolist() if bad.any() else ():
+    for k in np.flatnonzero((c_upto < need) | (c_below > need)).tolist():
         lk, i = lam[k], th.pos[k]
         failures.append(
             f"value {k + 1}: {lk} misplaced after edge removal: "

@@ -1246,21 +1246,22 @@ class PatchedCount:
         stacked, rows = [], 0
         for gi, (cut, patched, members) in enumerate(self._groups):
             moved, leaves, inner = _regrown(T, cut, patched, (gi + 1) * n)
+            part = (gi, np.array(moved, dtype=np.intp), leaves, inner, members)
             size = len(leaves) + len(inner)
             if len(members) == 1:
                 if rows + size >= self._base._widest:
                     self._pass(stacked, xs, counts, errors)
                     stacked, rows = [], 0
-                stacked.append((gi, moved, leaves, inner, members))
+                stacked.append(part)
                 rows += size
                 continue
             cells = max(n + 1, (len(_root_paths(T, patched)) + 1) * len(members))
             step = max(1, cells // (size + 1))
             for s in range(0, len(members), step):
-                self._pass([(gi, moved, leaves, inner, members[s:s + step])],
-                           xs, counts, errors)
+                self._pass([(*part[:4], members[s:s + step])], xs, counts, errors)
         if stacked:
             self._pass(stacked, xs, counts, errors)
+        counts.flags.writeable = False  # the counters hand out its rows
         return counts, errors
 
     def _pass(self, parts: list, xs: tuple, counts: np.ndarray, errors: dict):
@@ -1271,12 +1272,17 @@ class PatchedCount:
         base = self._base
         n = base.total
         neg, terms, fine, below = base.level(xs)
-        sizes = [len(part[1]) for part in parts]
-        got = below - _sums(neg[[v for part in parts for v in part[1]]],
-                            np.repeat(np.arange(len(parts)), sizes), len(parts))
-        got, bad = got[:, None], ~fine  # (parts, removals, thresholds)
-        leaves = [e for part in parts for e in part[2]]
-        inner = [e for part in parts for e in part[3]]
+        if len(parts) == 1:
+            (gi, moved, leaves, inner, members), = parts
+            got = (below - np.count_nonzero(neg[moved], axis=0))[None, None]
+        else:
+            moved = np.concatenate([part[1] for part in parts])
+            got = below - _sums(neg[moved], np.repeat(
+                np.arange(len(parts)), [len(part[1]) for part in parts]), len(parts))
+            got = got[:, None]  # (parts, removals, thresholds)
+            leaves = [e for part in parts for e in part[2]]
+            inner = [e for part in parts for e in part[3]]
+        bad = ~fine
         if leaves or inner:
             lanes = _Lanes((leaves, inner), n)
             kappa = lanes.columns[0].repeat(len(parts[0][4]), axis=1)
@@ -1291,8 +1297,8 @@ class PatchedCount:
             out = _level_pass(base.operator, lanes, np.array(xs), kappa,
                               terms[[v for v, _w in lanes.outside]])[:lanes.n]
             base._widest = max(base._widest, out.shape[1] * (lanes.n + 1))
-            part = np.searchsorted([p[0] for p in parts],
-                                   np.array(lanes.order) // n - 1)
+            part = len(parts) > 1 and np.searchsorted(
+                [part[0] for part in parts], np.array(lanes.order) // n - 1)
             got = got + _sums(out < 0.0, part, len(parts))
             if not np.isfinite(out).all():
                 bad = bad | (_sums(~np.isfinite(out), part, len(parts)) > 0)
@@ -1342,10 +1348,10 @@ class _PatchCounter:
         return counts[self._r]
 
 
-def _sums(x: np.ndarray, part: np.ndarray, parts: int) -> np.ndarray:
+def _sums(x: np.ndarray, part, parts: int) -> np.ndarray:
     """The counts of true values over the rows of the boolean ``x`` in each
-    of ``parts`` parts, row i in part[i]: shape (parts, *x.shape[1:]), zero
-    for a part without rows."""
+    of ``parts`` parts, row i in part[i] (not read for one part): shape
+    (parts, *x.shape[1:]), zero for a part without rows."""
     if parts == 1:
         return np.count_nonzero(x, axis=0)[None]
     order = np.argsort(part, kind="stable")
