@@ -208,7 +208,8 @@ def test_weyl_verifiers_write_what_a_per_k_check_writes():
     rng = random.Random(3)
     failed = 0
     for _ in range(300):
-        values = sorted({round(rng.uniform(-3.0, 3.0), 3) for _ in range(rng.randint(1, 8))})
+        values = sorted({round(rng.uniform(-3.0, 3.0), 3)
+                         for _ in range(rng.randint(1, 8))})
         spec = Spectrum(tuple(SpectrumEntry(v, rng.randint(1, 3)) for v in values))
         th = Thresholds(spec)
         total = len(th.flat)
@@ -220,7 +221,8 @@ def test_weyl_verifiers_write_what_a_per_k_check_writes():
             failed += not rep.ok
         for n in (1, 2):
             if n < total:
-                rep = verify_weyl_nodes(th, _ReadCounts(dict(zip(th.xs, c)), total - n), n)
+                counter = _ReadCounts(dict(zip(th.xs, c)), total - n)
+                rep = verify_weyl_nodes(th, counter, n)
                 assert rep.failures == _per_k_nodes(th, c, n)
                 assert (rep.ok, rep.checked) == (not rep.failures, total - n)
     assert failed > 100
@@ -520,7 +522,8 @@ def test_removal_counts_are_the_rebuilt_forests_counts(p):
         for seed in range(3):
             g = gen_graph("tree", n, random.Random(seed), weighted=True)
             seen.append(_removals_agree(Operator(g, p)))
-            seen.append(_removals_agree(Operator(_relabeled(g, random.Random(seed)), p)))
+            relabeled = _relabeled(g, random.Random(seed))
+            seen.append(_removals_agree(Operator(relabeled, p)))
     rng = random.Random(4)
     seen.append(_removals_agree(Operator(disjoint_union(
         *[gen_graph("tree", rng.randint(2, 7), rng, weighted=True)
@@ -595,8 +598,8 @@ def test_removal_counts_keep_poles_and_overflows(monkeypatch):
         counters = PatchedCount(base, removals).counters
         outcomes = []
         for (cut, patch), after in zip(removals, counters, strict=True):
-            want = _counts_or_error(ForestCount(Operator(_without(doc, cut, patch), 1.2)),
-                                    xs, True)
+            rebuilt = ForestCount(Operator(_without(doc, cut, patch), 1.2))
+            want = _counts_or_error(rebuilt, xs, True)
             assert _counts_or_error(after, xs, False) == want, (cut, patch)
             outcomes.append(want)
         assert outcomes[0] == _counts_or_error(ForestCount(Operator(finite, 1.2)),
