@@ -536,6 +536,66 @@ def test_removal_counts_are_the_rebuilt_forests_counts(p):
     assert max(s["pieces"] for s in seen) >= 3
 
 
+def test_patched_counter_counts_a_pole_off_the_patched_paths():
+    """A patched counter counts what ``ForestCount`` of the patched forest
+    counts where the base pass holds the pole marker away from the patched
+    root paths: on the unit tree 0 - {1 - 2, 3 - 4} patched at vertex 2,
+    leaf 4's g is exactly 0 at x = 1, so vertex 3, off the path 2 - 1 - 0,
+    carries the marker."""
+    g = WeightedGraph.unit(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
+    xs = [0.5, 1.0, 1.5, 2.0, 3.0]
+    patches = [{2: 0.5}, {2: 0.0}, {2: -0.5}]
+    for p in (1.2, 2.0, 3.0):
+        counter = ForestCount(Operator(g, p))
+        counter.count_below(1.0)
+        assert counter._vals[4] == 0.0 and counter._vals[3] == math.inf
+        assert sorted(treespec._regrown(counter.tree, (), [2], 0)[0]) == [0, 1, 2]
+        patched = PatchedCount(counter, [((), patch) for patch in patches])
+        for patch, after in zip(patches, patched.counters, strict=True):
+            want = ForestCount(Operator(_without(g, (), patch), p))
+            assert list(after.counts_below(xs)) == [want.count_below(x) for x in xs]
+
+
+def test_patched_counter_counts_poles_and_overflows_as_a_full_pass():
+    """A patched counter counts what ``ForestCount`` of the patched forest
+    counts where the kept pass holds the pole marker on a patched path (the
+    unit path 0 - 1 - 2 at x = 1, where leaf 2's g is exactly 0), where a
+    patch puts an exact zero on its own path (potential 0 at x = 1, -0.5
+    at x = 0.5), which the array pass leaves to a scalar pass of that lane,
+    and where the kept pass overflows: a potential of 1e80 overflows
+    phi_inv at p = 1.2, and patched back to 0.5 the whole forest is
+    counted. The counter of a patch to 1e80 raises the OverflowError of
+    its forest's count, on that base and on the finite one, and leaves
+    the other counter's counts standing."""
+    unit = gen_graph("path", 3, random.Random(0))
+    xs = [0.5, 1.0, 1.5, 2.0, 3.0]
+    patches = [{2: 0.5}, {2: 0.0}, {2: -0.5}]
+    for p in (1.2, 2.0, 3.0):
+        counter = ForestCount(Operator(unit, p))
+        counter.count_below(1.0)
+        assert counter._vals[1] == math.inf  # the pole marker
+        patched = PatchedCount(counter, [((), patch) for patch in patches])
+        for patch, after in zip(patches, patched.counters, strict=True):
+            want = ForestCount(Operator(_without(unit, (), patch), p))
+            assert list(after.counts_below(xs)) == [want.count_below(x) for x in xs]
+            for x in xs:
+                assert list(after.counts_below([x])) == [want.count_below(x)], (p, x)
+    g = gen_graph("path", 5, random.Random(0), weighted=True)
+    base = ForestCount(Operator(_without(g, (), {2: 1e80}), 1.2))
+    xs = [-1.0, 0.3, 1.0, 2.5, 6.0]
+    for x in xs:
+        with pytest.raises(OverflowError):
+            base.count_below(x)
+    want = ForestCount(Operator(_without(g, (), {2: 0.5}), 1.2))
+    for base in (base, want):  # the second overflows on the path alone
+        patched, kept = PatchedCount(base, [((), {2: 0.5}), ((), {2: 1e80})]).counters
+        assert list(patched.counts_below(xs)) == [want.count_below(x) for x in xs]
+        with pytest.raises(OverflowError):
+            kept.counts_below(xs)
+        for x in xs:
+            assert list(patched.counts_below([x])) == [want.count_below(x)]
+
+
 def test_removal_counts_keep_poles_and_overflows(monkeypatch):
     """A removal counter counts what ``ForestCount`` of its forest counts
     where a pass holds the pole marker, and raises the OverflowError that
